@@ -16,6 +16,10 @@ activation tick.  Exit speeds are committed at activation time from the
 records visible at that moment and are never revised afterwards: when the
 successor record has not arrived yet, the motion plans a full stop (a
 starvation fallback), even if the record shows up before the motion ends.
+The visible Cartesian window is planned by ``trajectory.solve_corners``
+and its blend decisions are final.  Later activations reuse the plan until
+a record arrives that can change it, one that extends the window past its
+last exact stop, so a stored program is planned once per Cartesian run.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import math
 from dataclasses import dataclass
 
 from .trajectory import (
-    COLLINEAR_EPS,
     SegmentSpec,
     _turn_angle,
+    blend_fits,
     blend_geometry,
     ptp_time,
     segment_time,
+    solve_corners,
 )
 from .wire import (
     SLOT_COUNT,
@@ -42,19 +47,17 @@ from .wire import (
     MotionRecord,
     RobotState,
     WireError,
+    check_continuation_target,
     decode_command_frame,
     decode_record,
     encode_feedback_frame,
     explode_plan,
+    reassemble_records,
     slot_for_record,
 )
 
 ERROR_RECORD = 1  # malformed or out-of-sequence record / frame
 ERROR_STARVATION = 2  # record supply stalled beyond the starvation limit
-
-_REVERSAL_EPS = 1e-9
-_MIN_BLEND_SPEED = 1e-9
-_FEAS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,9 +93,13 @@ class _MotionEngine:
 
     The entry speed and entry truncation of the next motion are whatever the
     previous motion committed as its exit; both start at zero for a fresh
-    skill.  ``fallback_stops`` counts activations that had to commit an exact
-    stop because the successor record was not visible yet (cumulative over
-    the engine's lifetime).
+    skill.  Each ingested motion adds its path length and the candidate
+    blend at the corner it closes; an activation outside the stored plan
+    solves the visible Cartesian window with ``solve_corners``, and a blend
+    dropped there stays dropped.
+    ``fallback_stops`` counts activations that had to commit an exact stop
+    because the successor record was not visible yet (cumulative over the
+    engine's lifetime).
     """
 
     def __init__(self, pose=(0.0,) * 6, joints=(0.0,) * 6):
@@ -104,20 +111,61 @@ class _MotionEngine:
 
     def begin_skill(self, total_records: int):
         self._phys: list[_Phys] = []
+        self._lengths: list[float] = []  # path length per motion, 0 for joint moves
+        self._corners: list = []  # candidate blend into the following motion
+        self._approach = None  # (point before, end point) of the last Cartesian leg
         self._next = 0
         self._active = None
         self._elapsed = 0
+        self._plan = None  # (first, end, speeds, blends) over _phys[first:end]
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
         self.total_records = total_records
         self.completed_records = 0
 
     def ingest(self, phys: _Phys):
+        length = 0.0
+        if not phys.joint:
+            plan = self._plan
+            if plan is not None and plan[1] == len(self._phys):
+                # the window grows; corners up to the last stop before its
+                # end are decoupled from the new ones and keep their plan
+                first, _end, speeds, blends = plan
+                stop = max((i for i in range(1, len(speeds) - 1) if speeds[i] == 0.0), default=0)
+                self._plan = (first, first + stop, speeds, blends) if stop else None
+            prev, p = self._approach or (None, self.pose[:3])
+            for q in phys.legs:
+                length += math.dist(p, q)
+                prev, p = p, q
+            if self._phys and not self._phys[-1].joint:
+                self._corners[-1] = self._corner(phys, length)
+            self._approach = (prev, p)
         self._phys.append(phys)
+        self._lengths.append(length)
+        self._corners.append(None)
+
+    def _corner(self, nxt: _Phys, length: float):
+        """Candidate blend between the last ingested motion and ``nxt``;
+        None where a zero-length leg meets the corner."""
+        am = self._phys[-1]
+        prev_pt, corner = self._approach
+        next_pt = nxt.legs[0]
+        if (
+            self._lengths[-1] == 0.0
+            or length == 0.0
+            or math.dist(prev_pt, corner) == 0.0
+            or math.dist(corner, next_pt) == 0.0
+        ):
+            return None
+        angle = _turn_angle(prev_pt, corner, next_pt)
+        if not blend_fits(angle, am.approx, self._lengths[-1], length):
+            return None
+        return blend_geometry(angle, am.approx, am.v, nxt.v, min(am.a, nxt.a))
 
     def discard_motion(self):
         self._active = None
         self._elapsed = 0
+        self._plan = None
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
 
@@ -144,7 +192,8 @@ class _MotionEngine:
         self._elapsed = 0
 
     def _activate(self):
-        m = self._phys[self._next]
+        k = self._next
+        m = self._phys[k]
         if m.joint:
             # corners never blend into or out of a joint motion, so the
             # committed entry speed here is always zero; the TCP pose is held
@@ -153,104 +202,36 @@ class _MotionEngine:
             self._set_active(dur, m, self.pose, tuple(m.target), 0.0, 0.0)
             return
 
-        # visible window: consecutive cartesian motions from here on
-        window = [m]
-        j = self._next + 1
-        while j < len(self._phys) and not self._phys[j].joint:
-            window.append(self._phys[j])
-            j += 1
-        K = len(window)
-
-        last_known = window[-1].first_record + window[-1].n_records - 1
-        if K == 1 and self._next + 1 >= len(self._phys) and last_known < self.total_records:
+        if k + 1 == len(self._phys) and m.first_record + m.n_records <= self.total_records:
             # successor exists but has not arrived: commit an exact stop
             self.fallback_stops += 1
-
-        starts = []
-        lengths = []
-        p = self.pose[:3]
-        for ph in window:
-            starts.append(p)
-            length = 0.0
-            for q in ph.legs:
-                length += math.dist(p, q)
-                p = q
-            lengths.append(length)
-
-        # corner j sits between window[j-1] and window[j]; same rules as the
-        # group profile planner: collinear corners pass through, zero approx
-        # or reversals or blends that do not fit degrade to exact stops
-        blends = [None] * (K + 1)
-        for j in range(1, K):
-            am, bm = window[j - 1], window[j]
-            corner = am.legs[-1]
-            prev_pt = am.legs[-2] if len(am.legs) > 1 else starts[j - 1]
-            next_pt = bm.legs[0]
-            if (
-                lengths[j - 1] == 0.0
-                or lengths[j] == 0.0
-                or math.dist(prev_pt, corner) == 0.0
-                or math.dist(corner, next_pt) == 0.0
-            ):
-                continue  # degenerate junction: exact stop
-            angle = _turn_angle(prev_pt, corner, next_pt)
-            approx = am.approx
-            if angle <= COLLINEAR_EPS:
-                blends[j] = blend_geometry(0.0, approx, am.v, bm.v, am.a)
-                continue
-            if approx == 0.0:
-                continue
-            if angle >= math.pi - _REVERSAL_EPS:
-                continue
-            if lengths[j - 1] < 2.0 * approx or lengths[j] < 2.0 * approx:
-                continue
-            blends[j] = blend_geometry(angle, approx, am.v, bm.v, min(am.a, bm.a))
-
-        speeds = [0.0] * (K + 1)
-        while True:
-            trunc = [b.truncation if b is not None else 0.0 for b in blends]
-            trunc[0] = self._entry_trunc
-            eff = [lengths[w] - trunc[w] - trunc[w + 1] for w in range(K)]
-            speeds[0] = self._entry_speed
-            for j in range(1, K):
-                speeds[j] = blends[j].v_blend if blends[j] is not None else 0.0
-            speeds[K] = 0.0
-            for j in range(1, K):  # forward reachability
-                if speeds[j] > 0.0:
-                    cap = math.sqrt(speeds[j - 1] ** 2 + 2.0 * window[j - 1].a * eff[j - 1])
-                    if cap < speeds[j]:
-                        speeds[j] = cap
-            for j in range(K - 1, 0, -1):  # backward deceleration
-                if speeds[j] > 0.0:
-                    cap = math.sqrt(speeds[j + 1] ** 2 + 2.0 * window[j].a * eff[j])
-                    if cap < speeds[j]:
-                        speeds[j] = cap
-            stuck = {
-                j
-                for j in range(1, K)
-                if blends[j] is not None
-                and blends[j].arc_length > 0.0
-                and speeds[j] < _MIN_BLEND_SPEED
-            }
-            if K > 1 and blends[1] is not None and 1 not in stuck:
-                # the committed entry speed cannot be revised; if the first
-                # segment cannot shed it before the corner, the corner goes
-                need = speeds[0] ** 2 - speeds[1] ** 2
-                budget = 2.0 * window[0].a * eff[0]
-                if need > budget * (1.0 + 1e-12) + _FEAS_SLACK:
-                    stuck.add(1)
-            if not stuck:
-                break
-            for j in stuck:
-                blends[j] = None
-
-        c1 = speeds[1] if K > 1 else 0.0
-        b1 = blends[1] if K > 1 else None
-        dur = segment_time(SegmentSpec(eff[0], m.v, m.a, speeds[0], c1))
-        if b1 is not None and b1.arc_length > 0.0:
-            dur += b1.arc_length / c1
-        exit_trunc = b1.truncation if b1 is not None else 0.0
-        self._set_active(dur, m, tuple(m.target), self.joints, c1, exit_trunc)
+        if self._plan is None or not self._plan[0] <= k < self._plan[1]:
+            # plan the visible Cartesian window from here on
+            end = k + 1
+            while end < len(self._phys) and not self._phys[end].joint:
+                end += 1
+            window = self._phys[k:end]
+            speeds, blends = solve_corners(
+                self._lengths[k:end],
+                [ph.v for ph in window],
+                [ph.a for ph in window],
+                [None, *self._corners[k : end - 1], None],
+                self._entry_speed,
+                self._entry_trunc,
+            )
+            # a later solve must not revive a blend dropped here: dropping
+            # only newer corners then restores this plan
+            self._corners[k : end - 1] = blends[1:-1]
+            self._plan = (k, end, speeds, blends)
+        first, _end, speeds, blends = self._plan
+        exit_speed = speeds[k - first + 1]
+        b = blends[k - first + 1]
+        exit_trunc = b.truncation if b is not None else 0.0
+        length = self._lengths[k] - self._entry_trunc - exit_trunc
+        dur = segment_time(SegmentSpec(length, m.v, m.a, self._entry_speed, exit_speed))
+        if b is not None and b.arc_length > 0.0:
+            dur += b.arc_length / exit_speed
+        self._set_active(dur, m, tuple(m.target), self.joints, exit_speed, exit_trunc)
 
     def advance(self, cycle_us: int) -> bool:
         """One robot cycle of execution.  False means starved: nothing ran
@@ -339,8 +320,7 @@ class RobotExecutor:
                     f"record {idx}: sequence {rec.record_seq}, expected {idx % 0x10000}"
                 )
             if self._pending_cont is not None:
-                if rec.continuation or rec.motion_type is not self._pending_cont.motion_type:
-                    raise MalformedContinuation("continuation without matching target")
+                check_continuation_target(self._pending_cont, rec)
                 self._engine.ingest(_phys_from_group([self._pending_cont, rec], idx - 1))
                 self._pending_cont = None
             elif rec.continuation:
@@ -457,26 +437,14 @@ class NativeExecutor:
         if capture:
             self._engine.captured = []
         self._cycle_us = cycle_us
-        records = []
-        for p in plans:
-            records.extend(explode_plan(p.motions))
+        records = [rec for p in plans for rec in explode_plan(p.motions)]
         # renumber to one consecutive stream
-        phys: list[_Phys] = []
+        self._program = []
         idx = 1
-        pending = None
-        for rec in records:
-            if pending is not None:
-                phys.append(_phys_from_group([pending, rec], idx - 1))
-                pending = None
-            elif rec.continuation:
-                pending = rec
-                idx += 1
-                continue
-            else:
-                phys.append(_phys_from_group([rec], idx))
-            idx += 1
-        self._program = phys
-        self._total = sum(ph.n_records for ph in phys)
+        for group in reassemble_records(records):
+            self._program.append(_phys_from_group(group, idx))
+            idx += len(group)
+        self._total = len(records)
         self._state = RobotState.IDLE
         self._cmd_obj: bytes | None = None
         self._acked = 0

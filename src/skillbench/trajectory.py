@@ -6,6 +6,12 @@ reached) velocity profile between given boundary speeds.  Corners inside a
 continuous group are either exact stops (v=0), collinear pass-throughs, or
 circular arc blends tangent to both segments at ``approx_distance`` from the
 corner, traversed at constant speed.
+
+``solve_corners`` is the one corner-speed solver: given segment lengths,
+limits, candidate blends and a committed entry, it decides every corner
+speed and which blends survive.  ``plan_group_profile`` and the robot
+executor's motion engine both build their geometry and call it, so the
+profile of a group and its executed timing follow the same rules.
 """
 
 from __future__ import annotations
@@ -188,10 +194,6 @@ def _as_position(p):
     return (float(x), float(y), float(z))
 
 
-def _dist(p, q) -> float:
-    return math.dist(p, q)
-
-
 def _turn_angle(p, c, n) -> float:
     ux, uy, uz = c[0] - p[0], c[1] - p[1], c[2] - p[2]
     vx, vy, vz = n[0] - c[0], n[1] - c[1], n[2] - c[2]
@@ -203,6 +205,113 @@ def _turn_angle(p, c, n) -> float:
     return math.atan2(cross, dot)
 
 
+def blend_fits(angle: float, approx: float, len_in: float, len_out: float) -> bool:
+    """Whether a corner can blend: collinear corners always pass through;
+    others need an approx distance, a turn short of a reversal, and both
+    adjacent segments at least twice the truncation long."""
+    if angle <= COLLINEAR_EPS:
+        return True
+    fits = angle < math.pi - _REVERSAL_EPS and min(len_in, len_out) >= 2.0 * approx
+    return approx > 0.0 and fits
+
+
+def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=0.0):
+    """Corner speeds of a chain of segments, and the blends they keep.
+
+    Segment i of n runs from corner i to corner i + 1 with ``lengths[i]``,
+    ``vmaxes[i]`` and ``accels[i]``.  ``blends[i]`` is the candidate blend at
+    interior corner i, None for an exact stop (entries 0 and n are ignored).
+    The chain is entered at the committed ``entry_speed`` with
+    ``entry_trunc`` already cut from segment 0, and ends at rest.
+
+    Forward and backward passes bound each corner speed by what its
+    segments can reach and shed (Kunz & Stilman, "Time-Optimal Trajectory
+    Generation for Path Following with Bounded Acceleration and Velocity",
+    RSS 2012).  Blends then degrade to exact stops, round by round:
+
+    * while the entry speed cannot be shed before corner 1, the newest
+      blend: dropping those the committing plan had not seen restores it;
+    * arcs forced to zero speed, and arcs slower than stopping there;
+    * once, every arc of a run between zero-speed corners that loses to
+      stopping at all its corners (coupled corners can pass each
+      single-corner test yet lose together); a run entered at a nonzero
+      committed speed is exempt.
+
+    Returns ``(speeds, blends)``: n + 1 corner speeds, zero at every stop,
+    and the kept blends, None wherever the corner stops.
+    """
+    n = len(lengths)
+    blends = list(blends)
+    blends[0] = blends[n] = None
+    fallback_pending = True
+    while True:
+        trunc = [0.0 if b is None else b.truncation for b in blends]
+        trunc[0] = entry_trunc
+        eff = [lengths[i] - trunc[i] - trunc[i + 1] for i in range(n)]
+        speeds = [0.0 if b is None else b.v_blend for b in blends]
+        speeds[0] = entry_speed
+        for i in range(1, n):  # forward reachability
+            if speeds[i] > 0.0:
+                cap = math.sqrt(speeds[i - 1] ** 2 + 2.0 * accels[i - 1] * eff[i - 1])
+                if cap < speeds[i]:
+                    speeds[i] = cap
+        for i in range(n - 1, 0, -1):  # backward deceleration
+            if speeds[i] > 0.0:
+                cap = math.sqrt(speeds[i + 1] ** 2 + 2.0 * accels[i] * eff[i])
+                if cap < speeds[i]:
+                    speeds[i] = cap
+
+        # the committed entry speed cannot be revised
+        entry_stuck = entry_speed > 0.0 and n > 1 and (
+            entry_speed**2 - speeds[1] ** 2 > 2.0 * accels[0] * eff[0] * (1.0 + 1e-12) + _FEAS_SLACK
+        )
+        arcs = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
+        drop = []
+        for i in arcs:
+            b, v = blends[i], speeds[i]
+            if v < _MIN_BLEND_SPEED:
+                drop.append(i)
+                continue
+            if entry_stuck:
+                continue
+            with_arc = (
+                _segment_time(eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v)
+                + b.arc_length / v
+                + _segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+            )
+            try:
+                with_stop = _segment_time(
+                    eff[i - 1] + b.truncation, vmaxes[i - 1], accels[i - 1], speeds[i - 1], 0.0
+                ) + _segment_time(eff[i] + b.truncation, vmaxes[i], accels[i], 0.0, speeds[i + 1])
+            except InfeasibleBoundary:
+                # a neighbouring blend depends on carrying speed through
+                # this corner; stopping here is not a local option
+                continue
+            if with_arc > with_stop:
+                drop.append(i)
+        if entry_stuck and not drop:
+            drop = [i for i in range(n - 1, 0, -1) if blends[i] is not None][:1]
+        elif arcs and not drop and fallback_pending:
+            fallback_pending = False
+            start = 0 if entry_speed == 0.0 else -1
+            for end in (i for i in range(1, n + 1) if speeds[i] == 0.0):
+                run_arcs = [i for i in arcs if start < i < end]
+                if start >= 0 and run_arcs:
+                    run = range(start, end)
+                    total = sum(
+                        _segment_time(eff[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1])
+                        for i in run
+                    ) + sum(blends[i].arc_length / speeds[i] for i in run_arcs)
+                    stops = (_segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0) for i in run)
+                    if total > sum(stops):
+                        drop += run_arcs
+                start = end
+        if not drop:
+            return speeds, blends
+        for i in drop:
+            blends[i] = None
+
+
 def plan_group_profile(
     plan: ContinuousSkillPlan, waypoints, blending_enabled: bool = True
 ) -> GroupProfile:
@@ -211,20 +320,18 @@ def plan_group_profile(
     ``waypoints`` has len(plan.motions) + 1 positions: the start pose
     followed by every motion target.  With blending disabled every waypoint
     is an exact stop.  With blending enabled, each interior corner uses the
-    approx distance of the motion ending there; corners degrade to exact
-    stops (never raise) when the blend does not fit: reversal angles,
-    adjacent segments shorter than twice the truncation, a feasibility
-    chain that forces the blend speed to zero, or an arc whose constant
-    speed traversal would be slower than simply stopping at the corner
-    (sharp corners force small radii and therefore slow arcs).  Blending is
-    then never slower than stopping everywhere.
+    approx distance of the motion ending there.  Corners degrade to exact
+    stops (never raise) when the blend does not fit (``blend_fits``) or when
+    ``solve_corners`` finds it forced to zero speed or losing time, as sharp
+    corners with small radii and slow arcs do.  Blending is then never
+    slower than stopping everywhere.
     """
     motions = plan.motions
     pts = [_as_position(p) for p in waypoints]
     n = len(motions)
     if len(pts) != n + 1:
         raise ValueError(f"expected {n + 1} waypoints for {n} motions, got {len(pts)}")
-    lengths = [_dist(pts[i], pts[i + 1]) for i in range(n)]
+    lengths = [math.dist(pts[i], pts[i + 1]) for i in range(n)]
     for i, length in enumerate(lengths):
         if length == 0.0:
             raise ValueError(f"waypoints {i} and {i + 1} coincide")
@@ -234,117 +341,37 @@ def plan_group_profile(
     # corner i sits at waypoint i, between segments i-1 and i, and uses the
     # approx distance of the motion that ends there
     blends: list[BlendGeometry | None] = [None] * (n + 1)
-    degraded: set[int] = set()
+    requested = []
     if blending_enabled:
         for i in range(1, n):
             approx = motions[i - 1].approx_distance
             angle = _turn_angle(pts[i - 1], pts[i], pts[i + 1])
-            if angle <= COLLINEAR_EPS:
-                blends[i] = blend_geometry(0.0, approx, vmaxes[i - 1], vmaxes[i], accels[i - 1])
-                continue
-            if approx == 0.0:
-                continue  # exact waypoint
-            if angle >= math.pi - _REVERSAL_EPS:
-                degraded.add(i)
-                continue
-            if lengths[i - 1] < 2.0 * approx or lengths[i] < 2.0 * approx:
-                degraded.add(i)
-                continue
-            blends[i] = blend_geometry(
-                angle, approx, vmaxes[i - 1], vmaxes[i], min(accels[i - 1], accels[i])
-            )
-
-    for _attempt in range(2):
-        while True:
-            trunc = [b.truncation if b is not None else 0.0 for b in blends]
-            eff = [lengths[i] - trunc[i] - trunc[i + 1] for i in range(n)]
-            speeds = [0.0] * (n + 1)
-            for i in range(1, n):
-                if blends[i] is not None:
-                    speeds[i] = blends[i].v_blend
-            for i in range(1, n):  # forward reachability
-                if speeds[i] > 0.0:
-                    speeds[i] = min(
-                        speeds[i],
-                        math.sqrt(speeds[i - 1] ** 2 + 2.0 * accels[i - 1] * eff[i - 1]),
-                    )
-            for i in range(n - 1, 0, -1):  # backward deceleration
-                if speeds[i] > 0.0:
-                    speeds[i] = min(
-                        speeds[i], math.sqrt(speeds[i + 1] ** 2 + 2.0 * accels[i] * eff[i])
-                    )
-            drop = []
-            for i in range(1, n):
-                b = blends[i]
-                if b is None or b.arc_length == 0.0:
-                    continue
-                if speeds[i] < _MIN_BLEND_SPEED:
-                    drop.append(i)  # an arc cannot be crawled at zero speed
-                    continue
-                v = speeds[i]
-                with_arc = (
-                    _segment_time(eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v)
-                    + b.arc_length / v
-                    + _segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+            if angle > COLLINEAR_EPS and approx > 0.0:
+                requested.append(i)
+            if blend_fits(angle, approx, lengths[i - 1], lengths[i]):
+                blends[i] = blend_geometry(
+                    angle, approx, vmaxes[i - 1], vmaxes[i], min(accels[i - 1], accels[i])
                 )
-                try:
-                    with_stop = (
-                        _segment_time(
-                            eff[i - 1] + b.truncation,
-                            vmaxes[i - 1],
-                            accels[i - 1],
-                            speeds[i - 1],
-                            0.0,
-                        )
-                        + _segment_time(
-                            eff[i] + b.truncation, vmaxes[i], accels[i], 0.0, speeds[i + 1]
-                        )
-                    )
-                except InfeasibleBoundary:
-                    # a neighbouring blend depends on carrying speed through
-                    # this corner; stopping here is not a local option
-                    continue
-                if with_arc > with_stop:
-                    drop.append(i)
-            if not drop:
-                break
-            for i in drop:
-                blends[i] = None
-                degraded.add(i)
+    speeds, blends = solve_corners(lengths, vmaxes, accels, blends)
 
-        seg_t = tuple(
-            _segment_time(eff[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1])
-            for i in range(n)
+    trunc = [b.truncation if b is not None else 0.0 for b in blends]
+    seg_t = tuple(
+        _segment_time(
+            lengths[i] - trunc[i] - trunc[i + 1], vmaxes[i], accels[i], speeds[i], speeds[i + 1]
         )
-        blend_t = tuple(
-            blends[i].arc_length / speeds[i]
-            if blends[i] is not None and blends[i].arc_length > 0.0
-            else 0.0
-            for i in range(1, n)
-        )
-        total = sum(seg_t) + sum(blend_t)
-        arc_corners = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
-        if not (blending_enabled and arc_corners):
-            break
-        all_stop = sum(
-            _segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0) for i in range(n)
-        )
-        if total <= all_stop:
-            break
-        # coupled corners can in rare shapes beat every single-corner stop
-        # test yet still lose to stopping everywhere; fall back wholesale
-        for i in arc_corners:
-            blends[i] = None
-            degraded.add(i)
-
-    deviation = max(
-        (b.deviation for b in blends if b is not None), default=0.0
+        for i in range(n)
+    )
+    blend_t = tuple(
+        blends[i].arc_length / speeds[i]
+        if blends[i] is not None and blends[i].arc_length > 0.0
+        else 0.0
+        for i in range(1, n)
     )
     return GroupProfile(
         segment_durations=seg_t,
         blend_durations=blend_t,
         corner_speeds=tuple(speeds),
-        total_time=total,
-        max_path_deviation=deviation,
-        degraded_corners=tuple(sorted(degraded)),
+        total_time=sum(seg_t) + sum(blend_t),
+        max_path_deviation=max((b.deviation for b in blends if b is not None), default=0.0),
+        degraded_corners=tuple(i for i in requested if blends[i] is None),
     )

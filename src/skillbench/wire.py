@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .core import JointTarget, MotionCommand, MotionType, Pose
+from .core import MotionCommand, MotionType
 
 RECORD_SIZE = 44
 FRAME_SIZE = 256
@@ -231,11 +231,7 @@ def explode_motion(cmd: MotionCommand, seq_start: int) -> list[MotionRecord]:
     are quantized to f32 so the in-memory records match their wire images
     exactly.
     """
-    if isinstance(cmd.target, JointTarget):
-        comps = cmd.target.components()
-    else:
-        comps = cmd.target.components()
-    target = tuple(f32(v) for v in comps)
+    target = tuple(f32(v) for v in cmd.target.components())
     vel = f32(cmd.velocity)
     acc = f32(cmd.acceleration)
     approx = f32(cmd.approx_distance)
@@ -283,6 +279,13 @@ def explode_plan(motions) -> list[MotionRecord]:
     return out
 
 
+def check_continuation_target(aux: MotionRecord, rec: MotionRecord):
+    """Raise MalformedContinuation unless ``rec`` is the target record that
+    completes the continuation record ``aux``."""
+    if rec.continuation or rec.motion_type is not aux.motion_type:
+        raise MalformedContinuation("continuation without matching target")
+
+
 def reassemble_records(records) -> list[list[MotionRecord]]:
     """Group a record stream back into physical motions.
 
@@ -293,8 +296,7 @@ def reassemble_records(records) -> list[list[MotionRecord]]:
     pending: MotionRecord | None = None
     for rec in records:
         if pending is not None:
-            if rec.continuation or rec.motion_type is not pending.motion_type:
-                raise MalformedContinuation("continuation without matching target")
+            check_continuation_target(pending, rec)
             out.append([pending, rec])
             pending = None
         elif rec.continuation:

@@ -39,6 +39,7 @@ from skillbench.wire import (
     encode_feedback_frame,
     encode_record,
     explode_plan,
+    f32,
     slot_for_record,
 )
 
@@ -358,6 +359,70 @@ class TestRobotExecutor:
         with pytest.raises(RobotError) as exc:
             program.plc_tick(0, err)
         assert exc.value.code == 2
+
+    def test_late_blend_cannot_strand_the_committed_speed(self):
+        """Records 107-111 of a generated 250-record skill (stream workload,
+        seed 51, sample 342), entered at rest.  Record 1 activates seeing
+        records 1-3 and commits about 1950 mm/s into corner 1-2.  The
+        circular pair arriving next adds a slow arc at corner 3-4 whose
+        truncation lowers the speed corner 2-3 can carry, below what
+        record 2 can shed in its 0.46 mm.  The executor must degrade the
+        newly visible corner instead of failing on the committed speed."""
+        v, a = 4000.0, 4.0e6
+        lin_ = MotionType.LIN_CARTESIAN
+        motions = (
+            MotionCommand(
+                lin_, Pose(3.1401114755199875, -4.7459954199602565, -16.2921409612933),
+                v, a, 0.1990654018707272,
+            ),
+            MotionCommand(
+                lin_, Pose(3.5817577225729833, -4.3661350751348555, -16.60157056246776),
+                v, a, 0.24977681728065276,
+            ),
+            MotionCommand(
+                lin_, Pose(3.9755232542750614, -4.297482260302284, -16.9281095433665),
+                v, a, 0.17922269802542307,
+            ),
+            MotionCommand(
+                MotionType.CIRCULAR,
+                Pose(1.1703471781137793, -2.1124671605611547, -13.591159277876054),
+                v, a, 0.0,
+                aux_point=(1.744086586974372, -2.5940767263859925, -16.471317492912725),
+            ),
+        )
+        recs = explode_plan(motions)
+        start = tuple(f32(c) for c in (2.2591163002887282, -5.439660245641651, -16.20350944865369))
+
+        def window(loaded, seq):
+            slots = [bytes(44)] * SLOT_COUNT
+            for idx in range(1, loaded + 1):
+                slots[slot_for_record(idx)] = encode_record(recs[idx - 1])
+            return encode_command_frame(
+                CommandFrame(
+                    command=CommandWord.START,
+                    record_count=loaded,
+                    total_no=len(recs),
+                    loaded_through=loaded,
+                    frame_seq=seq,
+                    slots=tuple(slots),
+                )
+            )
+
+        ex = RobotExecutor(initial_pose=start + (0.0,) * 3, capture=True)
+        ex.tick(0, window(3, 1))  # record 1 activates with records 1-3 visible
+        full = window(5, 2)
+        t = 4000
+        while ex.state is RobotState.RUNNING and t < 100_000:
+            ex.tick(t, full)
+            t += 4000
+        assert ex.state is RobotState.DONE
+        assert [(f, n, target) for f, n, target, _d in ex.executed] == [
+            (1, 1, recs[0].target),
+            (2, 1, recs[1].target),
+            (3, 1, recs[2].target),
+            (4, 2, recs[4].target),
+        ]
+        assert ex.pose == recs[4].target
 
     def test_elapsed_requires_a_completed_window(self):
         program = ContinuousMotionProgram([ContinuousSkillPlan((lin(10.0),))])

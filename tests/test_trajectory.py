@@ -7,6 +7,7 @@ numerically, which is independent of the closed-form arithmetic under test.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.integrate import quad
 
-from skillbench.core import ContinuousSkillPlan, MotionCommand, MotionType, Pose
+from skillbench import robot_executor
+from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
+from skillbench.robot_executor import NativeExecutor
 from skillbench.trajectory import (
     COLLINEAR_EPS,
     BlendGeometry,
@@ -27,6 +30,7 @@ from skillbench.trajectory import (
     ptp_time,
     segment_time,
 )
+from skillbench.wire import CommandFrame, CommandWord, RobotState, encode_command_frame, f32
 
 
 def integrated_time(length, v_max, accel, v_in, v_out):
@@ -464,3 +468,119 @@ def test_sharp_corners_degrade_rather_than_crawl(seed):
     blended = plan_group_profile(plan, wps)
     stops = plan_group_profile(plan, wps, blending_enabled=False)
     assert blended.total_time <= stops.total_time + 1e-12
+
+
+# --- executed timing against the group profile ----------------------------------
+
+
+def chained_groups(rng: random.Random, count: int):
+    """``count`` random groups, each starting where the previous one ends,
+    with motion types mixed between LIN and PTP-Cartesian and every scalar
+    rounded to f32 as the wire codec does, so the executor and the profile
+    see identical numbers.  Returns the plans and their start points."""
+    plans, starts = [], []
+    origin = (0.0, 0.0, 0.0)
+    for _ in range(count):
+        plan, _wps = random_group(rng)
+        motions = tuple(
+            replace(
+                m,
+                motion_type=rng.choice((MotionType.LIN_CARTESIAN, MotionType.PTP_CARTESIAN)),
+                target=Pose(*(f32(o + c) for o, c in zip(origin, m.target.position))),
+                velocity=f32(m.velocity),
+                acceleration=f32(m.acceleration),
+                approx_distance=f32(m.approx_distance),
+            )
+            for m in plan.motions
+        )
+        plans.append(ContinuousSkillPlan(motions))
+        starts.append(Pose(*origin))
+        origin = motions[-1].target.position
+    return plans, starts
+
+
+def run_native(plans):
+    """Run plans on NativeExecutor with START held; durations do not depend
+    on the cycle, so a long cycle keeps the run short."""
+    ex = NativeExecutor(plans, cycle_us=1_000_000, capture=True)
+    start = encode_command_frame(CommandFrame(command=CommandWord.START))
+    t = 0
+    while ex.state is not RobotState.DONE:
+        ex.tick(t, start)
+        t += 1_000_000
+    return ex
+
+
+def group_durations_us(ex, plans):
+    """Sum of executed durations per plan, in order."""
+    out, i = [], 0
+    for plan in plans:
+        n = len(plan.motions)
+        out.append(sum(dur for _first, _n, _target, dur in ex.executed[i : i + n]))
+        i += n
+    return out
+
+
+def test_executed_groups_match_the_profile():
+    """Back-to-back groups in one native window: each group's executed time
+    equals its profile time, up to rounding each motion to whole µs."""
+    rng = random.Random(0xE1EC)
+    for _ in range(400):
+        plans, starts = chained_groups(rng, rng.randint(1, 3))
+        executed = group_durations_us(run_native(plans), plans)
+        for plan, start, got in zip(plans, starts, executed):
+            wps = [start] + [m.target for m in plan.motions]
+            want = math.ceil(plan_group_profile(plan, wps).total_time * 1e6)
+            assert abs(got - want) <= len(plan.motions), (got, want)
+
+
+def test_executor_blending_never_slower_than_stopping():
+    """The executed time of every blended group is at most that of the same
+    group with every approx distance zero (up to µs rounding per motion)."""
+    rng = random.Random(0xB1E0)
+    for _ in range(400):
+        plans, _starts = chained_groups(rng, rng.randint(1, 3))
+        stopping = [
+            ContinuousSkillPlan(tuple(replace(m, approx_distance=0.0) for m in p.motions))
+            for p in plans
+        ]
+        blended = group_durations_us(run_native(plans), plans)
+        stopped = group_durations_us(run_native(stopping), stopping)
+        for plan, b, s in zip(plans, blended, stopped):
+            assert b <= s + len(plan.motions), (b, s)
+
+
+def test_native_program_solves_each_cartesian_run_once(monkeypatch):
+    """A 200-motion blended program split by two joint moves into three
+    Cartesian runs is solved three times, and each corner's blend is built
+    once."""
+    calls = {"solve": 0, "blend": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        robot_executor, "solve_corners", counted("solve", robot_executor.solve_corners)
+    )
+    monkeypatch.setattr(
+        robot_executor, "blend_geometry", counted("blend", robot_executor.blend_geometry)
+    )
+    rng = random.Random(0x200)
+    motions, pos = [], np.zeros(3)
+    for i in range(200):
+        if i in (70, 140):
+            joints = JointTarget(*(rng.uniform(-2.0, 2.0) for _ in range(6)))
+            motions.append(MotionCommand(MotionType.PTP_JOINT, joints, 3000.0, 3.0e6))
+            continue
+        d = np.array([rng.gauss(0, 1) for _ in range(3)])
+        pos = pos + d / np.linalg.norm(d) * rng.uniform(0.6, 3.0)
+        approx = 0.0 if i == 199 else rng.uniform(0.05, 0.25)
+        motions.append(_lin(Pose(*pos), v=4000.0, a=4.0e6, approx=approx))
+    ex = run_native([ContinuousSkillPlan(tuple(motions))])
+    assert len(ex.executed) == 200
+    assert calls["solve"] == 3
+    assert calls["blend"] <= 200
