@@ -1,17 +1,36 @@
 """Deterministic co-simulation of the PLC, fieldbus, and robot tasks.
 
-Three strictly periodic tasks run on an integer microsecond clock:
+Three tasks live on fixed grids of an integer microsecond clock:
 
 * the PLC task (default 1 ms) runs the trigger program,
 * the bus task (default 1 ms) atomically exchanges both 256-byte process
   images between the controllers,
 * the robot task (default 4 ms) runs the motion executor.
 
-Frames travel as immutable ``bytes`` objects; every receiver compares by
-object identity before decoding, so an unchanged image costs nothing.  Each
-repetition draws one random phase offset per task (uniform over the task's
-cycle, quantized to microseconds) from a seed derived from (seed, rep);
-everything else is exact, so a run is reproducible bit for bit.
+When grid points coincide the PLC goes first, then the bus, then the
+robot.  Each repetition draws one random phase offset per task (uniform
+over the task's cycle, quantized to microseconds) from a seed derived from
+(seed, rep); everything else is exact, so a run is reproducible bit for bit.
+
+Frames travel as immutable ``bytes`` objects, and every receiver compares
+by object identity before decoding.  The loop is event driven: a task runs
+only at the grid points where one of its inputs changed or a wakeup it
+asked for is due, and the run is the one that ticking every task at every
+point of its grid would produce, trace line for trace line.  That rests on
+what the program and executor report:
+
+* after ``plc_tick``, a true ``program.quiescent`` means another tick with
+  the same feedback bytes would change nothing, its time argument feeding
+  only timestamps.  The PLC then waits for the next feedback delivery;
+* after ``tick``, ``executor.next_wakeup()`` gives the number of robot
+  cycles to the next tick that can change anything while the command image
+  stays the same, or None.  Before a later tick the loop calls
+  ``executor.skip_cycles(n)`` for the ``n`` robot grid points it left out;
+* the bus runs at the first bus grid point at or after a PLC publish and
+  strictly after a robot publish; it has nothing else to do.
+
+A program without ``quiescent`` or an executor without ``next_wakeup`` is
+ticked at every point of its grid.
 """
 
 from __future__ import annotations
@@ -26,6 +45,9 @@ from .wire import (
     decode_command_frame,
     decode_feedback_frame,
 )
+
+
+_NEVER = float("inf")
 
 
 class SimTimeout(Exception):
@@ -102,18 +124,47 @@ def _fb_summary(data: bytes) -> str:
     return f"state={f.state.name} cur={f.cur_exec} err={f.error_code} {_hash12(data)}"
 
 
+def _at_or_after(t: int, phase: int, cycle: int) -> int:
+    """First grid point ``phase + k * cycle`` (k >= 0) at or after ``t``."""
+    if t <= phase:
+        return phase
+    return phase - (phase - t) // cycle * cycle
+
+
+def _every_cycle() -> int:
+    return 1
+
+
 def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     """Run the co-simulation until the program finishes.
 
-    ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and a
-    ``finished`` flag; ``executor`` supplies ``tick(t_us, cmd_bytes) ->
-    bytes``.  Raises SimTimeout when the clock passes ``timeout_us`` and
-    lets program/executor exceptions propagate after recording them.
+    ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and the
+    ``finished``, ``t_start_us`` and ``t_end_us`` attributes; ``executor``
+    supplies ``tick(t_us, cmd_bytes) -> bytes``.  Both are called through
+    the instance at each grid point where their task is due, and may report
+    ``quiescent`` and ``next_wakeup``/``skip_cycles`` (module docstring) to
+    be ticked less often.  Raises SimTimeout at the first grid point of any
+    task after ``timeout_us`` and lets program/executor exceptions propagate
+    after recording them.
     """
+    plc_cycle, bus_cycle, robot_cycle = (
+        config.plc_cycle_us,
+        config.bus_cycle_us,
+        config.robot_cycle_us,
+    )
     rng = random.Random(rep_seed(config.seed, config.rep))
-    phase_plc = rng.randrange(config.plc_cycle_us)
-    phase_bus = rng.randrange(config.bus_cycle_us)
-    phase_robot = rng.randrange(config.robot_cycle_us)
+    phase_plc = rng.randrange(plc_cycle)
+    phase_bus = rng.randrange(bus_cycle)
+    phase_robot = rng.randrange(robot_cycle)
+    timeout_at = min(
+        _at_or_after(config.timeout_us + 1, phase, cycle)
+        for phase, cycle in (
+            (phase_plc, plc_cycle),
+            (phase_bus, bus_cycle),
+            (phase_robot, robot_cycle),
+        )
+    )
+    next_wakeup = getattr(executor, "next_wakeup", _every_cycle)
 
     trace = SimTrace()
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
@@ -124,18 +175,20 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     cmd_at_robot = IDLE_COMMAND_BYTES
     fb_at_plc = IDLE_FEEDBACK_BYTES
 
-    next_plc = phase_plc
-    next_bus = phase_bus
-    next_robot = phase_robot
-    finished_at = None
+    # the next grid point at which each task is due, _NEVER when it waits
+    # for an input; every task runs at its first grid point
+    plc_due = phase_plc
+    bus_due = _NEVER
+    robot_due = phase_robot
+    robot_last = phase_robot - robot_cycle
 
     while True:
-        t = min(next_plc, next_bus, next_robot)
+        t = min(plc_due, bus_due, robot_due)
         if t > config.timeout_us:
-            trace.add(t, "sim", "timeout", f"after {config.timeout_us} us")
+            trace.add(timeout_at, "sim", "timeout", f"after {config.timeout_us} us")
             raise SimTimeout(f"no completion within {config.timeout_us} us")
         # tie order: PLC before bus before robot
-        if next_plc == t:
+        if plc_due == t:
             try:
                 out = program.plc_tick(t, fb_at_plc)
             except Exception as e:
@@ -144,25 +197,31 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             if out is not plc_out:
                 plc_out = out
                 trace.add(t, "plc", "cmd", _cmd_summary(out))
+                bus_due = min(bus_due, _at_or_after(t, phase_bus, bus_cycle))
             if program.t_start_us == t:
                 trace.add(t, "plc", "measure", "start")
             if program.t_end_us == t:
                 trace.add(t, "plc", "measure", "end")
             if program.finished:
-                finished_at = t
                 trace.add(t, "sim", "finished", f"t={t}")
-                break
-            next_plc += config.plc_cycle_us
-        if next_bus == t:
+                return SimResult(trace=trace, finished_at_us=t)
+            plc_due = _NEVER if getattr(program, "quiescent", False) else t + plc_cycle
+        if bus_due == t:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:
                 cmd_at_robot = plc_out
                 trace.add(t, "bus", "cmd_deliver", _hash12(cmd_at_robot))
+                robot_due = min(robot_due, _at_or_after(t, phase_robot, robot_cycle))
             if robot_out is not fb_at_plc:
                 fb_at_plc = robot_out
                 trace.add(t, "bus", "fb_deliver", _hash12(fb_at_plc))
-            next_bus += config.bus_cycle_us
-        if next_robot == t:
+                plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
+            bus_due = _NEVER
+        if robot_due == t:
+            skipped = (t - robot_last) // robot_cycle - 1
+            if skipped:
+                executor.skip_cycles(skipped)
+            robot_last = t
             try:
                 out = executor.tick(t, cmd_at_robot)
             except Exception as e:
@@ -171,6 +230,6 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             if out is not robot_out:
                 robot_out = out
                 trace.add(t, "robot", "fb", _fb_summary(out))
-            next_robot += config.robot_cycle_us
-
-    return SimResult(trace=trace, finished_at_us=finished_at)
+                bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
+            wake = next_wakeup()
+            robot_due = _NEVER if wake is None else t + wake * robot_cycle

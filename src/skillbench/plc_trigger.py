@@ -218,6 +218,12 @@ class _SequencedProgram:
     ``t_start_us`` marks the cycle that first emitted START, ``t_end_us`` the
     cycle that read the final skill's DONE; the trailing IDLE handshake falls
     outside the measured window.
+
+    ``plc_tick`` depends on its time argument only for those two stamps.
+    ``quiescent`` is true after a tick that left the skill state, the
+    command image and the next skill unchanged: another tick with the same
+    feedback bytes would then change nothing.  Such a tick can only have
+    moved the last curExec, and a repeat recomputes the same refill from it.
     """
 
     def __init__(self, skills):
@@ -228,6 +234,7 @@ class _SequencedProgram:
         self.t_start_us: int | None = None
         self.t_end_us: int | None = None
         self.finished = False
+        self.quiescent = False
         self._fb_obj: bytes | None = None
         self._fb: FeedbackFrame = FeedbackFrame()
 
@@ -238,11 +245,15 @@ class _SequencedProgram:
         return self._fb
 
     def plc_tick(self, t_us: int, fb_bytes: bytes) -> bytes:
-        fb = self._decode(fb_bytes)
         plc = self.plc
+        if self.quiescent and fb_bytes is self._fb_obj:
+            return plc.image
+        self.quiescent = False  # until this tick completes without raising
+        fb = self._decode(fb_bytes)
         if fb.state is RobotState.ERROR:
             raise RobotError(fb.error_code)
         before = plc.state
+        image, nxt = plc.image, self._next
         plc.cycle(fb)
         if (
             self._current_last
@@ -261,6 +272,7 @@ class _SequencedProgram:
                         self.t_start_us = t_us
             else:
                 self.finished = True
+        self.quiescent = plc.state is before and plc.image is image and self._next == nxt
         return plc.image
 
     @property

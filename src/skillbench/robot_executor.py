@@ -20,6 +20,12 @@ The visible Cartesian window is planned by ``trajectory.solve_corners``
 and its blend decisions are final.  Later activations reuse the plan until
 a record arrives that can change it, one that extends the window past its
 last exact stop, so a stored program is planned once per Cartesian run.
+
+Between command changes a RUNNING executor only waits for the active
+motion to complete or, starved, counts hungry cycles towards its fault.
+Both executors report the next tick that can change anything
+(``next_wakeup``) and take the ticks left out before it in one step
+(``skip_cycles``), which lets the co-simulation skip the idle ticks.
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ from .wire import (
 
 ERROR_RECORD = 1  # malformed or out-of-sequence record / frame
 ERROR_STARVATION = 2  # record supply stalled beyond the starvation limit
+
+# (state, error, curExec, acked frame_seq, pose) of IDLE_FEEDBACK_BYTES
+_IDLE_FEEDBACK_FIELDS = (RobotState.IDLE, 0, 0, 0, (0.0,) * 6)
 
 
 @dataclass(frozen=True)
@@ -252,40 +261,44 @@ class _MotionEngine:
             return True
         return progressed or self.done
 
+    def cycles_to_completion(self, cycle_us: int) -> int | None:
+        """Cycles from the last ``advance`` to the one that completes the
+        active motion; None when no motion is active."""
+        if self._active is None:
+            return None
+        return 1 + max(0, -((self._elapsed - self._active[0]) // cycle_us))
 
-class RobotExecutor:
-    """Streaming skill executor driven by the cyclic command image.
+    def coast(self, n: int, cycle_us: int) -> bool:
+        """``n`` cycles that only run the active motion on, as ``advance``
+        does short of its completion cycle.  False when no motion is active."""
+        if self._active is None:
+            return False
+        self._elapsed += n * cycle_us
+        return True
 
-    ``tick`` is the robot task: it ingests command frames (by object
-    identity, so an unchanged image costs nothing), advances execution by
-    one cycle, and returns the feedback image to publish.  Record errors
-    surface as feedback state ERROR with code 1, starvation beyond
-    ``starvation_limit`` consecutive hungry cycles as code 2.
+
+class _CyclicExecutor:
+    """The robot task around a motion engine, shared by both executors.
+
+    Publishes the feedback image, encoding it only when one of its fields
+    changed, and tells the simulator when the next tick is due.  Between a
+    tick and that wakeup, ticks with an unchanged command image only run the
+    active motion on or count a hungry cycle; ``skip_cycles`` accounts for
+    such ticks in one step.
     """
 
-    def __init__(
-        self,
-        initial_pose=(0.0,) * 6,
-        initial_joints=(0.0,) * 6,
-        cycle_us: int = 4000,
-        starvation_limit: int = 250,
-        capture: bool = False,
-    ):
+    _starvation_limit: int | None = None
+
+    def __init__(self, initial_pose, initial_joints, cycle_us: int, capture: bool):
         self._engine = _MotionEngine(initial_pose, initial_joints)
         if capture:
             self._engine.captured = []
         self._cycle_us = cycle_us
-        self._starvation_limit = starvation_limit
         self._state = RobotState.IDLE
-        self._error = 0
-        self._total = 0
-        self._known = 0  # highest record index ingested
-        self._pending_cont: MotionRecord | None = None
-        self._hungry = 0
         self._acked = 0
-        self.skills_done = 0
+        self._hungry = 0
         self._cmd_obj: bytes | None = None
-        self._fb = FeedbackFrame()
+        self._fb_fields = _IDLE_FEEDBACK_FIELDS
         self._fb_bytes = IDLE_FEEDBACK_BYTES
 
     @property
@@ -306,6 +319,58 @@ class RobotExecutor:
         if self._engine.captured is None:
             raise RuntimeError("executor built without capture=True")
         return self._engine.captured
+
+    def _feedback(self, error: int, cur: int) -> bytes:
+        fields = (self._state, error, cur, self._acked, self._engine.pose)
+        if fields != self._fb_fields:
+            self._fb_fields = fields
+            self._fb_bytes = encode_feedback_frame(FeedbackFrame(*fields))
+        return self._fb_bytes
+
+    def next_wakeup(self) -> int | None:
+        """Robot cycles from the last tick to the next one that can change
+        anything while the command image stays the same: the completion of
+        the active motion, else the starvation deadline.  None when no such
+        tick exists (IDLE, DONE, ERROR, ABORTING)."""
+        if self._state is not RobotState.RUNNING:
+            return None
+        n = self._engine.cycles_to_completion(self._cycle_us)
+        if n is None and self._starvation_limit is not None:
+            return max(1, self._starvation_limit - self._hungry)
+        return n
+
+    def skip_cycles(self, n: int):
+        """Account for ``n`` ticks left out before the next wakeup, each with
+        the same command image as the last tick."""
+        if self._state is RobotState.RUNNING and not self._engine.coast(n, self._cycle_us):
+            self._hungry += n
+
+
+class RobotExecutor(_CyclicExecutor):
+    """Streaming skill executor driven by the cyclic command image.
+
+    ``tick`` is the robot task: it ingests command frames (by object
+    identity, so an unchanged image costs nothing), advances execution by
+    one cycle, and returns the feedback image to publish.  Record errors
+    surface as feedback state ERROR with code 1, starvation beyond
+    ``starvation_limit`` consecutive hungry cycles as code 2.
+    """
+
+    def __init__(
+        self,
+        initial_pose=(0.0,) * 6,
+        initial_joints=(0.0,) * 6,
+        cycle_us: int = 4000,
+        starvation_limit: int = 250,
+        capture: bool = False,
+    ):
+        super().__init__(initial_pose, initial_joints, cycle_us, capture)
+        self._starvation_limit = starvation_limit
+        self._error = 0
+        self._total = 0
+        self._known = 0  # highest record index ingested
+        self._pending_cont: MotionRecord | None = None
+        self.skills_done = 0
 
     def _fail(self, code: int):
         self._state = RobotState.ERROR
@@ -399,23 +464,13 @@ class RobotExecutor:
         if self._state in (RobotState.RUNNING, RobotState.DONE):
             cur = min(self._engine.completed_records + 1, self._total)
         elif self._state is RobotState.ERROR:
-            cur = self._fb.cur_exec
+            cur = self._fb_fields[2]  # curExec as last reported
         else:
             cur = 0
-        fb = FeedbackFrame(
-            state=self._state,
-            error_code=self._error,
-            cur_exec=cur,
-            acked_seq=self._acked,
-            pose=self._engine.pose,
-        )
-        if fb != self._fb:
-            self._fb = fb
-            self._fb_bytes = encode_feedback_frame(fb)
-        return self._fb_bytes
+        return self._feedback(self._error, cur)
 
 
-class NativeExecutor:
+class NativeExecutor(_CyclicExecutor):
     """Robot-resident motion program with a bus-level START/DONE handshake.
 
     Takes the same continuous plans the streaming path would receive and
@@ -433,10 +488,7 @@ class NativeExecutor:
         cycle_us: int = 4000,
         capture: bool = False,
     ):
-        self._engine = _MotionEngine(initial_pose, initial_joints)
-        if capture:
-            self._engine.captured = []
-        self._cycle_us = cycle_us
+        super().__init__(initial_pose, initial_joints, cycle_us, capture)
         records = [rec for p in plans for rec in explode_plan(p.motions)]
         # renumber to one consecutive stream
         self._program = []
@@ -445,26 +497,6 @@ class NativeExecutor:
             self._program.append(_phys_from_group(group, idx))
             idx += len(group)
         self._total = len(records)
-        self._state = RobotState.IDLE
-        self._cmd_obj: bytes | None = None
-        self._acked = 0
-        self._fb = FeedbackFrame()
-        self._fb_bytes = IDLE_FEEDBACK_BYTES
-
-    @property
-    def state(self) -> RobotState:
-        return self._state
-
-    @property
-    def pose(self) -> tuple:
-        return self._engine.pose
-
-    @property
-    def executed(self) -> list:
-        """Captured (first_record, n_records, target, duration_us) tuples."""
-        if self._engine.captured is None:
-            raise RuntimeError("executor built without capture=True")
-        return self._engine.captured
 
     def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
         if cmd_bytes is not self._cmd_obj:
@@ -501,14 +533,4 @@ class NativeExecutor:
             cur = min(self._engine.completed_records + 1, self._total)
         else:
             cur = 0
-        fb = FeedbackFrame(
-            state=self._state,
-            error_code=0,
-            cur_exec=cur,
-            acked_seq=self._acked,
-            pose=self._engine.pose,
-        )
-        if fb != self._fb:
-            self._fb = fb
-            self._fb_bytes = encode_feedback_frame(fb)
-        return self._fb_bytes
+        return self._feedback(0, cur)

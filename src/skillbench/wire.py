@@ -47,8 +47,10 @@ FEEDBACK_USED = 36
 
 _RECORD_FMT = struct.Struct("<BBH9fBBH")
 _CMD_HEADER_FMT = struct.Struct("<BBIIH")
+_SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 _FEEDBACK_FMT = struct.Struct("<BBIH6f")
 _F32 = struct.Struct("<f")
+_RECORD_SCALARS = struct.Struct("<9f")  # six target components, v, a, approx
 
 _FLAG_JOINT = 0x01
 _FLAG_CONTINUATION = 0x02
@@ -125,6 +127,21 @@ class RobotState(IntEnum):
     ABORTING = 5
 
 
+# wire code -> member, without the cost of an Enum call per decode
+_MOTION_TYPES = {m.value: m for m in MotionType}
+_COMMAND_WORDS = {w.value: w for w in CommandWord}
+_ROBOT_STATES = {s.value: s for s in RobotState}
+
+
+def _check_finite(values, what: str):
+    """Raise NonFiniteScalar naming the first non-finite value.  f32 values
+    off the wire cannot overflow a double sum, so a finite sum means all of
+    them are finite."""
+    if not math.isfinite(sum(values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise NonFiniteScalar(f"non-finite {what} {bad!r}")
+
+
 def f32(x: float) -> float:
     """Round a float through IEEE-754 single precision."""
     return _F32.unpack(_F32.pack(x))[0]
@@ -191,19 +208,16 @@ def decode_record(data: bytes) -> MotionRecord:
     (code, flags, seq, *rest) = _RECORD_FMT.unpack(data)
     scalars = rest[:9]
     tool, base, force = rest[9:]
-    try:
-        mtype = MotionType(code)
-    except ValueError:
-        raise UnknownMotionType(f"motion type code {code}") from None
+    mtype = _MOTION_TYPES.get(code)
+    if mtype is None:
+        raise UnknownMotionType(f"motion type code {code}")
     if flags & ~(_FLAG_JOINT | _FLAG_CONTINUATION):
         raise MalformedRecord(f"reserved flag bits set: 0x{flags:02x}")
     joint = bool(flags & _FLAG_JOINT)
     cont = bool(flags & _FLAG_CONTINUATION)
     if joint != (mtype is MotionType.PTP_JOINT):
         raise MalformedRecord(f"joint flag {joint} inconsistent with {mtype.name}")
-    for v in scalars:
-        if not math.isfinite(v):
-            raise NonFiniteScalar(f"non-finite scalar {v!r}")
+    _check_finite(scalars, "scalar")
     target = tuple(scalars[:6])
     if cont and any(target[3:]):
         raise MalformedContinuation("continuation record carries orientation data")
@@ -231,10 +245,12 @@ def explode_motion(cmd: MotionCommand, seq_start: int) -> list[MotionRecord]:
     are quantized to f32 so the in-memory records match their wire images
     exactly.
     """
-    target = tuple(f32(v) for v in cmd.target.components())
-    vel = f32(cmd.velocity)
-    acc = f32(cmd.acceleration)
-    approx = f32(cmd.approx_distance)
+    *target, vel, acc, approx = _RECORD_SCALARS.unpack(
+        _RECORD_SCALARS.pack(
+            *cmd.target.components(), cmd.velocity, cmd.acceleration, cmd.approx_distance
+        )
+    )
+    target = tuple(target)
     records = []
     seq = seq_start
     if cmd.motion_type is MotionType.CIRCULAR:
@@ -338,8 +354,8 @@ class CommandFrame:
             raise ValueError("loadedThrough must be within 0..totalNo")
         if not 0 <= self.frame_seq <= 0xFFFF:
             raise ValueError("frame_seq does not fit u16")
-        slots = tuple(bytes(s) for s in self.slots)
-        if len(slots) != SLOT_COUNT or any(len(s) != RECORD_SIZE for s in slots):
+        slots = tuple(map(bytes, self.slots))
+        if len(slots) != SLOT_COUNT or set(map(len, slots)) != {RECORD_SIZE}:
             raise ValueError(f"slots must be {SLOT_COUNT} images of {RECORD_SIZE} bytes")
         object.__setattr__(self, "slots", slots)
 
@@ -368,18 +384,14 @@ def decode_command_frame(data: bytes) -> CommandFrame:
     if len(data) > FRAME_SIZE:
         raise FrameTooLong(f"command frame is {len(data)} bytes, need {FRAME_SIZE}")
     cmd, count, total, loaded, seq = _CMD_HEADER_FMT.unpack_from(data, 0)
-    try:
-        word = CommandWord(cmd)
-    except ValueError:
-        raise BadCommandWord(f"command word {cmd}") from None
+    word = _COMMAND_WORDS.get(cmd)
+    if word is None:
+        raise BadCommandWord(f"command word {cmd}")
     if count > SLOT_COUNT:
         raise RecordCountOutOfRange(f"record_count {count}")
     if loaded > total:
         raise DecodeError(f"loadedThrough {loaded} exceeds totalNo {total}")
-    slots = tuple(
-        bytes(data[HEADER_SIZE + i * RECORD_SIZE : HEADER_SIZE + (i + 1) * RECORD_SIZE])
-        for i in range(SLOT_COUNT)
-    )
+    slots = _SLOTS_FMT.unpack_from(data, HEADER_SIZE)
     return CommandFrame(
         command=word,
         record_count=count,
@@ -409,7 +421,7 @@ class FeedbackFrame:
             raise ValueError("curExec does not fit u32")
         if not 0 <= self.acked_seq <= 0xFFFF:
             raise ValueError("acked_seq does not fit u16")
-        pose = tuple(float(v) for v in self.pose)
+        pose = tuple(map(float, self.pose))
         if len(pose) != 6:
             raise ValueError("pose needs six components")
         object.__setattr__(self, "pose", pose)
@@ -439,13 +451,10 @@ def decode_feedback_frame(data: bytes) -> FeedbackFrame:
     if len(data) > FRAME_SIZE:
         raise FrameTooLong(f"feedback frame is {len(data)} bytes, need {FRAME_SIZE}")
     state, err, cur, ack, *pose = _FEEDBACK_FMT.unpack_from(data, 0)
-    try:
-        st = RobotState(state)
-    except ValueError:
-        raise BadStateCode(f"state code {state}") from None
-    for v in pose:
-        if not math.isfinite(v):
-            raise NonFiniteScalar(f"non-finite pose component {v!r}")
+    st = _ROBOT_STATES.get(state)
+    if st is None:
+        raise BadStateCode(f"state code {state}")
+    _check_finite(pose, "pose component")
     return FeedbackFrame(
         state=st, error_code=err, cur_exec=cur, acked_seq=ack, pose=tuple(pose)
     )

@@ -3,11 +3,14 @@
 import csv
 import dataclasses
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skillbench
 from skillbench.bench import (
     SETUP_A,
     SETUP_B,
@@ -204,6 +207,29 @@ class TestBenchmark:
         )
         assert report.stats[ExecutionType.CM].samples[0] > 0.0
 
+    @pytest.mark.parametrize(
+        "cfg, aets, digest",
+        [
+            (
+                SETUP_A,
+                (5091.4, 5971.4, 5107.4),
+                "e7e5ff2ab1704926eaf0c6b3a761e45e82eb9cdfd416a31832828002421e2b9d",
+            ),
+            (
+                SETUP_B,
+                (6443.4, 7547.4, 6459.4),
+                "595138138148bcb830af98d30eae2d28b3ce2597ac5d724b0e769f7ebf0452c9",
+            ),
+        ],
+    )
+    def test_reported_numbers_are_pinned(self, cfg, aets, digest):
+        # the README's AET table and the trace of the last CM repetition;
+        # a change to the simulator alone must leave both as they are
+        report = run_benchmark(cfg, reps=25, seed=0)
+        got = tuple(report.stats[e].aet_ms for e in (ExecutionType.RC, ExecutionType.SM, ExecutionType.CM))
+        assert got == pytest.approx(aets, abs=1e-9)
+        assert report.last_trace.digest() == digest
+
 
 # --- rendering -----------------------------------------------------------------------
 
@@ -298,10 +324,14 @@ class TestCli:
         assert exc.value.code == 3
 
     def test_console_script_entry(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(skillbench.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "skillbench.cli", "run", "--etype", "rc", "--reps", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "setup a" in proc.stdout

@@ -5,6 +5,7 @@ The reference behavior for the streamed path is the direct in-memory handoff
 consume the identical record sequence and land on the identical pose.
 """
 
+import copy
 import math
 import random
 import struct
@@ -32,6 +33,7 @@ from skillbench.wire import (
     CommandFrame,
     CommandWord,
     FeedbackFrame,
+    IDLE_FEEDBACK_BYTES,
     RobotState,
     decode_command_frame,
     decode_feedback_frame,
@@ -474,6 +476,40 @@ def test_single_motion_program_runs_every_motion_alone():
     assert all(first == 1 for first, _n, _t, _d in ex.executed)
     assert len(ex.executed) == n_motions
     assert ex.pose == native_baseline(plans, SETUP_A.start.components()).pose
+
+
+
+def plc_state(program):
+    """Everything a PLC tick can change, compared by value."""
+    own = {k: v for k, v in vars(program).items() if k not in ("plc", "quiescent")}
+    return own, vars(program.plc)
+
+
+@pytest.mark.parametrize("case", ["cm", "sm", "stream"])
+def test_a_quiescent_tick_repeated_changes_nothing(case):
+    # the contract that lets the simulation leave out PLC ticks: after a tick
+    # that reports quiescent, a full tick on the same feedback is a no-op
+    plans, _ = build_plans(SETUP_A)
+    pose = SETUP_A.start.components()
+    if case == "stream":
+        plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(3), 40)))]
+        pose = ORIGIN.components()
+    program = (SingleMotionProgram if case == "sm" else ContinuousMotionProgram)(plans)
+    executor = RobotExecutor(initial_pose=pose)
+    fb_bytes, checked, t = IDLE_FEEDBACK_BYTES, [], 0
+    while not program.finished:
+        cmd = program.plc_tick(t, fb_bytes)
+        # the first quiescent tick on each feedback image
+        if program.quiescent and (not checked or checked[-1] is not fb_bytes):
+            again = copy.deepcopy(program)
+            again.quiescent = False  # take the full tick, not the shortcut
+            assert again.plc_tick(t + 1000, fb_bytes) is cmd
+            assert plc_state(again) == plc_state(program)
+            checked.append(fb_bytes)
+        if t % 4000 == 0:
+            fb_bytes = executor.tick(t, cmd)
+        t += 1000
+    assert len(checked) >= 10
 
 
 def stream_vs_handoff(seed, total_range=(1, 25)):

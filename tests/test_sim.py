@@ -1,18 +1,26 @@
-"""Co-simulation scheduler: phase draws, determinism, trace economy."""
+"""Co-simulation scheduler: phase draws, determinism, trace economy, and
+the event-driven loop against the polled reference loop."""
 
+import random
 import re
 
 import pytest
 
+import polled_sim
+from polled_sim import run_polled
+from skillbench import fieldbus_sim
+from skillbench.bench import SETUP_A, SETUP_B, build_plans
 from skillbench.core import ContinuousSkillPlan, MotionCommand, MotionType, Pose
-from skillbench.fieldbus_sim import SimConfig, SimTimeout, rep_seed, run
+from skillbench.fieldbus_sim import SimConfig, SimTimeout, SimTrace, rep_seed, run
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
     RobotError,
+    SingleMotionProgram,
 )
-from skillbench.robot_executor import RobotExecutor
+from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import FeedbackFrame, RobotState, encode_feedback_frame
+from stream_harness import random_motions
 
 
 def one_motion_plan(length=40.0, v=250.0):
@@ -166,3 +174,148 @@ class TestEndToEnd:
                 FaultyExecutor(),
                 SimConfig(),
             )
+
+
+# --- event-driven loop against the polled reference --------------------------
+
+CYCLE_SETS = (
+    (1000, 1000, 4000),
+    (1000, 500_000, 4000),  # a 500 ms bus starves the five-slot window
+    (3000, 700, 7000),  # grids that never line up
+)
+# a 1 us grid puts a point of that task on every point of the others, so
+# these sets exercise the tie order; only short streamed skills use them
+TIE_CYCLE_SETS = ((1, 1000, 4000), (1000, 1, 4000), (1000, 1000, 1))
+KINDS = tuple((setup, etype) for setup in "ab" for etype in ("rc", "sm", "cm")) + (
+    ("stream", "cm"),
+)
+SETUPS = {"a": SETUP_A, "b": SETUP_B}
+N_CASES = 4 * len(KINDS) * len(CYCLE_SETS)
+N_TIE_CASES = 6 * len(TIE_CYCLE_SETS)
+
+
+class _Ticked:
+    """Forwards the cyclic call and the attributes ``run`` reads, but none of
+    the wakeup hooks, so the loop must tick it at every grid point."""
+
+    def __init__(self, inner, call):
+        self._inner = inner
+        setattr(self, call, getattr(inner, call))
+
+    def __getattr__(self, name):
+        if name in ("quiescent", "next_wakeup", "skip_cycles"):
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def build_case(case: int):
+    """Program/executor factory and config of one differential case.
+
+    Below ``N_CASES``: setups A/B x RC/SM/CM and a short-leg streamed skill
+    under each cycle set, four seeded draws each; the second draw starves
+    into a fault after 3 robot cycles and the third times out after 300 ms.
+    Above: a streamed skill of at most 8 records under a tie set.  The
+    executor's cycle is the simulated robot cycle.  About half the cases
+    hide the wakeup hooks of the program or of the executor.
+    """
+    rng = random.Random(f"sim-diff-{case}")
+    draw, combo = divmod(case, len(KINDS) * len(CYCLE_SETS))
+    if case < N_CASES:
+        setup, etype = KINDS[combo % len(KINDS)]
+        plc_us, bus_us, robot_us = CYCLE_SETS[combo // len(KINDS)]
+        records = rng.randint(1, 40)
+    else:
+        setup, etype = "stream", "cm"
+        plc_us, bus_us, robot_us = TIE_CYCLE_SETS[case % len(TIE_CYCLE_SETS)]
+        records = rng.randint(1, 8)
+    limit = 3 if draw == 1 else 250
+    timeout = 300_000 if draw == 2 else 120_000_000
+    hooks = rng.choice(("both", "both", "no-plc", "no-robot"))
+    cfg = SimConfig(plc_us, bus_us, robot_us, rng.randrange(2**31), rng.randrange(25), timeout)
+    if setup == "stream":
+        plans = [ContinuousSkillPlan(tuple(random_motions(rng, records)))]
+        pose = (0.0,) * 6
+    else:
+        plans, _ = build_plans(SETUPS[setup])
+        pose = SETUPS[setup].start.components()
+
+    def make():
+        if etype == "rc":
+            program = NativeTriggerProgram()
+            executor = NativeExecutor(plans, initial_pose=pose, cycle_us=robot_us, capture=True)
+        else:
+            program = (SingleMotionProgram if etype == "sm" else ContinuousMotionProgram)(plans)
+            executor = RobotExecutor(
+                initial_pose=pose, cycle_us=robot_us, starvation_limit=limit, capture=True
+            )
+        if hooks == "no-plc":
+            return _Ticked(program, "plc_tick"), executor
+        if hooks == "no-robot":
+            return program, _Ticked(executor, "tick")
+        return program, executor
+
+    return make, cfg
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """Every SimTrace either loop creates, also those of runs that raise."""
+    made = []
+
+    class Recorded(SimTrace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(fieldbus_sim, "SimTrace", Recorded)
+    monkeypatch.setattr(polled_sim, "SimTrace", Recorded)
+    return made
+
+
+def outcome(loop, make, cfg, traces):
+    """Everything a run leaves behind that the two loops must agree on."""
+    program, executor = make()
+    try:
+        ended = loop(program, executor, cfg).finished_at_us
+    except Exception as e:
+        ended = (type(e), str(e))
+    return (
+        traces[-1].export_text(),
+        ended,
+        program.t_start_us,
+        program.t_end_us,
+        executor.executed,
+        executor.fallback_stops,
+        executor.pose,
+        executor.state,
+    )
+
+
+class TestEventDriven:
+    @pytest.mark.parametrize("case", range(N_CASES + N_TIE_CASES))
+    def test_matches_the_polled_loop(self, case, traces):
+        make, cfg = build_case(case)
+        assert outcome(run, make, cfg, traces) == outcome(run_polled, make, cfg, traces)
+
+    def test_cases_reach_timeouts_and_starvation_faults(self, traces):
+        ends = [outcome(run, *build_case(case), traces)[:2] for case in range(N_CASES)]
+        assert any(text.splitlines()[-1].split()[1:3] == ["sim", "timeout"] for text, _ in ends)
+        assert (RobotError, "robot error code 2") in [end for _, end in ends]
+        assert sum(isinstance(end, int) for _, end in ends) > N_CASES // 2
+
+    def test_one_setup_a_cm_repetition_ticks_the_plc_rarely(self):
+        # the polled loop makes about 5,100 plc_tick calls here
+        plans, _ = build_plans(SETUP_A)
+        program = ContinuousMotionProgram(plans)
+        executor = RobotExecutor(initial_pose=SETUP_A.start.components())
+        calls = []
+        tick = program.plc_tick
+
+        def counted(t_us, fb_bytes):
+            calls.append(t_us)
+            return tick(t_us, fb_bytes)
+
+        program.plc_tick = counted
+        run(program, executor, SimConfig(seed=0))
+        assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
+        assert len(calls) < 200
