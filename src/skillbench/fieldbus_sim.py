@@ -13,7 +13,10 @@ over the task's cycle, quantized to microseconds) from a seed derived from
 (seed, rep); everything else is exact, so a run is reproducible bit for bit.
 
 Frames travel as immutable ``bytes`` objects, and every receiver compares
-by object identity before decoding.  The loop is event driven: a task runs
+by object identity before decoding.  The trace names each frame by the
+first 12 hex digits of its SHA-256, computed once when the frame is
+published: a delivery hands over that very object, so its trace line
+reuses the hash.  The loop is event driven: a task runs
 only at the grid points where one of its inputs changed or a wakeup it
 asked for is due, and the run is the one that ticking every task at every
 point of its grid would produce, trace line for trace line.  That rests on
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 from .wire import (
     IDLE_COMMAND_BYTES,
     IDLE_FEEDBACK_BYTES,
-    decode_command_frame,
+    decode_command_header,
     decode_feedback_frame,
 )
 
@@ -111,17 +114,16 @@ class SimResult:
     finished_at_us: int
 
 
-def _cmd_summary(data: bytes) -> str:
-    f = decode_command_frame(data)
-    return (
-        f"word={f.command.name} count={f.record_count} total={f.total_no} "
-        f"loaded={f.loaded_through} seq={f.frame_seq} {_hash12(data)}"
-    )
+def _cmd_summary(data: bytes, digest: str) -> str:
+    """Trace text of a published command image whose ``_hash12`` is ``digest``."""
+    word, count, total, loaded, seq = decode_command_header(data)
+    return f"word={word.name} count={count} total={total} loaded={loaded} seq={seq} {digest}"
 
 
-def _fb_summary(data: bytes) -> str:
+def _fb_summary(data: bytes, digest: str) -> str:
+    """Trace text of a published feedback image whose ``_hash12`` is ``digest``."""
     f = decode_feedback_frame(data)
-    return f"state={f.state.name} cur={f.cur_exec} err={f.error_code} {_hash12(data)}"
+    return f"state={f.state.name} cur={f.cur_exec} err={f.error_code} {digest}"
 
 
 def _at_or_after(t: int, phase: int, cycle: int) -> int:
@@ -169,9 +171,12 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     trace = SimTrace()
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
 
-    # published images and delivered images, all by reference
+    # published images with their hashes, and delivered images, all by
+    # reference; a hash is set whenever its image is published, and the
+    # idle images are never delivered
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
+    plc_hash = robot_hash = None
     cmd_at_robot = IDLE_COMMAND_BYTES
     fb_at_plc = IDLE_FEEDBACK_BYTES
 
@@ -195,8 +200,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 trace.add(t, "plc", "error", f"{type(e).__name__}: {e}")
                 raise
             if out is not plc_out:
-                plc_out = out
-                trace.add(t, "plc", "cmd", _cmd_summary(out))
+                plc_out, plc_hash = out, _hash12(out)
+                trace.add(t, "plc", "cmd", _cmd_summary(out, plc_hash))
                 bus_due = min(bus_due, _at_or_after(t, phase_bus, bus_cycle))
             if program.t_start_us == t:
                 trace.add(t, "plc", "measure", "start")
@@ -210,11 +215,11 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:
                 cmd_at_robot = plc_out
-                trace.add(t, "bus", "cmd_deliver", _hash12(cmd_at_robot))
+                trace.add(t, "bus", "cmd_deliver", plc_hash)
                 robot_due = min(robot_due, _at_or_after(t, phase_robot, robot_cycle))
             if robot_out is not fb_at_plc:
                 fb_at_plc = robot_out
-                trace.add(t, "bus", "fb_deliver", _hash12(fb_at_plc))
+                trace.add(t, "bus", "fb_deliver", robot_hash)
                 plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
             bus_due = _NEVER
         if robot_due == t:
@@ -228,8 +233,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 trace.add(t, "robot", "error", f"{type(e).__name__}: {e}")
                 raise
             if out is not robot_out:
-                robot_out = out
-                trace.add(t, "robot", "fb", _fb_summary(out))
+                robot_out, robot_hash = out, _hash12(out)
+                trace.add(t, "robot", "fb", _fb_summary(out, robot_hash))
                 bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
             wake = next_wakeup()
             robot_due = _NEVER if wake is None else t + wake * robot_cycle

@@ -28,6 +28,7 @@ from .wire import (
     encode_command_frame,
     encode_record,
     explode_plan,
+    refill_command_frame,
     slot_for_record,
 )
 
@@ -77,7 +78,8 @@ class PlcSkillInstance:
 
     Runs one skill at a time.  ``image`` is the 256-byte frame to put on the
     bus this cycle; it only changes when the content changes, so callers can
-    compare by object identity.
+    compare by object identity.  A refill copies the last image and writes
+    only its header progress and the newly loaded slots.
     """
 
     def __init__(self):
@@ -87,8 +89,8 @@ class PlcSkillInstance:
         self._loaded = 0
         self._last_cur = 0
         self._frame_seq = 0
-        self._frame = CommandFrame()
-        self._image = encode_command_frame(self._frame)
+        self._command = CommandWord.IDLE
+        self._image = encode_command_frame(CommandFrame())
         self.skills_completed = 0
         self.last_error: int | None = None
 
@@ -101,7 +103,7 @@ class PlcSkillInstance:
         return self._image
 
     def _publish(self, frame: CommandFrame):
-        self._frame = frame
+        self._command = frame.command
         self._image = encode_command_frame(frame)
 
     def _next_seq(self) -> int:
@@ -159,18 +161,12 @@ class PlcSkillInstance:
         target = min(self._total, cur + SLOT_COUNT - 1)
         if target <= self._loaded:
             return
-        frame = self._frame
-        slots = list(frame.slots)
-        for m in range(self._loaded + 1, target + 1):
-            slots[slot_for_record(m)] = encode_record(self._records[m - 1])
-        self._loaded = target
-        self._publish(
-            replace(
-                frame,
-                loaded_through=self._loaded,
-                frame_seq=self._next_seq(),
-                slots=tuple(slots),
-            )
+        first, self._loaded = self._loaded + 1, target
+        self._image = refill_command_frame(
+            self._image,
+            first,
+            [encode_record(rec) for rec in self._records[first - 1 : target]],
+            self._next_seq(),
         )
 
     def cycle(self, fb: FeedbackFrame):
@@ -203,7 +199,7 @@ class PlcSkillInstance:
                 self._records = []
         elif st is PlcSkillState.ABORTING:
             if fb.state in (RobotState.ABORTING, RobotState.IDLE):
-                if self._frame.command is not CommandWord.IDLE:
+                if self._command is not CommandWord.IDLE:
                     self._go_idle_command()
                 if fb.state is RobotState.IDLE:
                     self._state = PlcSkillState.IDLE

@@ -1,6 +1,6 @@
 """Robot side of the skill protocol.
 
-Two executors share one motion engine:
+Two executors share one motion engine and one cyclic task:
 
 * ``RobotExecutor`` consumes the cyclic 256-byte command image, validates
   and ingests records as the PLC streams them through the five slots, and
@@ -8,6 +8,9 @@ Two executors share one motion engine:
 * ``NativeExecutor`` holds whole motion plans locally (the classic "program
   stored on the robot controller" setup) and only uses the bus for a
   START/DONE handshake.
+
+Both decode only the header of a new command image, and both fault with
+ERROR code 1 on an image that does not decode.
 
 The engine quantizes execution to whole robot cycles: a motion's remaining
 time only advances once per tick, so a motion of duration d occupies
@@ -44,22 +47,21 @@ from .trajectory import (
 )
 from .wire import (
     SLOT_COUNT,
-    CommandFrame,
+    CommandHeader,
     CommandWord,
     DecodeError,
-    FeedbackFrame,
     IDLE_FEEDBACK_BYTES,
     MalformedContinuation,
     MotionRecord,
     RobotState,
     WireError,
     check_continuation_target,
-    decode_command_frame,
+    decode_command_header,
     decode_record,
-    encode_feedback_frame,
     explode_plan,
+    pack_feedback_frame,
     reassemble_records,
-    slot_for_record,
+    slot_image,
 )
 
 ERROR_RECORD = 1  # malformed or out-of-sequence record / frame
@@ -280,11 +282,19 @@ class _MotionEngine:
 class _CyclicExecutor:
     """The robot task around a motion engine, shared by both executors.
 
-    Publishes the feedback image, encoding it only when one of its fields
-    changed, and tells the simulator when the next tick is due.  Between a
-    tick and that wakeup, ticks with an unchanged command image only run the
-    active motion on or count a hungry cycle; ``skip_cycles`` accounts for
-    such ticks in one step.
+    ``tick`` applies a new command image (compared by object identity, so
+    an unchanged image costs nothing), runs one cycle and returns the
+    feedback image, encoding it only when one of its fields changed.  Only
+    the header of a new image is decoded; subclasses apply it, decoding the
+    slots they need, in ``_apply_frame(header, data)`` and run the cycle in
+    ``_run_cycle()``.  An image that fails to decode, or that breaks
+    the protocol there, faults the executor: state ERROR with code 1,
+    until an IDLE command word clears it.
+
+    The executor also tells the simulator when the next tick is due.
+    Between a tick and that wakeup, ticks with an unchanged command image
+    only run the active motion on or count a hungry cycle; ``skip_cycles``
+    accounts for such ticks in one step.
     """
 
     _starvation_limit: int | None = None
@@ -295,6 +305,8 @@ class _CyclicExecutor:
             self._engine.captured = []
         self._cycle_us = cycle_us
         self._state = RobotState.IDLE
+        self._error = 0
+        self._total = 0
         self._acked = 0
         self._hungry = 0
         self._cmd_obj: bytes | None = None
@@ -320,11 +332,30 @@ class _CyclicExecutor:
             raise RuntimeError("executor built without capture=True")
         return self._engine.captured
 
-    def _feedback(self, error: int, cur: int) -> bytes:
-        fields = (self._state, error, cur, self._acked, self._engine.pose)
+    def _fail(self, code: int):
+        self._state = RobotState.ERROR
+        self._error = code
+        self._engine.discard_motion()
+
+    def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
+        if cmd_bytes is not self._cmd_obj:
+            self._cmd_obj = cmd_bytes
+            try:
+                self._apply_frame(decode_command_header(cmd_bytes), cmd_bytes)
+            except WireError:
+                self._fail(ERROR_RECORD)
+        self._run_cycle()
+        st = self._state
+        if st is RobotState.RUNNING or st is RobotState.DONE:
+            cur = min(self._engine.completed_records + 1, self._total)
+        elif st is RobotState.ERROR:
+            cur = self._fb_fields[2]  # curExec as last reported
+        else:
+            cur = 0
+        fields = (st, self._error, cur, self._acked, self._engine.pose)
         if fields != self._fb_fields:
             self._fb_fields = fields
-            self._fb_bytes = encode_feedback_frame(FeedbackFrame(*fields))
+            self._fb_bytes = pack_feedback_frame(*fields)
         return self._fb_bytes
 
     def next_wakeup(self) -> int | None:
@@ -349,10 +380,9 @@ class _CyclicExecutor:
 class RobotExecutor(_CyclicExecutor):
     """Streaming skill executor driven by the cyclic command image.
 
-    ``tick`` is the robot task: it ingests command frames (by object
-    identity, so an unchanged image costs nothing), advances execution by
-    one cycle, and returns the feedback image to publish.  Record errors
-    surface as feedback state ERROR with code 1, starvation beyond
+    Each new command image streams in the records it loaded beyond the
+    last one ingested, decoding only their slots.  Record errors surface
+    as feedback state ERROR with code 1, starvation beyond
     ``starvation_limit`` consecutive hungry cycles as code 2.
     """
 
@@ -366,20 +396,13 @@ class RobotExecutor(_CyclicExecutor):
     ):
         super().__init__(initial_pose, initial_joints, cycle_us, capture)
         self._starvation_limit = starvation_limit
-        self._error = 0
-        self._total = 0
         self._known = 0  # highest record index ingested
         self._pending_cont: MotionRecord | None = None
         self.skills_done = 0
 
-    def _fail(self, code: int):
-        self._state = RobotState.ERROR
-        self._error = code
-        self._engine.discard_motion()
-
-    def _ingest_through(self, frame: CommandFrame):
-        for idx in range(self._known + 1, frame.loaded_through + 1):
-            rec = decode_record(frame.slots[slot_for_record(idx)])
+    def _ingest_through(self, loaded: int, data: bytes):
+        for idx in range(self._known + 1, loaded + 1):
+            rec = decode_record(slot_image(data, idx))
             if rec.record_seq != idx % 0x10000:
                 raise DecodeError(
                     f"record {idx}: sequence {rec.record_seq}, expected {idx % 0x10000}"
@@ -392,17 +415,17 @@ class RobotExecutor(_CyclicExecutor):
                 self._pending_cont = rec
             else:
                 self._engine.ingest(_phys_from_group([rec], idx))
-        self._known = frame.loaded_through
+        self._known = loaded
         if self._known == self._total and self._pending_cont is not None:
             raise MalformedContinuation("skill ends on a continuation record")
 
-    def _apply_frame(self, frame: CommandFrame):
+    def _apply_frame(self, header: CommandHeader, data: bytes):
         st = self._state
-        if frame.command is CommandWord.ABORT:
+        if header.command is CommandWord.ABORT:
             if st in (RobotState.LOADING, RobotState.RUNNING, RobotState.DONE):
                 self._engine.discard_motion()
                 self._state = RobotState.ABORTING
-        elif frame.command is CommandWord.IDLE:
+        elif header.command is CommandWord.IDLE:
             if st in (RobotState.DONE, RobotState.ERROR, RobotState.ABORTING):
                 self._state = RobotState.IDLE
                 self._error = 0
@@ -413,39 +436,32 @@ class RobotExecutor(_CyclicExecutor):
                 # command withdrawn mid-skill: stop gracefully
                 self._engine.discard_motion()
                 self._state = RobotState.ABORTING
-        elif frame.command is CommandWord.START:
+        elif header.command is CommandWord.START:
             if st is RobotState.IDLE:
-                if frame.loaded_through > SLOT_COUNT:
+                if header.loaded_through > SLOT_COUNT:
                     raise DecodeError(
-                        f"initial load of {frame.loaded_through} exceeds the slot window"
+                        f"initial load of {header.loaded_through} exceeds the slot window"
                     )
-                self._total = frame.total_no
+                self._total = header.total_no
                 self._known = 0
                 self._pending_cont = None
                 self._hungry = 0
-                self._engine.begin_skill(frame.total_no)
-                self._ingest_through(frame)
+                self._engine.begin_skill(header.total_no)
+                self._ingest_through(header.loaded_through, data)
                 self._state = RobotState.LOADING
             elif st in (RobotState.LOADING, RobotState.RUNNING):
-                if frame.total_no != self._total:
+                if header.total_no != self._total:
                     raise DecodeError(
-                        f"totalNo changed mid-skill: {self._total} -> {frame.total_no}"
+                        f"totalNo changed mid-skill: {self._total} -> {header.total_no}"
                     )
-                if frame.loaded_through < self._known:
+                if header.loaded_through < self._known:
                     raise DecodeError(
-                        f"loadedThrough regressed: {self._known} -> {frame.loaded_through}"
+                        f"loadedThrough regressed: {self._known} -> {header.loaded_through}"
                     )
-                self._ingest_through(frame)
-        self._acked = frame.frame_seq
+                self._ingest_through(header.loaded_through, data)
+        self._acked = header.frame_seq
 
-    def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
-        if cmd_bytes is not self._cmd_obj:
-            self._cmd_obj = cmd_bytes
-            try:
-                self._apply_frame(decode_command_frame(cmd_bytes))
-            except WireError:
-                self._fail(ERROR_RECORD)
-
+    def _run_cycle(self):
         if self._state is RobotState.LOADING:
             self._state = RobotState.RUNNING
         if self._state is RobotState.RUNNING:
@@ -461,14 +477,6 @@ class RobotExecutor(_CyclicExecutor):
                 if self._hungry >= self._starvation_limit:
                     self._fail(ERROR_STARVATION)
 
-        if self._state in (RobotState.RUNNING, RobotState.DONE):
-            cur = min(self._engine.completed_records + 1, self._total)
-        elif self._state is RobotState.ERROR:
-            cur = self._fb_fields[2]  # curExec as last reported
-        else:
-            cur = 0
-        return self._feedback(self._error, cur)
-
 
 class NativeExecutor(_CyclicExecutor):
     """Robot-resident motion program with a bus-level START/DONE handshake.
@@ -477,7 +485,8 @@ class NativeExecutor(_CyclicExecutor):
     runs them back to back; the exact stop between groups comes from the
     final motion of each group carrying approx 0.  Plans pass through the
     wire record representation on load, so both executors work from
-    identical (f32-quantized) numbers.
+    identical (f32-quantized) numbers.  Only the command word and frame_seq
+    of the command image matter here.
     """
 
     def __init__(
@@ -498,39 +507,27 @@ class NativeExecutor(_CyclicExecutor):
             idx += len(group)
         self._total = len(records)
 
-    def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
-        if cmd_bytes is not self._cmd_obj:
-            self._cmd_obj = cmd_bytes
-            try:
-                frame = decode_command_frame(cmd_bytes)
-            except WireError:
-                frame = None
-            if frame is not None:
-                if frame.command is CommandWord.START and self._state is RobotState.IDLE:
-                    self._engine.begin_skill(self._total)
-                    for ph in self._program:
-                        self._engine.ingest(ph)
-                    self._state = RobotState.RUNNING
-                elif frame.command is CommandWord.ABORT and self._state in (
-                    RobotState.RUNNING,
-                    RobotState.DONE,
-                ):
-                    self._engine.discard_motion()
-                    self._state = RobotState.ABORTING
-                elif frame.command is CommandWord.IDLE and self._state in (
-                    RobotState.DONE,
-                    RobotState.ABORTING,
-                ):
-                    self._state = RobotState.IDLE
-                self._acked = frame.frame_seq
+    def _apply_frame(self, header: CommandHeader, data: bytes):
+        st = self._state
+        if header.command is CommandWord.START and st is RobotState.IDLE:
+            self._engine.begin_skill(self._total)
+            for ph in self._program:
+                self._engine.ingest(ph)
+            self._state = RobotState.RUNNING
+        elif header.command is CommandWord.ABORT and st in (RobotState.RUNNING, RobotState.DONE):
+            self._engine.discard_motion()
+            self._state = RobotState.ABORTING
+        elif header.command is CommandWord.IDLE and st in (
+            RobotState.DONE,
+            RobotState.ERROR,
+            RobotState.ABORTING,
+        ):
+            self._state = RobotState.IDLE
+            self._error = 0
+        self._acked = header.frame_seq
 
+    def _run_cycle(self):
         if self._state is RobotState.RUNNING:
             self._engine.advance(self._cycle_us)
             if self._engine.done:
                 self._state = RobotState.DONE
-
-        if self._state in (RobotState.RUNNING, RobotState.DONE):
-            cur = min(self._engine.completed_records + 1, self._total)
-        else:
-            cur = 0
-        return self._feedback(0, cur)

@@ -28,6 +28,18 @@ record_count u8, totalNo u32, loadedThrough u32, frame_seq u16), then five
 Feedback frame layout (256 bytes, 36 used): state u8, error code u8,
 curExec u32, acked frame_seq u16, six f32 TCP pose components, four
 reserved zero bytes, then padding.
+
+All checks of a command frame live in ``decode_command_header``: the frame
+length, the command word, record_count <= 5 and loadedThrough <= totalNo.
+It returns the five header fields as a ``CommandHeader`` and leaves the
+slots alone, so a receiver decodes only the records it has not seen yet
+(``slot_image`` then ``decode_record``); ``decode_command_frame`` is that
+header plus the five raw slots.  The decoders build their frozen
+dataclasses without running the validating constructors again: the struct
+formats and the decoders' own checks already guarantee what those
+constructors check.  On the sending side, ``pack_feedback_frame`` encodes
+loose feedback fields and ``refill_command_frame`` streams records into a
+copy of an existing command image.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from .core import MotionCommand, MotionType
 
@@ -47,6 +60,8 @@ FEEDBACK_USED = 36
 
 _RECORD_FMT = struct.Struct("<BBH9fBBH")
 _CMD_HEADER_FMT = struct.Struct("<BBIIH")
+_CMD_PROGRESS_FMT = struct.Struct("<IH")  # loadedThrough, frame_seq
+_CMD_PROGRESS_OFFSET = 6
 _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 _FEEDBACK_FMT = struct.Struct("<BBIH6f")
 _F32 = struct.Struct("<f")
@@ -57,6 +72,7 @@ _FLAG_CONTINUATION = 0x02
 
 assert _RECORD_FMT.size == RECORD_SIZE
 assert _CMD_HEADER_FMT.size == HEADER_SIZE
+assert _CMD_PROGRESS_OFFSET + _CMD_PROGRESS_FMT.size == HEADER_SIZE
 assert _FEEDBACK_FMT.size == FEEDBACK_USED - 4
 
 
@@ -133,6 +149,10 @@ _COMMAND_WORDS = {w.value: w for w in CommandWord}
 _ROBOT_STATES = {s.value: s for s in RobotState}
 
 
+# the decoders build frozen dataclasses without ``__init__``
+_new = object.__new__
+
+
 def _check_finite(values, what: str):
     """Raise NonFiniteScalar naming the first non-finite value.  f32 values
     off the wire cannot overflow a double sum, so a finite sum means all of
@@ -200,7 +220,8 @@ def encode_record(rec: MotionRecord) -> bytes:
 
 
 def decode_record(data: bytes) -> MotionRecord:
-    """Parse a 44-byte image; rejects malformed content."""
+    """Parse a 44-byte image; rejects malformed content.  The record is
+    built without ``__init__``: every field comes checked off the wire."""
     if len(data) < RECORD_SIZE:
         raise FrameTooShort(f"record image is {len(data)} bytes, need {RECORD_SIZE}")
     if len(data) > RECORD_SIZE:
@@ -221,7 +242,8 @@ def decode_record(data: bytes) -> MotionRecord:
     target = tuple(scalars[:6])
     if cont and any(target[3:]):
         raise MalformedContinuation("continuation record carries orientation data")
-    return MotionRecord(
+    rec = _new(MotionRecord)
+    rec.__dict__.update(
         motion_type=mtype,
         record_seq=seq,
         target=target,
@@ -234,6 +256,7 @@ def decode_record(data: bytes) -> MotionRecord:
         joint_target=joint,
         continuation=cont,
     )
+    return rec
 
 
 def explode_motion(cmd: MotionCommand, seq_start: int) -> list[MotionRecord]:
@@ -378,7 +401,46 @@ def encode_command_frame(frame: CommandFrame) -> bytes:
     return bytes(buf)
 
 
-def decode_command_frame(data: bytes) -> CommandFrame:
+def _slot_offset(m: int) -> int:
+    """Byte offset in a command image of the slot that holds record ``m``."""
+    return HEADER_SIZE + slot_for_record(m) * RECORD_SIZE
+
+
+def slot_image(data: bytes, m: int) -> bytes:
+    """The 44-byte slot of command image ``data`` that holds record ``m``."""
+    off = _slot_offset(m)
+    return data[off : off + RECORD_SIZE]
+
+
+def refill_command_frame(image: bytes, first: int, records, frame_seq: int) -> bytes:
+    """``image`` after streaming ``records``, the 44-byte images of records
+    ``first``, ``first + 1``, ...: each goes to its slot, loadedThrough
+    becomes the last one's index and frame_seq is replaced.  The command
+    word, record_count, totalNo and the other slots stay as they are.  The
+    caller keeps loadedThrough within totalNo, as ``CommandFrame`` would
+    check."""
+    buf = bytearray(image)
+    m = first - 1
+    for m, rec in enumerate(records, first):
+        off = _slot_offset(m)
+        buf[off : off + RECORD_SIZE] = rec
+    _CMD_PROGRESS_FMT.pack_into(buf, _CMD_PROGRESS_OFFSET, m, frame_seq)
+    return bytes(buf)
+
+
+class CommandHeader(NamedTuple):
+    """The five header fields of a command frame, checked."""
+
+    command: CommandWord
+    record_count: int
+    total_no: int
+    loaded_through: int
+    frame_seq: int
+
+
+def decode_command_header(data: bytes) -> CommandHeader:
+    """Check a 256-byte command image and return its header; the one place
+    where command frames are checked."""
     if len(data) < FRAME_SIZE:
         raise FrameTooShort(f"command frame is {len(data)} bytes, need {FRAME_SIZE}")
     if len(data) > FRAME_SIZE:
@@ -391,15 +453,23 @@ def decode_command_frame(data: bytes) -> CommandFrame:
         raise RecordCountOutOfRange(f"record_count {count}")
     if loaded > total:
         raise DecodeError(f"loadedThrough {loaded} exceeds totalNo {total}")
-    slots = _SLOTS_FMT.unpack_from(data, HEADER_SIZE)
-    return CommandFrame(
+    return CommandHeader(word, count, total, loaded, seq)
+
+
+def decode_command_frame(data: bytes) -> CommandFrame:
+    """The checked header of ``decode_command_header`` plus the five raw
+    slots."""
+    word, count, total, loaded, seq = decode_command_header(data)
+    frame = _new(CommandFrame)
+    frame.__dict__.update(
         command=word,
         record_count=count,
         total_no=total,
         loaded_through=loaded,
         frame_seq=seq,
-        slots=slots,
+        slots=_SLOTS_FMT.unpack_from(data, HEADER_SIZE),
     )
+    return frame
 
 
 @dataclass(frozen=True)
@@ -427,22 +497,24 @@ class FeedbackFrame:
         object.__setattr__(self, "pose", pose)
 
 
-def encode_feedback_frame(frame: FeedbackFrame) -> bytes:
-    for v in frame.pose:
+def pack_feedback_frame(
+    state: RobotState, error_code: int, cur_exec: int, acked_seq: int, pose
+) -> bytes:
+    """Encode feedback fields that already lie in their ranges, as a
+    ``FeedbackFrame`` holds them; only the pose is checked here."""
+    for v in pose:
         if not math.isfinite(v) or abs(v) > 3.4028235e38:
             raise UnencodableValue(f"pose component {v!r} not representable as f32")
     buf = bytearray(FRAME_SIZE)
-    _FEEDBACK_FMT.pack_into(
-        buf,
-        0,
-        int(frame.state),
-        frame.error_code,
-        frame.cur_exec,
-        frame.acked_seq,
-        *frame.pose,
-    )
+    _FEEDBACK_FMT.pack_into(buf, 0, state, error_code, cur_exec, acked_seq, *pose)
     # bytes 32..35 reserved zero, rest padding
     return bytes(buf)
+
+
+def encode_feedback_frame(frame: FeedbackFrame) -> bytes:
+    return pack_feedback_frame(
+        frame.state, frame.error_code, frame.cur_exec, frame.acked_seq, frame.pose
+    )
 
 
 def decode_feedback_frame(data: bytes) -> FeedbackFrame:
@@ -455,9 +527,11 @@ def decode_feedback_frame(data: bytes) -> FeedbackFrame:
     if st is None:
         raise BadStateCode(f"state code {state}")
     _check_finite(pose, "pose component")
-    return FeedbackFrame(
+    frame = _new(FeedbackFrame)
+    frame.__dict__.update(
         state=st, error_code=err, cur_exec=cur, acked_seq=ack, pose=tuple(pose)
     )
+    return frame
 
 
 IDLE_COMMAND_BYTES = encode_command_frame(CommandFrame())

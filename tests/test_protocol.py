@@ -27,7 +27,12 @@ from skillbench.plc_trigger import (
     SingleMotionProgram,
     _SequencedProgram,
 )
-from skillbench.robot_executor import ERROR_RECORD, ERROR_STARVATION, RobotExecutor
+from skillbench.robot_executor import (
+    ERROR_RECORD,
+    ERROR_STARVATION,
+    NativeExecutor,
+    RobotExecutor,
+)
 from skillbench.wire import (
     SLOT_COUNT,
     CommandFrame,
@@ -35,6 +40,7 @@ from skillbench.wire import (
     FeedbackFrame,
     IDLE_FEEDBACK_BYTES,
     RobotState,
+    UnencodableValue,
     decode_command_frame,
     decode_feedback_frame,
     encode_command_frame,
@@ -184,6 +190,38 @@ class TestPlcSkillInstance:
         img = plc.image
         plc.cycle(fb(RobotState.IDLE))
         assert plc.image is img and plc.state is PlcSkillState.IDLE
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), max_size=40))
+    @settings(max_examples=60)
+    def test_refilled_image_equals_encoded_frame(self, seed, steps):
+        # the patched image against a CommandFrame built from scratch
+        rng = random.Random(seed)
+        recs = explode_plan(random_motions(rng, rng.randint(1, 30)))
+        total = len(recs)
+        plc = PlcSkillInstance()
+        plc.start_records(recs)
+        seq, loaded, cur = 1, min(SLOT_COUNT, total), 0
+        for step in steps:
+            cur = min(total, cur + step)
+            img = plc.image
+            plc.cycle(fb(RobotState.RUNNING, cur=cur))
+            target = min(total, cur + SLOT_COUNT - 1)
+            if target > loaded:
+                loaded, seq = target, seq + 1
+            else:
+                assert plc.image is img
+            slots = [bytes(44)] * SLOT_COUNT
+            for m in range(1, loaded + 1):
+                slots[slot_for_record(m)] = encode_record(recs[m - 1])
+            expected = CommandFrame(
+                command=CommandWord.START,
+                record_count=min(SLOT_COUNT, total),
+                total_no=total,
+                loaded_through=loaded,
+                frame_seq=seq,
+                slots=tuple(slots),
+            )
+            assert plc.image == encode_command_frame(expected)
 
 
 # --- robot executor -------------------------------------------------------------
@@ -354,6 +392,66 @@ class TestRobotExecutor:
         assert f.state is RobotState.DONE
         plc.cycle(f)
         assert plc.state is PlcSkillState.DONE
+
+    def test_feedback_equals_encoded_frame_of_its_fields(self):
+        # the executors pack their feedback fields without a FeedbackFrame
+        plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(5), 30)))]
+        for ex in (RobotExecutor(), NativeExecutor(plans)):
+            program = ContinuousMotionProgram(plans)
+            published = []
+            tick = ex.tick
+
+            def recorded(t_us, cmd_bytes, tick=tick, ex=ex):
+                out = tick(t_us, cmd_bytes)
+                published.append((out, FeedbackFrame(*ex._fb_fields)))
+                return out
+
+            ex.tick = recorded
+            drive(program, ex)
+            states = {frame.state for _, frame in published}
+            assert {RobotState.RUNNING, RobotState.DONE} <= states
+            for out, frame in published:
+                assert out == encode_feedback_frame(frame)
+
+    def test_unencodable_pose_raises_as_before(self):
+        ex = RobotExecutor(initial_pose=(math.inf,) + (0.0,) * 5)
+        plc = PlcSkillInstance()
+        with pytest.raises(UnencodableValue) as exc:
+            ex.tick(0, plc.image)
+        with pytest.raises(UnencodableValue) as before:
+            encode_feedback_frame(FeedbackFrame(pose=(math.inf,) + (0.0,) * 5))
+        assert str(exc.value) == str(before.value)
+
+    @pytest.mark.parametrize(
+        "offset, value",
+        [(0, 7), (1, SLOT_COUNT + 1), (6, 200)],  # command word, record_count, loadedThrough
+        ids=["command-word", "record-count", "loaded-beyond-total"],
+    )
+    @pytest.mark.parametrize("phase", ["idle", "running"])
+    def test_undecodable_frame_faults_both_executors(self, offset, value, phase):
+        plans = [ContinuousSkillPlan((lin(10.0), lin(20.0)))]
+        plc = PlcSkillInstance()
+        plc.start_skill(plans[0])
+        bad = bytearray(plc.image)
+        bad[offset] = value
+        for ex in (RobotExecutor(), NativeExecutor(plans)):
+            t = 0
+            if phase == "running":
+                f = decode_feedback_frame(ex.tick(t, plc.image))
+                assert f.state is RobotState.RUNNING
+                t += 4000
+            f = decode_feedback_frame(ex.tick(t, bytes(bad)))
+            assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD), type(ex)
+            assert f.cur_exec == (1 if phase == "running" else 0)
+            assert ex.next_wakeup() is None
+            # ERROR holds until the IDLE word clears it
+            f = decode_feedback_frame(ex.tick(t + 4000, plc.image))
+            assert f.state is RobotState.ERROR
+            idle = encode_command_frame(CommandFrame(frame_seq=9))
+            f = decode_feedback_frame(ex.tick(t + 8000, idle))
+            assert (f.state, f.error_code, f.acked_seq) == (RobotState.IDLE, 0, 9)
+            f = decode_feedback_frame(ex.tick(t + 12000, plc.image))
+            assert f.state is RobotState.RUNNING
 
     def test_program_raises_on_robot_error(self):
         program = ContinuousMotionProgram([ContinuousSkillPlan((lin(10.0),))])

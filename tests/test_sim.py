@@ -1,8 +1,10 @@
 """Co-simulation scheduler: phase draws, determinism, trace economy, and
 the event-driven loop against the polled reference loop."""
 
+import math
 import random
 import re
+import struct
 
 import pytest
 
@@ -10,16 +12,31 @@ import polled_sim
 from polled_sim import run_polled
 from skillbench import fieldbus_sim
 from skillbench.bench import SETUP_A, SETUP_B, build_plans
-from skillbench.core import ContinuousSkillPlan, MotionCommand, MotionType, Pose
+from skillbench.core import (
+    ContinuousSkillPlan,
+    JointTarget,
+    MotionCommand,
+    MotionType,
+    Pose,
+)
 from skillbench.fieldbus_sim import SimConfig, SimTimeout, SimTrace, rep_seed, run
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
     RobotError,
     SingleMotionProgram,
+    _SequencedProgram,
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
-from skillbench.wire import FeedbackFrame, RobotState, encode_feedback_frame
+from skillbench.wire import (
+    BadCommandWord,
+    BadStateCode,
+    FeedbackFrame,
+    NonFiniteScalar,
+    RobotState,
+    encode_feedback_frame,
+    explode_plan,
+)
 from stream_harness import random_motions
 
 
@@ -160,6 +177,22 @@ class TestEndToEnd:
                 RobotExecutor(),
                 SimConfig(timeout_us=1_000_000),
             )
+
+    def test_record_seq_wraps_in_a_long_streamed_skill(self):
+        # joint moves of at most 6e-3 deg at 1e38 deg/s and deg/s^2 last under
+        # a microsecond, so the robot completes every loaded record in one
+        # cycle and 65,540 records stream in about 13,100 robot cycles
+        moves = [
+            MotionCommand(MotionType.PTP_JOINT, JointTarget(k * 1e-3), 1e38, 1e38)
+            for k in range(7)
+        ]
+        records = explode_plan([moves[i % 7] for i in range(1, 65_541)])
+        assert [r.record_seq for r in records[65_534:65_538]] == [65_535, 0, 1, 2]
+        program = _SequencedProgram([records])
+        executor = RobotExecutor(capture=True)
+        run(program, executor, SimConfig(seed=1))
+        assert executor.executed == [(i, 1, r.target, 0) for i, r in enumerate(records, 1)]
+        assert program.plc.skills_completed == 1 and program.plc.last_error is None
 
     def test_robot_fault_propagates_out_of_run(self):
         class FaultyExecutor:
@@ -319,3 +352,80 @@ class TestEventDriven:
         run(program, executor, SimConfig(seed=0))
         assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
         assert len(calls) < 200
+
+
+class _Corrupting:
+    """Forwards a program or an executor, hooks included, but publishes the
+    ``nth`` distinct image that ``call`` returns as ``corrupt(image)``.  The
+    corrupted image keeps its identity on repeats, so both loops see the same
+    published sequence."""
+
+    def __init__(self, inner, call, nth, corrupt):
+        self._inner = inner
+        fn = getattr(inner, call)
+        last, out, seen = None, None, 0
+
+        def wrapped(t_us, image):
+            nonlocal last, out, seen
+            got = fn(t_us, image)
+            if got is not last:
+                last, seen = got, seen + 1
+                out = corrupt(got) if seen == nth else got
+            return out
+
+        setattr(self, call, wrapped)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _poke(offset, fmt, value):
+    def corrupt(image):
+        data = bytearray(image)
+        struct.pack_into(fmt, data, offset, value)
+        return bytes(data)
+
+    return corrupt
+
+
+MALFORMED = {
+    # a program that publishes a bad command word
+    "command-word": ("plc_tick", _poke(0, "<B", 9), BadCommandWord),
+    # an executor that publishes a bad state code
+    "state-code": ("tick", _poke(0, "<B", 9), BadStateCode),
+    # an executor that publishes a non-finite pose
+    "pose": ("tick", _poke(8 + 4 * 2, "<f", math.nan), NonFiniteScalar),
+}
+
+
+# the trigger program of an RC run publishes two images, START and IDLE
+MALFORMED_CASES = [
+    (etype, kind, nth)
+    for etype in ("rc", "cm")
+    for kind in sorted(MALFORMED)
+    for nth in (1, 2, 5)
+    if not (etype == "rc" and kind == "command-word" and nth > 2)
+]
+
+
+class TestMalformedPublishedFrames:
+    @pytest.mark.parametrize("etype, kind, nth", MALFORMED_CASES)
+    def test_raises_as_the_polled_loop_does(self, etype, kind, nth, traces):
+        call, corrupt, error = MALFORMED[kind]
+        rng = random.Random(f"malformed-{etype}-{kind}-{nth}")
+        plans = [ContinuousSkillPlan(tuple(random_motions(rng, 12)))]
+        cfg = SimConfig(seed=rng.randrange(2**31), rep=rng.randrange(25))
+
+        def make():
+            if etype == "rc":
+                program, executor = NativeTriggerProgram(), NativeExecutor(plans, capture=True)
+            else:
+                program = ContinuousMotionProgram(plans)
+                executor = RobotExecutor(capture=True)
+            if call == "plc_tick":
+                return _Corrupting(program, call, nth, corrupt), executor
+            return program, _Corrupting(executor, call, nth, corrupt)
+
+        got = outcome(run, make, cfg, traces)
+        assert got == outcome(run_polled, make, cfg, traces)
+        assert got[1][0] is error

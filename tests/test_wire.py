@@ -1,5 +1,7 @@
 """Wire layer: 44-byte records, 256-byte frames, bit-exact round trips."""
 
+import dataclasses
+import math
 import struct
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from skillbench.wire import (
     UnencodableValue,
     UnknownMotionType,
     decode_command_frame,
+    decode_command_header,
     decode_feedback_frame,
     decode_record,
     encode_command_frame,
@@ -40,8 +43,10 @@ from skillbench.wire import (
     explode_motion,
     explode_plan,
     f32,
+    pack_feedback_frame,
     reassemble_records,
     slot_for_record,
+    slot_image,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -429,6 +434,122 @@ def test_feedback_decode_rejects_nonfinite_pose():
     struct.pack_into("<f", data, 8, float("inf"))
     with pytest.raises(NonFiniteScalar):
         decode_feedback_frame(bytes(data))
+
+
+# --- fast paths against the validated ones ----------------------------------
+
+
+def outcome_of(fn, *args):
+    """``fn``'s return value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@st.composite
+def corrupted(draw, images):
+    """An image of ``images``, then some bytes overwritten, the image
+    truncated or extended, or left as is."""
+    data = bytearray(draw(images))
+    how = draw(st.sampled_from(("keep", "poke", "poke-header", "truncate", "extend")))
+    if how.startswith("poke"):
+        end = HEADER_SIZE if how == "poke-header" else len(data)
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, end - 1))] = draw(st.integers(0, 255))
+    elif how == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)) :]
+    elif how == "extend":
+        data += draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+valid_command_images = st.builds(
+    lambda frame, loaded: encode_command_frame(
+        dataclasses.replace(frame, loaded_through=min(frame.total_no, loaded))
+    ),
+    command_frames,
+    st.integers(0, 200),
+)
+
+
+@given(corrupted(valid_command_images))
+def test_header_decoder_agrees_with_frame_decoder(data):
+    header = outcome_of(decode_command_header, data)
+    frame = outcome_of(decode_command_frame, data)
+    if isinstance(frame, CommandFrame):
+        assert header == (
+            frame.command,
+            frame.record_count,
+            frame.total_no,
+            frame.loaded_through,
+            frame.frame_seq,
+        )
+        assert type(header.command) is CommandWord
+        # the decoded frame is what the validated constructor builds
+        assert_same_as_validated(frame)
+        assert frame.slots == tuple(slot_image(data, m) for m in range(1, SLOT_COUNT + 1))
+    else:
+        assert header == frame
+
+
+def assert_same_as_validated(obj):
+    """``obj`` equals, hashes and prints like the same fields passed through
+    its class's validating constructor."""
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    built = type(obj)(**fields)
+    assert obj == built and built == obj
+    assert vars(obj) == vars(built)
+    assert hash(obj) == hash(built)
+    assert repr(obj) == repr(built)
+
+
+@given(records())
+def test_decoded_records_equal_constructed_ones(rec):
+    decoded = decode_record(encode_record(rec))
+    assert decoded == rec and hash(decoded) == hash(rec)
+    assert vars(decoded) == vars(rec) and repr(decoded) == repr(rec)
+
+
+@given(corrupted(st.builds(encode_record, records())))
+def test_decoded_corrupted_records_equal_constructed_ones(data):
+    rec = outcome_of(decode_record, data)
+    if isinstance(rec, MotionRecord):
+        assert_same_as_validated(rec)
+        assert encode_record(rec) == data
+
+
+@given(corrupted(st.builds(encode_feedback_frame, feedback_frames)))
+def test_decoded_feedback_equals_constructed_frames(data):
+    frame = outcome_of(decode_feedback_frame, data)
+    if isinstance(frame, FeedbackFrame):
+        assert_same_as_validated(frame)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, 3.5e38])
+def test_feedback_encode_rejects_pose_outside_f32(bad):
+    pose = (0.0, 1.0, bad, 0.0, 0.0, 0.0)
+    with pytest.raises(UnencodableValue, match="pose component"):
+        encode_feedback_frame(FeedbackFrame(pose=pose))
+    with pytest.raises(UnencodableValue, match="pose component"):
+        pack_feedback_frame(RobotState.RUNNING, 0, 1, 1, pose)
+
+
+finite_or_not = st.floats(width=32) | st.sampled_from((3.5e38, -1e300))
+
+
+@given(
+    st.sampled_from(list(RobotState)),
+    st.integers(0, 255),
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(0, 0xFFFF),
+    st.tuples(*[finite_or_not] * 6),
+)
+def test_packed_feedback_equals_encoded_frame(state, err, cur, ack, pose):
+    fields = (state, err, cur, ack, pose)
+    assert outcome_of(pack_feedback_frame, *fields) == outcome_of(
+        lambda: encode_feedback_frame(FeedbackFrame(*fields))
+    )
 
 
 # --- golden fixtures ----------------------------------------------------------
