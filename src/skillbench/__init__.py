@@ -49,7 +49,6 @@ from .wire import (
     encode_record,
     explode_motion,
     explode_plan,
-    reassemble_records,
     slot_for_record,
 )
 from .planner import (
@@ -91,7 +90,6 @@ from .robot_executor import (
     RobotExecutor,
 )
 from .fieldbus_sim import SimConfig, SimResult, SimTimeout, SimTrace, rep_seed
-from .fieldbus_sim import run as run_sim
 from .bench import (
     SETUP_A,
     SETUP_B,

@@ -231,9 +231,7 @@ class MeasurementReport:
         return compute_improvement(sm.aet_ms, cm.aet_ms)
 
 
-def _build_run(cfg: ScenarioConfig, etype: ExecutionType):
-    plans, _ = build_plans(cfg)
-    pose = cfg.start.components()
+def _build_run(plans, pose, etype: ExecutionType):
     if etype is ExecutionType.RC:
         return NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose)
     if etype is ExecutionType.SM:
@@ -256,10 +254,12 @@ def run_benchmark(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     report = MeasurementReport(setup=cfg.name, reps=reps, seed=seed)
+    plans, _ = build_plans(cfg)  # frozen, so every run shares them
+    pose = cfg.start.components()
     for etype in etypes:
         samples = []
         for rep in range(reps):
-            program, executor = _build_run(cfg, etype)
+            program, executor = _build_run(plans, pose, etype)
             rep_cfg = SimConfig(
                 plc_cycle_us=sim.plc_cycle_us,
                 bus_cycle_us=sim.bus_cycle_us,

@@ -188,12 +188,24 @@ def pose_distance(p: Pose, q: Pose) -> float:
     return math.dist(p.position, q.position)
 
 
+def turn_angle(p, c, n) -> float:
+    """Turn angle in radians at point ``c`` of the path ``p`` -> ``c`` ->
+    ``n`` (xyz sequences): 0 = collinear, pi = full reversal.  Uses atan2 of
+    the cross/dot pair, which stays well conditioned near both 0 and pi."""
+    ux, uy, uz = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    vx, vy, vz = n[0] - c[0], n[1] - c[1], n[2] - c[2]
+    cx = uy * vz - uz * vy
+    cy = uz * vx - ux * vz
+    cz = ux * vy - uy * vx
+    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
+    dot = ux * vx + uy * vy + uz * vz
+    return math.atan2(cross, dot)
+
+
 def corner_angle(prev: Pose, corner: Pose, nxt: Pose) -> float:
     """Turn angle at ``corner`` in radians: 0 = collinear, pi = full reversal.
 
     Raises DegenerateSegment when either adjacent segment has zero length.
-    Uses atan2 of the cross/dot pair, which stays well conditioned near both
-    0 and pi.
     """
     ux = corner.x - prev.x
     uy = corner.y - prev.y
@@ -205,9 +217,4 @@ def corner_angle(prev: Pose, corner: Pose, nxt: Pose) -> float:
     nv = math.sqrt(vx * vx + vy * vy + vz * vz)
     if nu == 0.0 or nv == 0.0:
         raise DegenerateSegment("corner angle needs two non-degenerate segments")
-    cx = uy * vz - uz * vy
-    cy = uz * vx - ux * vz
-    cz = ux * vy - uy * vx
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-    dot = ux * vx + uy * vy + uz * vz
-    return math.atan2(cross, dot)
+    return turn_angle(prev.position, corner.position, nxt.position)

@@ -10,7 +10,13 @@ Two executors share one motion engine and one cyclic task:
   START/DONE handshake.
 
 Both decode only the header of a new command image, and both fault with
-ERROR code 1 on an image that does not decode.
+ERROR code 1 on an image that does not decode.  They share one command
+handler and one cycle: START, ABORT and IDLE mean the same on both, and
+each executor supplies only how a START word loads its records (the newly
+loaded slots of the image, or the stored program).  Either way the records
+reach the engine through one ``_MotionEngine.ingest``, which joins each
+continuation record with the target record that completes it into one
+physical motion.
 
 The engine quantizes execution to whole robot cycles: a motion's remaining
 time only advances once per tick, so a motion of duration d occupies
@@ -34,11 +40,10 @@ Both executors report the next tick that can change anything
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .core import turn_angle
 from .trajectory import (
     SegmentSpec,
-    _turn_angle,
     blend_fits,
     blend_geometry,
     ptp_time,
@@ -55,12 +60,10 @@ from .wire import (
     MotionRecord,
     RobotState,
     WireError,
-    check_continuation_target,
     decode_command_header,
     decode_record,
     explode_plan,
     pack_feedback_frame,
-    reassemble_records,
     slot_image,
 )
 
@@ -71,43 +74,18 @@ ERROR_STARVATION = 2  # record supply stalled beyond the starvation limit
 _IDLE_FEEDBACK_FIELDS = (RobotState.IDLE, 0, 0, 0, (0.0,) * 6)
 
 
-@dataclass(frozen=True)
-class _Phys:
-    """One physical motion: a single record, or a continuation pair."""
-
-    joint: bool
-    legs: tuple  # cartesian waypoints after the start point (1 or 2)
-    target: tuple  # full 6-component target (pose, or joint angles)
-    v: float
-    a: float
-    approx: float
-    first_record: int  # 1-based index of the first wire record
-    n_records: int
-
-
-def _phys_from_group(group: list[MotionRecord], first_record: int) -> _Phys:
-    rec = group[-1]
-    return _Phys(
-        joint=rec.joint_target,
-        legs=() if rec.joint_target else tuple(r.target[:3] for r in group),
-        target=rec.target,
-        v=rec.velocity,
-        a=rec.acceleration,
-        approx=rec.approx_distance,
-        first_record=first_record,
-        n_records=len(group),
-    )
-
-
 class _MotionEngine:
     """Cycle-quantized execution over a growing list of physical motions.
 
-    The entry speed and entry truncation of the next motion are whatever the
-    previous motion committed as its exit; both start at zero for a fresh
-    skill.  Each ingested motion adds its path length and the candidate
-    blend at the corner it closes; an activation outside the stored plan
-    solves the visible Cartesian window with ``solve_corners``, and a blend
-    dropped there stays dropped.
+    Wire records arrive one by one through ``ingest``; each physical motion
+    is kept as a ``(record, first_index, n_records)`` tuple, whose record is
+    the one carrying the target and the dynamics.  The entry speed and entry
+    truncation of the next motion are whatever the previous motion
+    committed as its exit; both start at zero for a fresh skill.  Each
+    ingested motion adds its path length and the candidate blend at the
+    corner it closes; an activation outside the stored plan solves the
+    visible Cartesian window with ``solve_corners``, and a blend dropped
+    there stays dropped.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
     engine's lifetime).
@@ -121,46 +99,62 @@ class _MotionEngine:
         self.begin_skill(0)
 
     def begin_skill(self, total_records: int):
-        self._phys: list[_Phys] = []
+        self._motions: list[tuple] = []  # (record, first_index, n_records)
+        self._pending: MotionRecord | None = None  # continuation awaiting its target
         self._lengths: list[float] = []  # path length per motion, 0 for joint moves
         self._corners: list = []  # candidate blend into the following motion
         self._approach = None  # (point before, end point) of the last Cartesian leg
         self._next = 0
         self._active = None
         self._elapsed = 0
-        self._plan = None  # (first, end, speeds, blends) over _phys[first:end]
+        self._plan = None  # (first, end, speeds, blends) over _motions[first:end]
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
         self.total_records = total_records
         self.completed_records = 0
 
-    def ingest(self, phys: _Phys):
+    def ingest(self, rec: MotionRecord, idx: int):
+        """Add wire record ``idx`` (1-based) of the skill.  A continuation
+        record waits for the target record that completes it, and the pair
+        is one physical motion.  Raises MalformedContinuation when the next
+        record does not complete a continuation, or the skill ends on one."""
+        aux = self._pending
+        if aux is not None:
+            if rec.continuation or rec.motion_type is not aux.motion_type:
+                raise MalformedContinuation("continuation without matching target")
+            self._pending = None
+        elif rec.continuation:
+            if idx == self.total_records:
+                raise MalformedContinuation("skill ends on a continuation record")
+            self._pending = rec
+            return
         length = 0.0
-        if not phys.joint:
+        if not rec.joint_target:
             plan = self._plan
-            if plan is not None and plan[1] == len(self._phys):
+            if plan is not None and plan[1] == len(self._motions):
                 # the window grows; corners up to the last stop before its
                 # end are decoupled from the new ones and keep their plan
                 first, _end, speeds, blends = plan
                 stop = max((i for i in range(1, len(speeds) - 1) if speeds[i] == 0.0), default=0)
                 self._plan = (first, first + stop, speeds, blends) if stop else None
+            legs = (rec.target[:3],) if aux is None else (aux.target[:3], rec.target[:3])
             prev, p = self._approach or (None, self.pose[:3])
-            for q in phys.legs:
+            for q in legs:
                 length += math.dist(p, q)
                 prev, p = p, q
-            if self._phys and not self._phys[-1].joint:
-                self._corners[-1] = self._corner(phys, length)
+            if self._motions and not self._motions[-1][0].joint_target:
+                self._corners[-1] = self._corner(rec, legs[0], length)
             self._approach = (prev, p)
-        self._phys.append(phys)
+        self._motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
         self._lengths.append(length)
         self._corners.append(None)
 
-    def _corner(self, nxt: _Phys, length: float):
-        """Candidate blend between the last ingested motion and ``nxt``;
-        None where a zero-length leg meets the corner."""
-        am = self._phys[-1]
+    def _corner(self, nxt: MotionRecord, next_pt, length: float):
+        """Candidate blend between the last ingested motion and ``nxt``,
+        whose first leg ends at ``next_pt``; None where a zero-length leg
+        meets the corner."""
+        am = self._motions[-1][0]
         prev_pt, corner = self._approach
-        next_pt = nxt.legs[0]
         if (
             self._lengths[-1] == 0.0
             or length == 0.0
@@ -168,10 +162,16 @@ class _MotionEngine:
             or math.dist(corner, next_pt) == 0.0
         ):
             return None
-        angle = _turn_angle(prev_pt, corner, next_pt)
-        if not blend_fits(angle, am.approx, self._lengths[-1], length):
+        angle = turn_angle(prev_pt, corner, next_pt)
+        if not blend_fits(angle, am.approx_distance, self._lengths[-1], length):
             return None
-        return blend_geometry(angle, am.approx, am.v, nxt.v, min(am.a, nxt.a))
+        return blend_geometry(
+            angle,
+            am.approx_distance,
+            am.velocity,
+            nxt.velocity,
+            min(am.acceleration, nxt.acceleration),
+        )
 
     def discard_motion(self):
         self._active = None
@@ -185,47 +185,49 @@ class _MotionEngine:
         return self.completed_records >= self.total_records
 
     def _complete(self):
-        dur_us, ph, end_pose, end_joints, exit_speed, exit_trunc = self._active
+        dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
         self.pose = end_pose
         self.joints = end_joints
-        self.completed_records += ph.n_records
+        self.completed_records += n
         self._entry_speed = exit_speed
         self._entry_trunc = exit_trunc
         self._active = None
         self._elapsed = 0
         self._next += 1
         if self.captured is not None:
-            self.captured.append((ph.first_record, ph.n_records, ph.target, dur_us))
+            self.captured.append((first, n, rec.target, dur_us))
 
-    def _set_active(self, seconds, ph, end_pose, end_joints, exit_speed, exit_trunc):
+    def _set_active(self, seconds, motion, end_pose, end_joints, exit_speed, exit_trunc):
         dur_us = max(0, math.ceil(seconds * 1e6 - 1e-12))
-        self._active = (dur_us, ph, end_pose, end_joints, exit_speed, exit_trunc)
+        self._active = (dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc)
         self._elapsed = 0
 
     def _activate(self):
         k = self._next
-        m = self._phys[k]
-        if m.joint:
+        motions = self._motions
+        motion = motions[k]
+        rec, idx, n = motion
+        if rec.joint_target:
             # corners never blend into or out of a joint motion, so the
             # committed entry speed here is always zero; the TCP pose is held
-            deltas = [t - c for t, c in zip(m.target, self.joints)]
-            dur = ptp_time(deltas, m.v, m.a)
-            self._set_active(dur, m, self.pose, tuple(m.target), 0.0, 0.0)
+            deltas = [t - c for t, c in zip(rec.target, self.joints)]
+            dur = ptp_time(deltas, rec.velocity, rec.acceleration)
+            self._set_active(dur, motion, self.pose, tuple(rec.target), 0.0, 0.0)
             return
 
-        if k + 1 == len(self._phys) and m.first_record + m.n_records <= self.total_records:
+        if k + 1 == len(motions) and idx + n <= self.total_records:
             # successor exists but has not arrived: commit an exact stop
             self.fallback_stops += 1
         if self._plan is None or not self._plan[0] <= k < self._plan[1]:
             # plan the visible Cartesian window from here on
             end = k + 1
-            while end < len(self._phys) and not self._phys[end].joint:
+            while end < len(motions) and not motions[end][0].joint_target:
                 end += 1
-            window = self._phys[k:end]
+            window = [m[0] for m in motions[k:end]]
             speeds, blends = solve_corners(
                 self._lengths[k:end],
-                [ph.v for ph in window],
-                [ph.a for ph in window],
+                [r.velocity for r in window],
+                [r.acceleration for r in window],
                 [None, *self._corners[k : end - 1], None],
                 self._entry_speed,
                 self._entry_trunc,
@@ -239,10 +241,12 @@ class _MotionEngine:
         b = blends[k - first + 1]
         exit_trunc = b.truncation if b is not None else 0.0
         length = self._lengths[k] - self._entry_trunc - exit_trunc
-        dur = segment_time(SegmentSpec(length, m.v, m.a, self._entry_speed, exit_speed))
+        dur = segment_time(
+            SegmentSpec(length, rec.velocity, rec.acceleration, self._entry_speed, exit_speed)
+        )
         if b is not None and b.arc_length > 0.0:
             dur += b.arc_length / exit_speed
-        self._set_active(dur, m, tuple(m.target), self.joints, exit_speed, exit_trunc)
+        self._set_active(dur, motion, tuple(rec.target), self.joints, exit_speed, exit_trunc)
 
     def advance(self, cycle_us: int) -> bool:
         """One robot cycle of execution.  False means starved: nothing ran
@@ -251,7 +255,7 @@ class _MotionEngine:
         if self._active is not None and self._elapsed >= self._active[0]:
             self._complete()
             progressed = True
-        while self._active is None and self._next < len(self._phys):
+        while self._active is None and self._next < len(self._motions):
             self._activate()
             if self._active[0] == 0:
                 self._complete()
@@ -285,11 +289,14 @@ class _CyclicExecutor:
     ``tick`` applies a new command image (compared by object identity, so
     an unchanged image costs nothing), runs one cycle and returns the
     feedback image, encoding it only when one of its fields changed.  Only
-    the header of a new image is decoded; subclasses apply it, decoding the
-    slots they need, in ``_apply_frame(header, data)`` and run the cycle in
-    ``_run_cycle()``.  An image that fails to decode, or that breaks
-    the protocol there, faults the executor: state ERROR with code 1,
-    until an IDLE command word clears it.
+    the header of a new image is decoded, and one command handler applies
+    it for both executors; a subclass supplies only how a START word loads
+    its records, in ``_load(header, data, fresh)``: a new skill when
+    ``fresh``, else a changed image of the running one.  An image that
+    fails to decode, or that breaks the protocol there, faults the
+    executor: state ERROR with code 1, until an IDLE command word clears
+    it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
+    where a limit is set, faults it with code 2.
 
     The executor also tells the simulator when the next tick is due.
     Between a tick and that wakeup, ticks with an unchanged command image
@@ -336,6 +343,40 @@ class _CyclicExecutor:
         self._state = RobotState.ERROR
         self._error = code
         self._engine.discard_motion()
+
+    def _apply_frame(self, header: CommandHeader, data: bytes):
+        # START goes straight to RUNNING, so LOADING is never published
+        st = self._state
+        command = header.command
+        if command is CommandWord.START:
+            if st is RobotState.IDLE:
+                self._hungry = 0
+                self._load(header, data, True)
+                self._state = RobotState.RUNNING
+            elif st is RobotState.RUNNING:
+                self._load(header, data, False)
+        elif st is RobotState.RUNNING or (st is RobotState.DONE and command is CommandWord.ABORT):
+            # aborted, or START withdrawn mid-skill: stop gracefully
+            self._engine.discard_motion()
+            self._state = RobotState.ABORTING
+        elif command is CommandWord.IDLE:
+            # DONE, ERROR and ABORTING return to IDLE
+            self._state = RobotState.IDLE
+            self._error = 0
+        self._acked = header.frame_seq
+
+    def _run_cycle(self):
+        if self._state is RobotState.RUNNING:
+            progressed = self._engine.advance(self._cycle_us)
+            if self._engine.done:
+                self._state = RobotState.DONE
+                self._hungry = 0
+            elif progressed:
+                self._hungry = 0
+            elif self._starvation_limit is not None:
+                self._hungry += 1
+                if self._hungry >= self._starvation_limit:
+                    self._fail(ERROR_STARVATION)
 
     def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
         if cmd_bytes is not self._cmd_obj:
@@ -397,85 +438,27 @@ class RobotExecutor(_CyclicExecutor):
         super().__init__(initial_pose, initial_joints, cycle_us, capture)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
-        self._pending_cont: MotionRecord | None = None
-        self.skills_done = 0
 
-    def _ingest_through(self, loaded: int, data: bytes):
+    def _load(self, header: CommandHeader, data: bytes, fresh: bool):
+        loaded = header.loaded_through
+        if fresh:
+            if loaded > SLOT_COUNT:
+                raise DecodeError(f"initial load of {loaded} exceeds the slot window")
+            self._total = header.total_no
+            self._known = 0
+            self._engine.begin_skill(header.total_no)
+        elif header.total_no != self._total:
+            raise DecodeError(f"totalNo changed mid-skill: {self._total} -> {header.total_no}")
+        elif loaded < self._known:
+            raise DecodeError(f"loadedThrough regressed: {self._known} -> {loaded}")
         for idx in range(self._known + 1, loaded + 1):
             rec = decode_record(slot_image(data, idx))
             if rec.record_seq != idx % 0x10000:
                 raise DecodeError(
                     f"record {idx}: sequence {rec.record_seq}, expected {idx % 0x10000}"
                 )
-            if self._pending_cont is not None:
-                check_continuation_target(self._pending_cont, rec)
-                self._engine.ingest(_phys_from_group([self._pending_cont, rec], idx - 1))
-                self._pending_cont = None
-            elif rec.continuation:
-                self._pending_cont = rec
-            else:
-                self._engine.ingest(_phys_from_group([rec], idx))
+            self._engine.ingest(rec, idx)
         self._known = loaded
-        if self._known == self._total and self._pending_cont is not None:
-            raise MalformedContinuation("skill ends on a continuation record")
-
-    def _apply_frame(self, header: CommandHeader, data: bytes):
-        st = self._state
-        if header.command is CommandWord.ABORT:
-            if st in (RobotState.LOADING, RobotState.RUNNING, RobotState.DONE):
-                self._engine.discard_motion()
-                self._state = RobotState.ABORTING
-        elif header.command is CommandWord.IDLE:
-            if st in (RobotState.DONE, RobotState.ERROR, RobotState.ABORTING):
-                self._state = RobotState.IDLE
-                self._error = 0
-                self._total = 0
-                self._known = 0
-                self._pending_cont = None
-            elif st in (RobotState.LOADING, RobotState.RUNNING):
-                # command withdrawn mid-skill: stop gracefully
-                self._engine.discard_motion()
-                self._state = RobotState.ABORTING
-        elif header.command is CommandWord.START:
-            if st is RobotState.IDLE:
-                if header.loaded_through > SLOT_COUNT:
-                    raise DecodeError(
-                        f"initial load of {header.loaded_through} exceeds the slot window"
-                    )
-                self._total = header.total_no
-                self._known = 0
-                self._pending_cont = None
-                self._hungry = 0
-                self._engine.begin_skill(header.total_no)
-                self._ingest_through(header.loaded_through, data)
-                self._state = RobotState.LOADING
-            elif st in (RobotState.LOADING, RobotState.RUNNING):
-                if header.total_no != self._total:
-                    raise DecodeError(
-                        f"totalNo changed mid-skill: {self._total} -> {header.total_no}"
-                    )
-                if header.loaded_through < self._known:
-                    raise DecodeError(
-                        f"loadedThrough regressed: {self._known} -> {header.loaded_through}"
-                    )
-                self._ingest_through(header.loaded_through, data)
-        self._acked = header.frame_seq
-
-    def _run_cycle(self):
-        if self._state is RobotState.LOADING:
-            self._state = RobotState.RUNNING
-        if self._state is RobotState.RUNNING:
-            made_progress = self._engine.advance(self._cycle_us)
-            if self._engine.done:
-                self._state = RobotState.DONE
-                self._hungry = 0
-                self.skills_done += 1
-            elif made_progress:
-                self._hungry = 0
-            else:
-                self._hungry += 1
-                if self._hungry >= self._starvation_limit:
-                    self._fail(ERROR_STARVATION)
 
 
 class NativeExecutor(_CyclicExecutor):
@@ -486,7 +469,8 @@ class NativeExecutor(_CyclicExecutor):
     final motion of each group carrying approx 0.  Plans pass through the
     wire record representation on load, so both executors work from
     identical (f32-quantized) numbers.  Only the command word and frame_seq
-    of the command image matter here.
+    of the command image matter here: totalNo and loadedThrough are
+    ignored, and START ingests the whole stored program.
     """
 
     def __init__(
@@ -498,36 +482,12 @@ class NativeExecutor(_CyclicExecutor):
         capture: bool = False,
     ):
         super().__init__(initial_pose, initial_joints, cycle_us, capture)
-        records = [rec for p in plans for rec in explode_plan(p.motions)]
-        # renumber to one consecutive stream
-        self._program = []
-        idx = 1
-        for group in reassemble_records(records):
-            self._program.append(_phys_from_group(group, idx))
-            idx += len(group)
-        self._total = len(records)
+        self._records = [rec for p in plans for rec in explode_plan(p.motions)]
+        self._total = len(self._records)
 
-    def _apply_frame(self, header: CommandHeader, data: bytes):
-        st = self._state
-        if header.command is CommandWord.START and st is RobotState.IDLE:
+    def _load(self, header: CommandHeader, data: bytes, fresh: bool):
+        if fresh:
             self._engine.begin_skill(self._total)
-            for ph in self._program:
-                self._engine.ingest(ph)
-            self._state = RobotState.RUNNING
-        elif header.command is CommandWord.ABORT and st in (RobotState.RUNNING, RobotState.DONE):
-            self._engine.discard_motion()
-            self._state = RobotState.ABORTING
-        elif header.command is CommandWord.IDLE and st in (
-            RobotState.DONE,
-            RobotState.ERROR,
-            RobotState.ABORTING,
-        ):
-            self._state = RobotState.IDLE
-            self._error = 0
-        self._acked = header.frame_seq
-
-    def _run_cycle(self):
-        if self._state is RobotState.RUNNING:
-            self._engine.advance(self._cycle_us)
-            if self._engine.done:
-                self._state = RobotState.DONE
+            # one consecutive numbering across the plans
+            for idx, rec in enumerate(self._records, 1):
+                self._engine.ingest(rec, idx)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ContinuousSkillPlan
+from .core import ContinuousSkillPlan, turn_angle
 
 # corners flatter than this count as collinear; tighter than pi minus this
 # count as reversals
@@ -194,17 +194,6 @@ def _as_position(p):
     return (float(x), float(y), float(z))
 
 
-def _turn_angle(p, c, n) -> float:
-    ux, uy, uz = c[0] - p[0], c[1] - p[1], c[2] - p[2]
-    vx, vy, vz = n[0] - c[0], n[1] - c[1], n[2] - c[2]
-    cx = uy * vz - uz * vy
-    cy = uz * vx - ux * vz
-    cz = ux * vy - uy * vx
-    cross = math.sqrt(cx * cx + cy * cy + cz * cz)
-    dot = ux * vx + uy * vy + uz * vz
-    return math.atan2(cross, dot)
-
-
 def blend_fits(angle: float, approx: float, len_in: float, len_out: float) -> bool:
     """Whether a corner can blend: collinear corners always pass through;
     others need an approx distance, a turn short of a reversal, and both
@@ -345,7 +334,7 @@ def plan_group_profile(
     if blending_enabled:
         for i in range(1, n):
             approx = motions[i - 1].approx_distance
-            angle = _turn_angle(pts[i - 1], pts[i], pts[i + 1])
+            angle = turn_angle(pts[i - 1], pts[i], pts[i + 1])
             if angle > COLLINEAR_EPS and approx > 0.0:
                 requested.append(i)
             if blend_fits(angle, approx, lengths[i - 1], lengths[i]):

@@ -101,7 +101,8 @@ class NonFiniteScalar(DecodeError):
 
 
 class MalformedContinuation(DecodeError):
-    """Continuation record with nonzero orientation slots."""
+    """Continuation record with nonzero orientation slots, or one that the
+    next record does not complete."""
 
 
 class MalformedRecord(DecodeError):
@@ -315,35 +316,6 @@ def explode_plan(motions) -> list[MotionRecord]:
     out: list[MotionRecord] = []
     for m in motions:
         out.extend(explode_motion(m, len(out) + 1))
-    return out
-
-
-def check_continuation_target(aux: MotionRecord, rec: MotionRecord):
-    """Raise MalformedContinuation unless ``rec`` is the target record that
-    completes the continuation record ``aux``."""
-    if rec.continuation or rec.motion_type is not aux.motion_type:
-        raise MalformedContinuation("continuation without matching target")
-
-
-def reassemble_records(records) -> list[list[MotionRecord]]:
-    """Group a record stream back into physical motions.
-
-    The inverse of exploding a plan: a continuation record is joined with
-    its immediately following target record; everything else stands alone.
-    """
-    out: list[list[MotionRecord]] = []
-    pending: MotionRecord | None = None
-    for rec in records:
-        if pending is not None:
-            check_continuation_target(pending, rec)
-            out.append([pending, rec])
-            pending = None
-        elif rec.continuation:
-            pending = rec
-        else:
-            out.append([rec])
-    if pending is not None:
-        raise MalformedContinuation("dangling continuation record")
     return out
 
 

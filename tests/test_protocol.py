@@ -9,6 +9,7 @@ import copy
 import math
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,17 @@ def lin(x, y=0.0, z=0.0, v=250.0, a=2000.0, approx=0.0):
         velocity=v,
         acceleration=a,
         approx_distance=approx,
+    )
+
+
+def arc(x, aux, v=250.0, a=2000.0):
+    """A circular motion along +x through ``aux``: two wire records."""
+    return MotionCommand(
+        motion_type=MotionType.CIRCULAR,
+        target=Pose(x, 0.0, 0.0),
+        velocity=v,
+        acceleration=a,
+        aux_point=aux,
     )
 
 
@@ -227,6 +239,25 @@ class TestPlcSkillInstance:
 # --- robot executor -------------------------------------------------------------
 
 
+def start_image(recs, loaded=None, seq=1):
+    """START image of a skill of ``recs`` holding records up to ``loaded``
+    (default all) in their slots."""
+    loaded = len(recs) if loaded is None else loaded
+    slots = [bytes(44)] * SLOT_COUNT
+    for idx in range(max(1, loaded - SLOT_COUNT + 1), loaded + 1):
+        slots[slot_for_record(idx)] = encode_record(recs[idx - 1])
+    return encode_command_frame(
+        CommandFrame(
+            command=CommandWord.START,
+            record_count=min(loaded, SLOT_COUNT),
+            total_no=len(recs),
+            loaded_through=loaded,
+            frame_seq=seq,
+            slots=tuple(slots),
+        )
+    )
+
+
 def run_single_plan(plan, **executor_kw):
     program = ContinuousMotionProgram([plan])
     ex = RobotExecutor(capture=True, **executor_kw)
@@ -244,16 +275,46 @@ class TestRobotExecutor:
         assert ex.pose == (100.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_circular_pair_is_one_physical_motion(self):
-        arc = MotionCommand(
-            motion_type=MotionType.CIRCULAR,
-            target=Pose(20.0, 0.0, 0.0),
-            velocity=250.0,
-            acceleration=2000.0,
-            aux_point=(10.0, 5.0, 0.0),
-        )
-        plan = ContinuousSkillPlan((lin(10.0, approx=1.0), arc))
+        plan = ContinuousSkillPlan((lin(10.0, approx=1.0), arc(20.0, (10.0, 5.0, 0.0))))
         _, ex = run_single_plan(plan)
         assert [(f, n) for f, n, _t, _d in ex.executed] == [(1, 1), (2, 2)]
+
+    def test_circular_target_in_a_later_refill_joins_its_continuation(self):
+        # records 1-4 are LIN moves, 5 the continuation and 6 its target:
+        # the first window ends on the continuation record
+        recs = explode_plan([lin(float(x)) for x in range(1, 5)] + [arc(6.0, (5.0, 1.0, 0.0))])
+        ex = RobotExecutor(capture=True)
+        first = start_image(recs, loaded=5)
+        t = 0
+        while not ex.executed and t < 1_000_000:  # record 1 frees its slot
+            ex.tick(t, first)
+            t += 4000
+        refill = start_image(recs, loaded=6, seq=2)
+        while ex.state is RobotState.RUNNING and t < 2_000_000:
+            ex.tick(t, refill)
+            t += 4000
+        assert ex.state is RobotState.DONE
+        assert [(f, n, target) for f, n, target, _d in ex.executed] == [
+            (1, 1, recs[0].target),
+            (2, 1, recs[1].target),
+            (3, 1, recs[2].target),
+            (4, 1, recs[3].target),
+            (5, 2, recs[5].target),
+        ]
+
+    @pytest.mark.parametrize(
+        "layout, faults",
+        [("aux", True), ("aux-aux", True), ("aux-lin", True), ("lin-aux", True), ("aux-target", False)],
+    )
+    def test_unfinished_continuation_faults_with_code_1(self, layout, faults):
+        aux, target = explode_plan([arc(20.0, (10.0, 5.0, 0.0))])
+        kinds = {"aux": aux, "target": target, "lin": records(1)[0]}
+        recs = [replace(kinds[k], record_seq=i) for i, k in enumerate(layout.split("-"), 1)]
+        f = decode_feedback_frame(RobotExecutor().tick(0, start_image(recs)))
+        if faults:
+            assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD)
+        else:
+            assert (f.state, f.error_code) == (RobotState.RUNNING, 0)
 
     def test_acked_seq_mirrors_command_frame(self):
         plc = PlcSkillInstance()
@@ -265,30 +326,35 @@ class TestRobotExecutor:
         assert fb_frame.cur_exec == 1
 
     def test_abort_discards_active_motion(self):
-        plc = PlcSkillInstance()
-        plc.start_records(explode_plan([lin(100.0, v=10.0)]))  # 10.1 s
-        ex = RobotExecutor()
-        f = decode_feedback_frame(ex.tick(0, plc.image))
-        assert f.state is RobotState.RUNNING
-        plc.cycle(f)
-        plc.abort()
-        f = decode_feedback_frame(ex.tick(4000, plc.image))
-        assert f.state is RobotState.ABORTING
-        plc.cycle(f)
-        f = decode_feedback_frame(ex.tick(8000, plc.image))
-        assert f.state is RobotState.IDLE
-        plc.cycle(f)
-        assert plc.state is PlcSkillState.IDLE
-        assert ex.pose == (0.0,) * 6  # never completed the motion
+        plan = ContinuousSkillPlan((lin(100.0, v=10.0),))  # 10.1 s
+        for ex in (RobotExecutor(), NativeExecutor([plan])):
+            plc = PlcSkillInstance()
+            plc.start_skill(plan)
+            f = decode_feedback_frame(ex.tick(0, plc.image))
+            assert f.state is RobotState.RUNNING
+            plc.cycle(f)
+            plc.abort()
+            f = decode_feedback_frame(ex.tick(4000, plc.image))
+            assert f.state is RobotState.ABORTING, type(ex)
+            plc.cycle(f)
+            f = decode_feedback_frame(ex.tick(8000, plc.image))
+            assert f.state is RobotState.IDLE
+            plc.cycle(f)
+            assert plc.state is PlcSkillState.IDLE
+            assert ex.pose == (0.0,) * 6  # never completed the motion
 
     def test_withdrawn_command_mid_skill_aborts(self):
-        plc = PlcSkillInstance()
-        plc.start_records(explode_plan([lin(100.0, v=10.0)]))
-        ex = RobotExecutor()
-        ex.tick(0, plc.image)
-        idle_img = encode_command_frame(CommandFrame(frame_seq=99))
-        f = decode_feedback_frame(ex.tick(4000, idle_img))
-        assert f.state is RobotState.ABORTING
+        plan = ContinuousSkillPlan((lin(100.0, v=10.0),))
+        for ex in (RobotExecutor(), NativeExecutor([plan])):
+            plc = PlcSkillInstance()
+            plc.start_skill(plan)
+            ex.tick(0, plc.image)
+            idle_img = encode_command_frame(CommandFrame(frame_seq=99))
+            f = decode_feedback_frame(ex.tick(4000, idle_img))
+            assert f.state is RobotState.ABORTING, type(ex)
+            f = decode_feedback_frame(ex.tick(8000, idle_img))
+            assert f.state is RobotState.ABORTING  # held until the IDLE word changes
+            assert ex.pose == (0.0,) * 6
 
     def test_record_seq_corruption_faults_with_code_1(self):
         plc = PlcSkillInstance()
@@ -376,8 +442,6 @@ class TestRobotExecutor:
         ex = RobotExecutor()
         ex.tick(0, plc.image)
         frame = decode_command_frame(plc.image)
-        from dataclasses import replace
-
         tampered = encode_command_frame(
             replace(frame, total_no=10, frame_seq=frame.frame_seq + 1)
         )
@@ -492,25 +556,9 @@ class TestRobotExecutor:
         )
         recs = explode_plan(motions)
         start = tuple(f32(c) for c in (2.2591163002887282, -5.439660245641651, -16.20350944865369))
-
-        def window(loaded, seq):
-            slots = [bytes(44)] * SLOT_COUNT
-            for idx in range(1, loaded + 1):
-                slots[slot_for_record(idx)] = encode_record(recs[idx - 1])
-            return encode_command_frame(
-                CommandFrame(
-                    command=CommandWord.START,
-                    record_count=loaded,
-                    total_no=len(recs),
-                    loaded_through=loaded,
-                    frame_seq=seq,
-                    slots=tuple(slots),
-                )
-            )
-
         ex = RobotExecutor(initial_pose=start + (0.0,) * 3, capture=True)
-        ex.tick(0, window(3, 1))  # record 1 activates with records 1-3 visible
-        full = window(5, 2)
+        ex.tick(0, start_image(recs, loaded=3))  # record 1 activates with records 1-3 visible
+        full = start_image(recs, loaded=5, seq=2)
         t = 4000
         while ex.state is RobotState.RUNNING and t < 100_000:
             ex.tick(t, full)
@@ -562,6 +610,26 @@ def test_benchmark_plans_stream_identically_to_handoff():
     assert ex.pose == native.pose
     assert ex.fallback_stops == 0
     assert program.plc.skills_completed == len(plans)
+
+def test_native_executor_joins_each_circular_pair():
+    plans = [
+        ContinuousSkillPlan((lin(10.0, approx=1.0), arc(20.0, (15.0, 5.0, 0.0)))),
+        ContinuousSkillPlan((lin(30.0),)),
+    ]
+    ex = NativeExecutor(plans, capture=True)
+    start = encode_command_frame(CommandFrame(command=CommandWord.START))
+    t = 0
+    while ex.state is not RobotState.DONE and t < 10_000_000:
+        ex.tick(t, start)
+        t += 4000
+    recs = [rec for p in plans for rec in explode_plan(p.motions)]
+    # one consecutive numbering across the plans
+    assert [(f, n, target) for f, n, target, _d in ex.executed] == [
+        (1, 1, recs[0].target),
+        (2, 2, recs[2].target),
+        (4, 1, recs[3].target),
+    ]
+
 
 def test_single_motion_program_runs_every_motion_alone():
     plans, _ = build_plans(SETUP_A)

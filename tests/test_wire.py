@@ -44,7 +44,6 @@ from skillbench.wire import (
     explode_plan,
     f32,
     pack_feedback_frame,
-    reassemble_records,
     slot_for_record,
     slot_image,
 )
@@ -267,35 +266,6 @@ def test_explode_plan_numbers_consecutively():
     )
     recs = explode_plan([lin(1.0, 0.0, 0.0), circ, lin(5.0, 0.0, 0.0)])
     assert [r.record_seq for r in recs] == [1, 2, 3, 4]
-
-
-def test_reassemble_inverts_explode():
-    circ = MotionCommand(
-        motion_type=MotionType.CIRCULAR,
-        target=Pose(4.0, 0.0, 0.0),
-        velocity=100.0,
-        acceleration=1000.0,
-        aux_point=(2.0, 2.0, 0.0),
-    )
-    motions = [lin(1.0, 0.0, 0.0), circ, lin(5.0, 0.0, 0.0)]
-    groups = reassemble_records(explode_plan(motions))
-    assert [len(g) for g in groups] == [1, 2, 1]
-    assert [g[-1].motion_type for g in groups] == [m.motion_type for m in motions]
-
-
-def test_reassemble_rejects_dangling_continuation():
-    circ = MotionCommand(
-        motion_type=MotionType.CIRCULAR,
-        target=Pose(4.0, 0.0, 0.0),
-        velocity=100.0,
-        acceleration=1000.0,
-        aux_point=(2.0, 2.0, 0.0),
-    )
-    recs = explode_plan([circ])
-    with pytest.raises(MalformedContinuation):
-        reassemble_records(recs[:1])
-    with pytest.raises(MalformedContinuation):
-        reassemble_records([recs[0], recs[0]])
 
 
 # --- frame codecs -------------------------------------------------------------
