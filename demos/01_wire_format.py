@@ -14,8 +14,8 @@ from skillbench.wire import (
     decode_command_frame,
     decode_record,
     encode_command_frame,
+    encode_plan,
     encode_record,
-    explode_plan,
     slot_for_record,
 )
 
@@ -28,9 +28,9 @@ motion = MotionCommand(
     approx_distance=10.0,
 )
 
-# explode_plan numbers records 1, 2, 3, ... and packs each into 44 bytes
-(record,) = explode_plan([motion])
-blob = encode_record(record)
+# encode_plan numbers records 1, 2, 3, ... and packs each into 44 bytes;
+# floats are rounded to IEEE-754 single precision on the way
+(blob,) = encode_plan([motion])
 print(f"record bytes ({len(blob)}):", blob.hex())
 
 # the layout is fixed: type, flags, sequence, 6 targets, dynamics, frames
@@ -48,10 +48,13 @@ for offset, size, name in [
 ]:
     print(f"  bytes {offset:2d}..{offset + size - 1:2d}  {name:20s} {blob[offset:offset + size].hex()}")
 
-# decoding is the exact inverse
-assert decode_record(blob) == record
+# decoding gives the record the robot sees, and encoding that record again
+# gives back the same 44 bytes
+record = decode_record(blob)
+print(f"\ndecoded: seq {record.record_seq}  target={record.target[:3]}  v={record.velocity}")
+assert encode_record(record) == blob
 
-# a circular motion needs its auxiliary point, so it explodes into a
+# a circular motion needs its auxiliary point, so it becomes a
 # continuation record (aux position, flag bit1) plus the target record
 circ = MotionCommand(
     motion_type=MotionType.CIRCULAR,
@@ -60,23 +63,24 @@ circ = MotionCommand(
     acceleration=2000.0,
     aux_point=(150.0, 50.0, 30.0),
 )
-pair = explode_plan([motion, circ])
+images = encode_plan([motion, circ])
 print("\ncircular pair:")
-for rec in pair[1:]:
+for rec in map(decode_record, images[1:]):
     print(f"  seq {rec.record_seq}  continuation={rec.continuation}  target={rec.target[:3]}")
 
 # records go into the frame's five slots by (m - 1) mod 5, so any five
 # consecutive records never collide
 print("\nslot for records 1..8:", [slot_for_record(m) for m in range(1, 9)])
 
+# the PLC copies the images into their slots as they are
 slots = [bytes(44)] * 5
-for rec in pair:
-    slots[slot_for_record(rec.record_seq)] = encode_record(rec)
+for m, image in enumerate(images, 1):
+    slots[slot_for_record(m)] = image
 frame = CommandFrame(
     command=CommandWord.START,
-    record_count=len(pair),
-    total_no=len(pair),
-    loaded_through=len(pair),
+    record_count=len(images),
+    total_no=len(images),
+    loaded_through=len(images),
     frame_seq=1,
     slots=tuple(slots),
 )

@@ -22,6 +22,7 @@ from .bench import (
 from .core import ExecutionType
 from .fieldbus_sim import SimTimeout
 from .plc_trigger import ProtocolError
+from .wire import WireError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         parser.error(f"unknown command {args.command!r}")
-    except (ProtocolError, SimTimeout, OSError, ValueError) as e:
+    except (ProtocolError, SimTimeout, WireError, OSError, ValueError) as e:
         print(f"skillbench: {e}", file=sys.stderr)
         return 2
     return 0

@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 
-class DegenerateSegment(ValueError):
-    """A corner was requested over a zero-length segment."""
-
-
 def _normalize_deg(v: float) -> float:
     # maps into [-180, 180); 180 wraps to -180.  Float % can round a tiny
     # negative remainder up to the divisor itself, so clamp that wrap too.
@@ -183,11 +179,6 @@ class ContinuousSkillPlan:
         return sum(m.record_count for m in self.motions)
 
 
-def pose_distance(p: Pose, q: Pose) -> float:
-    """Euclidean distance between TCP positions, ignoring orientation."""
-    return math.dist(p.position, q.position)
-
-
 def turn_angle(p, c, n) -> float:
     """Turn angle in radians at point ``c`` of the path ``p`` -> ``c`` ->
     ``n`` (xyz sequences): 0 = collinear, pi = full reversal.  Uses atan2 of
@@ -201,20 +192,3 @@ def turn_angle(p, c, n) -> float:
     dot = ux * vx + uy * vy + uz * vz
     return math.atan2(cross, dot)
 
-
-def corner_angle(prev: Pose, corner: Pose, nxt: Pose) -> float:
-    """Turn angle at ``corner`` in radians: 0 = collinear, pi = full reversal.
-
-    Raises DegenerateSegment when either adjacent segment has zero length.
-    """
-    ux = corner.x - prev.x
-    uy = corner.y - prev.y
-    uz = corner.z - prev.z
-    vx = nxt.x - corner.x
-    vy = nxt.y - corner.y
-    vz = nxt.z - corner.z
-    nu = math.sqrt(ux * ux + uy * uy + uz * uz)
-    nv = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateSegment("corner angle needs two non-degenerate segments")
-    return turn_angle(prev.position, corner.position, nxt.position)

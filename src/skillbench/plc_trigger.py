@@ -1,8 +1,10 @@
 """PLC side of the skill protocol: trigger instances and cycle programs.
 
-A ``PlcSkillInstance`` owns the outgoing command image.  Starting a skill
-loads the first records into the five slots and raises the START word; the
-cyclic ``cycle()`` call consumes robot feedback, streams further records
+A ``PlcSkillInstance`` owns the outgoing command image.  A skill is the
+list of its 44-byte record images, encoded once (``wire.encode_plan``) and
+then only copied, as a PLC copies records from a data block.  Starting a
+skill loads the first images into the five slots and raises the START word;
+the cyclic ``cycle()`` call consumes robot feedback, streams further images
 into freed slots (FIFO), and walks the handshake back to IDLE when the
 robot reports DONE.
 
@@ -26,10 +28,8 @@ from .wire import (
     RobotState,
     decode_feedback_frame,
     encode_command_frame,
-    encode_record,
-    explode_plan,
+    encode_plan,
     refill_command_frame,
-    slot_for_record,
 )
 
 
@@ -84,7 +84,7 @@ class PlcSkillInstance:
 
     def __init__(self):
         self._state = PlcSkillState.IDLE
-        self._records = []
+        self._images: tuple[bytes, ...] = ()
         self._total = 0
         self._loaded = 0
         self._last_cur = 0
@@ -110,34 +110,37 @@ class PlcSkillInstance:
         self._frame_seq = (self._frame_seq + 1) & 0xFFFF
         return self._frame_seq
 
-    def start_records(self, records):
-        """Load a record list as a new skill and raise START."""
+    def start_images(self, images):
+        """Load a skill's 44-byte record images, record 1 first, and raise
+        START.  Refills copy these images into the command image as they
+        are."""
         if self._state is not PlcSkillState.IDLE:
             raise BusySkill(f"skill still {self._state.value}")
-        records = list(records)
-        if len(records) > 0xFFFFFFFF:
-            raise PlanTooLarge(f"{len(records)} records do not fit totalNo")
-        self._records = records
-        self._total = len(records)
-        self._loaded = min(SLOT_COUNT, self._total)
+        images = tuple(images)
+        if len(images) > 0xFFFFFFFF:
+            raise PlanTooLarge(f"{len(images)} records do not fit totalNo")
+        for m, image in enumerate(images, 1):
+            if len(image) != RECORD_SIZE:
+                raise ValueError(f"record {m} image is {len(image)} bytes, need {RECORD_SIZE}")
+        self._images = images
+        self._total = len(images)
+        self._loaded = loaded = min(SLOT_COUNT, self._total)
         self._last_cur = 0
-        slots = list(_ZERO_SLOTS)
-        for m in range(1, self._loaded + 1):
-            slots[slot_for_record(m)] = encode_record(records[m - 1])
+        # records 1..5 sit in slots 0..4
         self._publish(
             CommandFrame(
                 command=CommandWord.START,
-                record_count=self._loaded,
+                record_count=loaded,
                 total_no=self._total,
-                loaded_through=self._loaded,
+                loaded_through=loaded,
                 frame_seq=self._next_seq(),
-                slots=tuple(slots),
+                slots=images[:loaded] + _ZERO_SLOTS[loaded:],
             )
         )
         self._state = PlcSkillState.LOADING
 
     def start_skill(self, plan):
-        self.start_records(explode_plan(plan.motions))
+        self.start_images(encode_plan(plan.motions))
 
     def abort(self):
         if self._state is PlcSkillState.IDLE:
@@ -165,7 +168,7 @@ class PlcSkillInstance:
         self._image = refill_command_frame(
             self._image,
             first,
-            [encode_record(rec) for rec in self._records[first - 1 : target]],
+            self._images[first - 1 : target],
             self._next_seq(),
         )
 
@@ -196,7 +199,7 @@ class PlcSkillInstance:
             if fb.state is RobotState.IDLE:
                 self._state = PlcSkillState.IDLE
                 self.skills_completed += 1
-                self._records = []
+                self._images = ()
         elif st is PlcSkillState.ABORTING:
             if fb.state in (RobotState.ABORTING, RobotState.IDLE):
                 if self._command is not CommandWord.IDLE:
@@ -209,7 +212,8 @@ class PlcSkillInstance:
 
 
 class _SequencedProgram:
-    """Runs a list of record-list skills back to back over one connection.
+    """Runs skills back to back over one connection; each skill is the
+    list of its 44-byte record images.
 
     ``t_start_us`` marks the cycle that first emitted START, ``t_end_us`` the
     cycle that read the final skill's DONE; the trailing IDLE handshake falls
@@ -223,7 +227,7 @@ class _SequencedProgram:
     """
 
     def __init__(self, skills):
-        self._skills = [list(s) for s in skills]
+        self._skills = [tuple(s) for s in skills]
         self.plc = PlcSkillInstance()
         self._next = 0
         self._current_last = False
@@ -261,7 +265,7 @@ class _SequencedProgram:
         if plc.state is PlcSkillState.IDLE and not self.finished:
             if self._next < len(self._skills):
                 if fb.state is RobotState.IDLE:
-                    plc.start_records(self._skills[self._next])
+                    plc.start_images(self._skills[self._next])
                     self._current_last = self._next == len(self._skills) - 1
                     self._next += 1
                     if self.t_start_us is None:
@@ -282,7 +286,7 @@ class ContinuousMotionProgram(_SequencedProgram):
     """One skill per continuous group, full handshake between groups."""
 
     def __init__(self, plans):
-        super().__init__([explode_plan(p.motions) for p in plans])
+        super().__init__([encode_plan(p.motions) for p in plans])
 
 
 class SingleMotionProgram(_SequencedProgram):
@@ -290,7 +294,7 @@ class SingleMotionProgram(_SequencedProgram):
 
     def __init__(self, plans):
         skills = [
-            explode_plan([replace(m, approx_distance=0.0)])
+            encode_plan([replace(m, approx_distance=0.0)])
             for p in plans
             for m in p.motions
         ]

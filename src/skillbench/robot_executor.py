@@ -466,11 +466,12 @@ class NativeExecutor(_CyclicExecutor):
 
     Takes the same continuous plans the streaming path would receive and
     runs them back to back; the exact stop between groups comes from the
-    final motion of each group carrying approx 0.  Plans pass through the
-    wire record representation on load, so both executors work from
-    identical (f32-quantized) numbers.  Only the command word and frame_seq
-    of the command image matter here: totalNo and loadedThrough are
-    ignored, and START ingests the whole stored program.
+    final motion of each group carrying approx 0.  The plans are encoded
+    and decoded on construction (``explode_plan``), so both executors work
+    from the records the wire would deliver, and a plan the wire cannot
+    carry raises ``UnencodableValue`` here.  Only the command word and
+    frame_seq of the command image matter here: totalNo and loadedThrough
+    are ignored, and START ingests the whole stored program.
     """
 
     def __init__(

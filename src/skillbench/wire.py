@@ -2,9 +2,10 @@
 
 Everything on the wire is little-endian and fixed size: a motion record is
 exactly 44 bytes, and both process images (command and feedback) are exactly
-256 bytes.  Floats are IEEE-754 single precision, so any float that should
-survive a round trip must be representable in 32 bits; `explode_motion`
-quantizes accordingly.
+256 bytes.  Floats are IEEE-754 single precision: ``encode_plan``, the one
+place where motions become record images, rounds each float to the nearest
+f32 as it packs, and rejects values beyond the f32 range.  Decoded records
+(``explode_plan``) therefore carry exactly the numbers the wire delivers.
 
 Motion record layout (44 bytes):
 
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
-from .core import MotionCommand, MotionType
+from .core import MotionType
 
 RECORD_SIZE = 44
 FRAME_SIZE = 256
@@ -65,7 +66,6 @@ _CMD_PROGRESS_OFFSET = 6
 _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 _FEEDBACK_FMT = struct.Struct("<BBIH6f")
 _F32 = struct.Struct("<f")
-_RECORD_SCALARS = struct.Struct("<9f")  # six target components, v, a, approx
 
 _FLAG_JOINT = 0x01
 _FLAG_CONTINUATION = 0x02
@@ -163,6 +163,17 @@ def _check_finite(values, what: str):
         raise NonFiniteScalar(f"non-finite {what} {bad!r}")
 
 
+_F32_MAX = 3.4028235e38
+
+
+def _check_f32(values, what: str):
+    """Raise UnencodableValue for the first value that is non-finite or
+    beyond the f32 range: packing would fail on it or silently give inf."""
+    for v in values:
+        if not math.isfinite(v) or abs(v) > _F32_MAX:
+            raise UnencodableValue(f"{what} {v!r} not representable as f32")
+
+
 def f32(x: float) -> float:
     """Round a float through IEEE-754 single precision."""
     return _F32.unpack(_F32.pack(x))[0]
@@ -192,28 +203,31 @@ class MotionRecord:
     continuation: bool = False
 
 
-def encode_record(rec: MotionRecord) -> bytes:
-    """Serialize a record to its 44-byte image."""
-    if not 0 <= rec.record_seq <= 0xFFFF:
-        raise UnencodableValue(f"record_seq {rec.record_seq} does not fit u16")
-    if not 0 <= rec.force_setpoint <= 0xFFFF:
-        raise UnencodableValue(f"force_setpoint {rec.force_setpoint} does not fit u16")
-    for name, v in (("tool_frame", rec.tool_frame), ("base_frame", rec.base_frame)):
+def _pack_record(code, flags, seq, scalars, tool, base, force) -> bytes:
+    """The one record packer: checks every field against its wire range,
+    then packs.  ``scalars`` are the six target components, velocity,
+    acceleration and approx_distance."""
+    if not 0 <= seq <= 0xFFFF:
+        raise UnencodableValue(f"record_seq {seq} does not fit u16")
+    if not 0 <= force <= 0xFFFF:
+        raise UnencodableValue(f"force_setpoint {force} does not fit u16")
+    for name, v in (("tool_frame", tool), ("base_frame", base)):
         if not 0 <= v <= 0xFF:
             raise UnencodableValue(f"{name} {v} does not fit u8")
-    scalars = (*rec.target, rec.velocity, rec.acceleration, rec.approx_distance)
-    for v in scalars:
-        # f32 overflow would silently become inf on the wire
-        if not math.isfinite(v) or abs(v) > 3.4028235e38:
-            raise UnencodableValue(f"scalar {v!r} not representable as f32")
+    _check_f32(scalars, "scalar")
+    return _RECORD_FMT.pack(code, flags, seq, *scalars, tool, base, force)
+
+
+def encode_record(rec: MotionRecord) -> bytes:
+    """Serialize a record to its 44-byte image."""
     flags = (_FLAG_JOINT if rec.joint_target else 0) | (
         _FLAG_CONTINUATION if rec.continuation else 0
     )
-    return _RECORD_FMT.pack(
-        int(rec.motion_type),
+    return _pack_record(
+        rec.motion_type,
         flags,
         rec.record_seq,
-        *scalars,
+        (*rec.target, rec.velocity, rec.acceleration, rec.approx_distance),
         rec.tool_frame,
         rec.base_frame,
         rec.force_setpoint,
@@ -260,63 +274,46 @@ def decode_record(data: bytes) -> MotionRecord:
     return rec
 
 
-def explode_motion(cmd: MotionCommand, seq_start: int) -> list[MotionRecord]:
-    """Expand one logical motion into its wire records.
-
-    CIRCULAR yields two records: the auxiliary continuation first (position
-    only), then the target.  ``seq_start`` is the 1-based global index of the
-    first produced record; record_seq wraps modulo 65536.  All float fields
-    are quantized to f32 so the in-memory records match their wire images
-    exactly.
-    """
-    *target, vel, acc, approx = _RECORD_SCALARS.unpack(
-        _RECORD_SCALARS.pack(
-            *cmd.target.components(), cmd.velocity, cmd.acceleration, cmd.approx_distance
-        )
-    )
-    target = tuple(target)
-    records = []
-    seq = seq_start
-    if cmd.motion_type is MotionType.CIRCULAR:
-        ax, ay, az = cmd.aux_point
-        records.append(
-            MotionRecord(
-                motion_type=cmd.motion_type,
-                record_seq=seq % 0x10000,
-                target=(f32(ax), f32(ay), f32(az), 0.0, 0.0, 0.0),
-                velocity=vel,
-                acceleration=acc,
-                approx_distance=approx,
-                tool_frame=cmd.tool_frame,
-                base_frame=cmd.base_frame,
-                force_setpoint=0,
-                continuation=True,
+def encode_plan(motions) -> list[bytes]:
+    """The 44-byte record images of a motion sequence, numbered 1, 2, ...
+    (record_seq modulo 65536); the only place where motions become record
+    bytes.  CIRCULAR yields two images: the auxiliary continuation first
+    (position only), then the target.  Raises ``UnencodableValue`` when a
+    field does not fit the wire."""
+    images: list[bytes] = []
+    for m in motions:
+        mtype = m.motion_type
+        dynamics = (m.velocity, m.acceleration, m.approx_distance)
+        if mtype is MotionType.CIRCULAR:
+            images.append(
+                _pack_record(
+                    mtype,
+                    _FLAG_CONTINUATION,
+                    (len(images) + 1) & 0xFFFF,
+                    (*m.aux_point, 0.0, 0.0, 0.0, *dynamics),
+                    m.tool_frame,
+                    m.base_frame,
+                    0,
+                )
+            )
+        images.append(
+            _pack_record(
+                mtype,
+                _FLAG_JOINT if mtype is MotionType.PTP_JOINT else 0,
+                (len(images) + 1) & 0xFFFF,
+                (*m.target.components(), *dynamics),
+                m.tool_frame,
+                m.base_frame,
+                m.force_setpoint,
             )
         )
-        seq += 1
-    records.append(
-        MotionRecord(
-            motion_type=cmd.motion_type,
-            record_seq=seq % 0x10000,
-            target=target,
-            velocity=vel,
-            acceleration=acc,
-            approx_distance=approx,
-            tool_frame=cmd.tool_frame,
-            base_frame=cmd.base_frame,
-            force_setpoint=cmd.force_setpoint,
-            joint_target=cmd.motion_type is MotionType.PTP_JOINT,
-        )
-    )
-    return records
+    return images
 
 
 def explode_plan(motions) -> list[MotionRecord]:
-    """Explode a motion sequence with consecutive 1-based record indices."""
-    out: list[MotionRecord] = []
-    for m in motions:
-        out.extend(explode_motion(m, len(out) + 1))
-    return out
+    """The records of a motion sequence as the wire delivers them: the
+    decoded images of ``encode_plan``."""
+    return [decode_record(b) for b in encode_plan(motions)]
 
 
 _ZERO_SLOT = bytes(RECORD_SIZE)
@@ -474,9 +471,7 @@ def pack_feedback_frame(
 ) -> bytes:
     """Encode feedback fields that already lie in their ranges, as a
     ``FeedbackFrame`` holds them; only the pose is checked here."""
-    for v in pose:
-        if not math.isfinite(v) or abs(v) > 3.4028235e38:
-            raise UnencodableValue(f"pose component {v!r} not representable as f32")
+    _check_f32(pose, "pose component")
     buf = bytearray(FRAME_SIZE)
     _FEEDBACK_FMT.pack_into(buf, 0, state, error_code, cur_exec, acked_seq, *pose)
     # bytes 32..35 reserved zero, rest padding

@@ -19,6 +19,7 @@ from skillbench.wire import (
     decode_command_frame,
     decode_feedback_frame,
     decode_record,
+    encode_record,
     slot_for_record,
 )
 
@@ -117,6 +118,11 @@ def drive(program, executor, monitor=None, plc_us=1000, robot_us=4000,
 def consumed(executor):
     """Captured record flow minus timing: (first_record, n_records, target)."""
     return [(first, n, target) for first, n, target, _dur in executor.executed]
+
+
+def images(records):
+    """The 44-byte images of ``records``: a skill as the PLC holds it."""
+    return [encode_record(r) for r in records]
 
 
 def native_baseline(plans, initial_pose=ORIGIN.components()):

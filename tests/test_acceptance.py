@@ -27,7 +27,7 @@ from skillbench.core import (
     ExecutionType,
     MotionCommand,
     Pose,
-    corner_angle,
+    turn_angle,
 )
 from skillbench.fieldbus_sim import SimConfig, run
 from skillbench.plc_trigger import ContinuousMotionProgram, PlcSkillInstance
@@ -256,7 +256,8 @@ def test_criterion_5_scenario_plan_shape():
     for chain in chains:
         for i in range(1, len(chain) - 1):
             if chain[i].z == SETUP_A.carrier_height:
-                assert corner_angle(chain[i - 1], chain[i], chain[i + 1]) <= 1e-9
+                p, c, n = (chain[k].position for k in (i - 1, i, i + 1))
+                assert p != c != n and turn_angle(p, c, n) <= 1e-9
                 junctions += 1
     assert junctions == 4
 

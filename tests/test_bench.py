@@ -310,6 +310,15 @@ class TestCli:
         assert main(["run", "--setup", "/no/such/file"]) == 2
         assert "skillbench:" in capsys.readouterr().err
 
+    def test_unencodable_scenario_is_a_run_failure(self, tmp_path, capsys):
+        # finite, but beyond the f32 range of the wire's velocity field
+        scen = tmp_path / "fast.scenario"
+        text = serialize_scenario(SETUP_A)
+        scen.write_text(text.replace("lin_velocity=250.0", "lin_velocity=1e39"))
+        assert main(["run", "--setup", str(scen), "--reps", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("skillbench: ") and "f32" in err[0]
+
     def test_bad_reps_is_usage_error(self, capsys):
         assert main(["run", "--reps", "0"]) == 3
 

@@ -8,14 +8,12 @@ import hypothesis.strategies as st
 
 from skillbench.core import (
     ContinuousSkillPlan,
-    DegenerateSegment,
     JointTarget,
     MotionCommand,
     MotionType,
     PathLabel,
     Pose,
-    corner_angle,
-    pose_distance,
+    turn_angle,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -151,44 +149,23 @@ class TestContinuousSkillPlan:
 
 
 class TestGeometry:
-    def test_pose_distance_ignores_orientation(self):
-        assert pose_distance(Pose(0, 0, 0, 90), Pose(3, 4, 0, -90)) == 5.0
-
-    def test_corner_angle_basics(self):
-        o = Pose(0, 0, 0)
-        assert corner_angle(o, Pose(1, 0, 0), Pose(2, 0, 0)) == 0.0
-        assert corner_angle(o, Pose(1, 0, 0), Pose(1, 1, 0)) == pytest.approx(
-            math.pi / 2, abs=1e-15
-        )
-        assert corner_angle(o, Pose(1, 0, 0), Pose(0, 0, 0)) == pytest.approx(
-            math.pi, abs=1e-15
-        )
-
-    def test_corner_angle_rejects_degenerate(self):
-        with pytest.raises(DegenerateSegment):
-            corner_angle(Pose(0, 0, 0), Pose(0, 0, 0), Pose(1, 0, 0))
-        with pytest.raises(DegenerateSegment):
-            corner_angle(Pose(0, 0, 0), Pose(1, 0, 0), Pose(1, 0, 0))
+    def test_turn_angle_basics(self):
+        o = (0, 0, 0)
+        assert turn_angle(o, (1, 0, 0), (2, 0, 0)) == 0.0
+        assert turn_angle(o, (1, 0, 0), (1, 1, 0)) == pytest.approx(math.pi / 2, abs=1e-15)
+        assert turn_angle(o, (1, 0, 0), (0, 0, 0)) == pytest.approx(math.pi, abs=1e-15)
 
     @given(
         st.tuples(*[st.floats(-100, 100) for _ in range(9)]),
     )
-    def test_corner_angle_range(self, coords):
-        p = Pose(*coords[0:3])
-        c = Pose(*coords[3:6])
-        n = Pose(*coords[6:9])
-        try:
-            angle = corner_angle(p, c, n)
-        except DegenerateSegment:
-            return
+    def test_turn_angle_range(self, coords):
+        angle = turn_angle(coords[0:3], coords[3:6], coords[6:9])
         assert 0.0 <= angle <= math.pi
 
-    def test_corner_angle_well_conditioned_near_collinear(self):
+    def test_turn_angle_well_conditioned_near_collinear(self):
         # a 1e-8 rad kink must not vanish into rounding
         kink = 1e-8
-        angle = corner_angle(
-            Pose(0, 0, 0), Pose(100, 0, 0), Pose(200, 100 * math.tan(kink), 0)
-        )
+        angle = turn_angle((0, 0, 0), (100, 0, 0), (200, 100 * math.tan(kink), 0))
         assert angle == pytest.approx(kink, rel=1e-6)
 
 

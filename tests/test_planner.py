@@ -14,7 +14,7 @@ from skillbench.core import (
     MotionType,
     PathLabel,
     Pose,
-    corner_angle,
+    turn_angle,
 )
 from skillbench.planner import (
     EmptyProcess,
@@ -45,6 +45,13 @@ PICK_TOP = Pose(100.0, 0.0, 80.0)
 PICK = Pose(100.0, 0.0, 30.0)
 PLACE_TOP = Pose(300.0, 200.0, 80.0)
 PLACE = Pose(300.0, 200.0, 30.0)
+
+
+def collinear(p: Pose, c: Pose, n: Pose) -> bool:
+    """``c`` passes straight from ``p`` on to ``n``, both segments non-empty."""
+    return p.position != c.position != n.position and turn_angle(
+        p.position, c.position, n.position
+    ) <= 1e-9
 
 
 def pick_place_steps():
@@ -162,7 +169,7 @@ class TestPrePostMovements:
         assert pre.start == Pose(100.0, 0.0, 80.0 + CFG.pre_move_length)
         assert pre.command.target == PICK_TOP
         assert pre.command.approx_distance == 0.0
-        assert corner_angle(pre.start, PICK_TOP, PICK) <= 1e-9
+        assert collinear(pre.start, PICK_TOP, PICK)
 
     def test_post_after_standstill_bound_primary(self):
         out = add_pre_post_movements(self._items(), CFG)
@@ -173,7 +180,7 @@ class TestPrePostMovements:
         assert post.command.target == Pose(100.0, 0.0, 80.0 + CFG.post_move_length)
         assert post.command.approx_distance == CFG.default_approx
         assert post.label is PathLabel.BLENDING
-        assert corner_angle(PICK, PICK_TOP, post.command.target) <= 1e-9
+        assert collinear(PICK, PICK_TOP, post.command.target)
 
     def test_isolated_primary_untouched(self):
         step = ProcessStep(StepKind.PRIMARY_PATH, entry=P0, exit=PICK)
@@ -350,9 +357,9 @@ class TestFullPipeline:
         plans = plan(pick_place_steps(), CFG)
         wps = plan_waypoints(plans, P0)
         # descend: pre start -> entry -> pick must be one straight line
-        assert corner_angle(wps[0][1], wps[0][2], wps[0][3]) <= 1e-9
+        assert collinear(wps[0][1], wps[0][2], wps[0][3])
         # ascend out of the grip: pick -> entry -> post end straight as well
-        assert corner_angle(wps[1][0], wps[1][1], wps[1][2]) <= 1e-9
+        assert collinear(wps[1][0], wps[1][1], wps[1][2])
 
     def test_waypoint_chains_connect(self):
         plans = plan(pick_place_steps(), CFG)

@@ -39,6 +39,7 @@ from skillbench.wire import (
     CommandFrame,
     CommandWord,
     FeedbackFrame,
+    IDLE_COMMAND_BYTES,
     IDLE_FEEDBACK_BYTES,
     RobotState,
     UnencodableValue,
@@ -57,6 +58,7 @@ from stream_harness import (
     SlotMonitor,
     consumed,
     drive,
+    images,
     native_baseline,
     random_motions,
 )
@@ -109,7 +111,7 @@ class TestPlcSkillInstance:
 
     def test_start_loads_first_window(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(3))
+        plc.start_images(images(records(3)))
         assert plc.state is PlcSkillState.LOADING
         frame = decode_command_frame(plc.image)
         assert frame.command is CommandWord.START
@@ -118,19 +120,30 @@ class TestPlcSkillInstance:
 
     def test_start_caps_initial_load_at_slot_count(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(9))
+        plc.start_images(images(records(9)))
         frame = decode_command_frame(plc.image)
         assert (frame.record_count, frame.total_no, frame.loaded_through) == (5, 9, 5)
 
+    @pytest.mark.parametrize("length", [0, 43, 45])
+    def test_start_rejects_an_image_of_the_wrong_length(self, length):
+        # a record past the first window would otherwise reach a refill and
+        # change the frame length there
+        skill = images(records(9))
+        skill[6] = bytes(length)
+        plc = PlcSkillInstance()
+        with pytest.raises(ValueError, match=f"record 7 image is {length} bytes"):
+            plc.start_images(skill)
+        assert plc.state is PlcSkillState.IDLE and plc.image == IDLE_COMMAND_BYTES
+
     def test_start_while_busy_rejected(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(2))
+        plc.start_images(images(records(2)))
         with pytest.raises(BusySkill):
-            plc.start_records(records(2))
+            plc.start_images(images(records(2)))
 
     def test_refill_keeps_window_invariant(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(9))
+        plc.start_images(images(records(9)))
         img = plc.image
         plc.cycle(fb(RobotState.RUNNING, cur=1))
         assert plc.image is img  # loaded 5 == 1 + 4: nothing to stream yet
@@ -143,7 +156,7 @@ class TestPlcSkillInstance:
 
     def test_refill_handles_feedback_jumps(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(9))
+        plc.start_images(images(records(9)))
         plc.cycle(fb(RobotState.RUNNING, cur=5))
         frame = decode_command_frame(plc.image)
         assert frame.loaded_through == 9
@@ -151,14 +164,14 @@ class TestPlcSkillInstance:
 
     def test_feedback_regression_rejected(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(9))
+        plc.start_images(images(records(9)))
         plc.cycle(fb(RobotState.RUNNING, cur=4))
         with pytest.raises(FeedbackRegression):
             plc.cycle(fb(RobotState.RUNNING, cur=2))
 
     def test_done_idle_handshake(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(2))
+        plc.start_images(images(records(2)))
         plc.cycle(fb(RobotState.RUNNING, cur=1))
         plc.cycle(fb(RobotState.DONE, cur=2))
         assert plc.state is PlcSkillState.DONE
@@ -169,7 +182,7 @@ class TestPlcSkillInstance:
 
     def test_robot_error_walks_back_to_idle(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(2))
+        plc.start_images(images(records(2)))
         plc.cycle(fb(RobotState.ERROR, err=7))
         assert plc.state is PlcSkillState.ERROR
         assert plc.last_error == 7
@@ -185,7 +198,7 @@ class TestPlcSkillInstance:
 
     def test_abort_handshake(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(2))
+        plc.start_images(images(records(2)))
         plc.abort()
         assert plc.state is PlcSkillState.ABORTING
         assert decode_command_frame(plc.image).command is CommandWord.ABORT
@@ -211,7 +224,7 @@ class TestPlcSkillInstance:
         recs = explode_plan(random_motions(rng, rng.randint(1, 30)))
         total = len(recs)
         plc = PlcSkillInstance()
-        plc.start_records(recs)
+        plc.start_images(images(recs))
         seq, loaded, cur = 1, min(SLOT_COUNT, total), 0
         for step in steps:
             cur = min(total, cur + step)
@@ -318,7 +331,7 @@ class TestRobotExecutor:
 
     def test_acked_seq_mirrors_command_frame(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(2))
+        plc.start_images(images(records(2)))
         ex = RobotExecutor()
         fb_frame = decode_feedback_frame(ex.tick(0, plc.image))
         assert fb_frame.acked_seq == decode_command_frame(plc.image).frame_seq
@@ -358,7 +371,7 @@ class TestRobotExecutor:
 
     def test_record_seq_corruption_faults_with_code_1(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(3))
+        plc.start_images(images(records(3)))
         img = bytearray(plc.image)
         struct.pack_into("<H", img, 12 + 2, 99)  # slot 1 record_seq
         ex = RobotExecutor()
@@ -368,7 +381,7 @@ class TestRobotExecutor:
 
     def test_nonfinite_record_scalar_faults_with_code_1(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(3))
+        plc.start_images(images(records(3)))
         img = bytearray(plc.image)
         struct.pack_into("<f", img, 12 + 28, math.nan)  # slot 1 velocity
         ex = RobotExecutor()
@@ -378,7 +391,7 @@ class TestRobotExecutor:
 
     def test_error_recovery_handshake(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(3))
+        plc.start_images(images(records(3)))
         img = bytearray(plc.image)
         struct.pack_into("<H", img, 12 + 2, 99)
         ex = RobotExecutor()
@@ -391,7 +404,7 @@ class TestRobotExecutor:
         plc.cycle(f)
         assert plc.state is PlcSkillState.IDLE
         # both sides are reusable afterwards
-        plc.start_records(records(1))
+        plc.start_images(images(records(1)))
         f = decode_feedback_frame(ex.tick(8000, plc.image))
         assert f.state is RobotState.RUNNING
 
@@ -438,7 +451,7 @@ class TestRobotExecutor:
 
     def test_total_no_change_mid_skill_rejected(self):
         plc = PlcSkillInstance()
-        plc.start_records(records(9))
+        plc.start_images(images(records(9)))
         ex = RobotExecutor()
         ex.tick(0, plc.image)
         frame = decode_command_frame(plc.image)
@@ -450,7 +463,7 @@ class TestRobotExecutor:
 
     def test_zero_record_skill_handshake(self):
         plc = PlcSkillInstance()
-        plc.start_records([])
+        plc.start_images([])
         ex = RobotExecutor()
         f = decode_feedback_frame(ex.tick(0, plc.image))
         assert f.state is RobotState.DONE

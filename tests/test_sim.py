@@ -37,7 +37,7 @@ from skillbench.wire import (
     encode_feedback_frame,
     explode_plan,
 )
-from stream_harness import random_motions
+from stream_harness import images, random_motions
 
 
 def one_motion_plan(length=40.0, v=250.0):
@@ -188,7 +188,7 @@ class TestEndToEnd:
         ]
         records = explode_plan([moves[i % 7] for i in range(1, 65_541)])
         assert [r.record_seq for r in records[65_534:65_538]] == [65_535, 0, 1, 2]
-        program = _SequencedProgram([records])
+        program = _SequencedProgram([images(records)])
         executor = RobotExecutor(capture=True)
         run(program, executor, SimConfig(seed=1))
         assert executor.executed == [(i, 1, r.target, 0) for i, r in enumerate(records, 1)]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import random
+import re
 import struct
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from skillbench.core import JointTarget, MotionCommand, MotionType, Pose
+from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
+from skillbench.plc_trigger import ContinuousMotionProgram
+from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     FRAME_SIZE,
     HEADER_SIZE,
@@ -39,14 +43,15 @@ from skillbench.wire import (
     decode_record,
     encode_command_frame,
     encode_feedback_frame,
+    encode_plan,
     encode_record,
-    explode_motion,
     explode_plan,
     f32,
     pack_feedback_frame,
     slot_for_record,
     slot_image,
 )
+from stream_harness import random_motions
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,8 +142,11 @@ def test_record_seq_must_fit_u16():
 
 
 def test_record_rejects_nonfinite_floats():
-    with pytest.raises(UnencodableValue):
-        encode_record(sample_record(velocity=float("inf")))
+    for bad in (math.inf, -math.inf, math.nan, 3.5e38, -1e39):
+        with pytest.raises(UnencodableValue, match="not representable as f32"):
+            encode_record(sample_record(velocity=bad))
+        with pytest.raises(UnencodableValue, match="not representable as f32"):
+            encode_record(sample_record(target=(0.0, bad, 0.0, 0.0, 0.0, 0.0)))
 
 
 def test_decode_rejects_wrong_length():
@@ -211,11 +219,14 @@ def lin(x, y, z, approx=0.0):
 
 
 def test_explode_single_motion():
-    recs = explode_motion(lin(1.0, 2.0, 3.0, approx=5.0), seq_start=1)
-    assert len(recs) == 1
-    assert recs[0].record_seq == 1
-    assert recs[0].target[:3] == (1.0, 2.0, 3.0)
-    assert not recs[0].continuation
+    motion = lin(1.0, 2.0, 3.0, approx=5.0)
+    (image,) = encode_plan([motion])
+    (rec,) = explode_plan([motion])
+    assert decode_record(image) == rec
+    assert rec.record_seq == 1
+    assert rec.target[:3] == (1.0, 2.0, 3.0)
+    assert rec.approx_distance == 5.0
+    assert not rec.continuation and image[1] == 0
 
 
 def test_explode_circular_yields_continuation_pair():
@@ -226,11 +237,15 @@ def test_explode_circular_yields_continuation_pair():
         acceleration=1000.0,
         aux_point=(5.0, 5.0, 0.0),
     )
-    recs = explode_motion(circ, seq_start=4)
+    motions = [lin(1.0, 0.0, 0.0), lin(2.0, 0.0, 0.0), lin(3.0, 0.0, 0.0), circ]
+    images = encode_plan(motions)
+    recs = explode_plan(motions)[3:]
     assert [r.record_seq for r in recs] == [4, 5]
     assert recs[0].continuation and not recs[1].continuation
-    assert recs[0].target[:3] == (5.0, 5.0, 0.0)
+    assert [images[3][1], images[4][1]] == [0x02, 0x00]
+    assert recs[0].target == (5.0, 5.0, 0.0, 0.0, 0.0, 0.0)
     assert recs[1].target[:3] == (10.0, 0.0, 0.0)
+    assert {r.motion_type for r in recs} == {MotionType.CIRCULAR}
 
 
 def test_explode_joint_motion_sets_flag():
@@ -240,20 +255,96 @@ def test_explode_joint_motion_sets_flag():
         velocity=180.0,
         acceleration=720.0,
     )
-    (rec,) = explode_motion(ptp, seq_start=1)
-    assert rec.joint_target
+    (image,) = encode_plan([ptp])
+    (rec,) = explode_plan([ptp])
+    assert image[1] == 0x01 and rec.joint_target
     assert rec.target == (10.0, -20.0, 30.0, 0.0, 0.0, 0.0)
 
 
 def test_record_seq_wraps_modulo_65536():
-    (rec,) = explode_motion(lin(0.0, 0.0, 1.0), seq_start=0x10000)
-    assert rec.record_seq == 0
+    images = encode_plan([lin(0.0, 0.0, 1.0)] * 0x10001)
+    assert [struct.unpack_from("<H", b, 2)[0] for b in images[0xFFFE:]] == [0xFFFF, 0, 1]
 
 
 def test_explode_quantizes_to_f32():
-    (rec,) = explode_motion(lin(0.1, 0.2, 0.3), seq_start=1)
+    motion = lin(0.1, 0.2, 0.3)
+    (rec,) = explode_plan([motion])
     assert rec.target[:3] == (f32(0.1), f32(0.2), f32(0.3))
-    assert decode_record(encode_record(rec)) == rec
+    assert encode_plan([motion]) == [encode_record(rec)]
+
+
+@pytest.mark.parametrize(
+    "record, motion, message",
+    [
+        (
+            3,
+            MotionCommand(MotionType.LIN_CARTESIAN, Pose(3.0, 0.0, 0.0), 1e39, 2000.0),
+            "scalar 1e+39 not representable as f32",
+        ),
+        (3, lin(3.0, -4e38, 0.0), "scalar -4e+38 not representable as f32"),
+        (
+            7,
+            MotionCommand(
+                MotionType.LIN_FORCE, Pose(7.0, 0.0, 0.0), 250.0, 2000.0, force_setpoint=70000
+            ),
+            "force_setpoint 70000 does not fit u16",
+        ),
+    ],
+    ids=["velocity", "target", "force"],
+)
+def test_unencodable_plans_fail_before_start(record, motion, message):
+    motions = [lin(float(x), 0.0, 0.0) for x in range(1, 9)]
+    motions[record - 1] = motion
+    plan = ContinuousSkillPlan(motions)
+    with pytest.raises(UnencodableValue, match=re.escape(message)):
+        explode_plan(plan.motions)
+    for build in (ContinuousMotionProgram, NativeExecutor):
+        with pytest.raises(UnencodableValue, match=re.escape(message)):
+            build([plan])
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_plan_images_carry_the_motion_fields(seed):
+    """Every image of ``encode_plan`` round-trips through the record codec
+    and holds the fields of its motion, rounded to f32."""
+    rng = random.Random(seed)
+    motions = []
+    for m in random_motions(rng, rng.randint(1, 30)):
+        frames = dict(tool_frame=rng.randrange(256), base_frame=rng.randrange(256))
+        if m.motion_type is MotionType.LIN_CARTESIAN and rng.random() < 0.5:
+            frames.update(motion_type=MotionType.LIN_FORCE, force_setpoint=rng.randrange(0x10000))
+        motions.append(dataclasses.replace(m, **frames))
+    expected = []
+    for m in motions:
+        dynamics = (f32(m.velocity), f32(m.acceleration), f32(m.approx_distance))
+        frames = (m.tool_frame, m.base_frame)
+        if m.aux_point is not None:
+            aux = tuple(map(f32, m.aux_point)) + (0.0, 0.0, 0.0)
+            expected.append((m.motion_type, aux, *dynamics, *frames, 0, False, True))
+        target = tuple(map(f32, m.target.components()))
+        joint = isinstance(m.target, JointTarget)
+        expected.append((m.motion_type, target, *dynamics, *frames, m.force_setpoint, joint, False))
+    images = encode_plan(motions)
+    decoded = []
+    for seq, image in enumerate(images, 1):
+        rec = decode_record(image)
+        assert encode_record(rec) == image
+        assert rec.record_seq == seq
+        decoded.append(
+            (
+                rec.motion_type,
+                rec.target,
+                rec.velocity,
+                rec.acceleration,
+                rec.approx_distance,
+                rec.tool_frame,
+                rec.base_frame,
+                rec.force_setpoint,
+                rec.joint_target,
+                rec.continuation,
+            )
+        )
+    assert decoded == expected
 
 
 def test_explode_plan_numbers_consecutively():
