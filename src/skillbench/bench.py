@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import fmean
 
 from .core import ExecutionType, Pose
@@ -63,6 +63,9 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (self.carrier_height > 0 and math.isfinite(self.carrier_height)):
             raise ValueError("carrier_height must be positive")
+        for name in ("obstacle_height", "clearance_margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
 
     @property
     def fly_height(self) -> float:
@@ -260,15 +263,7 @@ def run_benchmark(
         samples = []
         for rep in range(reps):
             program, executor = _build_run(plans, pose, etype)
-            rep_cfg = SimConfig(
-                plc_cycle_us=sim.plc_cycle_us,
-                bus_cycle_us=sim.bus_cycle_us,
-                robot_cycle_us=sim.robot_cycle_us,
-                seed=seed,
-                rep=rep,
-                timeout_us=sim.timeout_us,
-            )
-            result = run(program, executor, rep_cfg)
+            result = run(program, executor, replace(sim, seed=seed, rep=rep))
             samples.append(program.elapsed_ms)
             report.last_trace = result.trace
         report.stats[etype] = EtypeStats(etype=etype, samples=tuple(samples))

@@ -25,10 +25,11 @@ activation tick.  Exit speeds are committed at activation time from the
 records visible at that moment and are never revised afterwards: when the
 successor record has not arrived yet, the motion plans a full stop (a
 starvation fallback), even if the record shows up before the motion ends.
-The visible Cartesian window is planned by ``trajectory.solve_corners``
-and its blend decisions are final.  Later activations reuse the plan until
-a record arrives that can change it, one that extends the window past its
-last exact stop, so a stored program is planned once per Cartesian run.
+Timing comes from ``trajectory`` (``corner_blend`` at ingest,
+``solve_corners`` over the visible Cartesian window, ``motion_time`` per
+motion), and a plan's blend decisions are final.  Later activations reuse
+the plan until a record arrives that extends the window past its last
+exact stop, so a stored program is planned once per Cartesian run.
 
 Between command changes a RUNNING executor only waits for the active
 motion to complete or, starved, counts hungry cycles towards its fault.
@@ -41,15 +42,7 @@ from __future__ import annotations
 
 import math
 
-from .core import turn_angle
-from .trajectory import (
-    SegmentSpec,
-    blend_fits,
-    blend_geometry,
-    ptp_time,
-    segment_time,
-    solve_corners,
-)
+from .trajectory import corner_blend, motion_time, ptp_time, solve_corners
 from .wire import (
     SLOT_COUNT,
     CommandHeader,
@@ -57,6 +50,7 @@ from .wire import (
     DecodeError,
     IDLE_FEEDBACK_BYTES,
     MalformedContinuation,
+    MalformedRecord,
     MotionRecord,
     RobotState,
     WireError,
@@ -82,10 +76,11 @@ class _MotionEngine:
     the one carrying the target and the dynamics.  The entry speed and entry
     truncation of the next motion are whatever the previous motion
     committed as its exit; both start at zero for a fresh skill.  Each
-    ingested motion adds its path length and the candidate blend at the
+    ingested motion adds its path length and the ``corner_blend`` of the
     corner it closes; an activation outside the stored plan solves the
     visible Cartesian window with ``solve_corners``, and a blend dropped
-    there stays dropped.
+    there stays dropped.  Each activation times its motion with
+    ``motion_time`` and rounds it up to whole µs.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
     engine's lifetime).
@@ -117,7 +112,11 @@ class _MotionEngine:
         """Add wire record ``idx`` (1-based) of the skill.  A continuation
         record waits for the target record that completes it, and the pair
         is one physical motion.  Raises MalformedContinuation when the next
-        record does not complete a continuation, or the skill ends on one."""
+        record does not complete a continuation, or the skill ends on one,
+        and MalformedRecord when its velocity or acceleration is not
+        positive or its approx distance is negative."""
+        if not (rec.velocity > 0.0 and rec.acceleration > 0.0 and rec.approx_distance >= 0.0):
+            raise MalformedRecord(f"record {idx}: dynamics out of range")
         aux = self._pending
         if aux is not None:
             if rec.continuation or rec.motion_type is not aux.motion_type:
@@ -142,36 +141,16 @@ class _MotionEngine:
             for q in legs:
                 length += math.dist(p, q)
                 prev, p = p, q
-            if self._motions and not self._motions[-1][0].joint_target:
-                self._corners[-1] = self._corner(rec, legs[0], length)
+            am = self._motions[-1][0] if self._motions else None
+            if am is not None and not am.joint_target:
+                self._corners[-1] = corner_blend(
+                    *self._approach, legs[0], am.approx_distance, self._lengths[-1], length,
+                    am.velocity, rec.velocity, am.acceleration, rec.acceleration,
+                )
             self._approach = (prev, p)
         self._motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
         self._lengths.append(length)
         self._corners.append(None)
-
-    def _corner(self, nxt: MotionRecord, next_pt, length: float):
-        """Candidate blend between the last ingested motion and ``nxt``,
-        whose first leg ends at ``next_pt``; None where a zero-length leg
-        meets the corner."""
-        am = self._motions[-1][0]
-        prev_pt, corner = self._approach
-        if (
-            self._lengths[-1] == 0.0
-            or length == 0.0
-            or math.dist(prev_pt, corner) == 0.0
-            or math.dist(corner, next_pt) == 0.0
-        ):
-            return None
-        angle = turn_angle(prev_pt, corner, next_pt)
-        if not blend_fits(angle, am.approx_distance, self._lengths[-1], length):
-            return None
-        return blend_geometry(
-            angle,
-            am.approx_distance,
-            am.velocity,
-            nxt.velocity,
-            min(am.acceleration, nxt.acceleration),
-        )
 
     def discard_motion(self):
         self._active = None
@@ -239,14 +218,13 @@ class _MotionEngine:
         first, _end, speeds, blends = self._plan
         exit_speed = speeds[k - first + 1]
         b = blends[k - first + 1]
-        exit_trunc = b.truncation if b is not None else 0.0
-        length = self._lengths[k] - self._entry_trunc - exit_trunc
-        dur = segment_time(
-            SegmentSpec(length, rec.velocity, rec.acceleration, self._entry_speed, exit_speed)
+        straight, arc = motion_time(
+            self._lengths[k], rec.velocity, rec.acceleration,
+            self._entry_speed, exit_speed, self._entry_trunc, b,
         )
-        if b is not None and b.arc_length > 0.0:
-            dur += b.arc_length / exit_speed
-        self._set_active(dur, motion, tuple(rec.target), self.joints, exit_speed, exit_trunc)
+        exit_trunc = b.truncation if b is not None else 0.0
+        end_pose = tuple(rec.target)
+        self._set_active(straight + arc, motion, end_pose, self.joints, exit_speed, exit_trunc)
 
     def advance(self, cycle_us: int) -> bool:
         """One robot cycle of execution.  False means starved: nothing ran

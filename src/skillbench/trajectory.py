@@ -7,11 +7,12 @@ continuous group are either exact stops (v=0), collinear pass-throughs, or
 circular arc blends tangent to both segments at ``approx_distance`` from the
 corner, traversed at constant speed.
 
-``solve_corners`` is the one corner-speed solver: given segment lengths,
-limits, candidate blends and a committed entry, it decides every corner
-speed and which blends survive.  ``plan_group_profile`` and the robot
-executor's motion engine both build their geometry and call it, so the
-profile of a group and its executed timing follow the same rules.
+One timing model, one function per decision: ``corner_blend`` proposes the
+blend of one corner (or an exact stop), ``solve_corners`` fixes the corner
+speeds of a chain and which blends survive, and ``motion_time`` gives one
+motion's straight and arc seconds.  ``plan_group_profile`` and the robot
+executor's motion engine both make these calls, so the profile of a group
+and its executed timing follow the same rules.
 """
 
 from __future__ import annotations
@@ -194,14 +195,33 @@ def _as_position(p):
     return (float(x), float(y), float(z))
 
 
-def blend_fits(angle: float, approx: float, len_in: float, len_out: float) -> bool:
-    """Whether a corner can blend: collinear corners always pass through;
-    others need an approx distance, a turn short of a reversal, and both
-    adjacent segments at least twice the truncation long."""
-    if angle <= COLLINEAR_EPS:
-        return True
-    fits = angle < math.pi - _REVERSAL_EPS and min(len_in, len_out) >= 2.0 * approx
-    return approx > 0.0 and fits
+def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out, a_in, a_out):
+    """Candidate blend where a motion (length ``len_in``, limits ``v_in`` and
+    ``a_in``, ``approx``) meets the next (``len_out``, ``v_out``, ``a_out``)
+    on the legs ``prev_pt`` -> ``corner`` -> ``next_pt``; None for an exact
+    stop.  Collinear corners pass through.  Other corners blend when they
+    have an approx distance, turn short of a reversal, and both motions are
+    at least twice the truncation long; a zero-length leg stops."""
+    if math.dist(prev_pt, corner) == 0.0 or math.dist(corner, next_pt) == 0.0:
+        return None
+    angle = turn_angle(prev_pt, corner, next_pt)
+    if angle > COLLINEAR_EPS and not (
+        approx > 0.0 and angle < math.pi - _REVERSAL_EPS and min(len_in, len_out) >= 2.0 * approx
+    ):
+        return None
+    return blend_geometry(angle, approx, v_in, v_out, min(a_in, a_out))
+
+
+def motion_time(length, v_max, accel, v_in, v_out, trunc_in, blend_out):
+    """``(straight, arc)`` seconds of one motion of path length ``length``,
+    entered at ``v_in`` with ``trunc_in`` already cut off by the blend
+    behind it, and left at ``v_out`` through ``blend_out`` (None for an
+    exact stop), whose truncation it also loses and whose arc it runs."""
+    if blend_out is None:
+        return _segment_time(length - trunc_in, v_max, accel, v_in, v_out), 0.0
+    straight = _segment_time(length - trunc_in - blend_out.truncation, v_max, accel, v_in, v_out)
+    arc = blend_out.arc_length
+    return straight, arc / v_out if arc > 0.0 else 0.0
 
 
 def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=0.0):
@@ -310,9 +330,9 @@ def plan_group_profile(
     followed by every motion target.  With blending disabled every waypoint
     is an exact stop.  With blending enabled, each interior corner uses the
     approx distance of the motion ending there.  Corners degrade to exact
-    stops (never raise) when the blend does not fit (``blend_fits``) or when
-    ``solve_corners`` finds it forced to zero speed or losing time, as sharp
-    corners with small radii and slow arcs do.  Blending is then never
+    stops (never raise) when the blend does not fit (``corner_blend``) or
+    when ``solve_corners`` finds it forced to zero speed or losing time, as
+    sharp corners with small radii and slow arcs do.  Blending is then never
     slower than stopping everywhere.
     """
     motions = plan.motions
@@ -330,37 +350,32 @@ def plan_group_profile(
     # corner i sits at waypoint i, between segments i-1 and i, and uses the
     # approx distance of the motion that ends there
     blends: list[BlendGeometry | None] = [None] * (n + 1)
-    requested = []
     if blending_enabled:
         for i in range(1, n):
-            approx = motions[i - 1].approx_distance
-            angle = turn_angle(pts[i - 1], pts[i], pts[i + 1])
-            if angle > COLLINEAR_EPS and approx > 0.0:
-                requested.append(i)
-            if blend_fits(angle, approx, lengths[i - 1], lengths[i]):
-                blends[i] = blend_geometry(
-                    angle, approx, vmaxes[i - 1], vmaxes[i], min(accels[i - 1], accels[i])
-                )
+            blends[i] = corner_blend(
+                pts[i - 1], pts[i], pts[i + 1], motions[i - 1].approx_distance,
+                lengths[i - 1], lengths[i], vmaxes[i - 1], vmaxes[i], accels[i - 1], accels[i],
+            )
     speeds, blends = solve_corners(lengths, vmaxes, accels, blends)
 
-    trunc = [b.truncation if b is not None else 0.0 for b in blends]
-    seg_t = tuple(
-        _segment_time(
-            lengths[i] - trunc[i] - trunc[i + 1], vmaxes[i], accels[i], speeds[i], speeds[i + 1]
+    times = [
+        motion_time(
+            lengths[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1],
+            blends[i].truncation if blends[i] is not None else 0.0, blends[i + 1],
         )
         for i in range(n)
-    )
-    blend_t = tuple(
-        blends[i].arc_length / speeds[i]
-        if blends[i] is not None and blends[i].arc_length > 0.0
-        else 0.0
-        for i in range(1, n)
-    )
+    ]
+    seg_t, arc_t = zip(*times)
+    blend_t = arc_t[:-1]  # the last motion ends in an exact stop
     return GroupProfile(
         segment_durations=seg_t,
         blend_durations=blend_t,
         corner_speeds=tuple(speeds),
         total_time=sum(seg_t) + sum(blend_t),
         max_path_deviation=max((b.deviation for b in blends if b is not None), default=0.0),
-        degraded_corners=tuple(i for i in requested if blends[i] is None),
+        degraded_corners=tuple(
+            i
+            for i in range(1, n)
+            if blending_enabled and blends[i] is None and motions[i - 1].approx_distance > 0.0
+        ),
     )

@@ -150,6 +150,10 @@ class TestScenario:
             parse_scenario("unknown_field=3\n")
         with pytest.raises(ValueError):
             parse_scenario("pick=1,2,3\n")
+        for name in ("obstacle_height", "clearance_margin"):
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match=name):
+                    parse_scenario(f"{name}={value}\n")
 
 
 # --- measurement -------------------------------------------------------------------
@@ -311,13 +315,21 @@ class TestCli:
         assert "skillbench:" in capsys.readouterr().err
 
     def test_unencodable_scenario_is_a_run_failure(self, tmp_path, capsys):
-        # finite, but beyond the f32 range of the wire's velocity field
-        scen = tmp_path / "fast.scenario"
         text = serialize_scenario(SETUP_A)
-        scen.write_text(text.replace("lin_velocity=250.0", "lin_velocity=1e39"))
-        assert main(["run", "--setup", str(scen), "--reps", "1"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("skillbench: ") and "f32" in err[0]
+        for old, new, reason in (
+            # finite, but beyond the f32 range of the wire's velocity field
+            ("lin_velocity=250.0", "lin_velocity=1e39", "f32"),
+            # not finite: a nan obstacle would silently plan no clearance
+            ("obstacle_height=60.0", "obstacle_height=nan", "obstacle_height"),
+            ("obstacle_height=60.0", "obstacle_height=inf", "obstacle_height"),
+            ("clearance_margin=20.0", "clearance_margin=nan", "clearance_margin"),
+            ("clearance_margin=20.0", "clearance_margin=inf", "clearance_margin"),
+        ):
+            scen = tmp_path / "bad.scenario"
+            scen.write_text(text.replace(old, new))
+            assert main(["run", "--setup", str(scen), "--reps", "1"]) == 2, new
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("skillbench: ") and reason in err[0]
 
     def test_bad_reps_is_usage_error(self, capsys):
         assert main(["run", "--reps", "0"]) == 3

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from skillbench.core import ContinuousSkillPlan, MotionCommand, MotionType, Pose
+from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
 from skillbench.bench import SETUP_A, build_plans
 from skillbench.plc_trigger import (
     BusySkill,
@@ -389,6 +389,36 @@ class TestRobotExecutor:
         assert f.state is RobotState.ERROR
         assert f.error_code == ERROR_RECORD
 
+    @pytest.mark.parametrize(
+        "kind, offset, value",
+        [
+            ("lin", 28, 0.0),
+            ("lin", 28, -5.0),
+            ("lin", 32, 0.0),
+            ("lin", 32, -1.0),
+            ("lin", 36, -1.0),
+            ("joint", 28, 0.0),
+        ],
+        ids=["v0", "v-5", "a0", "a-1", "approx-1", "joint-v0"],
+    )
+    def test_nonpositive_record_dynamics_fault_with_code_1(self, kind, offset, value):
+        # slot 1 holds record 1, whose velocity, acceleration and approx
+        # distance sit at bytes 28, 32 and 36 of the record
+        if kind == "lin":
+            motions = [lin(10.0), lin(10.0, 10.0), lin(20.0, 10.0)]
+        else:
+            motions = [MotionCommand(MotionType.PTP_JOINT, JointTarget(90.0), 180.0, 720.0)]
+        plc = PlcSkillInstance()
+        plc.start_images(images(explode_plan(motions)))
+        img = bytearray(plc.image)
+        struct.pack_into("<f", img, 12 + offset, value)
+        ex = RobotExecutor()
+        f = decode_feedback_frame(ex.tick(0, bytes(img)))
+        assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD)
+        idle = encode_command_frame(CommandFrame(frame_seq=9))
+        f = decode_feedback_frame(ex.tick(4000, idle))
+        assert (f.state, f.error_code) == (RobotState.IDLE, 0)
+
     def test_error_recovery_handshake(self):
         plc = PlcSkillInstance()
         plc.start_images(images(records(3)))
@@ -691,6 +721,17 @@ def test_a_quiescent_tick_repeated_changes_nothing(case):
     assert len(checked) >= 10
 
 
+def motion_us(executor):
+    """Executed motion time, in µs, summed over the run."""
+    return sum(dur for _first, _n, _target, dur in executor.executed)
+
+
+def exact_stops_us(plan):
+    """Motion time of ``plan`` run natively with an exact stop at every corner."""
+    motions = tuple(replace(m, approx_distance=0.0) for m in plan.motions)
+    return motion_us(native_baseline([ContinuousSkillPlan(motions)]))
+
+
 def stream_vs_handoff(seed, total_range=(1, 25)):
     rng = random.Random(seed)
     total = rng.randint(*total_range)
@@ -702,6 +743,7 @@ def stream_vs_handoff(seed, total_range=(1, 25)):
     native = native_baseline([plan])
     assert consumed(ex) == consumed(native)
     assert ex.pose == native.pose
+    assert motion_us(native) <= motion_us(ex) <= exact_stops_us(plan)
     assert decode_command_frame(program.plc.image).command is CommandWord.IDLE
 
 
@@ -728,5 +770,6 @@ def test_slow_plc_cycle_starves_but_stays_correct():
         native = native_baseline([plan])
         assert consumed(ex) == consumed(native)
         assert ex.pose == native.pose
+        assert motion_us(native) <= motion_us(ex) <= exact_stops_us(plan)
         if plan.record_count > SLOT_COUNT:
             assert ex.fallback_stops > 0

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.integrate import quad
 
-from skillbench import robot_executor
+from skillbench import robot_executor, trajectory
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
 from skillbench.robot_executor import NativeExecutor
 from skillbench.trajectory import (
@@ -547,26 +547,32 @@ def run_native(plans):
 
 
 def group_durations_us(ex, plans):
-    """Sum of executed durations per plan, in order."""
+    """Executed durations per plan, in order, one list of µs per plan."""
     out, i = [], 0
     for plan in plans:
         n = len(plan.motions)
-        out.append(sum(dur for _first, _n, _target, dur in ex.executed[i : i + n]))
+        out.append([dur for _first, _n, _target, dur in ex.executed[i : i + n]])
         i += n
     return out
 
 
 def test_executed_groups_match_the_profile():
-    """Back-to-back groups in one native window: each group's executed time
-    equals its profile time, up to rounding each motion to whole µs."""
+    """Back-to-back groups in one native window: every executed motion takes
+    exactly its profile time (straight plus arc), rounded up to whole µs as
+    the engine does."""
     rng = random.Random(0xE1EC)
     for _ in range(400):
         plans, starts = chained_groups(rng, rng.randint(1, 3))
         executed = group_durations_us(run_native(plans), plans)
         for plan, start, got in zip(plans, starts, executed):
             wps = [start] + [m.target for m in plan.motions]
-            want = math.ceil(plan_group_profile(plan, wps).total_time * 1e6)
-            assert abs(got - want) <= len(plan.motions), (got, want)
+            profile = plan_group_profile(plan, wps)
+            arcs = (*profile.blend_durations, 0.0)
+            want = [
+                max(0, math.ceil((seg + arc) * 1e6 - 1e-12))
+                for seg, arc in zip(profile.segment_durations, arcs)
+            ]
+            assert got == want
 
 
 def test_executor_blending_never_slower_than_stopping():
@@ -579,8 +585,8 @@ def test_executor_blending_never_slower_than_stopping():
             ContinuousSkillPlan(tuple(replace(m, approx_distance=0.0) for m in p.motions))
             for p in plans
         ]
-        blended = group_durations_us(run_native(plans), plans)
-        stopped = group_durations_us(run_native(stopping), stopping)
+        blended = map(sum, group_durations_us(run_native(plans), plans))
+        stopped = map(sum, group_durations_us(run_native(stopping), stopping))
         for plan, b, s in zip(plans, blended, stopped):
             assert b <= s + len(plan.motions), (b, s)
 
@@ -602,7 +608,7 @@ def test_native_program_solves_each_cartesian_run_once(monkeypatch):
         robot_executor, "solve_corners", counted("solve", robot_executor.solve_corners)
     )
     monkeypatch.setattr(
-        robot_executor, "blend_geometry", counted("blend", robot_executor.blend_geometry)
+        trajectory, "blend_geometry", counted("blend", trajectory.blend_geometry)
     )
     rng = random.Random(0x200)
     motions, pos = [], np.zeros(3)
