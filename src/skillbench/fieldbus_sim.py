@@ -12,15 +12,18 @@ robot.  Each repetition draws one random phase offset per task (uniform
 over the task's cycle, quantized to microseconds) from a seed derived from
 (seed, rep); everything else is exact, so a run is reproducible bit for bit.
 
-Frames travel as immutable ``bytes`` objects, and every receiver compares
-by object identity before decoding.  The trace names each frame by the
-first 12 hex digits of its SHA-256, computed once when the frame is
-published: a delivery hands over that very object, so its trace line
-reuses the hash.  The loop is event driven: a task runs
-only at the grid points where one of its inputs changed or a wakeup it
-asked for is due, and the run is the one that ticking every task at every
-point of its grid would produce, trace line for trace line.  That rests on
-what the program and executor report:
+Frames travel as immutable ``bytes`` objects (``run`` raises TypeError at
+publish for anything else), and every receiver compares by object identity
+before decoding.  A published frame is decoded once at publish, so a
+malformed one raises at the tick that published it.  The trace names each
+frame by the first 12 hex digits of its SHA-256, but the run does neither
+hash nor format: its trace holds each published frame by reference, with
+the fields decoded at publish, and a delivery holds that very object.
+Lines are made when the trace is read, hashing each distinct frame once.
+The loop is event driven: a task runs only at the grid points where one of
+its inputs changed or a wakeup it asked for is due, and the run is the one
+that ticking every task at every point of its grid would produce, trace
+line for trace line.  That rests on what the program and executor report:
 
 * after ``plc_tick``, a true ``program.quiescent`` means another tick with
   the same feedback bytes would change nothing, its time argument feeding
@@ -41,10 +44,13 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .wire import (
     IDLE_COMMAND_BYTES,
     IDLE_FEEDBACK_BYTES,
+    CommandHeader,
+    FeedbackFrame,
     decode_command_header,
     decode_feedback_frame,
 )
@@ -83,24 +89,65 @@ def _hash12(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     t_us: int
     source: str
     kind: str
     detail: str
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTrace:
-    events: list = field(default_factory=list)
+    """The events of one run, compared by content.
+
+    ``log`` holds one ``(t_us, source, kind, detail, frame)`` tuple per event.
+    ``frame`` is None for a text event, whose ``detail`` is its text.  A frame
+    event holds the published ``bytes`` object itself; its ``detail`` is the
+    decoded header (``cmd``), the decoded frame (``fb``) or None (a delivery,
+    named by the hash alone).  Detail texts are made when the trace is read,
+    each once, hashing each distinct frame once; the log keeps every frame
+    alive, so frames are told apart by ``id``.
+    """
+
+    log: list = field(default_factory=list)
+    _details: list = field(default_factory=list, init=False, repr=False)
+    _hashes: dict = field(default_factory=dict, init=False, repr=False)
 
     def add(self, t_us: int, source: str, kind: str, detail: str):
-        self.events.append(TraceEvent(t_us, source, kind, detail))
+        self.log.append((t_us, source, kind, detail, None))
+
+    def _detail_texts(self) -> list[str]:
+        details, hashes = self._details, self._hashes
+        for _, _, kind, detail, frame in self.log[len(details) :]:
+            if frame is not None:
+                digest = hashes.get(id(frame))
+                if digest is None:
+                    digest = hashes[id(frame)] = _hash12(frame)
+                if detail is None:
+                    detail = digest
+                elif kind == "cmd":
+                    detail = _cmd_summary(detail, digest)
+                else:
+                    detail = _fb_summary(detail, digest)
+            details.append(detail)
+        return details
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        return [
+            TraceEvent(t_us, source, kind, detail)
+            for (t_us, source, kind, _, _), detail in zip(self.log, self._detail_texts())
+        ]
+
+    def __eq__(self, other):
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return self.events == other.events
 
     def export_text(self) -> str:
         lines = [
-            f"{e.t_us:>12} {e.source:<5} {e.kind:<12} {e.detail}" for e in self.events
+            f"{t_us:>12} {source:<5} {kind:<12} {detail}"
+            for (t_us, source, kind, _, _), detail in zip(self.log, self._detail_texts())
         ]
         return "\n".join(lines) + "\n"
 
@@ -114,15 +161,16 @@ class SimResult:
     finished_at_us: int
 
 
-def _cmd_summary(data: bytes, digest: str) -> str:
-    """Trace text of a published command image whose ``_hash12`` is ``digest``."""
-    word, count, total, loaded, seq = decode_command_header(data)
+def _cmd_summary(header: CommandHeader, digest: str) -> str:
+    """Trace text of a published command image: its decoded header and its
+    ``_hash12``."""
+    word, count, total, loaded, seq = header
     return f"word={word.name} count={count} total={total} loaded={loaded} seq={seq} {digest}"
 
 
-def _fb_summary(data: bytes, digest: str) -> str:
-    """Trace text of a published feedback image whose ``_hash12`` is ``digest``."""
-    f = decode_feedback_frame(data)
+def _fb_summary(f: FeedbackFrame, digest: str) -> str:
+    """Trace text of a published feedback image: its decoded frame and its
+    ``_hash12``."""
     return f"state={f.state.name} cur={f.cur_exec} err={f.error_code} {digest}"
 
 
@@ -145,9 +193,10 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     supplies ``tick(t_us, cmd_bytes) -> bytes``.  Both are called through
     the instance at each grid point where their task is due, and may report
     ``quiescent`` and ``next_wakeup``/``skip_cycles`` (module docstring) to
-    be ticked less often.  Raises SimTimeout at the first grid point of any
-    task after ``timeout_us`` and lets program/executor exceptions propagate
-    after recording them.
+    be ticked less often.  Both must return ``bytes``; anything else raises
+    TypeError when it is published.  Raises SimTimeout at the first grid
+    point of any task after ``timeout_us`` and lets program/executor
+    exceptions propagate after recording them.
     """
     plc_cycle, bus_cycle, robot_cycle = (
         config.plc_cycle_us,
@@ -170,13 +219,11 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
 
     trace = SimTrace()
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
+    log = trace.log.append
 
-    # published images with their hashes, and delivered images, all by
-    # reference; a hash is set whenever its image is published, and the
-    # idle images are never delivered
+    # published and delivered images, all by reference
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
-    plc_hash = robot_hash = None
     cmd_at_robot = IDLE_COMMAND_BYTES
     fb_at_plc = IDLE_FEEDBACK_BYTES
 
@@ -200,8 +247,12 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 trace.add(t, "plc", "error", f"{type(e).__name__}: {e}")
                 raise
             if out is not plc_out:
-                plc_out, plc_hash = out, _hash12(out)
-                trace.add(t, "plc", "cmd", _cmd_summary(out, plc_hash))
+                if not isinstance(out, bytes):
+                    raise TypeError(
+                        f"program.plc_tick returned {type(out).__name__}, not bytes"
+                    )
+                log((t, "plc", "cmd", decode_command_header(out), out))
+                plc_out = out
                 bus_due = min(bus_due, _at_or_after(t, phase_bus, bus_cycle))
             if program.t_start_us == t:
                 trace.add(t, "plc", "measure", "start")
@@ -215,11 +266,11 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:
                 cmd_at_robot = plc_out
-                trace.add(t, "bus", "cmd_deliver", plc_hash)
+                log((t, "bus", "cmd_deliver", None, plc_out))
                 robot_due = min(robot_due, _at_or_after(t, phase_robot, robot_cycle))
             if robot_out is not fb_at_plc:
                 fb_at_plc = robot_out
-                trace.add(t, "bus", "fb_deliver", robot_hash)
+                log((t, "bus", "fb_deliver", None, robot_out))
                 plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
             bus_due = _NEVER
         if robot_due == t:
@@ -233,8 +284,12 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 trace.add(t, "robot", "error", f"{type(e).__name__}: {e}")
                 raise
             if out is not robot_out:
-                robot_out, robot_hash = out, _hash12(out)
-                trace.add(t, "robot", "fb", _fb_summary(out, robot_hash))
+                if not isinstance(out, bytes):
+                    raise TypeError(
+                        f"executor.tick returned {type(out).__name__}, not bytes"
+                    )
+                log((t, "robot", "fb", decode_feedback_frame(out), out))
+                robot_out = out
                 bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
             wake = next_wakeup()
             robot_due = _NEVER if wake is None else t + wake * robot_cycle

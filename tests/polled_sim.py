@@ -4,9 +4,10 @@ This is the loop ``fieldbus_sim.run`` replaced.  It ticks the PLC, the bus
 and the robot at each of their grid points whether or not an input changed,
 so it needs no wakeup or quiescence reports from the program or executor.
 The differential tests require ``run`` to reproduce its trace, result and
-exceptions exactly.  It hashes every published and every delivered frame
-on its own, so the comparison also checks that ``run`` reuses the right
-hash at delivery.
+exceptions exactly.  It hashes and formats every published and every
+delivered frame as it goes, through ``SimTrace.add``, so the comparison
+also checks that the lazy trace of ``run`` names each delivery by the
+right frame.
 """
 
 import random
@@ -20,7 +21,12 @@ from skillbench.fieldbus_sim import (
     _hash12,
     rep_seed,
 )
-from skillbench.wire import IDLE_COMMAND_BYTES, IDLE_FEEDBACK_BYTES
+from skillbench.wire import (
+    IDLE_COMMAND_BYTES,
+    IDLE_FEEDBACK_BYTES,
+    decode_command_header,
+    decode_feedback_frame,
+)
 
 
 def run_polled(program, executor, config):
@@ -57,7 +63,7 @@ def run_polled(program, executor, config):
                 raise
             if out is not plc_out:
                 plc_out = out
-                trace.add(t, "plc", "cmd", _cmd_summary(out, _hash12(out)))
+                trace.add(t, "plc", "cmd", _cmd_summary(decode_command_header(out), _hash12(out)))
             if program.t_start_us == t:
                 trace.add(t, "plc", "measure", "start")
             if program.t_end_us == t:
@@ -84,7 +90,7 @@ def run_polled(program, executor, config):
                 raise
             if out is not robot_out:
                 robot_out = out
-                trace.add(t, "robot", "fb", _fb_summary(out, _hash12(out)))
+                trace.add(t, "robot", "fb", _fb_summary(decode_feedback_frame(out), _hash12(out)))
             next_robot += config.robot_cycle_us
 
     return SimResult(trace=trace, finished_at_us=finished_at)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import os
 import subprocess
@@ -32,6 +33,12 @@ from skillbench.cli import main
 from skillbench.core import ExecutionType, Pose
 from skillbench.fieldbus_sim import SimConfig
 from skillbench.planner import StepKind
+
+
+# SimTrace.digest() of the last CM repetition of run_benchmark(setup, reps=25,
+# seed=0): repetition 24 of seed 0
+LAST_TRACE_DIGEST_A = "e7e5ff2ab1704926eaf0c6b3a761e45e82eb9cdfd416a31832828002421e2b9d"
+LAST_TRACE_DIGEST_B = "595138138148bcb830af98d30eae2d28b3ce2597ac5d724b0e769f7ebf0452c9"
 
 
 # --- statistics -----------------------------------------------------------------
@@ -214,16 +221,8 @@ class TestBenchmark:
     @pytest.mark.parametrize(
         "cfg, aets, digest",
         [
-            (
-                SETUP_A,
-                (5091.4, 5971.4, 5107.4),
-                "e7e5ff2ab1704926eaf0c6b3a761e45e82eb9cdfd416a31832828002421e2b9d",
-            ),
-            (
-                SETUP_B,
-                (6443.4, 7547.4, 6459.4),
-                "595138138148bcb830af98d30eae2d28b3ce2597ac5d724b0e769f7ebf0452c9",
-            ),
+            (SETUP_A, (5091.4, 5971.4, 5107.4), LAST_TRACE_DIGEST_A),
+            (SETUP_B, (6443.4, 7547.4, 6459.4), LAST_TRACE_DIGEST_B),
         ],
     )
     def test_reported_numbers_are_pinned(self, cfg, aets, digest):
@@ -297,7 +296,9 @@ class TestCli:
                 "--etype",
                 "cm",
                 "--reps",
-                "2",
+                "25",
+                "--seed",
+                "0",
                 "--raw",
                 str(raw),
                 "--trace",
@@ -307,8 +308,9 @@ class TestCli:
         assert rc == 0
         assert "setup x" in capsys.readouterr().out
         rows = list(csv.reader(io.StringIO(raw.read_text())))
-        assert len(rows) == 3 and rows[0][0] == "setup"
-        assert "phases" in trace.read_text()
+        assert len(rows) == 26 and rows[0][0] == "setup"
+        # setup A under another name: the file is the pinned last trace
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == LAST_TRACE_DIGEST_A
 
     def test_missing_scenario_file_is_a_run_failure(self, capsys):
         assert main(["run", "--setup", "/no/such/file"]) == 2

@@ -1,10 +1,12 @@
 """Co-simulation scheduler: phase draws, determinism, trace economy, and
 the event-driven loop against the polled reference loop."""
 
+import hashlib
 import math
 import random
 import re
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +31,8 @@ from skillbench.plc_trigger import (
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import (
+    IDLE_COMMAND_BYTES,
+    IDLE_FEEDBACK_BYTES,
     BadCommandWord,
     BadStateCode,
     FeedbackFrame,
@@ -150,6 +154,102 @@ class TestDeterminism:
             )
             digests.add(result.trace.digest())
         assert len(digests) == 4
+
+
+def streamed_run(seed=3):
+    rng = random.Random(f"lazy-trace-{seed}")
+    plan = ContinuousSkillPlan(tuple(random_motions(rng, 60)))
+    return run(ContinuousMotionProgram([plan]), RobotExecutor(), SimConfig(seed=seed))
+
+
+class TestLazyTrace:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Calls of ``hashlib.sha256`` and of the frame summaries that
+        ``fieldbus_sim`` makes."""
+        calls = {"sha256": 0, "summary": 0}
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            fieldbus_sim, "hashlib", SimpleNamespace(sha256=counting("sha256", hashlib.sha256))
+        )
+        for name in ("_cmd_summary", "_fb_summary"):
+            monkeypatch.setattr(fieldbus_sim, name, counting("summary", getattr(fieldbus_sim, name)))
+        return calls
+
+    def test_run_hashes_and_formats_nothing(self, counted):
+        trace = streamed_run().trace
+        assert counted == {"sha256": 0, "summary": 0}
+        frames = [(kind, frame) for _, _, kind, _, frame in trace.log if frame is not None]
+        published = [frame for kind, frame in frames if kind in ("cmd", "fb")]
+        delivered = len(frames) - len(published)
+        assert len(published) > 50 and delivered > 50
+        trace.export_text()
+        # one hash per distinct published frame, none per delivery
+        assert counted == {
+            "sha256": len({id(frame) for frame in published}),
+            "summary": len(published),
+        }
+        before = dict(counted)
+        trace.export_text()
+        trace.digest()
+        assert counted == {"sha256": before["sha256"] + 1, "summary": before["summary"]}
+
+    def test_reads_agree_in_either_order(self):
+        a, b = streamed_run().trace, streamed_run().trace
+        first = (a.events, a.export_text(), a.digest())
+        digest, text, events = b.digest(), b.export_text(), b.events
+        assert (events, text, digest) == first
+        assert (a.events, a.export_text(), a.digest()) == first
+        assert (b.events, b.export_text(), b.digest()) == first
+        assert a == b
+        details = [line.split(None, 3)[3] for line in text.splitlines()]
+        assert [e.detail for e in events] == details
+
+
+class _FixedImage:
+    """A program or an executor that returns one image object at every tick
+    and never finishes."""
+
+    finished = False
+    t_start_us = t_end_us = None
+
+    def __init__(self, image):
+        self.image = image
+
+    def plc_tick(self, t_us, fb_bytes):
+        return self.image
+
+    def tick(self, t_us, cmd_bytes):
+        return self.image
+
+
+class TestPublishedFramesAreBytes:
+    # a fixed bytes image runs into the timeout; anything else is refused at
+    # its first publish, since the trace hashes frames after the run
+    CFG = SimConfig(seed=5, timeout_us=20_000)
+    OUTCOMES = [
+        (bytes, SimTimeout, "no completion within"),
+        (bytearray, TypeError, "returned bytearray, not bytes"),
+    ]
+
+    @pytest.mark.parametrize("frame_type, error, message", OUTCOMES)
+    def test_from_the_program(self, frame_type, error, message):
+        program = _FixedImage(frame_type(IDLE_COMMAND_BYTES))
+        with pytest.raises(error, match=message):
+            run(program, RobotExecutor(), self.CFG)
+
+    @pytest.mark.parametrize("frame_type, error, message", OUTCOMES)
+    def test_from_the_executor(self, frame_type, error, message):
+        executor = _FixedImage(frame_type(IDLE_FEEDBACK_BYTES))
+        with pytest.raises(error, match=message):
+            run(NativeTriggerProgram(), executor, self.CFG)
 
 
 class TestEndToEnd:
