@@ -23,7 +23,8 @@ Lines are made when the trace is read, hashing each distinct frame once.
 The loop is event driven: a task runs only at the grid points where one of
 its inputs changed or a wakeup it asked for is due, and the run is the one
 that ticking every task at every point of its grid would produce, trace
-line for trace line.  That rests on what the program and executor report:
+line for trace line.  That rests on what the program and executor report,
+so ``quiescent``, ``next_wakeup`` and ``skip_cycles`` are required:
 
 * after ``plc_tick``, a true ``program.quiescent`` means another tick with
   the same feedback bytes would change nothing, its time argument feeding
@@ -34,9 +35,6 @@ line for trace line.  That rests on what the program and executor report:
   ``executor.skip_cycles(n)`` for the ``n`` robot grid points it left out;
 * the bus runs at the first bus grid point at or after a PLC publish and
   strictly after a robot publish; it has nothing else to do.
-
-A program without ``quiescent`` or an executor without ``next_wakeup`` is
-ticked at every point of its grid.
 """
 
 from __future__ import annotations
@@ -181,19 +179,15 @@ def _at_or_after(t: int, phase: int, cycle: int) -> int:
     return phase - (phase - t) // cycle * cycle
 
 
-def _every_cycle() -> int:
-    return 1
-
-
 def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     """Run the co-simulation until the program finishes.
 
     ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and the
-    ``finished``, ``t_start_us`` and ``t_end_us`` attributes; ``executor``
-    supplies ``tick(t_us, cmd_bytes) -> bytes``.  Both are called through
-    the instance at each grid point where their task is due, and may report
-    ``quiescent`` and ``next_wakeup``/``skip_cycles`` (module docstring) to
-    be ticked less often.  Both must return ``bytes``; anything else raises
+    ``finished``, ``t_start_us``, ``t_end_us`` and ``quiescent``
+    attributes; ``executor`` supplies ``tick(t_us, cmd_bytes) -> bytes``,
+    ``next_wakeup()`` and ``skip_cycles(n)`` (module docstring).  Both are
+    called through the instance at each grid point where their task is
+    due.  Both ticks must return ``bytes``; anything else raises
     TypeError when it is published.  Raises SimTimeout at the first grid
     point of any task after ``timeout_us`` and lets program/executor
     exceptions propagate after recording them.
@@ -215,7 +209,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             (phase_robot, robot_cycle),
         )
     )
-    next_wakeup = getattr(executor, "next_wakeup", _every_cycle)
+    next_wakeup = executor.next_wakeup
 
     trace = SimTrace()
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
@@ -261,7 +255,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             if program.finished:
                 trace.add(t, "sim", "finished", f"t={t}")
                 return SimResult(trace=trace, finished_at_us=t)
-            plc_due = _NEVER if getattr(program, "quiescent", False) else t + plc_cycle
+            plc_due = _NEVER if program.quiescent else t + plc_cycle
         if bus_due == t:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:

@@ -1,20 +1,21 @@
-"""Helpers for driving PLC programs against executors without the fieldbus.
+"""Helpers for the streaming protocol tests, which run through
+``fieldbus_sim.run``.
 
-The loop exchanges the two process images directly (zero transport delay) on
-the 1 ms / 4 ms cycle grid, which keeps protocol tests fast and deterministic.
-The fieldbus layer itself is exercised by the simulation tests.
+``check_window`` replays a finished run's trace through ``SlotMonitor``,
+``native_baseline`` is the direct-handoff oracle, and ``random_motions``
+draws short-leg skills of an exact record count.
 """
 
 import math
 import random
 
 from skillbench.core import JointTarget, MotionCommand, MotionType, Pose
+from skillbench.fieldbus_sim import SimTrace, run
 from skillbench.plc_trigger import NativeTriggerProgram
 from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     SLOT_COUNT,
     CommandWord,
-    IDLE_COMMAND_BYTES,
     IDLE_FEEDBACK_BYTES,
     decode_command_frame,
     decode_feedback_frame,
@@ -94,25 +95,17 @@ class SlotMonitor:
         self.last_loaded = frame.loaded_through
 
 
-def drive(program, executor, monitor=None, plc_us=1000, robot_us=4000,
-          limit_us=600_000_000):
-    """Run program and executor to completion with directly coupled images."""
-    step = math.gcd(plc_us, robot_us)
-    cmd = IDLE_COMMAND_BYTES
+def check_window(trace: SimTrace) -> SlotMonitor:
+    """Check every command image a run published against the feedback the
+    PLC held when it published it; raises WindowViolation."""
+    monitor = SlotMonitor()
     fb = IDLE_FEEDBACK_BYTES
-    t = 0
-    while not program.finished:
-        if t > limit_us:
-            raise AssertionError(f"run still unfinished at {t} us")
-        if t % plc_us == 0:
-            new_cmd = program.plc_tick(t, fb)
-            if monitor is not None and new_cmd is not cmd:
-                monitor.on_command(new_cmd, fb)
-            cmd = new_cmd
-        if t % robot_us == 0:
-            fb = executor.tick(t, cmd)
-        t += step
-    return t
+    for _t, _source, kind, _detail, frame in trace.log:
+        if kind == "fb_deliver":
+            fb = frame
+        elif kind == "cmd":
+            monitor.on_command(frame, fb)
+    return monitor
 
 
 def consumed(executor):
@@ -129,7 +122,7 @@ def native_baseline(plans, initial_pose=ORIGIN.components()):
     """Direct in-memory handoff oracle: same plans, no 5-slot window."""
     program = NativeTriggerProgram()
     executor = NativeExecutor(plans, initial_pose=initial_pose, capture=True)
-    drive(program, executor)
+    run(program, executor)
     return executor
 
 

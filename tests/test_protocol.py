@@ -17,6 +17,7 @@ import hypothesis.strategies as st
 
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
 from skillbench.bench import SETUP_A, build_plans
+from skillbench.fieldbus_sim import SimConfig, SimTrace, run
 from skillbench.plc_trigger import (
     BusySkill,
     ContinuousMotionProgram,
@@ -44,6 +45,7 @@ from skillbench.wire import (
     RobotState,
     UnencodableValue,
     decode_command_frame,
+    decode_command_header,
     decode_feedback_frame,
     encode_command_frame,
     encode_feedback_frame,
@@ -55,9 +57,9 @@ from skillbench.wire import (
 
 from stream_harness import (
     ORIGIN,
-    SlotMonitor,
+    WindowViolation,
+    check_window,
     consumed,
-    drive,
     images,
     native_baseline,
     random_motions,
@@ -274,9 +276,65 @@ def start_image(recs, loaded=None, seq=1):
 def run_single_plan(plan, **executor_kw):
     program = ContinuousMotionProgram([plan])
     ex = RobotExecutor(capture=True, **executor_kw)
-    monitor = SlotMonitor()
-    drive(program, ex, monitor)
+    check_window(run(program, ex).trace)
     return program, ex
+
+
+def window_trace(*events):
+    """The trace log of a run that publishes each command image and delivers
+    each ``FeedbackFrame`` of ``events`` to the PLC, in that order."""
+    trace = SimTrace()
+    for t, event in enumerate(events):
+        if isinstance(event, FeedbackFrame):
+            trace.log.append((t, "bus", "fb_deliver", None, encode_feedback_frame(event)))
+        else:
+            trace.log.append((t, "plc", "cmd", decode_command_header(event), event))
+    return trace
+
+
+def _window_violations():
+    r8, r9 = records(8), records(9)
+
+    def at(cur):
+        return fb(RobotState.RUNNING, cur)
+
+    first = start_image(r8, 5)
+    return {
+        "frame_seq-jump": ([first, start_image(r8, 5, seq=3)], "frame_seq jumped 1 -> 3"),
+        "initial-load": ([start_image(r8, 4)], "initial load 4 of 8"),
+        "totalNo-change": ([first, start_image(r9, 5, seq=2)], "totalNo changed mid-skill"),
+        "loadedThrough-back": (
+            [first, at(2), start_image(r8, 6, seq=2), start_image(r8, 5, seq=3)],
+            "loadedThrough went backwards",
+        ),
+        "held-overwritten": (
+            [first, at(1), start_image(r8, 6, seq=2)],
+            "record 6 overwrote record 1 at curExec 1",
+        ),
+        # every slot of a started skill is held, so a record beyond
+        # curExec + 4 also overwrites the record five before it
+        "beyond-window": ([first, at(2), start_image(r8, 7, seq=2)], "record 7 .*at curExec 2"),
+        # records 2..9 of a nine-record skill: slot 0 holds record_seq 2
+        "wrong-record_seq": ([start_image(r9[1:], 5)], "slot 0 holds seq 2, expected record 1"),
+    }
+
+
+WINDOW_VIOLATIONS = _window_violations()
+
+
+class TestWindowCheck:
+    @pytest.mark.parametrize("rule", sorted(WINDOW_VIOLATIONS))
+    def test_raises_on_the_violating_image(self, rule):
+        events, message = WINDOW_VIOLATIONS[rule]
+        check_window(window_trace(*events[:-1]))
+        with pytest.raises(WindowViolation, match=message):
+            check_window(window_trace(*events))
+
+    def test_sees_every_published_command_image(self):
+        plan = ContinuousSkillPlan(tuple(random_motions(random.Random(11), 30)))
+        trace = run(ContinuousMotionProgram([plan]), RobotExecutor()).trace
+        published = [event for event in trace.log if event[2] == "cmd"]
+        assert check_window(trace).frames_seen == len(published) > 2 * SLOT_COUNT
 
 
 class TestRobotExecutor:
@@ -514,7 +572,7 @@ class TestRobotExecutor:
                 return out
 
             ex.tick = recorded
-            drive(program, ex)
+            run(program, ex)
             states = {frame.state for _, frame in published}
             assert {RobotState.RUNNING, RobotState.DONE} <= states
             for out, frame in published:
@@ -646,8 +704,7 @@ def test_benchmark_plans_stream_identically_to_handoff():
     plans, _ = build_plans(SETUP_A)
     program = ContinuousMotionProgram(plans)
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)
-    monitor = SlotMonitor()
-    drive(program, ex, monitor)
+    check_window(run(program, ex).trace)
     native = native_baseline(plans, initial_pose=SETUP_A.start.components())
     assert rebase_records(ex.executed, plans) == native.executed
     assert ex.pose == native.pose
@@ -678,7 +735,7 @@ def test_single_motion_program_runs_every_motion_alone():
     plans, _ = build_plans(SETUP_A)
     program = SingleMotionProgram(plans)
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)
-    drive(program, ex)
+    run(program, ex)
     n_motions = sum(len(p.motions) for p in plans)
     assert program.plc.skills_completed == n_motions
     # every skill starts at record 1 and runs exactly one motion
@@ -738,8 +795,7 @@ def stream_vs_handoff(seed, total_range=(1, 25)):
     plan = ContinuousSkillPlan(tuple(random_motions(rng, total)))
     program = ContinuousMotionProgram([plan])
     ex = RobotExecutor(capture=True)
-    monitor = SlotMonitor()
-    drive(program, ex, monitor)
+    check_window(run(program, ex).trace)
     native = native_baseline([plan])
     assert consumed(ex) == consumed(native)
     assert ex.pose == native.pose
@@ -766,7 +822,7 @@ def test_slow_plc_cycle_starves_but_stays_correct():
         plan = ContinuousSkillPlan(tuple(random_motions(rng, rng.randint(8, 16))))
         program = ContinuousMotionProgram([plan])
         ex = RobotExecutor(capture=True)
-        drive(program, ex, plc_us=50000)
+        run(program, ex, SimConfig(plc_cycle_us=50000))
         native = native_baseline([plan])
         assert consumed(ex) == consumed(native)
         assert ex.pose == native.pose

@@ -1,11 +1,13 @@
 """Co-simulation scheduler: phase draws, determinism, trace economy, and
 the event-driven loop against the polled reference loop."""
 
+import ast
 import hashlib
 import math
 import random
 import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -214,10 +216,10 @@ class TestLazyTrace:
 
 
 class _FixedImage:
-    """A program or an executor that returns one image object at every tick
-    and never finishes."""
+    """A program or an executor that returns one image object at every tick,
+    is ticked at every grid point and never finishes."""
 
-    finished = False
+    finished = quiescent = False
     t_start_us = t_end_us = None
 
     def __init__(self, image):
@@ -228,6 +230,9 @@ class _FixedImage:
 
     def tick(self, t_us, cmd_bytes):
         return self.image
+
+    def next_wakeup(self):
+        return 1
 
 
 class TestPublishedFramesAreBytes:
@@ -301,6 +306,9 @@ class TestEndToEnd:
                     FeedbackFrame(state=RobotState.ERROR, error_code=2)
                 )
 
+            def next_wakeup(self):
+                return 1
+
         with pytest.raises(RobotError):
             run(
                 ContinuousMotionProgram([one_motion_plan()]),
@@ -327,20 +335,6 @@ N_CASES = 4 * len(KINDS) * len(CYCLE_SETS)
 N_TIE_CASES = 6 * len(TIE_CYCLE_SETS)
 
 
-class _Ticked:
-    """Forwards the cyclic call and the attributes ``run`` reads, but none of
-    the wakeup hooks, so the loop must tick it at every grid point."""
-
-    def __init__(self, inner, call):
-        self._inner = inner
-        setattr(self, call, getattr(inner, call))
-
-    def __getattr__(self, name):
-        if name in ("quiescent", "next_wakeup", "skip_cycles"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
 def build_case(case: int):
     """Program/executor factory and config of one differential case.
 
@@ -348,8 +342,7 @@ def build_case(case: int):
     under each cycle set, four seeded draws each; the second draw starves
     into a fault after 3 robot cycles and the third times out after 300 ms.
     Above: a streamed skill of at most 8 records under a tie set.  The
-    executor's cycle is the simulated robot cycle.  About half the cases
-    hide the wakeup hooks of the program or of the executor.
+    executor's cycle is the simulated robot cycle.
     """
     rng = random.Random(f"sim-diff-{case}")
     draw, combo = divmod(case, len(KINDS) * len(CYCLE_SETS))
@@ -363,7 +356,6 @@ def build_case(case: int):
         records = rng.randint(1, 8)
     limit = 3 if draw == 1 else 250
     timeout = 300_000 if draw == 2 else 120_000_000
-    hooks = rng.choice(("both", "both", "no-plc", "no-robot"))
     cfg = SimConfig(plc_us, bus_us, robot_us, rng.randrange(2**31), rng.randrange(25), timeout)
     if setup == "stream":
         plans = [ContinuousSkillPlan(tuple(random_motions(rng, records)))]
@@ -381,10 +373,6 @@ def build_case(case: int):
             executor = RobotExecutor(
                 initial_pose=pose, cycle_us=robot_us, starvation_limit=limit, capture=True
             )
-        if hooks == "no-plc":
-            return _Ticked(program, "plc_tick"), executor
-        if hooks == "no-robot":
-            return program, _Ticked(executor, "tick")
         return program, executor
 
     return make, cfg
@@ -452,6 +440,39 @@ class TestEventDriven:
         run(program, executor, SimConfig(seed=0))
         assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
         assert len(calls) < 200
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SIMULATION_LOOPS = {
+    ("src/skillbench/fieldbus_sim.py", "run"),
+    ("tests/polled_sim.py", "run_polled"),
+    # takes full PLC ticks to check the quiescence contract run relies on
+    ("tests/test_protocol.py", "test_a_quiescent_tick_repeated_changes_nothing"),
+}
+
+
+def simulation_loops(path):
+    """Functions in ``path`` with a loop that calls both a ``plc_tick`` and
+    a ``tick`` method: each ticks a program against an executor."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(func):
+            if isinstance(loop, (ast.For, ast.While)):
+                called = {
+                    node.func.attr
+                    for node in ast.walk(loop)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                }
+                if {"plc_tick", "tick"} <= called:
+                    found.add((path.relative_to(ROOT).as_posix(), func.name))
+    return found
+
+
+def test_run_and_run_polled_are_the_only_simulation_loops():
+    paths = [*ROOT.glob("src/skillbench/*.py"), *ROOT.glob("tests/*.py")]
+    assert set().union(*map(simulation_loops, paths)) == SIMULATION_LOOPS
 
 
 class _Corrupting:
