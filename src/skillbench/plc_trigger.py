@@ -220,10 +220,11 @@ class _SequencedProgram:
     outside the measured window.
 
     ``plc_tick`` depends on its time argument only for those two stamps.
-    ``quiescent`` is true after a tick that left the skill state, the
-    command image and the next skill unchanged: another tick with the same
-    feedback bytes would then change nothing.  Such a tick can only have
-    moved the last curExec, and a repeat recomputes the same refill from it.
+    ``quiescent`` is true after every tick that returns: one tick reaches
+    the fixed point of its feedback.  A refill loads through
+    min(totalNo, curExec + 4) at once; every state change waits for a
+    feedback state this feedback does not have; an abort writes its IDLE
+    word once.  So another tick with the same bytes changes nothing.
     """
 
     def __init__(self, skills):
@@ -253,7 +254,6 @@ class _SequencedProgram:
         if fb.state is RobotState.ERROR:
             raise RobotError(fb.error_code)
         before = plc.state
-        image, nxt = plc.image, self._next
         plc.cycle(fb)
         if (
             self._current_last
@@ -272,7 +272,7 @@ class _SequencedProgram:
                         self.t_start_us = t_us
             else:
                 self.finished = True
-        self.quiescent = plc.state is before and plc.image is image and self._next == nxt
+        self.quiescent = True
         return plc.image
 
     @property

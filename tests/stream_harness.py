@@ -15,13 +15,14 @@ from skillbench.plc_trigger import NativeTriggerProgram
 from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     SLOT_COUNT,
+    CommandHeader,
     CommandWord,
     IDLE_FEEDBACK_BYTES,
-    decode_command_frame,
     decode_feedback_frame,
     decode_record,
     encode_record,
     slot_for_record,
+    slot_image,
 )
 
 ORIGIN = Pose(0.0, 0.0, 0.0)
@@ -34,9 +35,13 @@ class WindowViolation(AssertionError):
 class SlotMonitor:
     """Checks FIFO window safety on every command image the PLC publishes.
 
-    Rules, per published frame, against the feedback the PLC consumed:
-      - a slot holding record k is only rewritten once curExec > k
-      - newly written records never exceed curExec + SLOT_COUNT - 1
+    Rules, per published frame, against the curExec of the feedback the PLC
+    consumed:
+      - a slot holding record k is only rewritten once curExec > k.  A
+        started skill holds every slot and loads its records in order, so
+        the slot of record m > SLOT_COUNT holds m - SLOT_COUNT: this rule
+        also keeps every new record within curExec + SLOT_COUNT - 1
+      - each newly written slot holds its record's record_seq
       - loadedThrough is monotone, totalNo constant within a skill
       - frame_seq advances by exactly 1 per changed image
     """
@@ -48,16 +53,15 @@ class SlotMonitor:
         self.total: int | None = None
         self.frames_seen = 0
 
-    def on_command(self, cmd_bytes: bytes, fb_bytes: bytes):
-        frame = decode_command_frame(cmd_bytes)
-        fb = decode_feedback_frame(fb_bytes)
+    def on_command(self, header: CommandHeader, cmd_bytes: bytes, cur_exec: int):
+        """Check command image ``cmd_bytes``, whose decoded header is
+        ``header``, published while the PLC held feedback at ``cur_exec``."""
+        word, _count, total, loaded, seq = header
         self.frames_seen += 1
-        if self.last_seq is not None and frame.frame_seq != (self.last_seq + 1) % 0x10000:
-            raise WindowViolation(
-                f"frame_seq jumped {self.last_seq} -> {frame.frame_seq}"
-            )
-        self.last_seq = frame.frame_seq
-        if frame.command is not CommandWord.START:
+        if self.last_seq is not None and seq != (self.last_seq + 1) % 0x10000:
+            raise WindowViolation(f"frame_seq jumped {self.last_seq} -> {seq}")
+        self.last_seq = seq
+        if word is not CommandWord.START:
             # IDLE / ABORT frames carry no queue content
             self.held = [None] * SLOT_COUNT
             self.last_loaded = 0
@@ -65,46 +69,42 @@ class SlotMonitor:
             return
         if self.total is None:  # new skill
             self.held = [None] * SLOT_COUNT
-            if frame.loaded_through != min(SLOT_COUNT, frame.total_no):
-                raise WindowViolation(
-                    f"initial load {frame.loaded_through} of {frame.total_no}"
-                )
-            self.total = frame.total_no
+            if loaded != min(SLOT_COUNT, total):
+                raise WindowViolation(f"initial load {loaded} of {total}")
+            self.total = total
             self.last_loaded = 0
-        elif frame.total_no != self.total:
+        elif total != self.total:
             raise WindowViolation("totalNo changed mid-skill")
-        if frame.loaded_through < self.last_loaded:
+        if loaded < self.last_loaded:
             raise WindowViolation("loadedThrough went backwards")
-        for m in range(self.last_loaded + 1, frame.loaded_through + 1):
+        for m in range(self.last_loaded + 1, loaded + 1):
             slot = slot_for_record(m)
             old = self.held[slot]
-            if old is not None and fb.cur_exec <= old:
+            if old is not None and cur_exec <= old:
                 raise WindowViolation(
-                    f"record {m} overwrote record {old} at curExec {fb.cur_exec}"
+                    f"record {m} overwrote record {old} at curExec {cur_exec}"
                 )
-            if m > fb.cur_exec + SLOT_COUNT - 1 and m > SLOT_COUNT:
-                raise WindowViolation(
-                    f"record {m} streamed at curExec {fb.cur_exec}"
-                )
-            rec = decode_record(frame.slots[slot])
+            rec = decode_record(slot_image(cmd_bytes, m))
             if rec.record_seq != m % 0x10000:
                 raise WindowViolation(
                     f"slot {slot} holds seq {rec.record_seq}, expected record {m}"
                 )
             self.held[slot] = m
-        self.last_loaded = frame.loaded_through
+        self.last_loaded = loaded
 
 
 def check_window(trace: SimTrace) -> SlotMonitor:
     """Check every command image a run published against the feedback the
-    PLC held when it published it; raises WindowViolation."""
+    PLC held when it published it; raises WindowViolation.  The headers
+    come decoded in the trace; each delivered feedback image is decoded
+    once."""
     monitor = SlotMonitor()
-    fb = IDLE_FEEDBACK_BYTES
-    for _t, _source, kind, _detail, frame in trace.log:
+    cur_exec = decode_feedback_frame(IDLE_FEEDBACK_BYTES).cur_exec
+    for _t, _source, kind, detail, frame in trace.log:
         if kind == "fb_deliver":
-            fb = frame
+            cur_exec = decode_feedback_frame(frame).cur_exec
         elif kind == "cmd":
-            monitor.on_command(frame, fb)
+            monitor.on_command(detail, frame, cur_exec)
     return monitor
 
 

@@ -15,8 +15,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
-from skillbench.bench import SETUP_A, build_plans
+from skillbench.core import (
+    ContinuousSkillPlan,
+    ExecutionType,
+    JointTarget,
+    MotionCommand,
+    MotionType,
+    Pose,
+)
+from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans
 from skillbench.fieldbus_sim import SimConfig, SimTrace, run
 from skillbench.plc_trigger import (
     BusySkill,
@@ -312,8 +319,11 @@ def _window_violations():
             "record 6 overwrote record 1 at curExec 1",
         ),
         # every slot of a started skill is held, so a record beyond
-        # curExec + 4 also overwrites the record five before it
-        "beyond-window": ([first, at(2), start_image(r8, 7, seq=2)], "record 7 .*at curExec 2"),
+        # curExec + 4 overwrites the record five before it
+        "beyond-window": (
+            [first, at(2), start_image(r8, 7, seq=2)],
+            "record 7 overwrote record 2 at curExec 2",
+        ),
         # records 2..9 of a nine-record skill: slot 0 holds record_seq 2
         "wrong-record_seq": ([start_image(r9[1:], 5)], "slot 0 holds seq 2, expected record 1"),
     }
@@ -751,19 +761,21 @@ def plc_state(program):
     return own, vars(program.plc)
 
 
-@pytest.mark.parametrize("case", ["cm", "sm", "stream"])
+@pytest.mark.parametrize("case", ["rc", "sm", "cm", "b-rc", "b-sm", "b-cm", "stream"])
 def test_a_quiescent_tick_repeated_changes_nothing(case):
     # the contract that lets the simulation leave out PLC ticks: after a tick
     # that reports quiescent, a full tick on the same feedback is a no-op
-    plans, _ = build_plans(SETUP_A)
-    pose = SETUP_A.start.components()
     if case == "stream":
         plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(3), 40)))]
-        pose = ORIGIN.components()
-    program = (SingleMotionProgram if case == "sm" else ContinuousMotionProgram)(plans)
-    executor = RobotExecutor(initial_pose=pose)
-    fb_bytes, checked, t = IDLE_FEEDBACK_BYTES, [], 0
+        program, executor = _build_run(plans, ORIGIN.components(), ExecutionType.CM)
+    else:
+        setup = SETUP_B if case.startswith("b-") else SETUP_A
+        plans, _ = build_plans(setup)
+        program, executor = _build_run(plans, setup.start.components(), ExecutionType(case[-2:]))
+    fb_bytes, checked, published, refills, t = IDLE_FEEDBACK_BYTES, [], 0, 0, 0
+    cmd = program.plc.image
     while not program.finished:
+        before = cmd
         cmd = program.plc_tick(t, fb_bytes)
         # the first quiescent tick on each feedback image
         if program.quiescent and (not checked or checked[-1] is not fb_bytes):
@@ -772,10 +784,17 @@ def test_a_quiescent_tick_repeated_changes_nothing(case):
             assert again.plc_tick(t + 1000, fb_bytes) is cmd
             assert plc_state(again) == plc_state(program)
             checked.append(fb_bytes)
+            if cmd is not before:
+                published += 1
+                refills += program.plc.state is PlcSkillState.RUNNING
         if t % 4000 == 0:
             fb_bytes = executor.tick(t, cmd)
         t += 1000
     assert len(checked) >= 10
+    # the ticks that publish are quiescent too: START and the IDLE word of
+    # every skill and, where a skill outgrows the five slots, its refills
+    assert published >= 2 * program.plc.skills_completed
+    assert refills > 0 if case == "stream" else refills == 0
 
 
 def motion_us(executor):

@@ -15,9 +15,10 @@ import pytest
 import polled_sim
 from polled_sim import run_polled
 from skillbench import fieldbus_sim
-from skillbench.bench import SETUP_A, SETUP_B, build_plans
+from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans
 from skillbench.core import (
     ContinuousSkillPlan,
+    ExecutionType,
     JointTarget,
     MotionCommand,
     MotionType,
@@ -335,6 +336,15 @@ N_CASES = 4 * len(KINDS) * len(CYCLE_SETS)
 N_TIE_CASES = 6 * len(TIE_CYCLE_SETS)
 
 
+def kind_plans(setup, rng, records):
+    """Plans and start pose of a ``KINDS`` setup; a stream is one skill of
+    ``records`` records drawn from ``rng``."""
+    if setup == "stream":
+        return [ContinuousSkillPlan(tuple(random_motions(rng, records)))], (0.0,) * 6
+    plans, _ = build_plans(SETUPS[setup])
+    return plans, SETUPS[setup].start.components()
+
+
 def build_case(case: int):
     """Program/executor factory and config of one differential case.
 
@@ -357,12 +367,7 @@ def build_case(case: int):
     limit = 3 if draw == 1 else 250
     timeout = 300_000 if draw == 2 else 120_000_000
     cfg = SimConfig(plc_us, bus_us, robot_us, rng.randrange(2**31), rng.randrange(25), timeout)
-    if setup == "stream":
-        plans = [ContinuousSkillPlan(tuple(random_motions(rng, records)))]
-        pose = (0.0,) * 6
-    else:
-        plans, _ = build_plans(SETUPS[setup])
-        pose = SETUPS[setup].start.components()
+    plans, pose = kind_plans(setup, rng, records)
 
     def make():
         if etype == "rc":
@@ -429,17 +434,39 @@ class TestEventDriven:
         plans, _ = build_plans(SETUP_A)
         program = ContinuousMotionProgram(plans)
         executor = RobotExecutor(initial_pose=SETUP_A.start.components())
-        calls = []
-        tick = program.plc_tick
-
-        def counted(t_us, fb_bytes):
-            calls.append(t_us)
-            return tick(t_us, fb_bytes)
-
-        program.plc_tick = counted
-        run(program, executor, SimConfig(seed=0))
+        ticks = count_plc_ticks(program, executor, SimConfig(seed=0))
         assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
-        assert len(calls) < 200
+        assert ticks == (18, 17)
+
+    @pytest.mark.parametrize("plc_cycle_us", [1000, 50_000])
+    @pytest.mark.parametrize("kind", KINDS, ids="-".join)
+    def test_the_plc_ticks_once_per_feedback_delivery(self, kind, plc_cycle_us):
+        # one tick at the PLC's first grid point, then one per delivered
+        # feedback image; a 50 ms PLC sees some images only after the next
+        setup, etype = kind
+        plans, pose = kind_plans(setup, random.Random(3), 100)
+        program, executor = _build_run(plans, pose, ExecutionType(etype))
+        calls, delivered = count_plc_ticks(
+            program, executor, SimConfig(plc_cycle_us=plc_cycle_us)
+        )
+        if plc_cycle_us == 1000:
+            assert calls == 1 + delivered
+        else:
+            assert calls <= 1 + delivered
+
+
+def count_plc_ticks(program, executor, config):
+    """``plc_tick`` calls and feedback deliveries of one ``run``."""
+    calls = []
+    tick = program.plc_tick
+
+    def counted(t_us, fb_bytes):
+        calls.append(t_us)
+        return tick(t_us, fb_bytes)
+
+    program.plc_tick = counted
+    trace = run(program, executor, config).trace
+    return len(calls), sum(event[2] == "fb_deliver" for event in trace.log)
 
 
 ROOT = Path(__file__).resolve().parent.parent
