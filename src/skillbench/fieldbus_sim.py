@@ -23,12 +23,12 @@ Lines are made when the trace is read, hashing each distinct frame once.
 The loop is event driven: a task runs only at the grid points where one of
 its inputs changed or a wakeup it asked for is due, and the run is the one
 that ticking every task at every point of its grid would produce, trace
-line for trace line.  That rests on what the program and executor report,
-so ``quiescent``, ``next_wakeup`` and ``skip_cycles`` are required:
+line for trace line.  When each task is due:
 
-* after ``plc_tick``, a true ``program.quiescent`` means another tick with
-  the same feedback bytes would change nothing, its time argument feeding
-  only timestamps.  The PLC then waits for the next feedback delivery;
+* the PLC at its first grid point and at the first PLC grid point after
+  each feedback delivery, a rule the loop alone owns: the program's one
+  contract is that a ``plc_tick`` reaches the fixed point of its feedback,
+  its time argument feeding only timestamps;
 * after ``tick``, ``executor.next_wakeup()`` gives the number of robot
   cycles to the next tick that can change anything while the command image
   stays the same, or None.  Before a later tick the loop calls
@@ -183,14 +183,14 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     """Run the co-simulation until the program finishes.
 
     ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and the
-    ``finished``, ``t_start_us``, ``t_end_us`` and ``quiescent``
-    attributes; ``executor`` supplies ``tick(t_us, cmd_bytes) -> bytes``,
-    ``next_wakeup()`` and ``skip_cycles(n)`` (module docstring).  Both are
-    called through the instance at each grid point where their task is
-    due.  Both ticks must return ``bytes``; anything else raises
-    TypeError when it is published.  Raises SimTimeout at the first grid
-    point of any task after ``timeout_us`` and lets program/executor
-    exceptions propagate after recording them.
+    ``finished``, ``t_start_us`` and ``t_end_us`` attributes; ``executor``
+    supplies ``tick(t_us, cmd_bytes) -> bytes``, ``next_wakeup()`` and
+    ``skip_cycles(n)`` (module docstring).  Both are called through the
+    instance at each grid point where their task is due.  Both ticks must
+    return ``bytes``; anything else raises TypeError when it is published.
+    Raises SimTimeout at the first grid point of any task after
+    ``timeout_us`` and lets program/executor exceptions propagate after
+    recording them.
     """
     plc_cycle, bus_cycle, robot_cycle = (
         config.plc_cycle_us,
@@ -255,7 +255,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             if program.finished:
                 trace.add(t, "sim", "finished", f"t={t}")
                 return SimResult(trace=trace, finished_at_us=t)
-            plc_due = _NEVER if program.quiescent else t + plc_cycle
+            plc_due = _NEVER
         if bus_due == t:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:

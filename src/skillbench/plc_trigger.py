@@ -219,12 +219,12 @@ class _SequencedProgram:
     cycle that read the final skill's DONE; the trailing IDLE handshake falls
     outside the measured window.
 
-    ``plc_tick`` depends on its time argument only for those two stamps.
-    ``quiescent`` is true after every tick that returns: one tick reaches
-    the fixed point of its feedback.  A refill loads through
-    min(totalNo, curExec + 4) at once; every state change waits for a
-    feedback state this feedback does not have; an abort writes its IDLE
-    word once.  So another tick with the same bytes changes nothing.
+    ``plc_tick`` depends on its time argument only for those two stamps,
+    and one tick reaches the fixed point of its feedback, as
+    ``fieldbus_sim.run`` requires: a refill loads through
+    min(totalNo, curExec + 4) at once, every state change waits for a
+    feedback state this feedback does not have, and an abort writes its
+    IDLE word once.
     """
 
     def __init__(self, skills):
@@ -235,7 +235,6 @@ class _SequencedProgram:
         self.t_start_us: int | None = None
         self.t_end_us: int | None = None
         self.finished = False
-        self.quiescent = False
         self._fb_obj: bytes | None = None
         self._fb: FeedbackFrame = FeedbackFrame()
 
@@ -247,9 +246,6 @@ class _SequencedProgram:
 
     def plc_tick(self, t_us: int, fb_bytes: bytes) -> bytes:
         plc = self.plc
-        if self.quiescent and fb_bytes is self._fb_obj:
-            return plc.image
-        self.quiescent = False  # until this tick completes without raising
         fb = self._decode(fb_bytes)
         if fb.state is RobotState.ERROR:
             raise RobotError(fb.error_code)
@@ -272,7 +268,6 @@ class _SequencedProgram:
                         self.t_start_us = t_us
             else:
                 self.finished = True
-        self.quiescent = True
         return plc.image
 
     @property

@@ -2,9 +2,11 @@
 
 This is the loop ``fieldbus_sim.run`` replaced.  It ticks the PLC, the bus
 and the robot at each of their grid points whether or not an input changed,
-so it needs no wakeup or quiescence reports from the program or executor.
-The differential tests require ``run`` to reproduce its trace, result and
-exceptions exactly.  It hashes and formats every published and every
+so it rests neither on the executor's wakeup reports nor on the program's
+contract that one tick reaches the fixed point of its feedback: it takes a
+full ``plc_tick`` at every PLC grid point.  The differential tests require
+``run`` to reproduce its trace, result and exceptions exactly, so they
+check that contract too.  It hashes and formats every published and every
 delivered frame as it goes, through ``SimTrace.add``, so the comparison
 also checks that the lazy trace of ``run`` names each delivery by the
 right frame.

@@ -24,10 +24,18 @@ from skillbench.core import (
     MotionType,
     Pose,
 )
-from skillbench.fieldbus_sim import SimConfig, SimTimeout, SimTrace, rep_seed, run
+from skillbench.fieldbus_sim import (
+    SimConfig,
+    SimTimeout,
+    SimTrace,
+    _at_or_after,
+    rep_seed,
+    run,
+)
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
+    PlcSkillInstance,
     RobotError,
     SingleMotionProgram,
     _SequencedProgram,
@@ -217,10 +225,12 @@ class TestLazyTrace:
 
 
 class _FixedImage:
-    """A program or an executor that returns one image object at every tick,
-    is ticked at every grid point and never finishes."""
+    """A program or an executor that returns one image object at every tick
+    and never finishes.  As an executor it asks for every grid point; as a
+    program it is ticked at its first grid point and after each feedback
+    delivery."""
 
-    finished = quiescent = False
+    finished = False
     t_start_us = t_end_us = None
 
     def __init__(self, image):
@@ -434,29 +444,58 @@ class TestEventDriven:
         plans, _ = build_plans(SETUP_A)
         program = ContinuousMotionProgram(plans)
         executor = RobotExecutor(initial_pose=SETUP_A.start.components())
-        ticks = count_plc_ticks(program, executor, SimConfig(seed=0))
+        calls, _, delivered = count_plc_ticks(program, executor, SimConfig(seed=0))
         assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
-        assert ticks == (18, 17)
+        assert (calls, len(delivered)) == (18, 17)
 
     @pytest.mark.parametrize("plc_cycle_us", [1000, 50_000])
     @pytest.mark.parametrize("kind", KINDS, ids="-".join)
     def test_the_plc_ticks_once_per_feedback_delivery(self, kind, plc_cycle_us):
-        # one tick at the PLC's first grid point, then one per delivered
-        # feedback image; a 50 ms PLC sees some images only after the next
+        # one tick at the PLC's first grid point and one at the first PLC
+        # grid point after each delivered feedback image; a 50 ms PLC sees
+        # some images only after the next, and the robot's first image may
+        # arrive before its first grid point
         setup, etype = kind
         plans, pose = kind_plans(setup, random.Random(3), 100)
         program, executor = _build_run(plans, pose, ExecutionType(etype))
-        calls, delivered = count_plc_ticks(
+        calls, phase_plc, delivered = count_plc_ticks(
             program, executor, SimConfig(plc_cycle_us=plc_cycle_us)
         )
         if plc_cycle_us == 1000:
-            assert calls == 1 + delivered
+            assert calls == 1 + len(delivered)
         else:
-            assert calls <= 1 + delivered
+            wakes = {_at_or_after(t + 1, phase_plc, plc_cycle_us) for t in delivered}
+            assert calls == len(wakes | {phase_plc})
+
+    def test_the_polled_loop_checks_the_fixed_point_contract(self, traces):
+        # run ticks the PLC only after a feedback delivery, which is right
+        # only if one tick reaches the fixed point of its feedback; a PLC
+        # that loads one record per refill breaks that, and the polled loop,
+        # which takes a full tick at every grid point, must tell
+        plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(4), 40)))]
+
+        def make():
+            program = ContinuousMotionProgram(plans)
+            program.plc = _OneRecordPerRefill()
+            return program, RobotExecutor(capture=True)
+
+        cfg = SimConfig(seed=4)
+        assert outcome(run, make, cfg, traces) != outcome(run_polled, make, cfg, traces)
+
+
+class _OneRecordPerRefill(PlcSkillInstance):
+    """Loads at most one record per refill, so a second cycle on the same
+    feedback can load more."""
+
+    def _refill(self, cur):
+        total, self._total = self._total, min(self._total, self._loaded + 1)
+        super()._refill(cur)
+        self._total = total
 
 
 def count_plc_ticks(program, executor, config):
-    """``plc_tick`` calls and feedback deliveries of one ``run``."""
+    """``plc_tick`` calls of one ``run``, its PLC phase and the times of its
+    feedback deliveries."""
     calls = []
     tick = program.plc_tick
 
@@ -465,16 +504,15 @@ def count_plc_ticks(program, executor, config):
         return tick(t_us, fb_bytes)
 
     program.plc_tick = counted
-    trace = run(program, executor, config).trace
-    return len(calls), sum(event[2] == "fb_deliver" for event in trace.log)
+    result = run(program, executor, config)
+    delivered = [t_us for t_us, _, kind, _, _ in result.trace.log if kind == "fb_deliver"]
+    return len(calls), phases_of(result)[0], delivered
 
 
 ROOT = Path(__file__).resolve().parent.parent
 SIMULATION_LOOPS = {
     ("src/skillbench/fieldbus_sim.py", "run"),
     ("tests/polled_sim.py", "run_polled"),
-    # takes full PLC ticks to check the quiescence contract run relies on
-    ("tests/test_protocol.py", "test_a_quiescent_tick_repeated_changes_nothing"),
 }
 
 
@@ -498,7 +536,8 @@ def simulation_loops(path):
 
 
 def test_run_and_run_polled_are_the_only_simulation_loops():
-    paths = [*ROOT.glob("src/skillbench/*.py"), *ROOT.glob("tests/*.py")]
+    patterns = ("src/skillbench/*.py", "tests/*.py", "demos/*.py")
+    paths = [path for pattern in patterns for path in ROOT.glob(pattern)]
     assert set().union(*map(simulation_loops, paths)) == SIMULATION_LOOPS
 
 
