@@ -13,11 +13,12 @@ over the task's cycle, quantized to microseconds) from a seed derived from
 (seed, rep); everything else is exact, so a run is reproducible bit for bit.
 
 Frames travel as immutable ``bytes`` objects (``run`` raises TypeError at
-publish for anything else), and every receiver compares by object identity
-before decoding.  A published frame is decoded once at publish, so a
-malformed one raises at the tick that published it.  The trace names each
-frame by the first 12 hex digits of its SHA-256, but the run does neither
-hash nor format: its trace holds each published frame by reference, with
+publish for anything else), and a receiver decodes only a new object: the
+executor compares by object identity, and the loop ticks the PLC only on
+its first feedback image and on each new one.  A published frame is
+decoded once at publish, so a malformed one raises at the tick that
+published it.  The trace names each frame by the first 12 hex digits of
+its SHA-256, but the run does neither hash nor format: its trace holds each published frame by reference, with
 the fields decoded at publish, and a delivery holds that very object.
 Lines are made when the trace is read, hashing each distinct frame once.
 The loop is event driven: a task runs only at the grid points where one of
@@ -29,10 +30,13 @@ line for trace line.  When each task is due:
   each feedback delivery, a rule the loop alone owns: the program's one
   contract is that a ``plc_tick`` reaches the fixed point of its feedback,
   its time argument feeding only timestamps;
-* after ``tick``, ``executor.next_wakeup()`` gives the number of robot
-  cycles to the next tick that can change anything while the command image
-  stays the same, or None.  Before a later tick the loop calls
-  ``executor.skip_cycles(n)`` for the ``n`` robot grid points it left out;
+* the robot at its first grid point, at the first robot grid point at or
+  after each command delivery, and at the first robot grid point at or
+  after ``t + executor.next_wakeup()``: the µs from its tick at ``t`` to
+  the earliest time a tick with the same command image can change
+  anything, or None for never.  The executor keeps time by the ``t_us`` of
+  its ticks, so this grid alone rounds each motion up to whole robot
+  cycles, and ``SimConfig.robot_cycle_us`` is the one robot cycle;
 * the bus runs at the first bus grid point at or after a PLC publish and
   strictly after a robot publish; it has nothing else to do.
 """
@@ -184,9 +188,11 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
 
     ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and the
     ``finished``, ``t_start_us`` and ``t_end_us`` attributes; ``executor``
-    supplies ``tick(t_us, cmd_bytes) -> bytes``, ``next_wakeup()`` and
-    ``skip_cycles(n)`` (module docstring).  Both are called through the
-    instance at each grid point where their task is due.  Both ticks must
+    supplies ``tick(t_us, cmd_bytes) -> bytes`` and ``next_wakeup()``
+    (module docstring).  Both are called through the instance at each grid
+    point where their task is due.  The executor's ticks land on the robot
+    grid of ``config``, so a motion of d µs that starts at a tick ends at
+    the first robot grid point at or after d µs later.  Both ticks must
     return ``bytes``; anything else raises TypeError when it is published.
     Raises SimTimeout at the first grid point of any task after
     ``timeout_us`` and lets program/executor exceptions propagate after
@@ -226,7 +232,6 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     plc_due = phase_plc
     bus_due = _NEVER
     robot_due = phase_robot
-    robot_last = phase_robot - robot_cycle
 
     while True:
         t = min(plc_due, bus_due, robot_due)
@@ -268,10 +273,6 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
             bus_due = _NEVER
         if robot_due == t:
-            skipped = (t - robot_last) // robot_cycle - 1
-            if skipped:
-                executor.skip_cycles(skipped)
-            robot_last = t
             try:
                 out = executor.tick(t, cmd_at_robot)
             except Exception as e:
@@ -286,4 +287,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 robot_out = out
                 bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
             wake = next_wakeup()
-            robot_due = _NEVER if wake is None else t + wake * robot_cycle
+            if wake is None:
+                robot_due = _NEVER
+            else:
+                robot_due = _at_or_after(t + wake, phase_robot, robot_cycle)

@@ -224,7 +224,8 @@ class _SequencedProgram:
     ``fieldbus_sim.run`` requires: a refill loads through
     min(totalNo, curExec + 4) at once, every state change waits for a
     feedback state this feedback does not have, and an abort writes its
-    IDLE word once.
+    IDLE word once.  Each tick decodes the feedback image it is given;
+    ``run`` wakes the PLC only for a new one.
     """
 
     def __init__(self, skills):
@@ -235,18 +236,10 @@ class _SequencedProgram:
         self.t_start_us: int | None = None
         self.t_end_us: int | None = None
         self.finished = False
-        self._fb_obj: bytes | None = None
-        self._fb: FeedbackFrame = FeedbackFrame()
-
-    def _decode(self, fb_bytes: bytes) -> FeedbackFrame:
-        if fb_bytes is not self._fb_obj:
-            self._fb_obj = fb_bytes
-            self._fb = decode_feedback_frame(fb_bytes)
-        return self._fb
 
     def plc_tick(self, t_us: int, fb_bytes: bytes) -> bytes:
         plc = self.plc
-        fb = self._decode(fb_bytes)
+        fb = decode_feedback_frame(fb_bytes)
         if fb.state is RobotState.ERROR:
             raise RobotError(fb.error_code)
         before = plc.state

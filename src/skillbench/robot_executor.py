@@ -18,9 +18,12 @@ reach the engine through one ``_MotionEngine.ingest``, which joins each
 continuation record with the target record that completes it into one
 physical motion.
 
-The engine quantizes execution to whole robot cycles: a motion's remaining
-time only advances once per tick, so a motion of duration d occupies
-ceil(d / cycle) ticks; zero-duration motions complete within their
+The engine keeps time by the ``t_us`` its ticks carry, which is the
+co-simulation's clock; the executors hold no cycle length of their own.  A
+motion of duration d activated at the tick at t ends at t + d and
+completes at the first tick at or after that time, so the robot's tick
+grid alone rounds it up to whole robot cycles: ceil(d / cycle) ticks on a
+grid of that cycle.  Zero-duration motions complete within their
 activation tick.  Exit speeds are committed at activation time from the
 records visible at that moment and are never revised afterwards: when the
 successor record has not arrived yet, the motion plans a full stop (a
@@ -31,11 +34,13 @@ motion), and a plan's blend decisions are final.  Later activations reuse
 the plan until a record arrives that extends the window past its last
 exact stop, so a stored program is planned once per Cartesian run.
 
-Between command changes a RUNNING executor only waits for the active
-motion to complete or, starved, counts hungry cycles towards its fault.
-Both executors report the next tick that can change anything
-(``next_wakeup``) and take the ticks left out before it in one step
-(``skip_cycles``), which lets the co-simulation skip the idle ticks.
+An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
+feedback image, and ``next_wakeup()`` gives the µs from the last tick to
+the earliest time at which a tick with the same command image can change
+anything.  That is the end of the active motion, or 1 µs (the next robot
+cycle) while a starved executor counts hungry cycles towards its fault.
+The co-simulation leaves out the robot ticks before it, and they owe the
+executor nothing: a motion ends by the clock, not by ticks counted.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ _IDLE_FEEDBACK_FIELDS = (RobotState.IDLE, 0, 0, 0, (0.0,) * 6)
 
 
 class _MotionEngine:
-    """Cycle-quantized execution over a growing list of physical motions.
+    """Execution on the robot's clock over a growing list of physical motions.
 
     Wire records arrive one by one through ``ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
@@ -80,7 +85,8 @@ class _MotionEngine:
     corner it closes; an activation outside the stored plan solves the
     visible Cartesian window with ``solve_corners``, and a blend dropped
     there stays dropped.  Each activation times its motion with
-    ``motion_time`` and rounds it up to whole µs.
+    ``motion_time``, rounds it up to whole µs and stores when it ends;
+    ``advance(t_us)`` completes it at the first tick at or after that end.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
     engine's lifetime).
@@ -100,8 +106,8 @@ class _MotionEngine:
         self._corners: list = []  # candidate blend into the following motion
         self._approach = None  # (point before, end point) of the last Cartesian leg
         self._next = 0
+        # (end_us, dur_us, motion, end pose, end joints, exit speed, exit trunc)
         self._active = None
-        self._elapsed = 0
         self._plan = None  # (first, end, speeds, blends) over _motions[first:end]
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
@@ -154,7 +160,6 @@ class _MotionEngine:
 
     def discard_motion(self):
         self._active = None
-        self._elapsed = 0
         self._plan = None
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
@@ -164,24 +169,22 @@ class _MotionEngine:
         return self.completed_records >= self.total_records
 
     def _complete(self):
-        dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
+        _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
         self.pose = end_pose
         self.joints = end_joints
         self.completed_records += n
         self._entry_speed = exit_speed
         self._entry_trunc = exit_trunc
         self._active = None
-        self._elapsed = 0
         self._next += 1
         if self.captured is not None:
             self.captured.append((first, n, rec.target, dur_us))
 
-    def _set_active(self, seconds, motion, end_pose, end_joints, exit_speed, exit_trunc):
+    def _set_active(self, t_us, seconds, motion, end_pose, end_joints, exit_speed, exit_trunc):
         dur_us = max(0, math.ceil(seconds * 1e6 - 1e-12))
-        self._active = (dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc)
-        self._elapsed = 0
+        self._active = (t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc)
 
-    def _activate(self):
+    def _activate(self, t_us: int):
         k = self._next
         motions = self._motions
         motion = motions[k]
@@ -191,7 +194,7 @@ class _MotionEngine:
             # committed entry speed here is always zero; the TCP pose is held
             deltas = [t - c for t, c in zip(rec.target, self.joints)]
             dur = ptp_time(deltas, rec.velocity, rec.acceleration)
-            self._set_active(dur, motion, self.pose, tuple(rec.target), 0.0, 0.0)
+            self._set_active(t_us, dur, motion, self.pose, tuple(rec.target), 0.0, 0.0)
             return
 
         if k + 1 == len(motions) and idx + n <= self.total_records:
@@ -224,41 +227,31 @@ class _MotionEngine:
         )
         exit_trunc = b.truncation if b is not None else 0.0
         end_pose = tuple(rec.target)
-        self._set_active(straight + arc, motion, end_pose, self.joints, exit_speed, exit_trunc)
+        self._set_active(
+            t_us, straight + arc, motion, end_pose, self.joints, exit_speed, exit_trunc
+        )
 
-    def advance(self, cycle_us: int) -> bool:
-        """One robot cycle of execution.  False means starved: nothing ran
-        and the next record is missing."""
+    def advance(self, t_us: int) -> bool:
+        """The robot cycle at ``t_us``: completes the active motion if it
+        ended by then and activates the next ones.  False means starved:
+        nothing ran and the next record is missing."""
         progressed = False
-        if self._active is not None and self._elapsed >= self._active[0]:
+        if self._active is not None and self._active[0] <= t_us:
             self._complete()
             progressed = True
         while self._active is None and self._next < len(self._motions):
-            self._activate()
-            if self._active[0] == 0:
+            self._activate(t_us)
+            if self._active[1] == 0:
                 self._complete()
                 progressed = True
             else:
                 break
-        if self._active is not None:
-            self._elapsed += cycle_us
-            return True
-        return progressed or self.done
+        return self._active is not None or progressed or self.done
 
-    def cycles_to_completion(self, cycle_us: int) -> int | None:
-        """Cycles from the last ``advance`` to the one that completes the
-        active motion; None when no motion is active."""
-        if self._active is None:
-            return None
-        return 1 + max(0, -((self._elapsed - self._active[0]) // cycle_us))
-
-    def coast(self, n: int, cycle_us: int) -> bool:
-        """``n`` cycles that only run the active motion on, as ``advance``
-        does short of its completion cycle.  False when no motion is active."""
-        if self._active is None:
-            return False
-        self._elapsed += n * cycle_us
-        return True
+    @property
+    def end_us(self) -> int | None:
+        """When the active motion ends; None when no motion is active."""
+        return None if self._active is None else self._active[0]
 
 
 class _CyclicExecutor:
@@ -276,19 +269,20 @@ class _CyclicExecutor:
     it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
     where a limit is set, faults it with code 2.
 
-    The executor also tells the simulator when the next tick is due.
-    Between a tick and that wakeup, ticks with an unchanged command image
-    only run the active motion on or count a hungry cycle; ``skip_cycles``
-    accounts for such ticks in one step.
+    The executor also tells the simulator when the next tick is due
+    (``next_wakeup``).  A tick left out before it, with an unchanged
+    command image, would change nothing: the active motion ends by the
+    clock, and a starved executor that counts towards a limit asks for
+    every robot cycle.
     """
 
     _starvation_limit: int | None = None
 
-    def __init__(self, initial_pose, initial_joints, cycle_us: int, capture: bool):
+    def __init__(self, initial_pose, initial_joints, capture: bool):
         self._engine = _MotionEngine(initial_pose, initial_joints)
         if capture:
             self._engine.captured = []
-        self._cycle_us = cycle_us
+        self._last_tick_us = 0
         self._state = RobotState.IDLE
         self._error = 0
         self._total = 0
@@ -343,9 +337,9 @@ class _CyclicExecutor:
             self._error = 0
         self._acked = header.frame_seq
 
-    def _run_cycle(self):
+    def _run_cycle(self, t_us: int):
         if self._state is RobotState.RUNNING:
-            progressed = self._engine.advance(self._cycle_us)
+            progressed = self._engine.advance(t_us)
             if self._engine.done:
                 self._state = RobotState.DONE
                 self._hungry = 0
@@ -357,13 +351,14 @@ class _CyclicExecutor:
                     self._fail(ERROR_STARVATION)
 
     def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
+        self._last_tick_us = t_us
         if cmd_bytes is not self._cmd_obj:
             self._cmd_obj = cmd_bytes
             try:
                 self._apply_frame(decode_command_header(cmd_bytes), cmd_bytes)
             except WireError:
                 self._fail(ERROR_RECORD)
-        self._run_cycle()
+        self._run_cycle(t_us)
         st = self._state
         if st is RobotState.RUNNING or st is RobotState.DONE:
             cur = min(self._engine.completed_records + 1, self._total)
@@ -378,22 +373,17 @@ class _CyclicExecutor:
         return self._fb_bytes
 
     def next_wakeup(self) -> int | None:
-        """Robot cycles from the last tick to the next one that can change
-        anything while the command image stays the same: the completion of
-        the active motion, else the starvation deadline.  None when no such
-        tick exists (IDLE, DONE, ERROR, ABORTING)."""
+        """µs from the last tick to the earliest time at which a tick with
+        the same command image can change anything: the end of the active
+        motion, else 1 (the next robot cycle) while a starvation limit
+        counts hungry cycles.  None when no such tick exists (IDLE, DONE,
+        ERROR, ABORTING, or a starved executor without a limit)."""
         if self._state is not RobotState.RUNNING:
             return None
-        n = self._engine.cycles_to_completion(self._cycle_us)
-        if n is None and self._starvation_limit is not None:
-            return max(1, self._starvation_limit - self._hungry)
-        return n
-
-    def skip_cycles(self, n: int):
-        """Account for ``n`` ticks left out before the next wakeup, each with
-        the same command image as the last tick."""
-        if self._state is RobotState.RUNNING and not self._engine.coast(n, self._cycle_us):
-            self._hungry += n
+        end = self._engine.end_us
+        if end is not None:
+            return end - self._last_tick_us
+        return None if self._starvation_limit is None else 1
 
 
 class RobotExecutor(_CyclicExecutor):
@@ -409,11 +399,10 @@ class RobotExecutor(_CyclicExecutor):
         self,
         initial_pose=(0.0,) * 6,
         initial_joints=(0.0,) * 6,
-        cycle_us: int = 4000,
         starvation_limit: int = 250,
         capture: bool = False,
     ):
-        super().__init__(initial_pose, initial_joints, cycle_us, capture)
+        super().__init__(initial_pose, initial_joints, capture)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
 
@@ -457,10 +446,9 @@ class NativeExecutor(_CyclicExecutor):
         plans,
         initial_pose=(0.0,) * 6,
         initial_joints=(0.0,) * 6,
-        cycle_us: int = 4000,
         capture: bool = False,
     ):
-        super().__init__(initial_pose, initial_joints, cycle_us, capture)
+        super().__init__(initial_pose, initial_joints, capture)
         self._records = [rec for p in plans for rec in explode_plan(p.motions)]
         self._total = len(self._records)
 

@@ -209,14 +209,15 @@ class TestBenchmark:
             run_benchmark(SETUP_A, reps=0)
 
     def test_custom_cycle_times_flow_through(self):
-        report = run_benchmark(
-            SETUP_A,
-            etypes=(ExecutionType.CM,),
-            reps=1,
-            seed=1,
-            sim=SimConfig(robot_cycle_us=8000),
-        )
-        assert report.stats[ExecutionType.CM].samples[0] > 0.0
+        # the robot cycle of ``sim`` is the executors' only clock: a motion
+        # rounds up to whole 12 ms cycles, not to the 4 ms default
+        for cycles, aets in (
+            ((1000, 1000, 12000), (5167.1, 6187.1, 5215.1)),
+            ((10000, 8000, 12000), (5180.0, 6375.0, 5270.0)),
+        ):
+            report = run_benchmark(SETUP_A, reps=10, seed=0, sim=SimConfig(*cycles))
+            got = tuple(report.stats[e].aet_ms for e in ExecutionType)
+            assert got == pytest.approx(aets, abs=1e-9), cycles
 
     @pytest.mark.parametrize(
         "cfg, aets, digest",

@@ -105,7 +105,7 @@ class TestScheduling:
                 )
                 result = run(
                     ContinuousMotionProgram([one_motion_plan()]),
-                    RobotExecutor(cycle_us=7000),
+                    RobotExecutor(),
                     cfg,
                 )
                 p, b, r = phases_of(result)
@@ -361,8 +361,7 @@ def build_case(case: int):
     Below ``N_CASES``: setups A/B x RC/SM/CM and a short-leg streamed skill
     under each cycle set, four seeded draws each; the second draw starves
     into a fault after 3 robot cycles and the third times out after 300 ms.
-    Above: a streamed skill of at most 8 records under a tie set.  The
-    executor's cycle is the simulated robot cycle.
+    Above: a streamed skill of at most 8 records under a tie set.
     """
     rng = random.Random(f"sim-diff-{case}")
     draw, combo = divmod(case, len(KINDS) * len(CYCLE_SETS))
@@ -382,12 +381,10 @@ def build_case(case: int):
     def make():
         if etype == "rc":
             program = NativeTriggerProgram()
-            executor = NativeExecutor(plans, initial_pose=pose, cycle_us=robot_us, capture=True)
+            executor = NativeExecutor(plans, initial_pose=pose, capture=True)
         else:
             program = (SingleMotionProgram if etype == "sm" else ContinuousMotionProgram)(plans)
-            executor = RobotExecutor(
-                initial_pose=pose, cycle_us=robot_us, starvation_limit=limit, capture=True
-            )
+            executor = RobotExecutor(initial_pose=pose, starvation_limit=limit, capture=True)
         return program, executor
 
     return make, cfg
@@ -539,6 +536,36 @@ def test_run_and_run_polled_are_the_only_simulation_loops():
     patterns = ("src/skillbench/*.py", "tests/*.py", "demos/*.py")
     paths = [path for pattern in patterns for path in ROOT.glob(pattern)]
     assert set().union(*map(simulation_loops, paths)) == SIMULATION_LOOPS
+
+
+CYCLE_OWNERS = {
+    ("src/skillbench/fieldbus_sim.py", "SimConfig"),
+    ("src/skillbench/fieldbus_sim.py", "run"),
+}
+
+
+def cycle_readers(path):
+    """Top-level functions and classes in ``path`` that take or read a name
+    ending in ``cycle_us``: a parameter, a variable or an attribute."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            name = (
+                node.arg if isinstance(node, ast.arg)
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None
+            )
+            if name is not None and name.endswith("cycle_us"):
+                found.add((path.relative_to(ROOT).as_posix(), getattr(top, "name", "<module>")))
+    return found
+
+
+def test_the_cycle_lengths_have_one_owner():
+    # the loop's clock is the robot's only clock: SimConfig holds the
+    # cycle lengths and run alone lays the task grids out from them
+    paths = sorted(ROOT.glob("src/skillbench/*.py"))
+    assert set().union(*map(cycle_readers, paths)) == CYCLE_OWNERS
 
 
 class _Corrupting:

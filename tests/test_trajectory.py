@@ -537,7 +537,7 @@ def chained_groups(rng: random.Random, count: int):
 def run_native(plans):
     """Run plans on NativeExecutor with START held; durations do not depend
     on the cycle, so a long cycle keeps the run short."""
-    ex = NativeExecutor(plans, cycle_us=1_000_000, capture=True)
+    ex = NativeExecutor(plans, capture=True)
     start = encode_command_frame(CommandFrame(command=CommandWord.START))
     t = 0
     while ex.state is not RobotState.DONE:
