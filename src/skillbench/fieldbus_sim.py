@@ -13,13 +13,15 @@ over the task's cycle, quantized to microseconds) from a seed derived from
 (seed, rep); everything else is exact, so a run is reproducible bit for bit.
 
 Frames travel as immutable ``bytes`` objects (``run`` raises TypeError at
-publish for anything else), and a receiver decodes only a new object: the
-executor compares by object identity, and the loop ticks the PLC only on
-its first feedback image and on each new one.  A published frame is
-decoded once at publish, so a malformed one raises at the tick that
-published it.  The trace names each frame by the first 12 hex digits of
-its SHA-256, but the run does neither hash nor format: its trace holds each published frame by reference, with
-the fields decoded at publish, and a delivery holds that very object.
+publish for anything else).  The loop decodes each feedback image once, at
+publish, so a malformed one raises at the tick that published it, and
+delivers that ``FeedbackFrame`` to the PLC, as a fieldbus driver maps its
+input image onto a PLC's typed inputs.  The robot gets the command bytes
+and decodes only what changed: it compares them by object identity and
+decodes the header and the newly loaded slots.  The trace names each frame
+by the first 12 hex digits of its SHA-256, but the run does neither hash
+nor format: its trace holds each published frame by reference, with the
+fields decoded at publish, and a delivery holds that very object.
 Lines are made when the trace is read, hashing each distinct frame once.
 The loop is event driven: a task runs only at the grid points where one of
 its inputs changed or a wakeup it asked for is due, and the run is the one
@@ -59,6 +61,9 @@ from .wire import (
 
 
 _NEVER = float("inf")
+
+# what the PLC sees before the robot's first image arrives
+_IDLE_FEEDBACK = decode_feedback_frame(IDLE_FEEDBACK_BYTES)
 
 
 class SimTimeout(Exception):
@@ -186,14 +191,17 @@ def _at_or_after(t: int, phase: int, cycle: int) -> int:
 def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     """Run the co-simulation until the program finishes.
 
-    ``program`` supplies ``plc_tick(t_us, fb_bytes) -> bytes`` and the
-    ``finished``, ``t_start_us`` and ``t_end_us`` attributes; ``executor``
-    supplies ``tick(t_us, cmd_bytes) -> bytes`` and ``next_wakeup()``
-    (module docstring).  Both are called through the instance at each grid
-    point where their task is due.  The executor's ticks land on the robot
-    grid of ``config``, so a motion of d µs that starts at a tick ends at
-    the first robot grid point at or after d µs later.  Both ticks must
-    return ``bytes``; anything else raises TypeError when it is published.
+    ``program`` supplies ``plc_tick(t_us, fb: FeedbackFrame) -> bytes``
+    and the ``finished``, ``t_start_us`` and ``t_end_us`` attributes;
+    ``executor`` supplies ``tick(t_us, cmd_bytes) -> bytes`` and
+    ``next_wakeup()`` (module docstring).  Both are called through the
+    instance at each grid point where their task is due.  The loop decodes
+    each feedback image once, when the robot publishes it, and the PLC gets
+    that frame (the decoded IDLE image until the first delivery).  The
+    executor's ticks land on the robot grid of ``config``, so a motion of
+    d µs that starts at a tick ends at the first robot grid point at or
+    after d µs later.  Both ticks must return ``bytes``; anything else
+    raises TypeError when it is published.
     Raises SimTimeout at the first grid point of any task after
     ``timeout_us`` and lets program/executor exceptions propagate after
     recording them.
@@ -221,11 +229,13 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
     log = trace.log.append
 
-    # published and delivered images, all by reference
+    # published and delivered images, all by reference, and beside each
+    # feedback image the frame decoded at its publish
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
     cmd_at_robot = IDLE_COMMAND_BYTES
     fb_at_plc = IDLE_FEEDBACK_BYTES
+    robot_fb = plc_fb = _IDLE_FEEDBACK
 
     # the next grid point at which each task is due, _NEVER when it waits
     # for an input; every task runs at its first grid point
@@ -241,7 +251,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
         # tie order: PLC before bus before robot
         if plc_due == t:
             try:
-                out = program.plc_tick(t, fb_at_plc)
+                out = program.plc_tick(t, plc_fb)
             except Exception as e:
                 trace.add(t, "plc", "error", f"{type(e).__name__}: {e}")
                 raise
@@ -268,7 +278,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 log((t, "bus", "cmd_deliver", None, plc_out))
                 robot_due = min(robot_due, _at_or_after(t, phase_robot, robot_cycle))
             if robot_out is not fb_at_plc:
-                fb_at_plc = robot_out
+                fb_at_plc, plc_fb = robot_out, robot_fb
                 log((t, "bus", "fb_deliver", None, robot_out))
                 plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
             bus_due = _NEVER
@@ -283,7 +293,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                     raise TypeError(
                         f"executor.tick returned {type(out).__name__}, not bytes"
                     )
-                log((t, "robot", "fb", decode_feedback_frame(out), out))
+                robot_fb = decode_feedback_frame(out)
+                log((t, "robot", "fb", robot_fb, out))
                 robot_out = out
                 bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
             wake = next_wakeup()

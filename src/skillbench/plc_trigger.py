@@ -26,7 +26,6 @@ from .wire import (
     CommandWord,
     FeedbackFrame,
     RobotState,
-    decode_feedback_frame,
     encode_command_frame,
     encode_plan,
     refill_command_frame,
@@ -224,8 +223,9 @@ class _SequencedProgram:
     ``fieldbus_sim.run`` requires: a refill loads through
     min(totalNo, curExec + 4) at once, every state change waits for a
     feedback state this feedback does not have, and an abort writes its
-    IDLE word once.  Each tick decodes the feedback image it is given;
-    ``run`` wakes the PLC only for a new one.
+    IDLE word once.  Each tick reads the feedback frame ``run`` decoded
+    when the robot published it, as a PLC reads its typed inputs; ``run``
+    wakes the PLC only for a new one.
     """
 
     def __init__(self, skills):
@@ -237,9 +237,8 @@ class _SequencedProgram:
         self.t_end_us: int | None = None
         self.finished = False
 
-    def plc_tick(self, t_us: int, fb_bytes: bytes) -> bytes:
+    def plc_tick(self, t_us: int, fb: FeedbackFrame) -> bytes:
         plc = self.plc
-        fb = decode_feedback_frame(fb_bytes)
         if fb.state is RobotState.ERROR:
             raise RobotError(fb.error_code)
         before = plc.state

@@ -150,7 +150,7 @@ def blend_geometry(
         raise ValueError("speeds and accel must be positive")
     if angle <= COLLINEAR_EPS:
         # straight continuation: no arc, no truncation, carry the slower speed
-        return BlendGeometry(
+        return _blend(
             angle=0.0,
             radius=math.inf,
             arc_length=0.0,
@@ -158,15 +158,24 @@ def blend_geometry(
             truncation=0.0,
         )
     if approx_distance == 0.0:
-        return BlendGeometry(angle=angle, radius=0.0, arc_length=0.0, v_blend=0.0, truncation=0.0)
+        return _blend(angle=angle, radius=0.0, arc_length=0.0, v_blend=0.0, truncation=0.0)
     radius = approx_distance / math.tan(0.5 * angle)
-    return BlendGeometry(
+    return _blend(
         angle=angle,
         radius=radius,
         arc_length=radius * angle,
         v_blend=min(v1, v2, math.sqrt(accel * radius)),
         truncation=approx_distance,
     )
+
+
+def _blend(**fields) -> BlendGeometry:
+    """A ``BlendGeometry`` built as the wire decoders build their records:
+    the frozen ``__init__`` would pay one ``object.__setattr__`` per field,
+    and the class has no ``__post_init__`` to skip."""
+    geom = object.__new__(BlendGeometry)
+    geom.__dict__.update(fields)
+    return geom
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ _CMD_PROGRESS_OFFSET = 6
 _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 _FEEDBACK_FMT = struct.Struct("<BBIH6f")
 _F32 = struct.Struct("<f")
+# bytes 32..35 of a feedback frame are reserved zero, the rest padding
+_FEEDBACK_PAD = bytes(FRAME_SIZE - _FEEDBACK_FMT.size)
 
 _FLAG_JOINT = 0x01
 _FLAG_CONTINUATION = 0x02
@@ -241,9 +243,9 @@ def decode_record(data: bytes) -> MotionRecord:
         raise FrameTooShort(f"record image is {len(data)} bytes, need {RECORD_SIZE}")
     if len(data) > RECORD_SIZE:
         raise FrameTooLong(f"record image is {len(data)} bytes, need {RECORD_SIZE}")
-    (code, flags, seq, *rest) = _RECORD_FMT.unpack(data)
-    scalars = rest[:9]
-    tool, base, force = rest[9:]
+    code, flags, seq, x, y, z, a, b, c, vel, acc, approx, tool, base, force = (
+        _RECORD_FMT.unpack(data)
+    )
     mtype = _MOTION_TYPES.get(code)
     if mtype is None:
         raise UnknownMotionType(f"motion type code {code}")
@@ -253,18 +255,20 @@ def decode_record(data: bytes) -> MotionRecord:
     cont = bool(flags & _FLAG_CONTINUATION)
     if joint != (mtype is MotionType.PTP_JOINT):
         raise MalformedRecord(f"joint flag {joint} inconsistent with {mtype.name}")
-    _check_finite(scalars, "scalar")
-    target = tuple(scalars[:6])
-    if cont and any(target[3:]):
+    # a finite sum means nine finite scalars (``_check_finite``), which then
+    # names the first bad one
+    if not math.isfinite(x + y + z + a + b + c + vel + acc + approx):
+        _check_finite((x, y, z, a, b, c, vel, acc, approx), "scalar")
+    if cont and (a or b or c):
         raise MalformedContinuation("continuation record carries orientation data")
     rec = _new(MotionRecord)
     rec.__dict__.update(
         motion_type=mtype,
         record_seq=seq,
-        target=target,
-        velocity=scalars[6],
-        acceleration=scalars[7],
-        approx_distance=scalars[8],
+        target=(x, y, z, a, b, c),
+        velocity=vel,
+        acceleration=acc,
+        approx_distance=approx,
         tool_frame=tool,
         base_frame=base,
         force_setpoint=force,
@@ -472,10 +476,7 @@ def pack_feedback_frame(
     """Encode feedback fields that already lie in their ranges, as a
     ``FeedbackFrame`` holds them; only the pose is checked here."""
     _check_f32(pose, "pose component")
-    buf = bytearray(FRAME_SIZE)
-    _FEEDBACK_FMT.pack_into(buf, 0, state, error_code, cur_exec, acked_seq, *pose)
-    # bytes 32..35 reserved zero, rest padding
-    return bytes(buf)
+    return _FEEDBACK_FMT.pack(state, error_code, cur_exec, acked_seq, *pose) + _FEEDBACK_PAD
 
 
 def encode_feedback_frame(frame: FeedbackFrame) -> bytes:

@@ -6,15 +6,18 @@ so it rests neither on the executor's wakeup reports nor on the program's
 contract that one tick reaches the fixed point of its feedback: it takes a
 full ``plc_tick`` at every PLC grid point.  The differential tests require
 ``run`` to reproduce its trace, result and exceptions exactly, so they
-check that contract too.  It hashes and formats every published and every
-delivered frame as it goes, through ``SimTrace.add``, so the comparison
-also checks that the lazy trace of ``run`` names each delivery by the
-right frame.
+check that contract too.  Like ``run``, it decodes each feedback image
+once, when the robot publishes it, and hands the PLC that frame (the
+decoded IDLE image before the first delivery).  It hashes and formats
+every published and every delivered frame as it goes, through
+``SimTrace.add``, so the comparison also checks that the lazy trace of
+``run`` names each delivery by the right frame.
 """
 
 import random
 
 from skillbench.fieldbus_sim import (
+    _IDLE_FEEDBACK,
     SimResult,
     SimTimeout,
     SimTrace,
@@ -40,11 +43,13 @@ def run_polled(program, executor, config):
     trace = SimTrace()
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
 
-    # published images and delivered images, all by reference
+    # published images and delivered images, all by reference, and beside
+    # each feedback image the frame decoded at its publish
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
     cmd_at_robot = IDLE_COMMAND_BYTES
     fb_at_plc = IDLE_FEEDBACK_BYTES
+    robot_fb = plc_fb = _IDLE_FEEDBACK
 
     next_plc = phase_plc
     next_bus = phase_bus
@@ -59,7 +64,7 @@ def run_polled(program, executor, config):
         # tie order: PLC before bus before robot
         if next_plc == t:
             try:
-                out = program.plc_tick(t, fb_at_plc)
+                out = program.plc_tick(t, plc_fb)
             except Exception as e:
                 trace.add(t, "plc", "error", f"{type(e).__name__}: {e}")
                 raise
@@ -81,7 +86,7 @@ def run_polled(program, executor, config):
                 cmd_at_robot = plc_out
                 trace.add(t, "bus", "cmd_deliver", _hash12(cmd_at_robot))
             if robot_out is not fb_at_plc:
-                fb_at_plc = robot_out
+                fb_at_plc, plc_fb = robot_out, robot_fb
                 trace.add(t, "bus", "fb_deliver", _hash12(fb_at_plc))
             next_bus += config.bus_cycle_us
         if next_robot == t:
@@ -91,8 +96,8 @@ def run_polled(program, executor, config):
                 trace.add(t, "robot", "error", f"{type(e).__name__}: {e}")
                 raise
             if out is not robot_out:
-                robot_out = out
-                trace.add(t, "robot", "fb", _fb_summary(decode_feedback_frame(out), _hash12(out)))
+                robot_out, robot_fb = out, decode_feedback_frame(out)
+                trace.add(t, "robot", "fb", _fb_summary(robot_fb, _hash12(out)))
             next_robot += config.robot_cycle_us
 
     return SimResult(trace=trace, finished_at_us=finished_at)

@@ -629,9 +629,8 @@ class TestRobotExecutor:
 
     def test_program_raises_on_robot_error(self):
         program = ContinuousMotionProgram([ContinuousSkillPlan((lin(10.0),))])
-        err = encode_feedback_frame(fb(RobotState.ERROR, err=2))
         with pytest.raises(RobotError) as exc:
-            program.plc_tick(0, err)
+            program.plc_tick(0, fb(RobotState.ERROR, err=2))
         assert exc.value.code == 2
 
     def test_late_blend_cannot_strand_the_committed_speed(self):
@@ -762,19 +761,19 @@ def plc_state(program):
 
 class _Repeated:
     """Forwards a program and, after each of its ticks, takes a full tick on
-    a deep copy of it with the same feedback bytes, which must return the
+    a deep copy of it with the same feedback frame, which must return the
     same image and change nothing."""
 
     def __init__(self, inner):
         self._inner = inner
         self.checked = self.published = self.refills = 0
 
-    def plc_tick(self, t_us, fb_bytes):
+    def plc_tick(self, t_us, fb):
         inner = self._inner
         before = inner.plc.image
-        cmd = inner.plc_tick(t_us, fb_bytes)
+        cmd = inner.plc_tick(t_us, fb)
         again = copy.deepcopy(inner)
-        assert again.plc_tick(t_us + 1000, fb_bytes) is cmd
+        assert again.plc_tick(t_us + 1000, fb) is cmd
         assert plc_state(again) == plc_state(inner)
         self.checked += 1
         if cmd is not before:

@@ -3,7 +3,9 @@ the event-driven loop against the polled reference loop."""
 
 import ast
 import hashlib
+import importlib
 import math
+import pkgutil
 import random
 import re
 import struct
@@ -13,8 +15,9 @@ from types import SimpleNamespace
 import pytest
 
 import polled_sim
+import skillbench
 from polled_sim import run_polled
-from skillbench import fieldbus_sim
+from skillbench import fieldbus_sim, wire
 from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans
 from skillbench.core import (
     ContinuousSkillPlan,
@@ -236,7 +239,7 @@ class _FixedImage:
     def __init__(self, image):
         self.image = image
 
-    def plc_tick(self, t_us, fb_bytes):
+    def plc_tick(self, t_us, fb):
         return self.image
 
     def tick(self, t_us, cmd_bytes):
@@ -441,13 +444,13 @@ class TestEventDriven:
         plans, _ = build_plans(SETUP_A)
         program = ContinuousMotionProgram(plans)
         executor = RobotExecutor(initial_pose=SETUP_A.start.components())
-        calls, _, delivered = count_plc_ticks(program, executor, SimConfig(seed=0))
+        calls, _, delivered, _ = count_plc_ticks(program, executor, SimConfig(seed=0))
         assert program.elapsed_ms == pytest.approx(5107.0, abs=10.0)
         assert (calls, len(delivered)) == (18, 17)
 
     @pytest.mark.parametrize("plc_cycle_us", [1000, 50_000])
     @pytest.mark.parametrize("kind", KINDS, ids="-".join)
-    def test_the_plc_ticks_once_per_feedback_delivery(self, kind, plc_cycle_us):
+    def test_the_plc_ticks_once_per_feedback_delivery(self, kind, plc_cycle_us, monkeypatch):
         # one tick at the PLC's first grid point and one at the first PLC
         # grid point after each delivered feedback image; a 50 ms PLC sees
         # some images only after the next, and the robot's first image may
@@ -455,9 +458,13 @@ class TestEventDriven:
         setup, etype = kind
         plans, pose = kind_plans(setup, random.Random(3), 100)
         program, executor = _build_run(plans, pose, ExecutionType(etype))
-        calls, phase_plc, delivered = count_plc_ticks(
+        decoded = count_feedback_decodes(monkeypatch)
+        calls, phase_plc, delivered, published = count_plc_ticks(
             program, executor, SimConfig(plc_cycle_us=plc_cycle_us)
         )
+        # the loop decodes each published feedback image once and the PLC
+        # reads that frame
+        assert len(decoded) == len(published) > 0
         if plc_cycle_us == 1000:
             assert calls == 1 + len(delivered)
         else:
@@ -492,18 +499,38 @@ class _OneRecordPerRefill(PlcSkillInstance):
 
 def count_plc_ticks(program, executor, config):
     """``plc_tick`` calls of one ``run``, its PLC phase and the times of its
-    feedback deliveries."""
+    feedback deliveries and of its robot's feedback publishes."""
     calls = []
     tick = program.plc_tick
 
-    def counted(t_us, fb_bytes):
+    def counted(t_us, fb):
         calls.append(t_us)
-        return tick(t_us, fb_bytes)
+        return tick(t_us, fb)
 
     program.plc_tick = counted
     result = run(program, executor, config)
     delivered = [t_us for t_us, _, kind, _, _ in result.trace.log if kind == "fb_deliver"]
-    return len(calls), phases_of(result)[0], delivered
+    published = [t_us for t_us, _, kind, _, _ in result.trace.log if kind == "fb"]
+    return len(calls), phases_of(result)[0], delivered, published
+
+
+def count_feedback_decodes(monkeypatch):
+    """A list that gets one entry per call of ``wire.decode_feedback_frame``
+    made through any ``skillbench`` module attribute that holds it, the names
+    the benchmark's tracer wraps."""
+    decoded = []
+    decode = wire.decode_feedback_frame
+
+    def counted(data):
+        decoded.append(data)
+        return decode(data)
+
+    for info in pkgutil.iter_modules(skillbench.__path__):
+        module = importlib.import_module(f"skillbench.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is decode:
+                monkeypatch.setattr(module, name, counted)
+    return decoded
 
 
 ROOT = Path(__file__).resolve().parent.parent

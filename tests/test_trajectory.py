@@ -7,7 +7,7 @@ numerically, which is independent of the closed-form arithmetic under test.
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -200,6 +200,22 @@ def test_blend_zero_approx_is_exact_stop():
     g = blend_geometry(math.pi / 2, 0.0, 100.0, 100.0, 2000.0)
     assert g.v_blend == 0.0
     assert g.arc_length == 0.0
+
+
+@pytest.mark.parametrize(
+    "angle, approx",
+    [(0.0, 10.0), (COLLINEAR_EPS, 0.0), (math.pi / 2, 0.0), (math.pi / 2, 10.0), (3.0, 0.25)],
+    ids=["collinear", "collinear-zero-approx", "zero-approx", "arc", "sharp-arc"],
+)
+def test_blend_equals_a_constructed_geometry(angle, approx):
+    # blend_geometry skips the frozen __init__; what it builds must equal,
+    # hash and print like the same fields passed through the constructor
+    g = blend_geometry(angle, approx, 100.0, 80.0, 2000.0)
+    built = BlendGeometry(**{f.name: getattr(g, f.name) for f in fields(BlendGeometry)})
+    assert g == built and built == g
+    assert vars(g) == vars(built)
+    assert hash(g) == hash(built)
+    assert repr(g) == repr(built)
 
 
 def test_blend_rejects_reversal_and_bad_input():

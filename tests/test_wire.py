@@ -192,6 +192,54 @@ def test_decode_rejects_nonfinite_scalar():
         decode_record(bytes(data))
 
 
+# the nine f32 scalars: six target components, velocity, acceleration and
+# approx_distance
+SCALAR_OFFSETS = range(4, 40, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("offset", SCALAR_OFFSETS)
+def test_decode_names_each_nonfinite_scalar(offset, bad):
+    data = bytearray(encode_record(sample_record()))
+    struct.pack_into("<f", data, offset, bad)
+    with pytest.raises(NonFiniteScalar) as exc:
+        decode_record(bytes(data))
+    assert str(exc.value) == f"non-finite scalar {bad!r}"
+
+
+@pytest.mark.parametrize("first, second", [(4, 36), (12, 16), (28, 32)])
+def test_decode_names_the_first_of_two_nonfinite_scalars(first, second):
+    data = bytearray(encode_record(sample_record()))
+    struct.pack_into("<f", data, first, -math.inf)
+    struct.pack_into("<f", data, second, math.nan)
+    with pytest.raises(NonFiniteScalar, match=r"^non-finite scalar -inf$"):
+        decode_record(bytes(data))
+
+
+def continuation_image(orientation):
+    data = bytearray(encode_record(sample_record(motion_type=MotionType.CIRCULAR)))
+    data[1] = 0x02
+    struct.pack_into("<3f", data, 16, *orientation)
+    return bytes(data)
+
+
+@pytest.mark.parametrize("axis", range(3), ids=["a", "b", "c"])
+def test_decode_rejects_each_orientation_slot_of_a_continuation(axis):
+    orientation = [0.0, 0.0, 0.0]
+    orientation[axis] = 0.5
+    with pytest.raises(
+        MalformedContinuation, match="continuation record carries orientation data"
+    ):
+        decode_record(continuation_image(orientation))
+
+
+def test_decode_accepts_a_continuation_with_negative_zero_orientation():
+    rec = decode_record(continuation_image((-0.0, -0.0, -0.0)))
+    assert rec.continuation and rec.target[3:] == (0.0, 0.0, 0.0)
+    assert [math.copysign(1.0, v) for v in rec.target[3:]] == [-1.0] * 3
+    assert_same_as_validated(rec)
+
+
 @given(f32s)
 def test_f32_quantization_is_idempotent(x):
     assert f32(f32(x)) == f32(x)
