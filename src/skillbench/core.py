@@ -43,9 +43,11 @@ class Pose:
         object.__setattr__(self, "a", _normalize_deg(float(self.a)))
         object.__setattr__(self, "b", _normalize_deg(float(self.b)))
         object.__setattr__(self, "c", _normalize_deg(float(self.c)))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+        # -0.0 == 0.0 but packs to other bytes, so equal poses drop the sign
+        # of a zero (the angles above cannot produce one)
+        object.__setattr__(self, "x", float(self.x) + 0.0)
+        object.__setattr__(self, "y", float(self.y) + 0.0)
+        object.__setattr__(self, "z", float(self.z) + 0.0)
 
     @property
     def position(self) -> tuple[float, float, float]:

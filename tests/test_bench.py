@@ -235,6 +235,54 @@ class TestBenchmark:
         assert report.last_trace.digest() == digest
 
 
+class TestPlanOnce:
+    def test_a_setup_is_planned_once_per_process(self, monkeypatch):
+        calls = []
+        real_plan = skillbench.bench.plan
+
+        def counting_plan(*args, **kwargs):
+            calls.append(args)
+            return real_plan(*args, **kwargs)
+
+        monkeypatch.setattr(skillbench.bench, "plan", counting_plan)
+        build_plans.cache_clear()
+        cfg = dataclasses.replace(SETUP_A, name="memo")
+        run_benchmark(cfg, reps=1, seed=0)
+        run_benchmark(cfg, reps=1, seed=1)
+        assert len(calls) == 1
+        assert build_plans(cfg) is build_plans(cfg)
+
+    def test_twins_that_compare_equal_plan_to_the_same_bytes(self):
+        # -0.0 == 0.0 and 30 == 30.0, so these configs share one cache
+        # entry; the trace must not depend on which one was planned first
+        base = dataclasses.replace(SETUP_A, name="z", approx_distance=0.0)
+        twins = (
+            base,
+            dataclasses.replace(base, pick=Pose(-0.0, -0.0, 0.0), approx_distance=-0.0),
+            dataclasses.replace(base, carrier_height=30, lin_velocity=250, approx_distance=0),
+        )
+        assert len({serialize_scenario(cfg) for cfg in twins}) == 1
+        digests = set()
+        for first in twins:
+            build_plans.cache_clear()
+            for cfg in (first, *twins):
+                report = run_benchmark(cfg, etypes=(ExecutionType.CM,), reps=1)
+                digests.add(report.last_trace.digest())
+        assert len(digests) == 1
+
+    def test_an_equal_config_gets_equal_frozen_plans(self):
+        build_plans.cache_clear()
+        plans, chains = build_plans(SETUP_A)
+        build_plans.cache_clear()
+        copy = parse_scenario(serialize_scenario(SETUP_A))
+        assert copy is not SETUP_A
+        assert build_plans(copy) == (plans, chains)
+        assert build_plans(SETUP_A) is build_plans(copy)
+        # the result is shared, so nothing in it can grow
+        assert type(plans) is tuple and type(chains) is tuple
+        assert all(type(chain) is tuple for chain in chains)
+
+
 # --- rendering -----------------------------------------------------------------------
 
 
