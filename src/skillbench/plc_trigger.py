@@ -6,7 +6,8 @@ then only copied, as a PLC copies records from a data block.  Starting a
 skill loads the first images into the five slots and raises the START word;
 the cyclic ``cycle()`` call consumes robot feedback, streams further images
 into freed slots (FIFO), and walks the handshake back to IDLE when the
-robot reports DONE.
+robot reports DONE.  A robot ERROR, in any state, raises ``RobotError``
+with the robot's code: the PLC has no recovering path.
 
 Programs sequence whole measurement runs out of skill instances: one skill
 per continuous group, one skill per motion, or a single trigger for a
@@ -48,10 +49,6 @@ class FeedbackRegression(ProtocolError):
     """curExec moved backwards; the feedback channel is corrupt"""
 
 
-class NotRunning(ProtocolError):
-    """abort requested while no skill is in flight"""
-
-
 class RobotError(ProtocolError):
     """robot reported the ERROR state"""
 
@@ -62,11 +59,8 @@ class RobotError(ProtocolError):
 
 class PlcSkillState(Enum):
     IDLE = "idle"
-    LOADING = "loading"
     RUNNING = "running"
     DONE = "done"
-    ABORTING = "aborting"
-    ERROR = "error"
 
 
 _ZERO_SLOTS = (bytes(RECORD_SIZE),) * SLOT_COUNT
@@ -88,7 +82,6 @@ class PlcSkillInstance:
         self._loaded = 0
         self._last_cur = 0
         self._frame_seq = 0
-        self._command = CommandWord.IDLE
         self._image = encode_command_frame(CommandFrame())
         self.skills_completed = 0
         self.last_error: int | None = None
@@ -100,10 +93,6 @@ class PlcSkillInstance:
     @property
     def image(self) -> bytes:
         return self._image
-
-    def _publish(self, frame: CommandFrame):
-        self._command = frame.command
-        self._image = encode_command_frame(frame)
 
     def _next_seq(self) -> int:
         self._frame_seq = (self._frame_seq + 1) & 0xFFFF
@@ -126,7 +115,7 @@ class PlcSkillInstance:
         self._loaded = loaded = min(SLOT_COUNT, self._total)
         self._last_cur = 0
         # records 1..5 sit in slots 0..4
-        self._publish(
+        self._image = encode_command_frame(
             CommandFrame(
                 command=CommandWord.START,
                 record_count=loaded,
@@ -136,23 +125,10 @@ class PlcSkillInstance:
                 slots=images[:loaded] + _ZERO_SLOTS[loaded:],
             )
         )
-        self._state = PlcSkillState.LOADING
+        self._state = PlcSkillState.RUNNING
 
     def start_skill(self, plan):
         self.start_images(encode_plan(plan.motions))
-
-    def abort(self):
-        if self._state is PlcSkillState.IDLE:
-            raise NotRunning("no skill in flight")
-        if self._state is PlcSkillState.ABORTING:
-            return
-        self._publish(
-            CommandFrame(command=CommandWord.ABORT, frame_seq=self._next_seq())
-        )
-        self._state = PlcSkillState.ABORTING
-
-    def _go_idle_command(self):
-        self._publish(CommandFrame(frame_seq=self._next_seq()))
 
     def _refill(self, cur: int):
         # record m may overwrite its slot once record m-5 is complete, i.e.
@@ -172,26 +148,22 @@ class PlcSkillInstance:
         )
 
     def cycle(self, fb: FeedbackFrame):
-        """One PLC task cycle: consume feedback, update the command image."""
-        st = self._state
-        if st is PlcSkillState.IDLE:
-            return
-        if fb.state is RobotState.ERROR and st is not PlcSkillState.ERROR:
+        """One PLC task cycle: consume feedback, update the command image.
+
+        Raises ``RobotError`` on ERROR feedback, whatever the state.  Until
+        the robot reports DONE, any other feedback (LOADING or IDLE before
+        the robot takes up START, with curExec 0) only refills the window.
+        """
+        if fb.state is RobotState.ERROR:
             self.last_error = fb.error_code
-            self._state = PlcSkillState.ERROR
-            self._go_idle_command()
-            return
-        if st is PlcSkillState.LOADING:
-            if fb.state in (RobotState.LOADING, RobotState.RUNNING):
-                self._state = PlcSkillState.RUNNING
-                self._refill(fb.cur_exec)
-            elif fb.state is RobotState.DONE:
-                self._state = PlcSkillState.DONE
-                self._go_idle_command()
-        elif st is PlcSkillState.RUNNING:
+            raise RobotError(fb.error_code)
+        st = self._state
+        if st is PlcSkillState.RUNNING:
             if fb.state is RobotState.DONE:
                 self._state = PlcSkillState.DONE
-                self._go_idle_command()
+                self._image = encode_command_frame(
+                    CommandFrame(frame_seq=self._next_seq())
+                )
             else:
                 self._refill(fb.cur_exec)
         elif st is PlcSkillState.DONE:
@@ -199,15 +171,6 @@ class PlcSkillInstance:
                 self._state = PlcSkillState.IDLE
                 self.skills_completed += 1
                 self._images = ()
-        elif st is PlcSkillState.ABORTING:
-            if fb.state in (RobotState.ABORTING, RobotState.IDLE):
-                if self._command is not CommandWord.IDLE:
-                    self._go_idle_command()
-                if fb.state is RobotState.IDLE:
-                    self._state = PlcSkillState.IDLE
-        elif st is PlcSkillState.ERROR:
-            if fb.state is RobotState.IDLE:
-                self._state = PlcSkillState.IDLE
 
 
 class _SequencedProgram:
@@ -221,11 +184,11 @@ class _SequencedProgram:
     ``plc_tick`` depends on its time argument only for those two stamps,
     and one tick reaches the fixed point of its feedback, as
     ``fieldbus_sim.run`` requires: a refill loads through
-    min(totalNo, curExec + 4) at once, every state change waits for a
-    feedback state this feedback does not have, and an abort writes its
-    IDLE word once.  Each tick reads the feedback frame ``run`` decoded
-    when the robot published it, as a PLC reads its typed inputs; ``run``
-    wakes the PLC only for a new one.
+    min(totalNo, curExec + 4) at once, and every state change waits for a
+    feedback state this feedback does not have.  A robot ERROR raises
+    ``RobotError`` from ``PlcSkillInstance.cycle``.  Each tick reads the
+    feedback frame ``run`` decoded when the robot published it, as a PLC
+    reads its typed inputs; ``run`` wakes the PLC only for a new one.
     """
 
     def __init__(self, skills):
@@ -239,8 +202,6 @@ class _SequencedProgram:
 
     def plc_tick(self, t_us: int, fb: FeedbackFrame) -> bytes:
         plc = self.plc
-        if fb.state is RobotState.ERROR:
-            raise RobotError(fb.error_code)
         before = plc.state
         plc.cycle(fb)
         if (

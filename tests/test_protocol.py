@@ -29,7 +29,6 @@ from skillbench.plc_trigger import (
     BusySkill,
     ContinuousMotionProgram,
     FeedbackRegression,
-    NotRunning,
     PlcSkillInstance,
     PlcSkillState,
     RobotError,
@@ -120,7 +119,7 @@ class TestPlcSkillInstance:
     def test_start_loads_first_window(self):
         plc = PlcSkillInstance()
         plc.start_images(images(records(3)))
-        assert plc.state is PlcSkillState.LOADING
+        assert plc.state is PlcSkillState.RUNNING
         frame = decode_command_frame(plc.image)
         assert frame.command is CommandWord.START
         assert (frame.record_count, frame.total_no, frame.loaded_through) == (3, 3, 3)
@@ -188,35 +187,38 @@ class TestPlcSkillInstance:
         assert plc.state is PlcSkillState.IDLE
         assert plc.skills_completed == 1
 
-    def test_robot_error_walks_back_to_idle(self):
+    def test_robot_error_raises_with_last_error_set(self):
         plc = PlcSkillInstance()
         plc.start_images(images(records(2)))
-        plc.cycle(fb(RobotState.ERROR, err=7))
-        assert plc.state is PlcSkillState.ERROR
-        assert plc.last_error == 7
-        assert decode_command_frame(plc.image).command is CommandWord.IDLE
-        plc.cycle(fb(RobotState.IDLE))
-        assert plc.state is PlcSkillState.IDLE
-        assert plc.skills_completed == 0
-
-    def test_abort_requires_running_skill(self):
-        plc = PlcSkillInstance()
-        with pytest.raises(NotRunning):
-            plc.abort()
-
-    def test_abort_handshake(self):
-        plc = PlcSkillInstance()
-        plc.start_images(images(records(2)))
-        plc.abort()
-        assert plc.state is PlcSkillState.ABORTING
-        assert decode_command_frame(plc.image).command is CommandWord.ABORT
         img = plc.image
-        plc.abort()  # idempotent while aborting
-        assert plc.image is img
-        plc.cycle(fb(RobotState.ABORTING))
-        assert decode_command_frame(plc.image).command is CommandWord.IDLE
-        plc.cycle(fb(RobotState.IDLE))
-        assert plc.state is PlcSkillState.IDLE
+        with pytest.raises(RobotError, match="^robot error code 7$") as exc:
+            plc.cycle(fb(RobotState.ERROR, err=7))
+        assert exc.value.code == 7
+        assert plc.last_error == 7
+        assert plc.image is img and plc.skills_completed == 0
+
+    def test_loading_feedback_reads_as_running(self):
+        # a real controller may acknowledge START with LOADING first
+        def published(states):
+            plc = PlcSkillInstance()
+            plc.start_images(images(records(9)))
+            out = [plc.image]
+            for state, cur in states:
+                plc.cycle(fb(state, cur=cur))
+                out.append(plc.image)
+            return out, plc.state, plc.skills_completed
+
+        running = [
+            (RobotState.RUNNING, 1),
+            (RobotState.RUNNING, 3),
+            (RobotState.RUNNING, 9),
+            (RobotState.DONE, 9),
+            (RobotState.IDLE, 0),
+        ]
+        loaded, end, completed = published([(RobotState.LOADING, 0)] + running)
+        assert loaded[1] is loaded[0]  # LOADING with curExec 0 loads nothing
+        assert (loaded[1:], end, completed) == published(running)
+        assert (end, completed) == (PlcSkillState.IDLE, 1)
 
     def test_idle_cycle_is_inert(self):
         plc = PlcSkillInstance()
@@ -406,21 +408,19 @@ class TestRobotExecutor:
         assert fb_frame.cur_exec == 1
 
     def test_abort_discards_active_motion(self):
+        # the simulated PLC never sends ABORT; a real one may
         plan = ContinuousSkillPlan((lin(100.0, v=10.0),))  # 10.1 s
+        abort = encode_command_frame(CommandFrame(command=CommandWord.ABORT, frame_seq=2))
+        idle = encode_command_frame(CommandFrame(frame_seq=3))
         for ex in (RobotExecutor(), NativeExecutor([plan])):
             plc = PlcSkillInstance()
             plc.start_skill(plan)
             f = decode_feedback_frame(ex.tick(0, plc.image))
             assert f.state is RobotState.RUNNING
-            plc.cycle(f)
-            plc.abort()
-            f = decode_feedback_frame(ex.tick(4000, plc.image))
-            assert f.state is RobotState.ABORTING, type(ex)
-            plc.cycle(f)
-            f = decode_feedback_frame(ex.tick(8000, plc.image))
-            assert f.state is RobotState.IDLE
-            plc.cycle(f)
-            assert plc.state is PlcSkillState.IDLE
+            f = decode_feedback_frame(ex.tick(4000, abort))
+            assert (f.state, f.acked_seq) == (RobotState.ABORTING, 2), type(ex)
+            f = decode_feedback_frame(ex.tick(8000, idle))
+            assert (f.state, f.acked_seq) == (RobotState.IDLE, 3)
             assert ex.pose == (0.0,) * 6  # never completed the motion
 
     def test_withdrawn_command_mid_skill_aborts(self):
@@ -493,16 +493,17 @@ class TestRobotExecutor:
         struct.pack_into("<H", img, 12 + 2, 99)
         ex = RobotExecutor()
         f = decode_feedback_frame(ex.tick(0, bytes(img)))
-        plc.cycle(f)
-        assert plc.state is PlcSkillState.ERROR
+        assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD)
+        with pytest.raises(RobotError):
+            plc.cycle(f)
         assert plc.last_error == ERROR_RECORD
-        f = decode_feedback_frame(ex.tick(4000, plc.image))
-        assert f.state is RobotState.IDLE
-        plc.cycle(f)
-        assert plc.state is PlcSkillState.IDLE
-        # both sides are reusable afterwards
-        plc.start_images(images(records(1)))
-        f = decode_feedback_frame(ex.tick(8000, plc.image))
+        # the IDLE word clears the robot's ERROR, and it takes a new skill
+        idle = encode_command_frame(CommandFrame(frame_seq=7))
+        f = decode_feedback_frame(ex.tick(4000, idle))
+        assert (f.state, f.error_code, f.acked_seq) == (RobotState.IDLE, 0, 7)
+        fresh = PlcSkillInstance()
+        fresh.start_images(images(records(1)))
+        f = decode_feedback_frame(ex.tick(8000, fresh.image))
         assert f.state is RobotState.RUNNING
 
     def test_starvation_faults_with_code_2(self):
@@ -778,7 +779,12 @@ class _Repeated:
         self.checked += 1
         if cmd is not before:
             self.published += 1
-            self.refills += inner.plc.state is PlcSkillState.RUNNING
+            # a refill: a START image loading further within the skill
+            new, old = decode_command_header(cmd), decode_command_header(before)
+            self.refills += (
+                new.command is old.command is CommandWord.START
+                and new.loaded_through > old.loaded_through
+            )
         return cmd
 
     def __getattr__(self, name):

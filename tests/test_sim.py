@@ -49,10 +49,14 @@ from skillbench.wire import (
     IDLE_FEEDBACK_BYTES,
     BadCommandWord,
     BadStateCode,
+    CommandFrame,
+    CommandWord,
     FeedbackFrame,
     NonFiniteScalar,
     RobotState,
+    encode_command_frame,
     encode_feedback_frame,
+    encode_record,
     explode_plan,
 )
 from stream_harness import images, random_motions
@@ -249,6 +253,33 @@ class _FixedImage:
         return 1
 
 
+class _HeldStart(_FixedImage):
+    """A program that holds START for a two-record skill with only record 1
+    loaded, so the robot starves once record 1 is complete.  An idle
+    ``PlcSkillInstance`` reads each feedback frame, so a robot ERROR ends
+    the run through the PLC's one fault policy."""
+
+    def __init__(self):
+        slots = (encode_record(explode_plan(one_motion_plan().motions)[0]),)
+        super().__init__(
+            encode_command_frame(
+                CommandFrame(
+                    command=CommandWord.START,
+                    record_count=1,
+                    total_no=2,
+                    loaded_through=1,
+                    frame_seq=1,
+                    slots=slots + (bytes(44),) * 4,
+                )
+            )
+        )
+        self.plc = PlcSkillInstance()
+
+    def plc_tick(self, t_us, fb):
+        self.plc.cycle(fb)
+        return self.image
+
+
 class TestPublishedFramesAreBytes:
     # a fixed bytes image runs into the timeout; anything else is refused at
     # its first publish, since the trace hashes frames after the run
@@ -329,6 +360,23 @@ class TestEndToEnd:
                 FaultyExecutor(),
                 SimConfig(),
             )
+
+    @pytest.mark.parametrize("robot_us", [4000, 7000, 12000])
+    def test_starvation_faults_250_robot_cycles_after_the_last_record(
+        self, robot_us, traces
+    ):
+        # the starvation limit counts robot cycles, whatever their length
+        program = _HeldStart()
+        with pytest.raises(RobotError, match="^robot error code 2$") as exc:
+            run(program, RobotExecutor(), SimConfig(robot_cycle_us=robot_us))
+        assert exc.value.code == program.plc.last_error == 2
+        log = traces[-1].log
+        published = [(t, f) for t, src, kind, f, _ in log if (src, kind) == ("robot", "fb")]
+        t_done = next(t for t, f in published if f.cur_exec == 2)
+        t_error, error = published[-1]
+        assert (error.state, error.error_code) == (RobotState.ERROR, 2)
+        assert t_error - t_done == 250 * robot_us
+        assert log[-1][1:4] == ("plc", "error", "RobotError: robot error code 2")
 
 
 # --- event-driven loop against the polled reference --------------------------
