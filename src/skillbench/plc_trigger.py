@@ -9,6 +9,12 @@ into freed slots (FIFO), and walks the handshake back to IDLE when the
 robot reports DONE.  A robot ERROR, in any state, raises ``RobotError``
 with the robot's code: the PLC has no recovering path.
 
+The PLC packs its START and IDLE images with ``wire.pack_command_frame``
+and builds no ``CommandFrame``: it keeps every field in range itself.
+record_count and loadedThrough are min(5, totalNo), ``PlanTooLarge`` keeps
+totalNo within u32, frame_seq is counted modulo 2**16, and
+``start_images`` checks that every record image is 44 bytes.
+
 Programs sequence whole measurement runs out of skill instances: one skill
 per continuous group, one skill per motion, or a single trigger for a
 natively stored program.  They also timestamp the measurement window
@@ -17,18 +23,18 @@ natively stored program.  They also timestamp the measurement window
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from enum import Enum
 
 from .wire import (
     SLOT_COUNT,
     RECORD_SIZE,
-    CommandFrame,
     CommandWord,
     FeedbackFrame,
     RobotState,
-    encode_command_frame,
     encode_plan,
+    pack_command_frame,
     refill_command_frame,
 )
 
@@ -63,9 +69,6 @@ class PlcSkillState(Enum):
     DONE = "done"
 
 
-_ZERO_SLOTS = (bytes(RECORD_SIZE),) * SLOT_COUNT
-
-
 class PlcSkillInstance:
     """Command-image owner for one robot connection.
 
@@ -82,7 +85,9 @@ class PlcSkillInstance:
         self._loaded = 0
         self._last_cur = 0
         self._frame_seq = 0
-        self._image = encode_command_frame(CommandFrame())
+        # a new object, not wire.IDLE_COMMAND_BYTES: the loop compares images
+        # by identity, so the first tick publishes this IDLE image
+        self._image = pack_command_frame(CommandWord.IDLE, 0, 0, 0, 0, ())
         self.skills_completed = 0
         self.last_error: int | None = None
 
@@ -115,15 +120,8 @@ class PlcSkillInstance:
         self._loaded = loaded = min(SLOT_COUNT, self._total)
         self._last_cur = 0
         # records 1..5 sit in slots 0..4
-        self._image = encode_command_frame(
-            CommandFrame(
-                command=CommandWord.START,
-                record_count=loaded,
-                total_no=self._total,
-                loaded_through=loaded,
-                frame_seq=self._next_seq(),
-                slots=images[:loaded] + _ZERO_SLOTS[loaded:],
-            )
+        self._image = pack_command_frame(
+            CommandWord.START, loaded, self._total, loaded, self._next_seq(), images[:loaded]
         )
         self._state = PlcSkillState.RUNNING
 
@@ -161,9 +159,7 @@ class PlcSkillInstance:
         if st is PlcSkillState.RUNNING:
             if fb.state is RobotState.DONE:
                 self._state = PlcSkillState.DONE
-                self._image = encode_command_frame(
-                    CommandFrame(frame_seq=self._next_seq())
-                )
+                self._image = pack_command_frame(CommandWord.IDLE, 0, 0, 0, self._next_seq(), ())
             else:
                 self._refill(fb.cur_exec)
         elif st is PlcSkillState.DONE:
@@ -241,12 +237,17 @@ class SingleMotionProgram(_SequencedProgram):
     """One skill per motion; every motion ends on its exact target."""
 
     def __init__(self, plans):
-        skills = [
-            encode_plan([replace(m, approx_distance=0.0)])
-            for p in plans
-            for m in p.motions
-        ]
+        skills = [encode_plan([_exact_stop(m)]) for p in plans for m in p.motions]
         super().__init__(skills)
+
+
+def _exact_stop(m):
+    """``m`` with approx +0.0.  Most motions already have it, and
+    ``replace`` costs a validated construction; a ``-0.0`` is replaced, so
+    it goes out on the wire as +0.0."""
+    if m.approx_distance == 0.0 and math.copysign(1.0, m.approx_distance) > 0.0:
+        return m
+    return replace(m, approx_distance=0.0)
 
 
 class NativeTriggerProgram(_SequencedProgram):

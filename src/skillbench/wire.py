@@ -38,9 +38,15 @@ slots alone, so a receiver decodes only the records it has not seen yet
 header plus the five raw slots.  The decoders build their frozen
 dataclasses without running the validating constructors again: the struct
 formats and the decoders' own checks already guarantee what those
-constructors check.  On the sending side, ``pack_feedback_frame`` encodes
-loose feedback fields and ``refill_command_frame`` streams records into a
-copy of an existing command image.
+constructors check.
+
+On the sending side there is one packer per image.  ``pack_command_frame``
+packs command fields and ``pack_feedback_frame`` feedback fields; both take
+fields that already lie in their ranges, as the dataclasses hold them, and
+only the feedback pose is checked again.  ``encode_command_frame`` and
+``encode_feedback_frame`` check their fields through ``CommandFrame`` and
+``FeedbackFrame``, then call those packers.  ``refill_command_frame``
+streams records into a copy of an existing command image.
 """
 
 from __future__ import annotations
@@ -356,22 +362,38 @@ class CommandFrame:
         object.__setattr__(self, "slots", slots)
 
 
+# the zero bytes after the header: five empty slots, then the padding
+_CMD_FILL = bytes(FRAME_SIZE - HEADER_SIZE)
+
+
+def pack_command_frame(
+    command: CommandWord,
+    record_count: int,
+    total_no: int,
+    loaded_through: int,
+    frame_seq: int,
+    slots,
+) -> bytes:
+    """Encode command fields that already lie in their ranges, as a
+    ``CommandFrame`` holds them; nothing is checked here.  ``slots`` are
+    the 44-byte images of the first 0 to 5 slots; the rest stay zero.
+    Always returns a new object."""
+    return (
+        _CMD_HEADER_FMT.pack(command, record_count, total_no, loaded_through, frame_seq)
+        + b"".join(slots)
+        + _CMD_FILL[RECORD_SIZE * len(slots) :]
+    )
+
+
 def encode_command_frame(frame: CommandFrame) -> bytes:
-    buf = bytearray(FRAME_SIZE)
-    _CMD_HEADER_FMT.pack_into(
-        buf,
-        0,
-        int(frame.command),
+    return pack_command_frame(
+        frame.command,
         frame.record_count,
         frame.total_no,
         frame.loaded_through,
         frame.frame_seq,
+        frame.slots,
     )
-    off = HEADER_SIZE
-    for slot in frame.slots:
-        buf[off : off + RECORD_SIZE] = slot
-        off += RECORD_SIZE
-    return bytes(buf)
 
 
 def _slot_offset(m: int) -> int:

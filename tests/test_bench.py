@@ -33,6 +33,7 @@ from skillbench.cli import main
 from skillbench.core import ExecutionType, Pose
 from skillbench.fieldbus_sim import SimConfig
 from skillbench.planner import StepKind
+from skillbench.wire import CommandFrame
 
 
 # SimTrace.digest() of the last CM repetition of run_benchmark(setup, reps=25,
@@ -233,6 +234,25 @@ class TestBenchmark:
         got = tuple(report.stats[e].aet_ms for e in (ExecutionType.RC, ExecutionType.SM, ExecutionType.CM))
         assert got == pytest.approx(aets, abs=1e-9)
         assert report.last_trace.digest() == digest
+
+    def test_a_repetition_builds_no_command_frame(self, monkeypatch):
+        # the PLC packs its START and IDLE images from fields it keeps in
+        # range; a validated CommandFrame per handshake image cost more than
+        # the packing itself
+        built = []
+        check = CommandFrame.__post_init__
+
+        def counted(frame):
+            built.append(frame)
+            check(frame)
+
+        monkeypatch.setattr(CommandFrame, "__post_init__", counted)
+        for cfg in (SETUP_A, SETUP_B):
+            report = run_benchmark(cfg, reps=1, seed=0)
+            assert set(report.stats) == set(ExecutionType)
+        assert built == []
+        CommandFrame()
+        assert len(built) == 1  # the counter sees a construction
 
 
 class TestPlanOnce:

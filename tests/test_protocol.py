@@ -54,6 +54,7 @@ from skillbench.wire import (
     decode_feedback_frame,
     encode_command_frame,
     encode_feedback_frame,
+    encode_plan,
     encode_record,
     explode_plan,
     f32,
@@ -257,6 +258,37 @@ class TestPlcSkillInstance:
                 slots=tuple(slots),
             )
             assert plc.image == encode_command_frame(expected)
+
+    @pytest.mark.parametrize(
+        "n, seqs",
+        [(0x10001, (0xFFFE, 0xFFFF, 0)), (0x10002, (0xFFFF, 0, 1))],
+        ids=["start-at-ffff", "idle-at-ffff"],
+    )
+    def test_handshake_images_across_the_frame_seq_wrap(self, n, seqs):
+        # a first skill of n records, refilled once per curExec step, ends
+        # with frame_seq n - 4; then IDLE, START and IDLE take the next three
+        plc = PlcSkillInstance()
+        plc.start_images(images(records(1)) * n)
+        for cur in range(2, n - 3):
+            plc.cycle(fb(RobotState.RUNNING, cur=cur))
+        assert decode_command_header(plc.image).frame_seq == (n - 4) & 0xFFFF
+        idle_seq, start_seq, last_seq = seqs
+        plc.cycle(fb(RobotState.DONE, cur=n))
+        assert plc.image == encode_command_frame(CommandFrame(frame_seq=idle_seq))
+        plc.cycle(fb(RobotState.IDLE))
+        skill = images(records(2))
+        plc.start_images(skill)
+        start = CommandFrame(
+            command=CommandWord.START,
+            record_count=2,
+            total_no=2,
+            loaded_through=2,
+            frame_seq=start_seq,
+            slots=tuple(skill) + (bytes(44),) * 3,
+        )
+        assert plc.image == encode_command_frame(start)
+        plc.cycle(fb(RobotState.DONE, cur=2))
+        assert plc.image == encode_command_frame(CommandFrame(frame_seq=last_seq))
 
 
 # --- robot executor -------------------------------------------------------------
@@ -752,6 +784,17 @@ def test_single_motion_program_runs_every_motion_alone():
     assert len(ex.executed) == n_motions
     assert ex.pose == native_baseline(plans, SETUP_A.start.components()).pose
 
+
+
+def test_single_motion_skills_send_every_approx_as_plus_zero():
+    # MotionCommand accepts -0.0; a single-motion skill sends it as +0.0,
+    # the same image as a motion built with approx 0.0
+    motions = (lin(10.0, approx=-0.0), lin(20.0, approx=2.5), lin(30.0), lin(40.0, approx=-0.0))
+    assert encode_plan([motions[0]])[0][36:40] == struct.pack("<f", -0.0)
+    program = SingleMotionProgram([ContinuousSkillPlan(motions)])
+    stopped = [replace(m, approx_distance=0.0) for m in motions]
+    assert program._skills == [tuple(encode_plan([m])) for m in stopped]
+    assert all(image[36:40] == bytes(4) for (image,) in program._skills)
 
 
 def plc_state(program):

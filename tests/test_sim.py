@@ -643,6 +643,33 @@ def test_the_cycle_lengths_have_one_owner():
     assert set().union(*map(cycle_readers, paths)) == CYCLE_OWNERS
 
 
+def test_the_plc_builds_no_command_frame():
+    # the PLC packs its images from fields it keeps in range, with
+    # wire.pack_command_frame; the validating CommandFrame is for callers
+    # that do not
+    tree = ast.parse((ROOT / "src/skillbench/plc_trigger.py").read_text())
+    names = {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+    assert "pack_command_frame" in names
+    assert not names & {"CommandFrame", "encode_command_frame"}
+
+
+def test_an_empty_program_publishes_its_idle_image():
+    # the PLC's initial image is its own object, not IDLE_COMMAND_BYTES, so
+    # the loop sees a new image at the first tick and traces it
+    text = run(_SequencedProgram([]), RobotExecutor()).trace.export_text()
+    assert text == (
+        "           0 sim   phases       plc=864 bus=394 robot=3104\n"
+        "         864 plc   cmd          word=IDLE count=0 total=0 loaded=0 seq=0 5341e6b26469\n"
+        "         864 sim   finished     t=864\n"
+    )
+
+
 class _Corrupting:
     """Forwards a program or an executor, hooks included, but publishes the
     ``nth`` distinct image that ``call`` returns as ``corrupt(image)``.  The

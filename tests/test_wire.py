@@ -8,7 +8,7 @@ import struct
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
@@ -47,6 +47,7 @@ from skillbench.wire import (
     encode_record,
     explode_plan,
     f32,
+    pack_command_frame,
     pack_feedback_frame,
     slot_for_record,
     slot_image,
@@ -439,6 +440,9 @@ def test_frames_are_256_bytes():
 def test_idle_images_are_all_zero_headers():
     assert IDLE_COMMAND_BYTES[:HEADER_SIZE] == bytes(HEADER_SIZE)
     assert IDLE_FEEDBACK_BYTES == bytes(FRAME_SIZE)
+    # each packing is a new object, which the loop tells apart by identity
+    packed = pack_command_frame(CommandWord.IDLE, 0, 0, 0, 0, ())
+    assert packed == IDLE_COMMAND_BYTES and packed is not IDLE_COMMAND_BYTES
 
 
 def test_command_frame_field_offsets():
@@ -659,6 +663,37 @@ def test_packed_feedback_equals_encoded_frame(state, err, cur, ack, pose):
     assert outcome_of(pack_feedback_frame, *fields) == outcome_of(
         lambda: encode_feedback_frame(FeedbackFrame(*fields))
     )
+
+
+record_images = st.binary(min_size=RECORD_SIZE, max_size=RECORD_SIZE)
+
+
+@st.composite
+def command_fields(draw):
+    """In-range command fields, as a ``CommandFrame`` holds them, with 0 to
+    5 given slots."""
+    total = draw(st.integers(0, 0xFFFFFFFF))
+    return (
+        draw(st.sampled_from(list(CommandWord))),
+        draw(st.integers(0, SLOT_COUNT)),
+        total,
+        draw(st.integers(0, total)),
+        draw(st.integers(0, 0xFFFF)),
+        tuple(draw(st.lists(record_images, max_size=SLOT_COUNT))),
+    )
+
+
+@given(command_fields())
+@example((CommandWord.IDLE, 0, 0, 0, 0, ()))
+@example((CommandWord.START, 5, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFF, (b"\xff" * RECORD_SIZE,) * 5))
+def test_packed_command_equals_encoded_frame(fields):
+    *header, given_slots = fields
+    slots = given_slots + (bytes(RECORD_SIZE),) * (SLOT_COUNT - len(given_slots))
+    packed = pack_command_frame(*fields)
+    assert packed == encode_command_frame(CommandFrame(*header, slots))
+    # the decoder reads the header and the slots; the rest is zero padding
+    assert decode_command_frame(packed) == CommandFrame(*header, slots)
+    assert packed[HEADER_SIZE + SLOT_COUNT * RECORD_SIZE :] == bytes(24)
 
 
 # --- golden fixtures ----------------------------------------------------------
