@@ -13,7 +13,10 @@ and reports the average execution time (AET), the mean absolute deviation
 (MAD), and the relative improvement AET_i = (AET_SM - AET_CM) / AET_SM.
 Repetition k of every execution type uses the same derived seed, so the
 task phase offsets are paired across types.  A setup is planned once per
-process (``build_plans``) and then only run, as the paper's skills are.
+process (``build_plans``) and compiled once (``compile_setup``): RC's
+stored records and SM's and CM's skills are built from the plans one time,
+and every repetition only runs them, as the paper's PLC triggers records
+written once into a data block.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from statistics import fmean
+from typing import NamedTuple
 
 from .core import ExecutionType, Pose
 from .fieldbus_sim import SimConfig, SimTrace, run
@@ -35,11 +39,12 @@ from .planner import (
     plan_waypoints,
 )
 from .plc_trigger import (
-    ContinuousMotionProgram,
     NativeTriggerProgram,
-    SingleMotionProgram,
+    SkillProgram,
+    continuous_skills,
+    single_motion_skills,
 )
-from .robot_executor import NativeExecutor, RobotExecutor
+from .robot_executor import NativeExecutor, RobotExecutor, stored_records
 
 
 @dataclass(frozen=True)
@@ -250,12 +255,39 @@ class MeasurementReport:
         return compute_improvement(sm.aet_ms, cm.aet_ms)
 
 
-def _build_run(plans, pose, etype: ExecutionType):
+class CompiledSetup(NamedTuple):
+    """A setup's plans in the form each execution type runs them."""
+
+    records: tuple  # RC: the stored program, ``stored_records``
+    single_motion: tuple  # SM: ``single_motion_skills``
+    continuous: tuple  # CM: ``continuous_skills``
+
+
+def compile_plans(plans) -> CompiledSetup:
+    """Encode (and, for RC, decode) ``plans`` for all three execution types.
+    Raises ``UnencodableValue`` for a plan the wire cannot carry."""
+    return CompiledSetup(
+        stored_records(plans), single_motion_skills(plans), continuous_skills(plans)
+    )
+
+
+@lru_cache(maxsize=8)
+def compile_setup(cfg: ScenarioConfig) -> CompiledSetup:
+    """``compile_plans`` of the plans of ``build_plans(cfg)``, compiled once
+    per process for each of the eight most recently used setups.  Every
+    program and executor only reads what it is given, so all repetitions
+    share the result."""
+    plans, _ = build_plans(cfg)
+    return compile_plans(plans)
+
+
+def _build_run(compiled: CompiledSetup, pose, etype: ExecutionType):
     if etype is ExecutionType.RC:
-        return NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose)
+        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose)
+        return NativeTriggerProgram(), executor
     if etype is ExecutionType.SM:
-        return SingleMotionProgram(plans), RobotExecutor(initial_pose=pose)
-    return ContinuousMotionProgram(plans), RobotExecutor(initial_pose=pose)
+        return SkillProgram(compiled.single_motion), RobotExecutor(initial_pose=pose)
+    return SkillProgram(compiled.continuous), RobotExecutor(initial_pose=pose)
 
 
 def run_benchmark(
@@ -269,18 +301,19 @@ def run_benchmark(
 
     ``sim`` provides the cycle times; its seed/rep fields are overridden per
     repetition so that repetition k shares phases across execution types.
-    The plans come from ``build_plans``, so repeated calls on one setup
-    (other seeds, other cycle times) plan it only once.
+    The compiled plans come from ``compile_setup``, so repeated calls on
+    one setup (other seeds, other cycle times) plan and compile it only
+    once, and each repetition builds its program and executor from them.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     report = MeasurementReport(setup=cfg.name, reps=reps, seed=seed)
-    plans, _ = build_plans(cfg)  # frozen, so every run and every call shares them
+    compiled = compile_setup(cfg)  # every run and every call shares it
     pose = cfg.start.components()
     for etype in etypes:
         samples = []
         for rep in range(reps):
-            program, executor = _build_run(plans, pose, etype)
+            program, executor = _build_run(compiled, pose, etype)
             result = run(program, executor, replace(sim, seed=seed, rep=rep))
             samples.append(program.elapsed_ms)
             report.last_trace = result.trace

@@ -15,10 +15,13 @@ record_count and loadedThrough are min(5, totalNo), ``PlanTooLarge`` keeps
 totalNo within u32, frame_seq is counted modulo 2**16, and
 ``start_images`` checks that every record image is 44 bytes.
 
-Programs sequence whole measurement runs out of skill instances: one skill
-per continuous group, one skill per motion, or a single trigger for a
-natively stored program.  They also timestamp the measurement window
-(first START emission to final DONE observation).
+One program class, ``SkillProgram``, sequences a whole measurement run out
+of compiled skills and timestamps its window (first START emission to
+final DONE observation).  ``continuous_skills`` compiles one skill per
+continuous group and ``single_motion_skills`` one skill per motion; a
+natively stored program needs a single empty trigger skill.  A skill is a
+tuple of record images and a program only copies them, so a caller that
+runs one setup many times compiles it once (``bench.compile_setup``).
 """
 
 from __future__ import annotations
@@ -169,9 +172,12 @@ class PlcSkillInstance:
                 self._images = ()
 
 
-class _SequencedProgram:
-    """Runs skills back to back over one connection; each skill is the
-    list of its 44-byte record images.
+class SkillProgram:
+    """Runs skills back to back over one connection; each skill is a tuple
+    of 44-byte record images, as ``continuous_skills`` and
+    ``single_motion_skills`` compile them.  The program only copies those
+    images into its slots, so one compiled tuple of skills can serve any
+    number of programs, as a PLC's data block serves every run.
 
     ``t_start_us`` marks the cycle that first emitted START, ``t_end_us`` the
     cycle that read the final skill's DONE; the trailing IDLE handshake falls
@@ -188,7 +194,7 @@ class _SequencedProgram:
     """
 
     def __init__(self, skills):
-        self._skills = [tuple(s) for s in skills]
+        self._skills = tuple(skills)
         self.plc = PlcSkillInstance()
         self._next = 0
         self._current_last = False
@@ -198,16 +204,16 @@ class _SequencedProgram:
 
     def plc_tick(self, t_us: int, fb: FeedbackFrame) -> bytes:
         plc = self.plc
-        before = plc.state
+        before = plc._state
         plc.cycle(fb)
-        if (
-            self._current_last
-            and before is not PlcSkillState.DONE
-            and plc.state is PlcSkillState.DONE
-            and self.t_end_us is None
-        ):
-            self.t_end_us = t_us
-        if plc.state is PlcSkillState.IDLE and not self.finished:
+        st = plc._state
+        if st is before and (st is not PlcSkillState.IDLE or self.finished):
+            # nothing to stamp and no skill to start
+            return plc._image
+        if st is PlcSkillState.DONE:
+            if self._current_last:
+                self.t_end_us = t_us
+        elif st is PlcSkillState.IDLE and not self.finished:
             if self._next < len(self._skills):
                 if fb.state is RobotState.IDLE:
                     plc.start_images(self._skills[self._next])
@@ -217,7 +223,7 @@ class _SequencedProgram:
                         self.t_start_us = t_us
             else:
                 self.finished = True
-        return plc.image
+        return plc._image
 
     @property
     def elapsed_ms(self) -> float:
@@ -226,19 +232,29 @@ class _SequencedProgram:
         return (self.t_end_us - self.t_start_us) / 1000.0
 
 
-class ContinuousMotionProgram(_SequencedProgram):
+def continuous_skills(plans) -> tuple[tuple[bytes, ...], ...]:
+    """One skill per continuous group: the record images of each plan."""
+    return tuple(tuple(encode_plan(p.motions)) for p in plans)
+
+
+def single_motion_skills(plans) -> tuple[tuple[bytes, ...], ...]:
+    """One skill per motion, each ending on its exact target: the
+    ``continuous_skills`` of one-motion plans with approx +0.0."""
+    return tuple(tuple(encode_plan([_exact_stop(m)])) for p in plans for m in p.motions)
+
+
+class ContinuousMotionProgram(SkillProgram):
     """One skill per continuous group, full handshake between groups."""
 
     def __init__(self, plans):
-        super().__init__([encode_plan(p.motions) for p in plans])
+        super().__init__(continuous_skills(plans))
 
 
-class SingleMotionProgram(_SequencedProgram):
+class SingleMotionProgram(SkillProgram):
     """One skill per motion; every motion ends on its exact target."""
 
     def __init__(self, plans):
-        skills = [encode_plan([_exact_stop(m)]) for p in plans for m in p.motions]
-        super().__init__(skills)
+        super().__init__(single_motion_skills(plans))
 
 
 def _exact_stop(m):
@@ -250,8 +266,8 @@ def _exact_stop(m):
     return replace(m, approx_distance=0.0)
 
 
-class NativeTriggerProgram(_SequencedProgram):
+class NativeTriggerProgram(SkillProgram):
     """Single START/DONE handshake for a natively stored motion program."""
 
     def __init__(self):
-        super().__init__([[]])
+        super().__init__(((),))

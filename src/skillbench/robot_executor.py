@@ -6,7 +6,8 @@ Two executors share one motion engine and one cyclic task:
   and ingests records as the PLC streams them through the five slots, and
   reports progress through the feedback image.
 * ``NativeExecutor`` holds whole motion plans locally (the classic "program
-  stored on the robot controller" setup) and only uses the bus for a
+  stored on the robot controller" setup), as the records
+  ``stored_records`` decodes from them, and only uses the bus for a
   START/DONE handshake.
 
 Both decode only the header of a new command image, and both fault with
@@ -428,17 +429,26 @@ class RobotExecutor(_CyclicExecutor):
         self._known = loaded
 
 
+def stored_records(plans) -> tuple[MotionRecord, ...]:
+    """The program a ``NativeExecutor`` stores for ``plans``: each plan's
+    records as the wire delivers them (``explode_plan``), back to back.
+    Raises ``UnencodableValue`` for a plan the wire cannot carry."""
+    return tuple(rec for p in plans for rec in explode_plan(p.motions))
+
+
 class NativeExecutor(_CyclicExecutor):
     """Robot-resident motion program with a bus-level START/DONE handshake.
 
     Takes the same continuous plans the streaming path would receive and
     runs them back to back; the exact stop between groups comes from the
-    final motion of each group carrying approx 0.  The plans are encoded
-    and decoded on construction (``explode_plan``), so both executors work
-    from the records the wire would deliver, and a plan the wire cannot
-    carry raises ``UnencodableValue`` here.  Only the command word and
-    frame_seq of the command image matter here: totalNo and loadedThrough
-    are ignored, and START ingests the whole stored program.
+    final motion of each group carrying approx 0.  Construction from plans
+    explodes them (``stored_records``), so both executors work from the
+    records the wire would deliver, and a plan the wire cannot carry raises
+    ``UnencodableValue`` there.  ``from_records`` builds the executor from
+    a tuple that ``stored_records`` made earlier, so a program run many
+    times is exploded once.  Only the command word and frame_seq of the
+    command image matter here: totalNo and loadedThrough are ignored, and
+    START ingests the whole stored program.
     """
 
     def __init__(
@@ -448,8 +458,24 @@ class NativeExecutor(_CyclicExecutor):
         initial_joints=(0.0,) * 6,
         capture: bool = False,
     ):
+        self._hold(stored_records(plans), initial_pose, initial_joints, capture)
+
+    @classmethod
+    def from_records(
+        cls,
+        records,
+        initial_pose=(0.0,) * 6,
+        initial_joints=(0.0,) * 6,
+        capture: bool = False,
+    ):
+        """An executor storing ``records``, the result of ``stored_records``."""
+        executor = cls.__new__(cls)
+        executor._hold(records, initial_pose, initial_joints, capture)
+        return executor
+
+    def _hold(self, records, initial_pose, initial_joints, capture):
         super().__init__(initial_pose, initial_joints, capture)
-        self._records = [rec for p in plans for rec in explode_plan(p.motions)]
+        self._records = tuple(records)
         self._total = len(self._records)
 
     def _load(self, header: CommandHeader, data: bytes, fresh: bool):

@@ -18,8 +18,11 @@ from skillbench.bench import (
     EtypeStats,
     MeasurementReport,
     ScenarioConfig,
+    _build_run,
     build_plans,
     build_scenario,
+    compile_plans,
+    compile_setup,
     compute_improvement,
     mad,
     parse_scenario,
@@ -31,15 +34,30 @@ from skillbench.bench import (
 )
 from skillbench.cli import main
 from skillbench.core import ExecutionType, Pose
-from skillbench.fieldbus_sim import SimConfig
+from skillbench.fieldbus_sim import SimConfig, run
 from skillbench.planner import StepKind
-from skillbench.wire import CommandFrame
+from skillbench.plc_trigger import (
+    ContinuousMotionProgram,
+    NativeTriggerProgram,
+    SingleMotionProgram,
+    SkillProgram,
+)
+from skillbench.robot_executor import NativeExecutor, RobotExecutor
+from skillbench.wire import CommandFrame, MotionRecord
+from test_sim import count_wire_calls
 
 
 # SimTrace.digest() of the last CM repetition of run_benchmark(setup, reps=25,
 # seed=0): repetition 24 of seed 0
 LAST_TRACE_DIGEST_A = "e7e5ff2ab1704926eaf0c6b3a761e45e82eb9cdfd416a31832828002421e2b9d"
 LAST_TRACE_DIGEST_B = "595138138148bcb830af98d30eae2d28b3ce2597ac5d724b0e769f7ebf0452c9"
+# the same for run_benchmark(setup, etypes=(etype,), reps=25, seed=0)
+LAST_RC_SM_DIGESTS = {
+    ("a", ExecutionType.RC): "286fb91b7ab78b6ac05babcf3bc25e977da717ac118a756532d42b7276928810",
+    ("a", ExecutionType.SM): "111ac07e688d0782606a96bb0f92f8300bf95af96d24ff0c6b7a7eb3198098e1",
+    ("b", ExecutionType.RC): "a6fc0b483a39791313ad1bef4866110f997ec6b54dac282c8260478d277d9521",
+    ("b", ExecutionType.SM): "d1857c03865bd93cbde67ad5d64317e8e6c53c950d63c5cd25381a25117e13a4",
+}
 
 
 # --- statistics -----------------------------------------------------------------
@@ -235,6 +253,14 @@ class TestBenchmark:
         assert got == pytest.approx(aets, abs=1e-9)
         assert report.last_trace.digest() == digest
 
+    @pytest.mark.parametrize("cfg", [SETUP_A, SETUP_B], ids=["a", "b"])
+    @pytest.mark.parametrize("etype", [ExecutionType.RC, ExecutionType.SM], ids=["rc", "sm"])
+    def test_the_last_rc_and_sm_traces_are_pinned(self, cfg, etype):
+        # RC runs stored records and SM one skill per motion, each built
+        # apart from CM's skills; their bytes are pinned as CM's are
+        report = run_benchmark(cfg, etypes=(etype,), reps=25, seed=0)
+        assert report.last_trace.digest() == LAST_RC_SM_DIGESTS[cfg.name, etype]
+
     def test_a_repetition_builds_no_command_frame(self, monkeypatch):
         # the PLC packs its START and IDLE images from fields it keeps in
         # range; a validated CommandFrame per handshake image cost more than
@@ -301,6 +327,122 @@ class TestPlanOnce:
         # the result is shared, so nothing in it can grow
         assert type(plans) is tuple and type(chains) is tuple
         assert all(type(chain) is tuple for chain in chains)
+
+
+def plan_run(plans, pose, etype):
+    """A repetition built from the plans, the executor capturing."""
+    if etype is ExecutionType.RC:
+        return NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose, capture=True)
+    program = (SingleMotionProgram if etype is ExecutionType.SM else ContinuousMotionProgram)(plans)
+    return program, RobotExecutor(initial_pose=pose, capture=True)
+
+
+def compiled_run(compiled, pose, etype):
+    """``_build_run``'s repetition from a compiled setup, the executor
+    capturing."""
+    if etype is ExecutionType.RC:
+        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose, capture=True)
+        return NativeTriggerProgram(), executor
+    skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
+    return SkillProgram(skills), RobotExecutor(initial_pose=pose, capture=True)
+
+
+class TestCompileOnce:
+    def test_a_setup_is_compiled_once_per_process(self, monkeypatch):
+        calls = []
+        real_compile = skillbench.bench.compile_plans
+
+        def counting_compile(plans):
+            calls.append(plans)
+            return real_compile(plans)
+
+        monkeypatch.setattr(skillbench.bench, "compile_plans", counting_compile)
+        compile_setup.cache_clear()
+        cfg = dataclasses.replace(SETUP_A, name="compile-memo")
+        run_benchmark(cfg, reps=1, seed=0)
+        run_benchmark(cfg, reps=2, seed=1)
+        assert calls == [build_plans(cfg)[0]]
+        assert compile_setup(cfg) is compile_setup(cfg)
+
+    def test_warm_repetitions_encode_and_explode_nothing(self, monkeypatch):
+        for cfg in (SETUP_A, SETUP_B):
+            run_benchmark(cfg, reps=1, seed=0)
+        calls = [count_wire_calls(monkeypatch, f) for f in ("encode_plan", "explode_plan")]
+        for cfg in (SETUP_A, SETUP_B):
+            for etype in ExecutionType:
+                run_benchmark(cfg, etypes=(etype,), reps=2, seed=3)
+        assert calls == [[], []]
+        compile_plans(build_plans(SETUP_A)[0])
+        assert all(calls)  # the counters see a compile
+
+    def test_the_compiled_setup_is_tuples_the_runs_share(self):
+        compiled = compile_setup(SETUP_A)
+        assert isinstance(compiled, tuple)
+        assert type(compiled.records) is tuple
+        assert all(type(rec) is MotionRecord for rec in compiled.records)
+        for skills in (compiled.single_motion, compiled.continuous):
+            assert type(skills) is tuple
+            assert all(type(skill) is tuple for skill in skills)
+            assert all(type(image) is bytes for skill in skills for image in skill)
+        pose = SETUP_A.start.components()
+        _, executor = _build_run(compiled, pose, ExecutionType.RC)
+        assert executor._records is compiled.records
+        program, _ = _build_run(compiled, pose, ExecutionType.SM)
+        assert program._skills is compiled.single_motion
+        program, _ = _build_run(compiled, pose, ExecutionType.CM)
+        assert program._skills is compiled.continuous
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("cfg", [SETUP_A, SETUP_B], ids=["a", "b"])
+    def test_the_compiled_setup_runs_as_its_plans_do(self, cfg, seed):
+        plans, _ = build_plans(cfg)
+        compiled = compile_setup(cfg)
+        pose = cfg.start.components()
+        for etype in ExecutionType:
+            report = run_benchmark(cfg, etypes=(etype,), reps=3, seed=seed)
+            for rep in range(3):
+                sim = SimConfig(seed=seed, rep=rep)
+                runs = []
+                for program, executor in (
+                    plan_run(plans, pose, etype),
+                    compiled_run(compiled, pose, etype),
+                ):
+                    digest = run(program, executor, sim).trace.digest()
+                    runs.append((program.elapsed_ms, executor.executed, digest))
+                assert runs[0] == runs[1]
+                assert runs[0][0] == report.stats[etype].samples[rep]
+            assert runs[0][2] == report.last_trace.digest()
+
+    @pytest.mark.parametrize("outer", list(ExecutionType), ids=lambda e: e.value)
+    def test_runs_interleaved_on_one_compile_replay_separate_compiles(self, outer):
+        # before each PLC tick of one run, a whole other run, of each type
+        # in turn, executes from the same compiled tuples; the outer run's
+        # PLC is then mid-skill on one of them
+        plans, _ = build_plans(SETUP_A)
+        pose = SETUP_A.start.components()
+        shared = compile_plans(plans)
+        inner = []
+        program, executor = _build_run(shared, pose, outer)
+        tick = program.plc_tick
+
+        def run_another_then_tick(t_us, fb):
+            etype = tuple(ExecutionType)[len(inner) % 3]
+            rep = len(inner) + 1
+            other = run(*_build_run(shared, pose, etype), SimConfig(rep=rep))
+            inner.append((etype, rep, other.trace.digest()))
+            return tick(t_us, fb)
+
+        program.plc_tick = run_another_then_tick
+        digest = run(program, executor, SimConfig(rep=0)).trace.digest()
+
+        def separate(etype, rep):
+            return run(
+                *_build_run(compile_plans(plans), pose, etype), SimConfig(rep=rep)
+            ).trace.digest()
+
+        assert len(inner) >= 5
+        assert digest == separate(outer, 0)
+        assert [d for _, _, d in inner] == [separate(etype, rep) for etype, rep, _ in inner]
 
 
 # --- rendering -----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from skillbench.core import (
     MotionType,
     Pose,
 )
-from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans
+from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans, compile_plans
 from skillbench.fieldbus_sim import SimConfig, SimTrace, run
 from skillbench.plc_trigger import (
     BusySkill,
@@ -33,7 +33,6 @@ from skillbench.plc_trigger import (
     PlcSkillState,
     RobotError,
     SingleMotionProgram,
-    _SequencedProgram,
 )
 from skillbench.robot_executor import (
     ERROR_RECORD,
@@ -793,7 +792,7 @@ def test_single_motion_skills_send_every_approx_as_plus_zero():
     assert encode_plan([motions[0]])[0][36:40] == struct.pack("<f", -0.0)
     program = SingleMotionProgram([ContinuousSkillPlan(motions)])
     stopped = [replace(m, approx_distance=0.0) for m in motions]
-    assert program._skills == [tuple(encode_plan([m])) for m in stopped]
+    assert program._skills == tuple(tuple(encode_plan([m])) for m in stopped)
     assert all(image[36:40] == bytes(4) for (image,) in program._skills)
 
 
@@ -840,11 +839,12 @@ def test_a_repeated_tick_changes_nothing(case):
     # delivery: a second full tick on the same feedback is a no-op
     if case == "stream":
         plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(3), 40)))]
-        program, executor = _build_run(plans, ORIGIN.components(), ExecutionType.CM)
+        pose, etype = ORIGIN.components(), ExecutionType.CM
     else:
         setup = SETUP_B if case.startswith("b-") else SETUP_A
         plans, _ = build_plans(setup)
-        program, executor = _build_run(plans, setup.start.components(), ExecutionType(case[-2:]))
+        pose, etype = setup.start.components(), ExecutionType(case[-2:])
+    program, executor = _build_run(compile_plans(plans), pose, etype)
     repeated = _Repeated(program)
     run(repeated, executor)
     assert repeated.checked >= 10

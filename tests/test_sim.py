@@ -18,7 +18,7 @@ import polled_sim
 import skillbench
 from polled_sim import run_polled
 from skillbench import fieldbus_sim, wire
-from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans
+from skillbench.bench import SETUP_A, SETUP_B, _build_run, build_plans, compile_plans
 from skillbench.core import (
     ContinuousSkillPlan,
     ExecutionType,
@@ -41,7 +41,7 @@ from skillbench.plc_trigger import (
     PlcSkillInstance,
     RobotError,
     SingleMotionProgram,
-    _SequencedProgram,
+    SkillProgram,
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import (
@@ -338,7 +338,7 @@ class TestEndToEnd:
         ]
         records = explode_plan([moves[i % 7] for i in range(1, 65_541)])
         assert [r.record_seq for r in records[65_534:65_538]] == [65_535, 0, 1, 2]
-        program = _SequencedProgram([images(records)])
+        program = SkillProgram([images(records)])
         executor = RobotExecutor(capture=True)
         run(program, executor, SimConfig(seed=1))
         assert executor.executed == [(i, 1, r.target, 0) for i, r in enumerate(records, 1)]
@@ -505,8 +505,8 @@ class TestEventDriven:
         # arrive before its first grid point
         setup, etype = kind
         plans, pose = kind_plans(setup, random.Random(3), 100)
-        program, executor = _build_run(plans, pose, ExecutionType(etype))
-        decoded = count_feedback_decodes(monkeypatch)
+        program, executor = _build_run(compile_plans(plans), pose, ExecutionType(etype))
+        decoded = count_wire_calls(monkeypatch, "decode_feedback_frame")
         calls, phase_plc, delivered, published = count_plc_ticks(
             program, executor, SimConfig(plc_cycle_us=plc_cycle_us)
         )
@@ -562,23 +562,23 @@ def count_plc_ticks(program, executor, config):
     return len(calls), phases_of(result)[0], delivered, published
 
 
-def count_feedback_decodes(monkeypatch):
-    """A list that gets one entry per call of ``wire.decode_feedback_frame``
-    made through any ``skillbench`` module attribute that holds it, the names
-    the benchmark's tracer wraps."""
-    decoded = []
-    decode = wire.decode_feedback_frame
+def count_wire_calls(monkeypatch, function):
+    """A list that gets one entry per call of ``wire.<function>`` made
+    through any ``skillbench`` module attribute that holds it, the names the
+    benchmark's tracer wraps."""
+    calls = []
+    real = getattr(wire, function)
 
-    def counted(data):
-        decoded.append(data)
-        return decode(data)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     for info in pkgutil.iter_modules(skillbench.__path__):
         module = importlib.import_module(f"skillbench.{info.name}")
         for name, value in list(vars(module).items()):
-            if value is decode:
+            if value is real:
                 monkeypatch.setattr(module, name, counted)
-    return decoded
+    return calls
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -662,7 +662,7 @@ def test_the_plc_builds_no_command_frame():
 def test_an_empty_program_publishes_its_idle_image():
     # the PLC's initial image is its own object, not IDLE_COMMAND_BYTES, so
     # the loop sees a new image at the first tick and traces it
-    text = run(_SequencedProgram([]), RobotExecutor()).trace.export_text()
+    text = run(SkillProgram([]), RobotExecutor()).trace.export_text()
     assert text == (
         "           0 sim   phases       plc=864 bus=394 robot=3104\n"
         "         864 plc   cmd          word=IDLE count=0 total=0 loaded=0 seq=0 5341e6b26469\n"

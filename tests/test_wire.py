@@ -12,7 +12,8 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
-from skillbench.plc_trigger import ContinuousMotionProgram
+from skillbench.bench import compile_plans
+from skillbench.plc_trigger import ContinuousMotionProgram, SingleMotionProgram
 from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     FRAME_SIZE,
@@ -347,7 +348,7 @@ def test_unencodable_plans_fail_before_start(record, motion, message):
     plan = ContinuousSkillPlan(motions)
     with pytest.raises(UnencodableValue, match=re.escape(message)):
         explode_plan(plan.motions)
-    for build in (ContinuousMotionProgram, NativeExecutor):
+    for build in (ContinuousMotionProgram, SingleMotionProgram, NativeExecutor, compile_plans):
         with pytest.raises(UnencodableValue, match=re.escape(message)):
             build([plan])
 
