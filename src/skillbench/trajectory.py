@@ -255,6 +255,12 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
       single-corner test yet lose together); a run entered at a nonzero
       committed speed is exempt.
 
+    Each round does linear work.  It times each segment at most once, at
+    its current boundary speeds, and re-tests an arc only when an input of
+    its test changed since the arc last passed it: the effective lengths of
+    its two segments, or the speeds at its corner and at both neighbours.
+    The run fallback sweeps the arcs once across the zero-speed corners.
+
     Returns ``(speeds, blends)``: n + 1 corner speeds, zero at every stop,
     and the kept blends, None wherever the corner stops.
     """
@@ -262,6 +268,9 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
     blends = list(blends)
     blends[0] = blends[n] = None
     fallback_pending = True
+    # inputs of each arc's last passed single-corner test; a failed test
+    # drops the arc, so it is never asked again
+    passed = [None] * n
     while True:
         trunc = [0.0 if b is None else b.truncation for b in blends]
         trunc[0] = entry_trunc
@@ -284,6 +293,8 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
             entry_speed**2 - speeds[1] ** 2 > 2.0 * accels[0] * eff[0] * (1.0 + 1e-12) + _FEAS_SLACK
         )
         arcs = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
+        # seconds of segment i from speeds[i] to speeds[i + 1], timed on first use
+        seg = [None] * n
         drop = []
         for i in arcs:
             b, v = blends[i], speeds[i]
@@ -292,11 +303,17 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                 continue
             if entry_stuck:
                 continue
-            with_arc = (
-                _segment_time(eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v)
-                + b.arc_length / v
-                + _segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
-            )
+            inputs = (eff[i - 1], eff[i], speeds[i - 1], v, speeds[i + 1])
+            if passed[i] == inputs:
+                continue
+            t_in = seg[i - 1]
+            if t_in is None:
+                t_in = seg[i - 1] = _segment_time(
+                    eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v
+                )
+            # arcs come in order, so no earlier arc has timed segment i
+            t_out = seg[i] = _segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+            with_arc = t_in + b.arc_length / v + t_out
             try:
                 with_stop = _segment_time(
                     eff[i - 1] + b.truncation, vmaxes[i - 1], accels[i - 1], speeds[i - 1], 0.0
@@ -304,23 +321,37 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
             except InfeasibleBoundary:
                 # a neighbouring blend depends on carrying speed through
                 # this corner; stopping here is not a local option
-                continue
+                with_stop = math.inf
             if with_arc > with_stop:
                 drop.append(i)
+            else:
+                passed[i] = inputs
         if entry_stuck and not drop:
             drop = [i for i in range(n - 1, 0, -1) if blends[i] is not None][:1]
         elif arcs and not drop and fallback_pending:
             fallback_pending = False
             start = 0 if entry_speed == 0.0 else -1
-            for end in (i for i in range(1, n + 1) if speeds[i] == 0.0):
-                run_arcs = [i for i in arcs if start < i < end]
-                if start >= 0 and run_arcs:
-                    run = range(start, end)
-                    total = sum(
-                        _segment_time(eff[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1])
-                        for i in run
-                    ) + sum(blends[i].arc_length / speeds[i] for i in run_arcs)
-                    stops = (_segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0) for i in run)
+            j = 0  # arcs[:j] lie before the current run's end
+            for end in range(1, n + 1):
+                if speeds[end] != 0.0:
+                    continue
+                first = j
+                while j < len(arcs) and arcs[j] < end:
+                    j += 1
+                if start >= 0 and j > first:
+                    for i in range(start, end):
+                        if seg[i] is None:
+                            seg[i] = _segment_time(
+                                eff[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1]
+                            )
+                    run_arcs = arcs[first:j]
+                    total = sum(seg[start:end]) + sum(
+                        blends[i].arc_length / speeds[i] for i in run_arcs
+                    )
+                    stops = (
+                        _segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0)
+                        for i in range(start, end)
+                    )
                     if total > sum(stops):
                         drop += run_arcs
                 start = end

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from skillbench import robot_executor
 
 # simulation-backed properties legitimately take tens of ms per example
 settings.register_profile(
@@ -7,3 +10,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Arguments of every ``solve_corners`` call the motion engine makes
+    during the test, in call order.  Both executors plan through it, so it
+    sees the windows of ``run_native``, ``fieldbus_sim.run`` and
+    ``run_benchmark`` alike."""
+    calls = []
+    solve = robot_executor.solve_corners
+
+    def recording(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(robot_executor, "solve_corners", recording)
+    return calls

@@ -399,23 +399,28 @@ def _losing_run(lengths, v, a, corners):
     return list(lengths), list(v), list(a), blends + [None]
 
 
-def test_two_losing_runs_in_one_window_both_drop():
+def two_losing_runs():
     """Two runs (found by a seeded search) whose blends each pass the
-    single-corner test but lose to stopping as a whole, joined by an exact
-    stop: the run fallback must drop the blends of both runs in one solve,
-    not only those of the first."""
-    l1, v1, a1, b1 = _losing_run(
+    single-corner test but lose to stopping as a whole."""
+    run1 = _losing_run(
         (17.06886306570025, 2.726797741268115, 14.134610320490856),
         (1000.0, 250.0, 250.0),
         (2000.0, 500.0, 2000.0),
         [(2.92803720331269, 0.5384283142377055), (1.5174363475366914, 0.42994031381384545)],
     )
-    l2, v2, a2, b2 = _losing_run(
+    run2 = _losing_run(
         (24.146055005426184, 1.6579251733979345, 10.97144742897539),
         (250.0, 100.0, 250.0),
         (2000.0, 500.0, 2000.0),
         [(2.7333978385484032, 0.44815133488887904), (2.466720662787861, 0.660893890312675)],
     )
+    return run1, run2
+
+
+def test_two_losing_runs_in_one_window_both_drop():
+    """Two losing runs joined by an exact stop: the run fallback must drop
+    the blends of both runs in one solve, not only those of the first."""
+    (l1, v1, a1, b1), (l2, v2, a2, b2) = two_losing_runs()
     for run in ((l1, v1, a1, b1), (l2, v2, a2, b2)):
         assert solve_corners(*run)[1] == [None] * 4
     speeds, blends = solve_corners(l1 + l2, v1 + v2, a1 + a2, b1[:-1] + b2)
