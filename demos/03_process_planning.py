@@ -9,11 +9,24 @@ every standstill.
 """
 
 from skillbench.bench import SETUP_A, build_scenario
-from skillbench.planner import plan, plan_waypoints, serialize_plans, serialize_process
+from skillbench.planner import StepKind, plan, plan_waypoints
+
+
+def xyz(p):
+    return f"({p.x:.0f},{p.y:.0f},{p.z:.0f})"
+
 
 # the built-in pick and place: descend, grip, carry over, release, return
 steps = build_scenario(SETUP_A)
-print(serialize_process(steps))
+for s in steps:
+    if s.kind is StepKind.STANDSTILL_ACTION:
+        print(f"standstill at {xyz(s.pose)}: {s.action}")
+    elif s.kind is StepKind.PRIMARY_PATH:
+        print(f"primary    {xyz(s.entry)} -> {xyz(s.exit)}")
+    else:
+        to = xyz(s.to_pose) if s.to_pose is not None else "the next step"
+        print(f"transit    to {to}")
+print()
 
 # planning happens in four passes: label path types, plan the primary
 # paths, extend them with collinear pre/post moves, route the transits,
@@ -26,13 +39,17 @@ for i, p in enumerate(plans):
     ending = f"ends with {p.terminal_action!r}" if p.terminal_action else "final group"
     print(f"group {i}: {len(p.motions)} motions, {ending}")
 
-# the serialized plan text is the exchange format between planner and PLC
+# each group runs as one continuous skill; only the last motion must end
+# exactly on its target (approx 0), the others may blend into the next
 print()
-print(serialize_plans(plans[:1]))
+for m in plans[0].motions:
+    print(f"  {m.motion_type.name:<13} to {xyz(m.target)}  "
+          f"v={m.velocity:g} a={m.acceleration:g} approx={m.approx_distance:g}")
+print()
 
 # resolved waypoint chains show the actual geometry; note how the pre
 # move at (0, 0, 80) continues straight into the descend to the pick
 chains = plan_waypoints(plans, SETUP_A.start)
 for i, chain in enumerate(chains):
-    pts = " -> ".join(f"({p.x:.0f},{p.y:.0f},{p.z:.0f})" for p in chain)
+    pts = " -> ".join(xyz(p) for p in chain)
     print(f"group {i}: {pts}")

@@ -53,5 +53,5 @@ print(f"\nwith a 500 ms bus: {executor.fallback_stops} fallback stops, "
 
 # the benchmark scenario's groups fit the window entirely, so even the
 # slow bus cannot starve them once started
-plans, _ = build_plans(SETUP_A)
+plans = build_plans(SETUP_A)
 print("benchmark group sizes:", [p.record_count for p in plans], "(window is 5)")

@@ -31,13 +31,7 @@ from typing import NamedTuple
 
 from .core import ExecutionType, Pose
 from .fieldbus_sim import SimConfig, SimTrace, run
-from .planner import (
-    PlanningConfig,
-    ProcessStep,
-    StepKind,
-    plan,
-    plan_waypoints,
-)
+from .planner import PlanningConfig, ProcessStep, StepKind, plan
 from .plc_trigger import (
     NativeTriggerProgram,
     SkillProgram,
@@ -142,16 +136,14 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[ProcessStep, ...]:
 
 @lru_cache(maxsize=8)
 def build_plans(cfg: ScenarioConfig):
-    """Plans and resolved waypoint chains for one setup.
+    """The continuous skill plans of one setup, as a tuple of frozen plans.
 
     Planning is deterministic, a config is frozen and equal configs hold
     the same values (no int, no -0.0), so each setup is planned once per
     process (the eight most recently used setups are kept): every caller
-    with an equal config shares the same result, a tuple of frozen plans
-    and a tuple of waypoint tuples.
+    with an equal config shares the same tuple.
     """
-    plans = tuple(plan(build_scenario(cfg), cfg.planning_config()))
-    return plans, tuple(map(tuple, plan_waypoints(plans, cfg.start)))
+    return tuple(plan(build_scenario(cfg), cfg.planning_config()))
 
 
 # --- scenario file format ----------------------------------------------------
@@ -277,8 +269,7 @@ def compile_setup(cfg: ScenarioConfig) -> CompiledSetup:
     per process for each of the eight most recently used setups.  Every
     program and executor only reads what it is given, so all repetitions
     share the result."""
-    plans, _ = build_plans(cfg)
-    return compile_plans(plans)
+    return compile_plans(build_plans(cfg))
 
 
 def _build_run(compiled: CompiledSetup, pose, etype: ExecutionType):

@@ -19,7 +19,6 @@ robot never has to stop unless a corner degrades.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -398,171 +397,3 @@ def plan_waypoints(plans, start: Pose) -> list[list[Pose]]:
             current = m.target
         out.append(chain)
     return out
-
-
-# --- text serialization (fixtures, CLI debugging) ---------------------------
-
-_ACTION_RE = re.compile(r"^[A-Za-z0-9_+.-]+$")
-
-
-def _fmt_pose(p: Pose) -> str:
-    return ",".join(repr(v) for v in p.components())
-
-
-def _parse_pose(s: str) -> Pose:
-    parts = [float(v) for v in s.split(",")]
-    if len(parts) != 6:
-        raise ValueError(f"pose needs 6 components, got {len(parts)}")
-    return Pose(*parts)
-
-
-def serialize_process(steps) -> str:
-    lines = ["# skillbench process v1"]
-    for s in steps:
-        if s.kind is StepKind.STANDSTILL_ACTION:
-            if not _ACTION_RE.match(s.action):
-                raise ValueError(f"action {s.action!r} not serializable")
-            lines.append(f"standstill pose={_fmt_pose(s.pose)} action={s.action}")
-        elif s.kind is StepKind.PRIMARY_PATH:
-            lines.append(f"primary entry={_fmt_pose(s.entry)} exit={_fmt_pose(s.exit)}")
-        else:
-            parts = ["transit"]
-            if s.to_pose is not None:
-                parts.append(f"to={_fmt_pose(s.to_pose)}")
-            if s.clearance is not None:
-                parts.append(f"clearance={s.clearance!r}")
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def _split_fields(rest: list[str]) -> dict[str, str]:
-    fields = {}
-    for token in rest:
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"malformed field {token!r}")
-        fields[key] = value
-    return fields
-
-
-def parse_process(text: str) -> tuple[ProcessStep, ...]:
-    steps = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *rest = line.split()
-        fields = _split_fields(rest)
-        if kind == "standstill":
-            steps.append(
-                ProcessStep(
-                    StepKind.STANDSTILL_ACTION,
-                    pose=_parse_pose(fields["pose"]),
-                    action=fields["action"],
-                )
-            )
-        elif kind == "primary":
-            steps.append(
-                ProcessStep(
-                    StepKind.PRIMARY_PATH,
-                    entry=_parse_pose(fields["entry"]),
-                    exit=_parse_pose(fields["exit"]),
-                )
-            )
-        elif kind == "transit":
-            steps.append(
-                ProcessStep(
-                    StepKind.TRANSIT,
-                    to_pose=_parse_pose(fields["to"]) if "to" in fields else None,
-                    clearance=float(fields["clearance"]) if "clearance" in fields else None,
-                )
-            )
-        else:
-            raise ValueError(f"unknown step kind {kind!r}")
-    return tuple(steps)
-
-
-def serialize_plans(plans) -> str:
-    from .core import JointTarget
-
-    lines = ["# skillbench plans v1"]
-    for p in plans:
-        terminal = p.terminal_action if p.terminal_action is not None else "-"
-        if terminal != "-" and not _ACTION_RE.match(terminal):
-            raise ValueError(f"terminal action {terminal!r} not serializable")
-        lines.append(f"group terminal={terminal}")
-        for m in p.motions:
-            if isinstance(m.target, JointTarget):
-                tgt = ",".join(repr(v) for v in m.target.components())
-                kind = "joints"
-            else:
-                tgt = _fmt_pose(m.target)
-                kind = "target"
-            parts = [
-                f"motion type={m.motion_type.name}",
-                f"{kind}={tgt}",
-                f"vel={m.velocity!r}",
-                f"acc={m.acceleration!r}",
-                f"approx={m.approx_distance!r}",
-                f"tool={m.tool_frame}",
-                f"base={m.base_frame}",
-                f"force={m.force_setpoint}",
-            ]
-            if m.aux_point is not None:
-                parts.insert(2, "aux=" + ",".join(repr(v) for v in m.aux_point))
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def parse_plans(text: str) -> list[ContinuousSkillPlan]:
-    from .core import JointTarget
-
-    plans: list[ContinuousSkillPlan] = []
-    motions: list[MotionCommand] = []
-    terminal: str | None = None
-    started = False
-
-    def close():
-        nonlocal motions
-        if started:
-            plans.append(ContinuousSkillPlan(tuple(motions), terminal_action=terminal))
-            motions = []
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        kind, *rest = line.split()
-        fields = _split_fields(rest)
-        if kind == "group":
-            close()
-            started = True
-            terminal = None if fields["terminal"] == "-" else fields["terminal"]
-        elif kind == "motion":
-            if not started:
-                raise ValueError("motion line outside a group")
-            mtype = MotionType[fields["type"]]
-            if "joints" in fields:
-                target = JointTarget(*(float(v) for v in fields["joints"].split(",")))
-            else:
-                target = _parse_pose(fields["target"])
-            aux = None
-            if "aux" in fields:
-                aux = tuple(float(v) for v in fields["aux"].split(","))
-            motions.append(
-                MotionCommand(
-                    motion_type=mtype,
-                    target=target,
-                    velocity=float(fields["vel"]),
-                    acceleration=float(fields["acc"]),
-                    approx_distance=float(fields["approx"]),
-                    aux_point=aux,
-                    tool_frame=int(fields["tool"]),
-                    base_frame=int(fields["base"]),
-                    force_setpoint=int(fields["force"]),
-                )
-            )
-        else:
-            raise ValueError(f"unknown plan line kind {kind!r}")
-    close()
-    return plans

@@ -30,6 +30,7 @@ from skillbench.core import (
     turn_angle,
 )
 from skillbench.fieldbus_sim import SimConfig, run
+from skillbench.planner import plan_waypoints
 from skillbench.plc_trigger import ContinuousMotionProgram, PlcSkillInstance
 from skillbench.robot_executor import RobotExecutor
 from skillbench.trajectory import (
@@ -175,7 +176,7 @@ def test_criterion_3_codec_round_trips_and_golden_bytes():
     assert frames == 2_000
 
     # frozen fixtures: the scenario's records and a mid-stream frame pair
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     recs = [r for p in plans for r in explode_plan(p.motions)]
     assert [encode_record(r).hex() for r in recs] == _fixture_lines("golden_records.hex")
     plc = PlcSkillInstance()
@@ -245,7 +246,8 @@ def test_criterion_5_scenario_plan_shape():
     """The default pick and place plans into exactly 3 continuous groups of
     11 records total, group boundaries fall on grip/release, and every
     pre/post move continues its primary path collinearly (<= 1e-9 rad)."""
-    plans, chains = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
+    chains = plan_waypoints(plans, SETUP_A.start)
     assert len(plans) == 3
     assert [p.record_count for p in plans] == [3, 5, 3]
     assert sum(p.record_count for p in plans) == 11
@@ -340,7 +342,7 @@ def test_criterion_8_slow_bus_degrades_gracefully():
     assert ex.fallback_stops == 0
     assert consumed(ex) == consumed(native)
 
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     bench_native = native_baseline(plans, initial_pose=SETUP_A.start.components())
     program = ContinuousMotionProgram(plans)
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)

@@ -33,9 +33,9 @@ from skillbench.bench import (
     summary_csv,
 )
 from skillbench.cli import main
-from skillbench.core import ExecutionType, Pose
+from skillbench.core import ContinuousSkillPlan, ExecutionType, Pose
 from skillbench.fieldbus_sim import SimConfig, run
-from skillbench.planner import StepKind
+from skillbench.planner import StepKind, plan_waypoints
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
@@ -124,7 +124,8 @@ class TestScenario:
         assert all(s.clearance is None for s in steps if s.kind is StepKind.TRANSIT)
 
     def test_default_plans_three_groups_eleven_records(self):
-        plans, chains = build_plans(SETUP_A)
+        plans = build_plans(SETUP_A)
+        chains = plan_waypoints(plans, SETUP_A.start)
         assert [p.record_count for p in plans] == [3, 5, 3]
         assert sum(p.record_count for p in plans) == 11
         assert plans[0].terminal_action == "grip"
@@ -140,7 +141,8 @@ class TestScenario:
         steps = build_scenario(tall)
         carry, back = [s for s in steps if s.kind is StepKind.TRANSIT][1:]
         assert carry.clearance == back.clearance == 140.0
-        plans, chains = build_plans(tall)
+        plans = build_plans(tall)
+        chains = plan_waypoints(plans, tall.start)
         assert [p.record_count for p in plans] == [3, 6, 4]
         assert Pose(150.0, 0.0, 140.0) in chains[1]
         assert Pose(100.0, 0.0, 140.0) in chains[2]
@@ -318,15 +320,17 @@ class TestPlanOnce:
 
     def test_an_equal_config_gets_equal_frozen_plans(self):
         build_plans.cache_clear()
-        plans, chains = build_plans(SETUP_A)
+        plans = build_plans(SETUP_A)
+        chains = plan_waypoints(plans, SETUP_A.start)
         build_plans.cache_clear()
         copy = parse_scenario(serialize_scenario(SETUP_A))
         assert copy is not SETUP_A
-        assert build_plans(copy) == (plans, chains)
+        assert build_plans(copy) == plans
+        assert plan_waypoints(build_plans(copy), copy.start) == chains
         assert build_plans(SETUP_A) is build_plans(copy)
         # the result is shared, so nothing in it can grow
-        assert type(plans) is tuple and type(chains) is tuple
-        assert all(type(chain) is tuple for chain in chains)
+        assert type(plans) is tuple
+        assert all(type(p) is ContinuousSkillPlan for p in plans)
 
 
 def plan_run(plans, pose, etype):
@@ -361,7 +365,7 @@ class TestCompileOnce:
         cfg = dataclasses.replace(SETUP_A, name="compile-memo")
         run_benchmark(cfg, reps=1, seed=0)
         run_benchmark(cfg, reps=2, seed=1)
-        assert calls == [build_plans(cfg)[0]]
+        assert calls == [build_plans(cfg)]
         assert compile_setup(cfg) is compile_setup(cfg)
 
     def test_warm_repetitions_encode_and_explode_nothing(self, monkeypatch):
@@ -372,7 +376,7 @@ class TestCompileOnce:
             for etype in ExecutionType:
                 run_benchmark(cfg, etypes=(etype,), reps=2, seed=3)
         assert calls == [[], []]
-        compile_plans(build_plans(SETUP_A)[0])
+        compile_plans(build_plans(SETUP_A))
         assert all(calls)  # the counters see a compile
 
     def test_the_compiled_setup_is_tuples_the_runs_share(self):
@@ -395,7 +399,7 @@ class TestCompileOnce:
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("cfg", [SETUP_A, SETUP_B], ids=["a", "b"])
     def test_the_compiled_setup_runs_as_its_plans_do(self, cfg, seed):
-        plans, _ = build_plans(cfg)
+        plans = build_plans(cfg)
         compiled = compile_setup(cfg)
         pose = cfg.start.components()
         for etype in ExecutionType:
@@ -418,7 +422,7 @@ class TestCompileOnce:
         # before each PLC tick of one run, a whole other run, of each type
         # in turn, executes from the same compiled tuples; the outer run's
         # PLC is then mid-skill on one of them
-        plans, _ = build_plans(SETUP_A)
+        plans = build_plans(SETUP_A)
         pose = SETUP_A.start.components()
         shared = compile_plans(plans)
         inner = []
@@ -472,6 +476,18 @@ class TestRendering:
         assert by_type["rc"][4] == "" and by_type["sm"][4] == ""
         assert float(by_type["cm"][4]) == pytest.approx(small_report.aet_i)
         assert float(by_type["sm"][2]) == small_report.stats[ExecutionType.SM].aet_ms
+
+    def test_the_scenario_doc_shows_the_program_output(self, small_report):
+        # small_report is run_benchmark(SETUP_A, reps=3, seed=7), the run
+        # the doc's CSV example names
+        doc = (Path(__file__).resolve().parents[1] / "docs" / "scenario.md").read_text()
+
+        def first_block(heading):
+            return doc.split(f"\n{heading}\n", 1)[1].split("```\n", 2)[1]
+
+        scenario = first_block("## Scenario files (`skillbench run --setup PATH`)")
+        assert scenario == serialize_scenario(SETUP_A)
+        assert first_block("## Benchmark CSV output") == summary_csv([small_report])
 
 
 # --- command line --------------------------------------------------------------------

@@ -8,8 +8,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from skillbench.core import (
-    ContinuousSkillPlan,
-    JointTarget,
     MotionCommand,
     MotionType,
     PathLabel,
@@ -28,14 +26,10 @@ from skillbench.planner import (
     add_pre_post_movements,
     coalesce_continuous,
     label_process,
-    parse_plans,
-    parse_process,
     plan,
     plan_primary_motions,
     plan_secondary_motions,
     plan_waypoints,
-    serialize_plans,
-    serialize_process,
 )
 
 CFG = PlanningConfig()
@@ -384,74 +378,6 @@ class TestFullPipeline:
             PlanningConfig(pre_move_length=math.inf)
 
 
-# --- text round trips ---------------------------------------------------------
-
-
-class TestProcessSerialization:
-    def test_round_trip(self):
-        steps = pick_place_steps()
-        parsed = parse_process(serialize_process(steps))
-        assert parsed == steps
-
-    def test_comments_and_blanks_ignored(self):
-        text = serialize_process(pick_place_steps())
-        noisy = "# a comment\n\n" + text + "\n   \n"
-        assert parse_process(noisy) == pick_place_steps()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            parse_process("# skillbench process v1\nwarp to=1,2,3,0,0,0\n")
-
-    def test_malformed_field_rejected(self):
-        with pytest.raises(ValueError):
-            parse_process("standstill pose\n")
-
-    def test_short_pose_rejected(self):
-        with pytest.raises(ValueError):
-            parse_process("standstill pose=1,2,3 action=grip\n")
-
-    def test_odd_action_not_serializable(self):
-        step = ProcessStep(StepKind.STANDSTILL_ACTION, pose=P0, action="open jaws")
-        with pytest.raises(ValueError):
-            serialize_process((step,))
-
-
-class TestPlanSerialization:
-    def _plans(self):
-        joint = MotionCommand(
-            MotionType.PTP_JOINT, JointTarget(10.0, -20.0, 30.0), 180.0, 720.0
-        )
-        arc = MotionCommand(
-            MotionType.CIRCULAR, Pose(50.0, 0.0, 0.0), 100.0, 1000.0,
-            approx_distance=5.0, aux_point=(25.0, 25.0, 0.0),
-        )
-        push = MotionCommand(
-            MotionType.LIN_FORCE, Pose(50.0, 0.0, -10.0), 20.0, 500.0,
-            force_setpoint=120, tool_frame=3, base_frame=1,
-        )
-        return [
-            ContinuousSkillPlan((joint,), terminal_action=None),
-            ContinuousSkillPlan((arc, push), terminal_action="press+hold"),
-        ]
-
-    def test_round_trip(self):
-        plans = self._plans()
-        assert parse_plans(serialize_plans(plans)) == plans
-
-    def test_serialization_is_stable(self):
-        text = serialize_plans(self._plans())
-        assert serialize_plans(parse_plans(text)) == text
-        assert text.startswith("# skillbench plans v1\n")
-
-    def test_motion_outside_group_rejected(self):
-        with pytest.raises(ValueError):
-            parse_plans("motion type=LIN_CARTESIAN target=1,2,3,0,0,0 vel=1.0 acc=1.0 approx=0.0 tool=0 base=0 force=0\n")
-
-    def test_unknown_line_kind_rejected(self):
-        with pytest.raises(ValueError):
-            parse_plans("group terminal=-\nwiggle amount=3\n")
-
-
 # --- randomized pipeline properties --------------------------------------------
 
 
@@ -497,4 +423,4 @@ def test_pipeline_structure_holds_for_random_processes(seed):
     for p, chain in zip(plans, wps):
         assert len(chain) == len(p.motions) + 1
     # the pipeline is deterministic
-    assert serialize_plans(plan(steps, CFG)) == serialize_plans(plans)
+    assert repr(plan(steps, CFG)) == repr(plans)

@@ -741,7 +741,7 @@ def rebase_records(entries, plans):
 
 def test_benchmark_plans_stream_identically_to_handoff():
     """The full benchmark motion set: identical record flow AND durations."""
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     program = ContinuousMotionProgram(plans)
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)
     check_window(run(program, ex).trace)
@@ -772,7 +772,7 @@ def test_native_executor_joins_each_circular_pair():
 
 
 def test_single_motion_program_runs_every_motion_alone():
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     program = SingleMotionProgram(plans)
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)
     run(program, ex)
@@ -842,7 +842,7 @@ def test_a_repeated_tick_changes_nothing(case):
         pose, etype = ORIGIN.components(), ExecutionType.CM
     else:
         setup = SETUP_B if case.startswith("b-") else SETUP_A
-        plans, _ = build_plans(setup)
+        plans = build_plans(setup)
         pose, etype = setup.start.components(), ExecutionType(case[-2:])
     program, executor = _build_run(compile_plans(plans), pose, etype)
     repeated = _Repeated(program)

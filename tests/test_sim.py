@@ -402,7 +402,7 @@ def kind_plans(setup, rng, records):
     ``records`` records drawn from ``rng``."""
     if setup == "stream":
         return [ContinuousSkillPlan(tuple(random_motions(rng, records)))], (0.0,) * 6
-    plans, _ = build_plans(SETUPS[setup])
+    plans = build_plans(SETUPS[setup])
     return plans, SETUPS[setup].start.components()
 
 
@@ -489,7 +489,7 @@ class TestEventDriven:
 
     def test_one_setup_a_cm_repetition_ticks_the_plc_rarely(self):
         # the polled loop makes about 5,100 plc_tick calls here
-        plans, _ = build_plans(SETUP_A)
+        plans = build_plans(SETUP_A)
         program = ContinuousMotionProgram(plans)
         executor = RobotExecutor(initial_pose=SETUP_A.start.components())
         calls, _, delivered, _ = count_plc_ticks(program, executor, SimConfig(seed=0))

@@ -711,7 +711,7 @@ def _fixture_lines(name):
 def test_golden_scenario_records_unchanged():
     from skillbench.bench import SETUP_A, build_plans
 
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     recs = [r for p in plans for r in explode_plan(p.motions)]
     assert [encode_record(r).hex() for r in recs] == _fixture_lines(
         "golden_records.hex"
@@ -722,7 +722,7 @@ def test_golden_frames_unchanged():
     from skillbench.bench import SETUP_A, build_plans
     from skillbench.plc_trigger import PlcSkillInstance
 
-    plans, _ = build_plans(SETUP_A)
+    plans = build_plans(SETUP_A)
     plc = PlcSkillInstance()
     plc.start_skill(plans[1])
     cmd_line, fb_line = _fixture_lines("golden_frames.hex")
