@@ -4,72 +4,74 @@ Trapezoidal timing and corner blending
 
 How long does a motion take, and what does rounding a corner buy?  The
 timing model is a trapezoidal velocity profile per segment plus
-constant-speed circular arcs at blended corners.
+constant-speed circular arcs at blended corners.  The group times below
+are the ones a robot executes: each motion's duration as the native
+executor captures it, rounded up to whole µs.
 """
 
+import math
+
 from skillbench.core import ContinuousSkillPlan, MotionCommand, MotionType, Pose
-from skillbench.trajectory import SegmentSpec, plan_group_profile, segment_time
+from skillbench.robot_executor import NativeExecutor
+from skillbench.trajectory import segment_time
+from skillbench.wire import CommandFrame, CommandWord, RobotState, encode_command_frame
 
 # a 100 mm segment at 250 mm/s with 2000 mm/s^2: accelerate, cruise, brake
-spec = SegmentSpec(length=100.0, v_max=250.0, accel=2000.0)
-print(f"100 mm rest to rest:     {segment_time(spec):.6f} s")
+# (length, v_max, accel, v_in, v_out)
+print(f"100 mm rest to rest:     {segment_time(100.0, 250.0, 2000.0, 0.0, 0.0):.6f} s")
 
 # entering and leaving at speed shortens the ramps
-rolling = SegmentSpec(100.0, 250.0, 2000.0, v_in=100.0, v_out=100.0)
-print(f"same, through traffic:   {segment_time(rolling):.6f} s")
+print(f"same, through traffic:   {segment_time(100.0, 250.0, 2000.0, 100.0, 100.0):.6f} s")
 
 
-def lin(x, y, approx=0.0):
+def lin(target, approx=0.0, velocity=250.0, acceleration=2000.0):
     return MotionCommand(
         motion_type=MotionType.LIN_CARTESIAN,
-        target=Pose(x, y, 0.0),
-        velocity=250.0,
-        acceleration=2000.0,
+        target=target,
+        velocity=velocity,
+        acceleration=acceleration,
         approx_distance=approx,
     )
 
 
+def executed_us(*motions):
+    """Each motion's executed duration in µs: the motions stored on the
+    controller as one continuous group, run from the origin with START
+    held."""
+    robot = NativeExecutor([ContinuousSkillPlan(motions)], capture=True)
+    start = encode_command_frame(CommandFrame(command=CommandWord.START))
+    t_us = 0
+    while robot.state is not RobotState.DONE:
+        robot.tick(t_us, start)
+        t_us += 4000
+    return [duration for _first, _count, _target, duration in robot.executed]
+
+
+def show(label, durations):
+    print(f"{label:<25}{sum(durations) / 1e6:.6f} s  (motions: {durations} µs)")
+
+
 # an L-shaped path: 100 mm out, right angle, 100 mm up
-corner = [Pose(0.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0), Pose(100.0, 100.0, 0.0)]
-
-# exact stop at the corner
-stopping = ContinuousSkillPlan((lin(100.0, 0.0), lin(100.0, 100.0)))
-stop_profile = plan_group_profile(stopping, corner, blending_enabled=False)
-
-# blend with a 10 mm approximation distance instead
-blending = ContinuousSkillPlan((lin(100.0, 0.0, approx=10.0), lin(100.0, 100.0)))
-blend_profile = plan_group_profile(blending, corner)
-
-print(f"\nL-shape with full stop:  {stop_profile.total_time:.6f} s")
-print(f"L-shape blended (10 mm): {blend_profile.total_time:.6f} s")
-print(f"corner passed at:        {blend_profile.corner_speeds[1]:.1f} mm/s")
-print(f"path deviation:          {blend_profile.max_path_deviation:.3f} mm (<= 10)")
-saved = stop_profile.total_time - blend_profile.total_time
-print(f"saved:                   {saved * 1000:.1f} ms ({saved / stop_profile.total_time:.1%})")
+elbow, top = Pose(100.0, 0.0, 0.0), Pose(100.0, 100.0, 0.0)
+stopped = executed_us(lin(elbow), lin(top))
+blended = executed_us(lin(elbow, approx=10.0), lin(top))
+print()
+show("L-shape with full stop:", stopped)
+show("L-shape blended (10 mm):", blended)
+saved = sum(stopped) - sum(blended)
+print(f"saved:                   {saved / 1000:.1f} ms ({saved / sum(stopped):.1%})")
 
 # blending is never allowed to lose.  A sharp corner between a slow,
 # low-acceleration motion and a fast one would force the arc to crawl at
 # the slow motion's pace; stopping and sprinting is cheaper, so the
-# planner degrades that corner to an exact stop and reports it
-import math
-
+# corner degrades to an exact stop and executes as if approx were 0
 turn = math.radians(140.0)
 elbow = Pose(80.0, 0.0, 0.0)
 far = Pose(80.0 + 80.0 * math.cos(turn), 80.0 * math.sin(turn), 0.0)
-creep = MotionCommand(
-    motion_type=MotionType.LIN_CARTESIAN,
-    target=elbow,
-    velocity=40.0,
-    acceleration=300.0,
-    approx_distance=3.0,
-)
-sprint = MotionCommand(
-    motion_type=MotionType.LIN_CARTESIAN,
-    target=far,
-    velocity=200.0,
-    acceleration=2000.0,
-)
-mixed = ContinuousSkillPlan((creep, sprint))
-profile = plan_group_profile(mixed, [Pose(0.0, 0.0, 0.0), elbow, far])
-print(f"\ncreep-to-sprint corner degraded: {profile.degraded_corners}")
-print(f"corner speed after degrading:    {profile.corner_speeds[1]:.1f} mm/s")
+sprint = lin(far, velocity=200.0)
+creep_blended = executed_us(lin(elbow, approx=3.0, velocity=40.0, acceleration=300.0), sprint)
+creep_stopped = executed_us(lin(elbow, velocity=40.0, acceleration=300.0), sprint)
+print()
+show("creep-to-sprint, 3 mm:", creep_blended)
+show("same, exact stop:", creep_stopped)
+print(f"corner degraded to a stop: {creep_blended == creep_stopped}")

@@ -250,13 +250,6 @@ class ContinuousMotionProgram(SkillProgram):
         super().__init__(continuous_skills(plans))
 
 
-class SingleMotionProgram(SkillProgram):
-    """One skill per motion; every motion ends on its exact target."""
-
-    def __init__(self, plans):
-        super().__init__(single_motion_skills(plans))
-
-
 def _exact_stop(m):
     """``m`` with approx +0.0.  Most motions already have it, and
     ``replace`` costs a validated construction; a ``-0.0`` is replaced, so

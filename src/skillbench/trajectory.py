@@ -10,9 +10,9 @@ corner, traversed at constant speed.
 One timing model, one function per decision: ``corner_blend`` proposes the
 blend of one corner (or an exact stop), ``solve_corners`` fixes the corner
 speeds of a chain and which blends survive, and ``motion_time`` gives one
-motion's straight and arc seconds.  ``plan_group_profile`` and the robot
-executor's motion engine both make these calls, so the profile of a group
-and its executed timing follow the same rules.
+motion's straight and arc seconds, each from the closed form
+``segment_time``.  The robot executor's motion engine makes these calls,
+so the timing the benchmark reports is this model's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ContinuousSkillPlan, turn_angle
+from .core import turn_angle
 
 # corners flatter than this count as collinear; tighter than pi minus this
 # count as reversals
@@ -38,30 +38,13 @@ class ReversalAngle(ValueError):
     """A blend was requested at a reversal (angle >= pi)."""
 
 
-@dataclass(frozen=True)
-class SegmentSpec:
-    """One straight (or dominant-axis) segment with boundary speeds."""
+def segment_time(length: float, v_max: float, accel: float, v_in: float, v_out: float) -> float:
+    """Minimum time to traverse a segment with a trapezoidal profile.
 
-    length: float
-    v_max: float
-    accel: float
-    v_in: float = 0.0
-    v_out: float = 0.0
-
-    def __post_init__(self):
-        if not (self.length >= 0.0 and math.isfinite(self.length)):
-            raise ValueError(f"length must be >= 0, got {self.length!r}")
-        if not (self.v_max > 0.0 and math.isfinite(self.v_max)):
-            raise ValueError(f"v_max must be > 0, got {self.v_max!r}")
-        if not (self.accel > 0.0 and math.isfinite(self.accel)):
-            raise ValueError(f"accel must be > 0, got {self.accel!r}")
-        for name, v in (("v_in", self.v_in), ("v_out", self.v_out)):
-            if not 0.0 <= v <= self.v_max:
-                raise ValueError(f"{name} must be within 0..v_max, got {v!r}")
-
-
-def _segment_time(length: float, v_max: float, accel: float, v_in: float, v_out: float) -> float:
-    """Closed-form minimum traversal time; see segment_time."""
+    Accelerates from v_in towards the peak (capped at v_max), cruises if the
+    cap was reached, then decelerates to v_out.  Raises InfeasibleBoundary
+    when |v_out^2 - v_in^2| > 2 * accel * length.
+    """
     if length == 0.0:
         if abs(v_out - v_in) > _FEAS_SLACK:
             raise InfeasibleBoundary("zero-length segment with unequal boundary speeds")
@@ -86,22 +69,12 @@ def _segment_time(length: float, v_max: float, accel: float, v_in: float, v_out:
     return (v_max - v_in) / accel + (v_max - v_out) / accel + t_cruise
 
 
-def segment_time(spec: SegmentSpec) -> float:
-    """Minimum time to traverse a segment with a trapezoidal profile.
-
-    Accelerates from v_in towards the peak (capped at v_max), cruises if the
-    cap was reached, then decelerates to v_out.  Raises InfeasibleBoundary
-    when |v_out^2 - v_in^2| > 2 * accel * length.
-    """
-    return _segment_time(spec.length, spec.v_max, spec.accel, spec.v_in, spec.v_out)
-
-
 def ptp_time(joint_deltas, v_max: float, accel: float) -> float:
     """Stop-to-stop PTP duration from the dominant (largest |delta|) axis."""
     if v_max <= 0.0 or accel <= 0.0:
         raise ValueError("joint dynamics must be positive")
     dominant = max(abs(float(d)) for d in joint_deltas)
-    return _segment_time(dominant, v_max, accel, 0.0, 0.0)
+    return segment_time(dominant, v_max, accel, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -119,14 +92,6 @@ class BlendGeometry:
     arc_length: float
     v_blend: float
     truncation: float
-
-    @property
-    def deviation(self) -> float:
-        """Closest-approach distance between the arc and the corner point."""
-        if self.truncation == 0.0 or self.angle == 0.0:
-            return 0.0
-        half = 0.5 * self.angle
-        return self.truncation * (1.0 - math.cos(half)) / math.sin(half)
 
 
 def blend_geometry(
@@ -178,32 +143,6 @@ def _blend(**fields) -> BlendGeometry:
     return geom
 
 
-@dataclass(frozen=True)
-class GroupProfile:
-    """Timing of one continuous group.
-
-    Lengths: n segment durations, n-1 blend durations (zero where the corner
-    is a stop or pass-through) and n+1 corner speeds including the resting
-    group boundaries.  ``degraded_corners`` lists interior corner indices
-    (1-based waypoint index) whose requested blend fell back to an exact
-    stop.
-    """
-
-    segment_durations: tuple[float, ...]
-    blend_durations: tuple[float, ...]
-    corner_speeds: tuple[float, ...]
-    total_time: float
-    max_path_deviation: float
-    degraded_corners: tuple[int, ...] = ()
-
-
-def _as_position(p):
-    if hasattr(p, "position"):
-        return p.position
-    x, y, z = p
-    return (float(x), float(y), float(z))
-
-
 def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out, a_in, a_out):
     """Candidate blend where a motion (length ``len_in``, limits ``v_in`` and
     ``a_in``, ``approx``) meets the next (``len_out``, ``v_out``, ``a_out``)
@@ -227,8 +166,8 @@ def motion_time(length, v_max, accel, v_in, v_out, trunc_in, blend_out):
     behind it, and left at ``v_out`` through ``blend_out`` (None for an
     exact stop), whose truncation it also loses and whose arc it runs."""
     if blend_out is None:
-        return _segment_time(length - trunc_in, v_max, accel, v_in, v_out), 0.0
-    straight = _segment_time(length - trunc_in - blend_out.truncation, v_max, accel, v_in, v_out)
+        return segment_time(length - trunc_in, v_max, accel, v_in, v_out), 0.0
+    straight = segment_time(length - trunc_in - blend_out.truncation, v_max, accel, v_in, v_out)
     arc = blend_out.arc_length
     return straight, arc / v_out if arc > 0.0 else 0.0
 
@@ -308,16 +247,16 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                 continue
             t_in = seg[i - 1]
             if t_in is None:
-                t_in = seg[i - 1] = _segment_time(
+                t_in = seg[i - 1] = segment_time(
                     eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v
                 )
             # arcs come in order, so no earlier arc has timed segment i
-            t_out = seg[i] = _segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+            t_out = seg[i] = segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
             with_arc = t_in + b.arc_length / v + t_out
             try:
-                with_stop = _segment_time(
+                with_stop = segment_time(
                     eff[i - 1] + b.truncation, vmaxes[i - 1], accels[i - 1], speeds[i - 1], 0.0
-                ) + _segment_time(eff[i] + b.truncation, vmaxes[i], accels[i], 0.0, speeds[i + 1])
+                ) + segment_time(eff[i] + b.truncation, vmaxes[i], accels[i], 0.0, speeds[i + 1])
             except InfeasibleBoundary:
                 # a neighbouring blend depends on carrying speed through
                 # this corner; stopping here is not a local option
@@ -341,7 +280,7 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                 if start >= 0 and j > first:
                     for i in range(start, end):
                         if seg[i] is None:
-                            seg[i] = _segment_time(
+                            seg[i] = segment_time(
                                 eff[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1]
                             )
                     run_arcs = arcs[first:j]
@@ -349,7 +288,7 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                         blends[i].arc_length / speeds[i] for i in run_arcs
                     )
                     stops = (
-                        _segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0)
+                        segment_time(lengths[i], vmaxes[i], accels[i], 0.0, 0.0)
                         for i in range(start, end)
                     )
                     if total > sum(stops):
@@ -359,63 +298,3 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
             return speeds, blends
         for i in drop:
             blends[i] = None
-
-
-def plan_group_profile(
-    plan: ContinuousSkillPlan, waypoints, blending_enabled: bool = True
-) -> GroupProfile:
-    """Time a continuous group along its resolved Cartesian waypoints.
-
-    ``waypoints`` has len(plan.motions) + 1 positions: the start pose
-    followed by every motion target.  With blending disabled every waypoint
-    is an exact stop.  With blending enabled, each interior corner uses the
-    approx distance of the motion ending there.  Corners degrade to exact
-    stops (never raise) when the blend does not fit (``corner_blend``) or
-    when ``solve_corners`` finds it forced to zero speed or losing time, as
-    sharp corners with small radii and slow arcs do.  Blending is then never
-    slower than stopping everywhere.
-    """
-    motions = plan.motions
-    pts = [_as_position(p) for p in waypoints]
-    n = len(motions)
-    if len(pts) != n + 1:
-        raise ValueError(f"expected {n + 1} waypoints for {n} motions, got {len(pts)}")
-    lengths = [math.dist(pts[i], pts[i + 1]) for i in range(n)]
-    for i, length in enumerate(lengths):
-        if length == 0.0:
-            raise ValueError(f"waypoints {i} and {i + 1} coincide")
-    vmaxes = [m.velocity for m in motions]
-    accels = [m.acceleration for m in motions]
-
-    # corner i sits at waypoint i, between segments i-1 and i, and uses the
-    # approx distance of the motion that ends there
-    blends: list[BlendGeometry | None] = [None] * (n + 1)
-    if blending_enabled:
-        for i in range(1, n):
-            blends[i] = corner_blend(
-                pts[i - 1], pts[i], pts[i + 1], motions[i - 1].approx_distance,
-                lengths[i - 1], lengths[i], vmaxes[i - 1], vmaxes[i], accels[i - 1], accels[i],
-            )
-    speeds, blends = solve_corners(lengths, vmaxes, accels, blends)
-
-    times = [
-        motion_time(
-            lengths[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1],
-            blends[i].truncation if blends[i] is not None else 0.0, blends[i + 1],
-        )
-        for i in range(n)
-    ]
-    seg_t, arc_t = zip(*times)
-    blend_t = arc_t[:-1]  # the last motion ends in an exact stop
-    return GroupProfile(
-        segment_durations=seg_t,
-        blend_durations=blend_t,
-        corner_speeds=tuple(speeds),
-        total_time=sum(seg_t) + sum(blend_t),
-        max_path_deviation=max((b.deviation for b in blends if b is not None), default=0.0),
-        degraded_corners=tuple(
-            i
-            for i in range(1, n)
-            if blending_enabled and blends[i] is None and motions[i - 1].approx_distance > 0.0
-        ),
-    )

@@ -5,7 +5,9 @@ the same exception, on every input.  Never edit the function below."""
 
 import math
 
-from skillbench.trajectory import _FEAS_SLACK, _MIN_BLEND_SPEED, InfeasibleBoundary, _segment_time
+from skillbench.trajectory import _FEAS_SLACK, _MIN_BLEND_SPEED, InfeasibleBoundary
+# the closed form, under the name the function below was written against
+from skillbench.trajectory import segment_time as _segment_time
 
 
 def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=0.0):

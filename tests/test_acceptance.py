@@ -33,12 +33,7 @@ from skillbench.fieldbus_sim import SimConfig, run
 from skillbench.planner import plan_waypoints
 from skillbench.plc_trigger import ContinuousMotionProgram, PlcSkillInstance
 from skillbench.robot_executor import RobotExecutor
-from skillbench.trajectory import (
-    SegmentSpec,
-    blend_geometry,
-    plan_group_profile,
-    segment_time,
-)
+from skillbench.trajectory import blend_geometry, segment_time
 from skillbench.wire import (
     FRAME_SIZE,
     RECORD_SIZE,
@@ -63,10 +58,12 @@ from stream_harness import check_window, consumed, native_baseline, random_motio
 from test_protocol import exact_stops_us, motion_us, rebase_records
 from test_trajectory import (
     _points_segment_distance,
+    group_profile,
     integrated_time,
-    random_feasible_spec,
+    random_feasible_segment,
     random_group,
     sample_arc,
+    total_time,
 )
 from test_wire import _fixture_lines
 
@@ -190,7 +187,7 @@ def test_criterion_3_codec_round_trips_and_golden_bytes():
 
 
 def test_criterion_4_timing_model_against_integration():
-    """1,000 random segment specs match the numerically integrated speed
+    """1,000 random segments match the numerically integrated speed
     limit curve to 1e-6 s; sampled blend arcs never leave the approx tube;
     blending never loses to stopping; all in under 10 s."""
     t0 = time.perf_counter()
@@ -198,9 +195,9 @@ def test_criterion_4_timing_model_against_integration():
     rng = random.Random(0xC4)
     worst = 0.0
     for _ in range(1_000):
-        spec = random_feasible_spec(rng)
-        got = segment_time(spec)
-        want = integrated_time(spec.length, spec.v_max, spec.accel, spec.v_in, spec.v_out)
+        seg = random_feasible_segment(rng)
+        got = segment_time(*seg)
+        want = integrated_time(*seg)
         worst = max(worst, abs(got - want))
     assert worst <= 1e-6, f"worst timing deviation {worst}"
 
@@ -234,9 +231,9 @@ def test_criterion_4_timing_model_against_integration():
 
     for _ in range(200):
         plan, wps = random_group(rng)
-        blended = plan_group_profile(plan, wps)
-        stops = plan_group_profile(plan, wps, blending_enabled=False)
-        assert blended.total_time <= stops.total_time + 1e-9
+        blended = total_time(group_profile(plan, wps)[2])
+        stops = total_time(group_profile(plan, wps, blending=False)[2])
+        assert blended <= stops + 1e-9
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"timing checks took {elapsed:.2f}s"

@@ -39,8 +39,8 @@ from skillbench.planner import StepKind, plan_waypoints
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
-    SingleMotionProgram,
     SkillProgram,
+    single_motion_skills,
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import CommandFrame, MotionRecord
@@ -337,7 +337,10 @@ def plan_run(plans, pose, etype):
     """A repetition built from the plans, the executor capturing."""
     if etype is ExecutionType.RC:
         return NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose, capture=True)
-    program = (SingleMotionProgram if etype is ExecutionType.SM else ContinuousMotionProgram)(plans)
+    if etype is ExecutionType.SM:
+        program = SkillProgram(single_motion_skills(plans))
+    else:
+        program = ContinuousMotionProgram(plans)
     return program, RobotExecutor(initial_pose=pose, capture=True)
 
 

@@ -225,17 +225,17 @@ def test_one_native_window_times_each_segment_once_per_round(solve_calls, monkey
     assert len(args[0]) == 200
     counts = Counter()
 
-    def counting(module):
-        timing = module._segment_time
+    def counting(module, name):
+        timing = getattr(module, name)
 
         def counted(*a):
             counts[module.__name__] += 1
             return timing(*a)
 
-        monkeypatch.setattr(module, "_segment_time", counted)
+        monkeypatch.setattr(module, name, counted)
 
-    counting(trajectory)
-    counting(reference_solver)
+    counting(trajectory, "segment_time")
+    counting(reference_solver, "_segment_time")
     solve_corners(*args)
     reference_solver.solve_corners(*args)
     assert counts == {"skillbench.trajectory": 1006, "reference_solver": 1984}

@@ -32,7 +32,8 @@ from skillbench.plc_trigger import (
     PlcSkillInstance,
     PlcSkillState,
     RobotError,
-    SingleMotionProgram,
+    SkillProgram,
+    single_motion_skills,
 )
 from skillbench.robot_executor import (
     ERROR_RECORD,
@@ -773,7 +774,7 @@ def test_native_executor_joins_each_circular_pair():
 
 def test_single_motion_program_runs_every_motion_alone():
     plans = build_plans(SETUP_A)
-    program = SingleMotionProgram(plans)
+    program = SkillProgram(single_motion_skills(plans))
     ex = RobotExecutor(initial_pose=SETUP_A.start.components(), capture=True)
     run(program, ex)
     n_motions = sum(len(p.motions) for p in plans)
@@ -790,7 +791,7 @@ def test_single_motion_skills_send_every_approx_as_plus_zero():
     # the same image as a motion built with approx 0.0
     motions = (lin(10.0, approx=-0.0), lin(20.0, approx=2.5), lin(30.0), lin(40.0, approx=-0.0))
     assert encode_plan([motions[0]])[0][36:40] == struct.pack("<f", -0.0)
-    program = SingleMotionProgram([ContinuousSkillPlan(motions)])
+    program = SkillProgram(single_motion_skills([ContinuousSkillPlan(motions)]))
     stopped = [replace(m, approx_distance=0.0) for m in motions]
     assert program._skills == tuple(tuple(encode_plan([m])) for m in stopped)
     assert all(image[36:40] == bytes(4) for (image,) in program._skills)

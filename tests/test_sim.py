@@ -40,8 +40,8 @@ from skillbench.plc_trigger import (
     NativeTriggerProgram,
     PlcSkillInstance,
     RobotError,
-    SingleMotionProgram,
     SkillProgram,
+    single_motion_skills,
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import (
@@ -434,7 +434,10 @@ def build_case(case: int):
             program = NativeTriggerProgram()
             executor = NativeExecutor(plans, initial_pose=pose, capture=True)
         else:
-            program = (SingleMotionProgram if etype == "sm" else ContinuousMotionProgram)(plans)
+            if etype == "sm":
+                program = SkillProgram(single_motion_skills(plans))
+            else:
+                program = ContinuousMotionProgram(plans)
             executor = RobotExecutor(initial_pose=pose, starvation_limit=limit, capture=True)
         return program, executor
 

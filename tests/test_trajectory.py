@@ -1,4 +1,5 @@
-"""Timing model: segment profiles, corner blends, group planning.
+"""Timing model: segment profiles, corner blends, corner speeds of a group,
+and the timing the native executor runs.
 
 The timing oracle here integrates the position-domain speed limit curve
     v(x) = min(v_max, sqrt(v_in^2 + 2 a x), sqrt(v_out^2 + 2 a (L - x)))
@@ -21,12 +22,11 @@ from skillbench.robot_executor import NativeExecutor
 from skillbench.trajectory import (
     COLLINEAR_EPS,
     BlendGeometry,
-    GroupProfile,
     InfeasibleBoundary,
     ReversalAngle,
-    SegmentSpec,
     blend_geometry,
-    plan_group_profile,
+    corner_blend,
+    motion_time,
     ptp_time,
     segment_time,
     solve_corners,
@@ -77,54 +77,42 @@ def integrated_time(length, v_max, accel, v_in, v_out):
 
 def test_trapezoid_with_cruise():
     # 100 mm at v 10, a 100, rest to rest: 0.1 s ramps, 99 mm cruise
-    t = segment_time(SegmentSpec(100.0, 10.0, 100.0))
+    t = segment_time(100.0, 10.0, 100.0, 0.0, 0.0)
     assert t == pytest.approx(10.1, abs=1e-12)
 
 
 def test_triangular_profile():
     # too short to reach the cap: peak sqrt(a L) = 10, t = 2 sqrt(L / a)
-    t = segment_time(SegmentSpec(1.0, 1000.0, 100.0))
+    t = segment_time(1.0, 1000.0, 100.0, 0.0, 0.0)
     assert t == pytest.approx(0.2, abs=1e-12)
 
 
 def test_boundary_speeds_shorten_ramps():
-    t = segment_time(SegmentSpec(100.0, 10.0, 100.0, v_in=5.0, v_out=5.0))
+    t = segment_time(100.0, 10.0, 100.0, 5.0, 5.0)
     assert t == pytest.approx(10.025, abs=1e-12)
 
 
 def test_pure_ramp_when_exit_equals_reachable():
     # v_out^2 = 2 a L exactly: accelerate the whole way
-    spec = SegmentSpec(2.0, 10.0, 25.0, v_in=0.0, v_out=10.0)
-    assert segment_time(spec) == pytest.approx(10.0 / 25.0, abs=1e-12)
+    assert segment_time(2.0, 10.0, 25.0, 0.0, 10.0) == pytest.approx(10.0 / 25.0, abs=1e-12)
 
 
 def test_zero_length_segment():
-    assert segment_time(SegmentSpec(0.0, 10.0, 100.0, v_in=3.0, v_out=3.0)) == 0.0
+    assert segment_time(0.0, 10.0, 100.0, 3.0, 3.0) == 0.0
     with pytest.raises(InfeasibleBoundary):
-        segment_time(SegmentSpec(0.0, 10.0, 100.0, v_in=3.0, v_out=4.0))
+        segment_time(0.0, 10.0, 100.0, 3.0, 4.0)
 
 
 def test_infeasible_boundary_raises():
     with pytest.raises(InfeasibleBoundary):
-        segment_time(SegmentSpec(1.0, 10.0, 1.0, v_in=0.0, v_out=10.0))
+        segment_time(1.0, 10.0, 1.0, 0.0, 10.0)
     with pytest.raises(InfeasibleBoundary):
-        segment_time(SegmentSpec(1.0, 10.0, 1.0, v_in=10.0, v_out=0.0))
+        segment_time(1.0, 10.0, 1.0, 10.0, 0.0)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        SegmentSpec(-1.0, 10.0, 100.0)
-    with pytest.raises(ValueError):
-        SegmentSpec(1.0, 0.0, 100.0)
-    with pytest.raises(ValueError):
-        SegmentSpec(1.0, 10.0, 0.0)
-    with pytest.raises(ValueError):
-        SegmentSpec(1.0, 10.0, 100.0, v_in=11.0)
-    with pytest.raises(ValueError):
-        SegmentSpec(1.0, 10.0, 100.0, v_out=-0.5)
-
-
-def random_feasible_spec(rng: random.Random) -> SegmentSpec:
+def random_feasible_segment(rng: random.Random):
+    """``(length, v_max, accel, v_in, v_out)`` that ``segment_time`` can
+    connect, boundary speeds within 0..v_max."""
     length = rng.uniform(0.01, 400.0)
     accel = rng.uniform(10.0, 4000.0)
     v_max = rng.uniform(1.0, 400.0)
@@ -136,16 +124,16 @@ def random_feasible_spec(rng: random.Random) -> SegmentSpec:
         v_out = 0.0
     else:
         v_out = rng.uniform(lo, hi)
-    return SegmentSpec(length, v_max, accel, v_in, v_out)
+    return length, v_max, accel, v_in, v_out
 
 
 def test_segment_time_matches_integration_oracle():
     rng = random.Random(0xBEE)
     worst = 0.0
     for _ in range(300):
-        spec = random_feasible_spec(rng)
-        got = segment_time(spec)
-        want = integrated_time(spec.length, spec.v_max, spec.accel, spec.v_in, spec.v_out)
+        seg = random_feasible_segment(rng)
+        got = segment_time(*seg)
+        want = integrated_time(*seg)
         worst = max(worst, abs(got - want))
     assert worst < 1e-6, f"worst deviation {worst}"
 
@@ -153,10 +141,10 @@ def test_segment_time_matches_integration_oracle():
 def test_segment_time_lower_bounds():
     rng = random.Random(0xF00)
     for _ in range(300):
-        spec = random_feasible_spec(rng)
-        t = segment_time(spec)
-        assert t >= spec.length / spec.v_max - 1e-12
-        assert t >= abs(spec.v_out - spec.v_in) / spec.accel - 1e-12
+        length, v_max, accel, v_in, v_out = random_feasible_segment(rng)
+        t = segment_time(length, v_max, accel, v_in, v_out)
+        assert t >= length / v_max - 1e-12
+        assert t >= abs(v_out - v_in) / accel - 1e-12
 
 
 def test_ptp_time_uses_dominant_axis():
@@ -177,9 +165,6 @@ def test_blend_right_angle():
     assert g.truncation == 10.0
     assert g.arc_length == pytest.approx(10.0 * math.pi / 2, rel=1e-12)
     assert g.v_blend == pytest.approx(math.sqrt(20000.0), rel=1e-12)
-    assert g.deviation == pytest.approx(
-        10.0 * (1.0 - math.cos(math.pi / 4)) / math.sin(math.pi / 4), rel=1e-12
-    )
 
 
 def test_blend_speed_capped_by_segment_speeds():
@@ -193,7 +178,6 @@ def test_blend_collinear_passthrough():
     assert g.arc_length == 0.0
     assert g.truncation == 0.0
     assert g.v_blend == 80.0
-    assert g.deviation == 0.0
 
 
 def test_blend_zero_approx_is_exact_stop():
@@ -262,7 +246,8 @@ def sample_arc(prev, corner, nxt, geom, samples=257):
 
 def test_arc_deviation_stays_within_approx():
     """Sampled arcs never stray farther than approx from the commanded legs,
-    and the closest approach to the corner matches the deviation formula."""
+    and the arc's closest approach to the corner is approx (1 - cos(angle/2))
+    / sin(angle/2), the radius approx / tan(angle/2) fixes it."""
     rng = random.Random(0xA12C)
     for _ in range(80):
         corner = np.array([rng.uniform(-50, 50) for _ in range(3)])
@@ -289,10 +274,86 @@ def test_arc_deviation_stays_within_approx():
         assert dev <= approx + 1e-9
         # closest approach of the full circle to the corner, done geometrically
         closest = float(np.linalg.norm(corner - center)) - geom.radius
-        assert closest == pytest.approx(geom.deviation, abs=1e-9 * (1.0 + geom.radius))
+        half = 0.5 * angle
+        want = approx * (1.0 - math.cos(half)) / math.sin(half)
+        assert closest == pytest.approx(want, abs=1e-9 * (1.0 + geom.radius))
 
 
-# --- group profiles -----------------------------------------------------------
+# --- whole groups -------------------------------------------------------------
+
+
+def group_profile(plan, waypoints, blending=True):
+    """``(speeds, blends, times)`` of one continuous group from rest to rest
+    along ``waypoints`` (its start, then every motion's target): the corner
+    speeds and kept blends from ``solve_corners``, and each motion's
+    ``(straight, arc)`` seconds from ``motion_time``, as the motion engine
+    calls them.  Interior corner i proposes a blend (``corner_blend``) with
+    the approx distance of the motion ending there; without ``blending``
+    every corner stops."""
+    motions, pts = plan.motions, [p.position for p in waypoints]
+    n = len(motions)
+    lengths = [math.dist(pts[i], pts[i + 1]) for i in range(n)]
+    vmaxes = [m.velocity for m in motions]
+    accels = [m.acceleration for m in motions]
+    blends = [None] * (n + 1)
+    for i in range(1, n if blending else 1):
+        blends[i] = corner_blend(
+            pts[i - 1], pts[i], pts[i + 1], motions[i - 1].approx_distance,
+            lengths[i - 1], lengths[i], vmaxes[i - 1], vmaxes[i], accels[i - 1], accels[i],
+        )
+    speeds, blends = solve_corners(lengths, vmaxes, accels, blends)
+    trunc = [0.0 if b is None else b.truncation for b in blends]
+    times = [
+        motion_time(
+            lengths[i], vmaxes[i], accels[i], speeds[i], speeds[i + 1], trunc[i], blends[i + 1]
+        )
+        for i in range(n)
+    ]
+    return speeds, blends, times
+
+
+def total_time(times):
+    return sum(straight + arc for straight, arc in times)
+
+
+def degraded_corners(plan, blends):
+    """Interior corners whose motion asks for a blend that did not survive."""
+    return tuple(
+        i for i in range(1, len(plan.motions))
+        if blends[i] is None and plan.motions[i - 1].approx_distance > 0.0
+    )
+
+
+def whole_us(seconds):
+    """A motion's executed duration: its seconds rounded up to whole µs."""
+    return max(0, math.ceil(seconds * 1e6 - 1e-12))
+
+
+def run_native(plans):
+    """Run plans on NativeExecutor with START held; durations do not depend
+    on the cycle, so a long cycle keeps the run short."""
+    ex = NativeExecutor(plans, capture=True)
+    start = encode_command_frame(CommandFrame(command=CommandWord.START))
+    t = 0
+    while ex.state is not RobotState.DONE:
+        ex.tick(t, start)
+        t += 1_000_000
+    return ex
+
+
+def group_durations_us(ex, plans):
+    """Executed durations per plan, in order, one list of µs per plan."""
+    out, i = [], 0
+    for plan in plans:
+        n = len(plan.motions)
+        out.append([dur for _first, _n, _target, dur in ex.executed[i : i + n]])
+        i += n
+    return out
+
+
+def executed_us(plan):
+    """The µs each motion of ``plan`` takes, run alone from the origin."""
+    return group_durations_us(run_native([plan]), [plan])[0]
 
 
 def _lin(target, v=250.0, a=2000.0, approx=0.0):
@@ -317,28 +378,30 @@ def l_shape(approx=10.0):
 
 
 def test_group_profile_l_shape_blended():
-    """Hand-derived right-angle blend: r = 10, v_arc = sqrt(2000 * 10)."""
+    """Hand-derived right-angle blend: r = 10, v_arc = sqrt(2000 * 10).  The
+    solver passes the corner at v_arc, and the native executor runs each
+    motion in its hand-derived time."""
     plan, wps = l_shape()
-    prof = plan_group_profile(plan, wps)
     v_arc = math.sqrt(20000.0)
     seg = (2 * 250.0 - 0.0 - v_arc) / 2000.0 + (90.0 - 15.625 - 10.625) / 250.0
     arc = (10.0 * math.pi / 2) / v_arc
-    assert prof.corner_speeds == pytest.approx((0.0, v_arc, 0.0), rel=1e-12)
-    assert prof.segment_durations == pytest.approx((seg, seg), rel=1e-12)
-    assert prof.blend_durations == pytest.approx((arc,), rel=1e-12)
-    assert prof.total_time == pytest.approx(2 * seg + arc, rel=1e-12)
-    assert prof.max_path_deviation == pytest.approx(4.142135623730951, rel=1e-9)
-    assert prof.degraded_corners == ()
+    speeds, blends, times = group_profile(plan, wps)
+    assert speeds == pytest.approx([0.0, v_arc, 0.0], rel=1e-12)
+    assert [t for pair in times for t in pair] == pytest.approx([seg, arc, seg, 0.0], rel=1e-12)
+    assert degraded_corners(plan, blends) == ()
+    assert executed_us(plan) == [whole_us(seg + arc), whole_us(seg)]
 
 
 def test_group_profile_l_shape_stops():
     plan, wps = l_shape()
-    prof = plan_group_profile(plan, wps, blending_enabled=False)
     per_seg = (2 * 250.0) / 2000.0 + (100.0 - 31.25) / 250.0
-    assert prof.total_time == pytest.approx(2 * per_seg, rel=1e-12)
-    assert prof.corner_speeds == (0.0, 0.0, 0.0)
-    assert prof.blend_durations == (0.0,)
-    assert prof.max_path_deviation == 0.0
+    speeds, blends, times = group_profile(plan, wps, blending=False)
+    assert total_time(times) == pytest.approx(2 * per_seg, rel=1e-12)
+    assert speeds == [0.0, 0.0, 0.0]
+    assert blends == [None, None, None]
+    assert [arc for _straight, arc in times] == [0.0, 0.0]
+    # the same path with approx 0 executes as two exact stops
+    assert executed_us(l_shape(approx=0.0)[0]) == [whole_us(per_seg)] * 2
 
 
 def test_group_profile_collinear_passthrough():
@@ -346,14 +409,15 @@ def test_group_profile_collinear_passthrough():
         (_lin(Pose(50.0, 0.0, 0.0), approx=10.0), _lin(Pose(100.0, 0.0, 0.0)))
     )
     wps = [Pose(0.0, 0.0, 0.0), Pose(50.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0)]
-    prof = plan_group_profile(plan, wps)
+    speeds, blends, times = group_profile(plan, wps)
     # straight corner carries speed without an arc; one continuous trapezoid
-    assert prof.blend_durations == (0.0,)
-    assert prof.corner_speeds[1] > 0.0
-    assert prof.max_path_deviation == 0.0
-    whole = segment_time(SegmentSpec(100.0, 250.0, 2000.0))
-    assert prof.total_time == pytest.approx(whole, rel=1e-9)
-    assert prof.degraded_corners == ()
+    assert [arc for _straight, arc in times] == [0.0, 0.0]
+    assert speeds[1] > 0.0
+    whole = segment_time(100.0, 250.0, 2000.0, 0.0, 0.0)
+    assert total_time(times) == pytest.approx(whole, rel=1e-9)
+    assert degraded_corners(plan, blends) == ()
+    # each motion is rounded up on its own
+    assert whole_us(whole) <= sum(executed_us(plan)) <= whole_us(whole) + 1
 
 
 def test_group_profile_degrades_reversal():
@@ -361,22 +425,26 @@ def test_group_profile_degrades_reversal():
         (_lin(Pose(100.0, 0.0, 0.0), approx=10.0), _lin(Pose(0.0, 0.0, 0.0)))
     )
     wps = [Pose(0.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0), Pose(0.0, 0.0, 0.0)]
-    prof = plan_group_profile(plan, wps)
-    assert prof.degraded_corners == (1,)
-    assert prof.corner_speeds[1] == 0.0
-    assert prof.blend_durations == (0.0,)
+    legs = [p.position for p in wps]
+    assert corner_blend(*legs, 10.0, 100.0, 100.0, 250.0, 250.0, 2000.0, 2000.0) is None
+    speeds, blends, times = group_profile(plan, wps)
+    assert degraded_corners(plan, blends) == (1,)
+    assert speeds[1] == 0.0
+    assert times[0][1] == 0.0
 
 
 def test_group_profile_degrades_short_segments():
     # legs of 15 mm cannot host a 10 mm truncation on both sides
     plan, wps = l_shape()
     wps = [Pose(0.0, 0.0, 0.0), Pose(15.0, 0.0, 0.0), Pose(15.0, 15.0, 0.0)]
-    prof = plan_group_profile(plan, wps)
-    assert prof.degraded_corners == (1,)
+    legs = [p.position for p in wps]
+    assert corner_blend(*legs, 10.0, 15.0, 15.0, 250.0, 250.0, 2000.0, 2000.0) is None
+    assert degraded_corners(plan, group_profile(plan, wps)[1]) == (1,)
 
 
 def test_group_profile_degrades_stuck_blend_speed():
-    # a motion speed below the minimum blend speed cannot sustain an arc
+    # a motion speed below the minimum blend speed cannot sustain an arc:
+    # the corner rule proposes the blend, the solver drops it
     plan = ContinuousSkillPlan(
         (
             _lin(Pose(100.0, 0.0, 0.0), v=5e-10, approx=10.0),
@@ -384,9 +452,11 @@ def test_group_profile_degrades_stuck_blend_speed():
         )
     )
     wps = [Pose(0.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0), Pose(100.0, 100.0, 0.0)]
-    prof = plan_group_profile(plan, wps)
-    assert prof.degraded_corners == (1,)
-    assert prof.corner_speeds[1] == 0.0
+    legs = [p.position for p in wps]
+    assert corner_blend(*legs, 10.0, 100.0, 100.0, 5e-10, 250.0, 2000.0, 2000.0) is not None
+    speeds, blends, _times = group_profile(plan, wps)
+    assert degraded_corners(plan, blends) == (1,)
+    assert speeds[1] == 0.0
 
 
 def _losing_run(lengths, v, a, corners):
@@ -428,14 +498,6 @@ def test_two_losing_runs_in_one_window_both_drop():
     assert speeds == [0.0] * 7
 
 
-def test_group_profile_input_validation():
-    plan, wps = l_shape()
-    with pytest.raises(ValueError):
-        plan_group_profile(plan, wps[:2])
-    with pytest.raises(ValueError):
-        plan_group_profile(plan, [wps[0], wps[0], wps[2]])
-
-
 def random_group(rng: random.Random):
     n = rng.randint(2, 6)
     pts = [Pose(0.0, 0.0, 0.0)]
@@ -460,25 +522,19 @@ def test_blending_never_slower_than_stopping():
     rng = random.Random(0x5EED)
     for _ in range(150):
         plan, wps = random_group(rng)
-        blended = plan_group_profile(plan, wps)
-        stops = plan_group_profile(plan, wps, blending_enabled=False)
-        assert blended.total_time <= stops.total_time + 1e-9
-        assert blended.corner_speeds[0] == 0.0
-        assert blended.corner_speeds[-1] == 0.0
-        assert blended.max_path_deviation <= max(
-            m.approx_distance for m in plan.motions
-        ) + 1e-9
-        assert len(blended.segment_durations) == len(plan.motions)
-        assert len(blended.blend_durations) == len(plan.motions) - 1
-        assert len(blended.corner_speeds) == len(plan.motions) + 1
-        if blended.total_time == stops.total_time:
+        speeds, blends, times = group_profile(plan, wps)
+        stops = total_time(group_profile(plan, wps, blending=False)[2])
+        blended = total_time(times)
+        assert blended <= stops + 1e-9
+        assert speeds[0] == 0.0
+        assert speeds[-1] == 0.0
+        assert len(times) == len(plan.motions)
+        assert len(speeds) == len(plan.motions) + 1
+        if blended == stops:
             # equality only when nothing was actually blended away
             for i in range(1, len(plan.motions)):
-                approx = plan.motions[i - 1].approx_distance
-                if approx > 0.0 and i not in blended.degraded_corners:
-                    assert blended.corner_speeds[i] == 0.0 or blended.blend_durations[
-                        i - 1
-                    ] == 0.0
+                if blends[i] is not None and plan.motions[i - 1].approx_distance > 0.0:
+                    assert speeds[i] == 0.0 or times[i - 1][1] == 0.0
 
 
 def test_profile_scales_exactly_with_doubled_geometry():
@@ -497,17 +553,18 @@ def test_profile_scales_exactly_with_doubled_geometry():
             )
             for m in plan.motions
         )
+        doubled = ContinuousSkillPlan(doubled_motions)
         doubled_wps = [Pose(p.x * 2, p.y * 2, p.z * 2) for p in wps]
-        base = plan_group_profile(plan, wps)
-        big = plan_group_profile(ContinuousSkillPlan(doubled_motions), doubled_wps)
-        assert big.total_time == pytest.approx(base.total_time, rel=1e-12)
-        assert big.degraded_corners == base.degraded_corners
+        _, base_blends, base = group_profile(plan, wps)
+        _, big_blends, big = group_profile(doubled, doubled_wps)
+        assert total_time(big) == pytest.approx(total_time(base), rel=1e-12)
+        assert degraded_corners(doubled, big_blends) == degraded_corners(plan, base_blends)
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
 def test_sharp_corners_degrade_rather_than_crawl(seed):
-    """Near-reversal corners force tiny blend radii; the profile must prefer
+    """Near-reversal corners force tiny blend radii; the solver must prefer
     an exact stop over crawling the arc and never lose to stopping."""
     rng = random.Random(seed)
     leg = rng.uniform(30.0, 150.0)
@@ -521,18 +578,18 @@ def test_sharp_corners_degrade_rather_than_crawl(seed):
     plan = ContinuousSkillPlan(
         (_lin(wps[1], approx=rng.uniform(1.0, min(10.0, leg / 2.5))), _lin(wps[2]))
     )
-    blended = plan_group_profile(plan, wps)
-    stops = plan_group_profile(plan, wps, blending_enabled=False)
-    assert blended.total_time <= stops.total_time + 1e-12
+    blended = total_time(group_profile(plan, wps)[2])
+    stops = total_time(group_profile(plan, wps, blending=False)[2])
+    assert blended <= stops + 1e-12
 
 
-# --- executed timing against the group profile ----------------------------------
+# --- executed timing against the whole-group helper ------------------------------
 
 
 def chained_groups(rng: random.Random, count: int):
     """``count`` random groups, each starting where the previous one ends,
     with motion types mixed between LIN and PTP-Cartesian and every scalar
-    rounded to f32 as the wire codec does, so the executor and the profile
+    rounded to f32 as the wire codec does, so the executor and the helper
     see identical numbers.  Returns the plans and their start points."""
     plans, starts = [], []
     origin = (0.0, 0.0, 0.0)
@@ -555,45 +612,18 @@ def chained_groups(rng: random.Random, count: int):
     return plans, starts
 
 
-def run_native(plans):
-    """Run plans on NativeExecutor with START held; durations do not depend
-    on the cycle, so a long cycle keeps the run short."""
-    ex = NativeExecutor(plans, capture=True)
-    start = encode_command_frame(CommandFrame(command=CommandWord.START))
-    t = 0
-    while ex.state is not RobotState.DONE:
-        ex.tick(t, start)
-        t += 1_000_000
-    return ex
-
-
-def group_durations_us(ex, plans):
-    """Executed durations per plan, in order, one list of µs per plan."""
-    out, i = [], 0
-    for plan in plans:
-        n = len(plan.motions)
-        out.append([dur for _first, _n, _target, dur in ex.executed[i : i + n]])
-        i += n
-    return out
-
-
 def test_executed_groups_match_the_profile():
     """Back-to-back groups in one native window: every executed motion takes
-    exactly its profile time (straight plus arc), rounded up to whole µs as
-    the engine does."""
+    exactly its whole-group time (straight plus arc), rounded up to whole µs
+    as the engine does."""
     rng = random.Random(0xE1EC)
     for _ in range(400):
         plans, starts = chained_groups(rng, rng.randint(1, 3))
         executed = group_durations_us(run_native(plans), plans)
         for plan, start, got in zip(plans, starts, executed):
             wps = [start] + [m.target for m in plan.motions]
-            profile = plan_group_profile(plan, wps)
-            arcs = (*profile.blend_durations, 0.0)
-            want = [
-                max(0, math.ceil((seg + arc) * 1e6 - 1e-12))
-                for seg, arc in zip(profile.segment_durations, arcs)
-            ]
-            assert got == want
+            _speeds, _blends, times = group_profile(plan, wps)
+            assert got == [whole_us(straight + arc) for straight, arc in times]
 
 
 def test_executor_blending_never_slower_than_stopping():

@@ -13,7 +13,7 @@ import hypothesis.strategies as st
 
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
 from skillbench.bench import compile_plans
-from skillbench.plc_trigger import ContinuousMotionProgram, SingleMotionProgram
+from skillbench.plc_trigger import ContinuousMotionProgram, SkillProgram, single_motion_skills
 from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     FRAME_SIZE,
@@ -348,7 +348,13 @@ def test_unencodable_plans_fail_before_start(record, motion, message):
     plan = ContinuousSkillPlan(motions)
     with pytest.raises(UnencodableValue, match=re.escape(message)):
         explode_plan(plan.motions)
-    for build in (ContinuousMotionProgram, SingleMotionProgram, NativeExecutor, compile_plans):
+    builds = (
+        ContinuousMotionProgram,
+        lambda plans: SkillProgram(single_motion_skills(plans)),
+        NativeExecutor,
+        compile_plans,
+    )
+    for build in builds:
         with pytest.raises(UnencodableValue, match=re.escape(message)):
             build([plan])
 
