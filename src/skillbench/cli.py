@@ -68,10 +68,10 @@ def _resolve_setup(spec: str):
 
 
 def _run(args) -> int:
-    cfg = _resolve_setup(args.setup)
     if args.reps < 1:
         print("skillbench: error: --reps must be >= 1", file=sys.stderr)
         return 3
+    cfg = _resolve_setup(args.setup)
     if args.etype == "all":
         etypes = (ExecutionType.RC, ExecutionType.SM, ExecutionType.CM)
     else:

@@ -41,6 +41,9 @@ line for trace line.  When each task is due:
   cycles, and ``SimConfig.robot_cycle_us`` is the one robot cycle;
 * the bus runs at the first bus grid point at or after a PLC publish and
   strictly after a robot publish; it has nothing else to do.
+
+``_at_or_after`` defines "the first grid point at or after"; ``run``
+computes the same point inline.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ from .wire import (
     decode_feedback_frame,
 )
 
-
-_NEVER = float("inf")
 
 # what the PLC sees before the robot's first image arrives
 _IDLE_FEEDBACK = decode_feedback_frame(IDLE_FEEDBACK_BYTES)
@@ -211,12 +212,13 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
         config.bus_cycle_us,
         config.robot_cycle_us,
     )
+    timeout_us = config.timeout_us
     rng = random.Random(rep_seed(config.seed, config.rep))
     phase_plc = rng.randrange(plc_cycle)
     phase_bus = rng.randrange(bus_cycle)
     phase_robot = rng.randrange(robot_cycle)
     timeout_at = min(
-        _at_or_after(config.timeout_us + 1, phase, cycle)
+        _at_or_after(timeout_us + 1, phase, cycle)
         for phase, cycle in (
             (phase_plc, plc_cycle),
             (phase_bus, bus_cycle),
@@ -237,17 +239,23 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     fb_at_plc = IDLE_FEEDBACK_BYTES
     robot_fb = plc_fb = _IDLE_FEEDBACK
 
-    # the next grid point at which each task is due, _NEVER when it waits
-    # for an input; every task runs at its first grid point
+    # the next grid point at which each task is due, ``never`` when it
+    # waits for an input: past the timeout, so a run with every task
+    # waiting times out; every task runs at its first grid point.  Each
+    # ``u + (phase - u) % cycle`` below is ``_at_or_after(u, phase, cycle)``
+    # for u >= 0 and a phase within its cycle
+    never = timeout_us + 1
     plc_due = phase_plc
-    bus_due = _NEVER
+    bus_due = never
     robot_due = phase_robot
 
     while True:
-        t = min(plc_due, bus_due, robot_due)
-        if t > config.timeout_us:
-            trace.add(timeout_at, "sim", "timeout", f"after {config.timeout_us} us")
-            raise SimTimeout(f"no completion within {config.timeout_us} us")
+        t = bus_due if bus_due < plc_due else plc_due
+        if robot_due < t:
+            t = robot_due
+        if t > timeout_us:
+            trace.add(timeout_at, "sim", "timeout", f"after {timeout_us} us")
+            raise SimTimeout(f"no completion within {timeout_us} us")
         # tie order: PLC before bus before robot
         if plc_due == t:
             try:
@@ -262,7 +270,9 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                     )
                 log((t, "plc", "cmd", decode_command_header(out), out))
                 plc_out = out
-                bus_due = min(bus_due, _at_or_after(t, phase_bus, bus_cycle))
+                due = t + (phase_bus - t) % bus_cycle
+                if due < bus_due:
+                    bus_due = due
             if program.t_start_us == t:
                 trace.add(t, "plc", "measure", "start")
             if program.t_end_us == t:
@@ -270,18 +280,22 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
             if program.finished:
                 trace.add(t, "sim", "finished", f"t={t}")
                 return SimResult(trace=trace, finished_at_us=t)
-            plc_due = _NEVER
+            plc_due = never
         if bus_due == t:
             # one atomic exchange of both directions
             if plc_out is not cmd_at_robot:
                 cmd_at_robot = plc_out
                 log((t, "bus", "cmd_deliver", None, plc_out))
-                robot_due = min(robot_due, _at_or_after(t, phase_robot, robot_cycle))
+                due = t + (phase_robot - t) % robot_cycle
+                if due < robot_due:
+                    robot_due = due
             if robot_out is not fb_at_plc:
                 fb_at_plc, plc_fb = robot_out, robot_fb
                 log((t, "bus", "fb_deliver", None, robot_out))
-                plc_due = min(plc_due, _at_or_after(t + 1, phase_plc, plc_cycle))
-            bus_due = _NEVER
+                due = t + 1 + (phase_plc - t - 1) % plc_cycle
+                if due < plc_due:
+                    plc_due = due
+            bus_due = never
         if robot_due == t:
             try:
                 out = executor.tick(t, cmd_at_robot)
@@ -296,9 +310,12 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 robot_fb = decode_feedback_frame(out)
                 log((t, "robot", "fb", robot_fb, out))
                 robot_out = out
-                bus_due = min(bus_due, _at_or_after(t + 1, phase_bus, bus_cycle))
+                due = t + 1 + (phase_bus - t - 1) % bus_cycle
+                if due < bus_due:
+                    bus_due = due
             wake = next_wakeup()
             if wake is None:
-                robot_due = _NEVER
+                robot_due = never
             else:
-                robot_due = _at_or_after(t + wake, phase_robot, robot_cycle)
+                due = t + wake
+                robot_due = due + (phase_robot - due) % robot_cycle

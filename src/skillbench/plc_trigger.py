@@ -72,6 +72,17 @@ class PlcSkillState(Enum):
     DONE = "done"
 
 
+# enum members bound once: a module global loads faster than an enum
+# attribute on the per-cycle path
+_SKILL_IDLE, _SKILL_RUNNING, _SKILL_DONE = (
+    PlcSkillState.IDLE,
+    PlcSkillState.RUNNING,
+    PlcSkillState.DONE,
+)
+_ROBOT_IDLE, _ROBOT_DONE, _ROBOT_ERROR = RobotState.IDLE, RobotState.DONE, RobotState.ERROR
+_IDLE_WORD = CommandWord.IDLE
+
+
 class PlcSkillInstance:
     """Command-image owner for one robot connection.
 
@@ -137,7 +148,9 @@ class PlcSkillInstance:
         if cur < self._last_cur:
             raise FeedbackRegression(f"curExec went {self._last_cur} -> {cur}")
         self._last_cur = cur
-        target = min(self._total, cur + SLOT_COUNT - 1)
+        target = cur + SLOT_COUNT - 1
+        if self._total < target:
+            target = self._total
         if target <= self._loaded:
             return
         first, self._loaded = self._loaded + 1, target
@@ -155,19 +168,20 @@ class PlcSkillInstance:
         the robot reports DONE, any other feedback (LOADING or IDLE before
         the robot takes up START, with curExec 0) only refills the window.
         """
-        if fb.state is RobotState.ERROR:
+        robot = fb.state
+        if robot is _ROBOT_ERROR:
             self.last_error = fb.error_code
             raise RobotError(fb.error_code)
         st = self._state
-        if st is PlcSkillState.RUNNING:
-            if fb.state is RobotState.DONE:
-                self._state = PlcSkillState.DONE
-                self._image = pack_command_frame(CommandWord.IDLE, 0, 0, 0, self._next_seq(), ())
+        if st is _SKILL_RUNNING:
+            if robot is _ROBOT_DONE:
+                self._state = _SKILL_DONE
+                self._image = pack_command_frame(_IDLE_WORD, 0, 0, 0, self._next_seq(), ())
             else:
                 self._refill(fb.cur_exec)
-        elif st is PlcSkillState.DONE:
-            if fb.state is RobotState.IDLE:
-                self._state = PlcSkillState.IDLE
+        elif st is _SKILL_DONE:
+            if robot is _ROBOT_IDLE:
+                self._state = _SKILL_IDLE
                 self.skills_completed += 1
                 self._images = ()
 
@@ -207,15 +221,15 @@ class SkillProgram:
         before = plc._state
         plc.cycle(fb)
         st = plc._state
-        if st is before and (st is not PlcSkillState.IDLE or self.finished):
+        if st is before and (st is not _SKILL_IDLE or self.finished):
             # nothing to stamp and no skill to start
             return plc._image
-        if st is PlcSkillState.DONE:
+        if st is _SKILL_DONE:
             if self._current_last:
                 self.t_end_us = t_us
-        elif st is PlcSkillState.IDLE and not self.finished:
+        elif st is _SKILL_IDLE and not self.finished:
             if self._next < len(self._skills):
-                if fb.state is RobotState.IDLE:
+                if fb.state is _ROBOT_IDLE:
                     plc.start_images(self._skills[self._next])
                     self._current_last = self._next == len(self._skills) - 1
                     self._next += 1

@@ -70,8 +70,19 @@ from .wire import (
 ERROR_RECORD = 1  # malformed or out-of-sequence record / frame
 ERROR_STARVATION = 2  # record supply stalled beyond the starvation limit
 
+# enum members bound once: a module global loads faster than an enum
+# attribute on the per-tick path
+_IDLE, _RUNNING, _DONE, _ERROR, _ABORTING = (
+    RobotState.IDLE,
+    RobotState.RUNNING,
+    RobotState.DONE,
+    RobotState.ERROR,
+    RobotState.ABORTING,
+)
+_START, _ABORT, _IDLE_WORD = CommandWord.START, CommandWord.ABORT, CommandWord.IDLE
+
 # (state, error, curExec, acked frame_seq, pose) of IDLE_FEEDBACK_BYTES
-_IDLE_FEEDBACK_FIELDS = (RobotState.IDLE, 0, 0, 0, (0.0,) * 6)
+_IDLE_FEEDBACK_FIELDS = (_IDLE, 0, 0, 0, (0.0,) * 6)
 
 
 class _MotionEngine:
@@ -182,7 +193,9 @@ class _MotionEngine:
             self.captured.append((first, n, rec.target, dur_us))
 
     def _set_active(self, t_us, seconds, motion, end_pose, end_joints, exit_speed, exit_trunc):
-        dur_us = max(0, math.ceil(seconds * 1e6 - 1e-12))
+        dur_us = math.ceil(seconds * 1e6 - 1e-12)
+        if dur_us < 0:
+            dur_us = 0
         self._active = (t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc)
 
     def _activate(self, t_us: int):
@@ -284,7 +297,7 @@ class _CyclicExecutor:
         if capture:
             self._engine.captured = []
         self._last_tick_us = 0
-        self._state = RobotState.IDLE
+        self._state = _IDLE
         self._error = 0
         self._total = 0
         self._acked = 0
@@ -313,7 +326,7 @@ class _CyclicExecutor:
         return self._engine.captured
 
     def _fail(self, code: int):
-        self._state = RobotState.ERROR
+        self._state = _ERROR
         self._error = code
         self._engine.discard_motion()
 
@@ -321,35 +334,22 @@ class _CyclicExecutor:
         # START goes straight to RUNNING, so LOADING is never published
         st = self._state
         command = header.command
-        if command is CommandWord.START:
-            if st is RobotState.IDLE:
+        if command is _START:
+            if st is _IDLE:
                 self._hungry = 0
                 self._load(header, data, True)
-                self._state = RobotState.RUNNING
-            elif st is RobotState.RUNNING:
+                self._state = _RUNNING
+            elif st is _RUNNING:
                 self._load(header, data, False)
-        elif st is RobotState.RUNNING or (st is RobotState.DONE and command is CommandWord.ABORT):
+        elif st is _RUNNING or (st is _DONE and command is _ABORT):
             # aborted, or START withdrawn mid-skill: stop gracefully
             self._engine.discard_motion()
-            self._state = RobotState.ABORTING
-        elif command is CommandWord.IDLE:
+            self._state = _ABORTING
+        elif command is _IDLE_WORD:
             # DONE, ERROR and ABORTING return to IDLE
-            self._state = RobotState.IDLE
+            self._state = _IDLE
             self._error = 0
         self._acked = header.frame_seq
-
-    def _run_cycle(self, t_us: int):
-        if self._state is RobotState.RUNNING:
-            progressed = self._engine.advance(t_us)
-            if self._engine.done:
-                self._state = RobotState.DONE
-                self._hungry = 0
-            elif progressed:
-                self._hungry = 0
-            elif self._starvation_limit is not None:
-                self._hungry += 1
-                if self._hungry >= self._starvation_limit:
-                    self._fail(ERROR_STARVATION)
 
     def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
         self._last_tick_us = t_us
@@ -359,15 +359,28 @@ class _CyclicExecutor:
                 self._apply_frame(decode_command_header(cmd_bytes), cmd_bytes)
             except WireError:
                 self._fail(ERROR_RECORD)
-        self._run_cycle(t_us)
+        engine = self._engine
+        if self._state is _RUNNING:
+            progressed = engine.advance(t_us)
+            if engine.done:
+                self._state = _DONE
+                self._hungry = 0
+            elif progressed:
+                self._hungry = 0
+            elif self._starvation_limit is not None:
+                self._hungry += 1
+                if self._hungry >= self._starvation_limit:
+                    self._fail(ERROR_STARVATION)
         st = self._state
-        if st is RobotState.RUNNING or st is RobotState.DONE:
-            cur = min(self._engine.completed_records + 1, self._total)
-        elif st is RobotState.ERROR:
+        if st is _RUNNING or st is _DONE:
+            cur = engine.completed_records + 1
+            if self._total < cur:
+                cur = self._total
+        elif st is _ERROR:
             cur = self._fb_fields[2]  # curExec as last reported
         else:
             cur = 0
-        fields = (st, self._error, cur, self._acked, self._engine.pose)
+        fields = (st, self._error, cur, self._acked, engine.pose)
         if fields != self._fb_fields:
             self._fb_fields = fields
             self._fb_bytes = pack_feedback_frame(*fields)
@@ -379,7 +392,7 @@ class _CyclicExecutor:
         motion, else 1 (the next robot cycle) while a starvation limit
         counts hungry cycles.  None when no such tick exists (IDLE, DONE,
         ERROR, ABORTING, or a starved executor without a limit)."""
-        if self._state is not RobotState.RUNNING:
+        if self._state is not _RUNNING:
             return None
         end = self._engine.end_us
         if end is not None:

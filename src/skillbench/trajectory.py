@@ -153,11 +153,14 @@ def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out,
     if math.dist(prev_pt, corner) == 0.0 or math.dist(corner, next_pt) == 0.0:
         return None
     angle = turn_angle(prev_pt, corner, next_pt)
+    # ``b if b < a else a`` is ``min(a, b)`` without the builtin's call cost
     if angle > COLLINEAR_EPS and not (
-        approx > 0.0 and angle < math.pi - _REVERSAL_EPS and min(len_in, len_out) >= 2.0 * approx
+        approx > 0.0
+        and angle < math.pi - _REVERSAL_EPS
+        and (len_out if len_out < len_in else len_in) >= 2.0 * approx
     ):
         return None
-    return blend_geometry(angle, approx, v_in, v_out, min(a_in, a_out))
+    return blend_geometry(angle, approx, v_in, v_out, a_out if a_out < a_in else a_in)
 
 
 def motion_time(length, v_max, accel, v_in, v_out, trunc_in, blend_out):

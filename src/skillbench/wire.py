@@ -63,17 +63,16 @@ RECORD_SIZE = 44
 FRAME_SIZE = 256
 SLOT_COUNT = 5
 HEADER_SIZE = 12
-FEEDBACK_USED = 36
 
 _RECORD_FMT = struct.Struct("<BBH9fBBH")
 _CMD_HEADER_FMT = struct.Struct("<BBIIH")
 _CMD_PROGRESS_FMT = struct.Struct("<IH")  # loadedThrough, frame_seq
 _CMD_PROGRESS_OFFSET = 6
 _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
-_FEEDBACK_FMT = struct.Struct("<BBIH6f")
+# the whole feedback frame: 32 bytes of fields, then 224 zero bytes (the
+# reserved bytes 32..35 and the padding)
+_FEEDBACK_FMT = struct.Struct("<BBIH6f224x")
 _F32 = struct.Struct("<f")
-# bytes 32..35 of a feedback frame are reserved zero, the rest padding
-_FEEDBACK_PAD = bytes(FRAME_SIZE - _FEEDBACK_FMT.size)
 
 _FLAG_JOINT = 0x01
 _FLAG_CONTINUATION = 0x02
@@ -81,7 +80,7 @@ _FLAG_CONTINUATION = 0x02
 assert _RECORD_FMT.size == RECORD_SIZE
 assert _CMD_HEADER_FMT.size == HEADER_SIZE
 assert _CMD_PROGRESS_OFFSET + _CMD_PROGRESS_FMT.size == HEADER_SIZE
-assert _FEEDBACK_FMT.size == FEEDBACK_USED - 4
+assert _FEEDBACK_FMT.size == FRAME_SIZE
 
 
 class WireError(Exception):
@@ -156,6 +155,7 @@ class RobotState(IntEnum):
 _MOTION_TYPES = {m.value: m for m in MotionType}
 _COMMAND_WORDS = {w.value: w for w in CommandWord}
 _ROBOT_STATES = {s.value: s for s in RobotState}
+_PTP_JOINT = MotionType.PTP_JOINT
 
 
 # the decoders build frozen dataclasses without ``__init__``
@@ -259,7 +259,7 @@ def decode_record(data: bytes) -> MotionRecord:
         raise MalformedRecord(f"reserved flag bits set: 0x{flags:02x}")
     joint = bool(flags & _FLAG_JOINT)
     cont = bool(flags & _FLAG_CONTINUATION)
-    if joint != (mtype is MotionType.PTP_JOINT):
+    if joint != (mtype is _PTP_JOINT):
         raise MalformedRecord(f"joint flag {joint} inconsistent with {mtype.name}")
     # a finite sum means nine finite scalars (``_check_finite``), which then
     # names the first bad one
@@ -498,7 +498,7 @@ def pack_feedback_frame(
     """Encode feedback fields that already lie in their ranges, as a
     ``FeedbackFrame`` holds them; only the pose is checked here."""
     _check_f32(pose, "pose component")
-    return _FEEDBACK_FMT.pack(state, error_code, cur_exec, acked_seq, *pose) + _FEEDBACK_PAD
+    return _FEEDBACK_FMT.pack(state, error_code, cur_exec, acked_seq, *pose)
 
 
 def encode_feedback_frame(frame: FeedbackFrame) -> bytes:
@@ -512,14 +512,15 @@ def decode_feedback_frame(data: bytes) -> FeedbackFrame:
         raise FrameTooShort(f"feedback frame is {len(data)} bytes, need {FRAME_SIZE}")
     if len(data) > FRAME_SIZE:
         raise FrameTooLong(f"feedback frame is {len(data)} bytes, need {FRAME_SIZE}")
-    state, err, cur, ack, *pose = _FEEDBACK_FMT.unpack_from(data, 0)
+    state, err, cur, ack, x, y, z, a, b, c = _FEEDBACK_FMT.unpack(data)
     st = _ROBOT_STATES.get(state)
     if st is None:
         raise BadStateCode(f"state code {state}")
-    _check_finite(pose, "pose component")
+    if not math.isfinite(x + y + z + a + b + c):
+        _check_finite((x, y, z, a, b, c), "pose component")
     frame = _new(FeedbackFrame)
     frame.__dict__.update(
-        state=st, error_code=err, cur_exec=cur, acked_seq=ack, pose=tuple(pose)
+        state=st, error_code=err, cur_exec=cur, acked_seq=ack, pose=(x, y, z, a, b, c)
     )
     return frame
 

@@ -566,6 +566,10 @@ class TestCli:
     def test_bad_reps_is_usage_error(self, capsys):
         assert main(["run", "--reps", "0"]) == 3
 
+    def test_bad_reps_is_checked_before_the_scenario_file(self, capsys):
+        assert main(["run", "--setup", "/no/such/file", "--reps", "0"]) == 3
+        assert capsys.readouterr().err == "skillbench: error: --reps must be >= 1\n"
+
     def test_bad_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--etype", "warp"])

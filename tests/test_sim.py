@@ -591,23 +591,74 @@ SIMULATION_LOOPS = {
 }
 
 
-def simulation_loops(path):
-    """Functions in ``path`` with a loop that calls both a ``plc_tick`` and
-    a ``tick`` method: each ticks a program against an executor."""
+def bound_tick_methods(func):
+    """Local names that ``func`` assigns a ``plc_tick`` or ``tick``
+    attribute to, one by one or unpacked from a tuple, mapped to that
+    attribute's name."""
+    bound = {}
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if (
+                    isinstance(name, ast.Name)
+                    and isinstance(value, ast.Attribute)
+                    and value.attr in ("plc_tick", "tick")
+                ):
+                    bound[name.id] = value.attr
+    return bound
+
+
+def loop_functions(source):
+    """Names of the functions in ``source`` with a loop that calls both a
+    ``plc_tick`` and a ``tick`` method, directly or through a local name
+    bound to it: each ticks a program against an executor."""
     found = set()
-    for func in ast.walk(ast.parse(path.read_text())):
+    for func in ast.walk(ast.parse(source)):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        bound = bound_tick_methods(func)
         for loop in ast.walk(func):
             if isinstance(loop, (ast.For, ast.While)):
-                called = {
-                    node.func.attr
-                    for node in ast.walk(loop)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                }
+                called = set()
+                for node in ast.walk(loop):
+                    if isinstance(node, ast.Call):
+                        if isinstance(node.func, ast.Attribute):
+                            called.add(node.func.attr)
+                        elif isinstance(node.func, ast.Name) and node.func.id in bound:
+                            called.add(bound[node.func.id])
                 if {"plc_tick", "tick"} <= called:
-                    found.add((path.relative_to(ROOT).as_posix(), func.name))
+                    found.add(func.name)
     return found
+
+
+def simulation_loops(path):
+    """``(path, function)`` of each ``loop_functions`` in ``path``."""
+    rel = path.relative_to(ROOT).as_posix()
+    return {(rel, name) for name in loop_functions(path.read_text())}
+
+
+def test_loop_detector_follows_bound_tick_methods():
+    source = """
+def bound_one_by_one(program, executor):
+    tick = executor.tick
+    while True:
+        tick(0, program.plc_tick(0, None))
+
+def bound_as_a_tuple(program, executor):
+    plc_tick, tick = program.plc_tick, executor.tick
+    for t in range(3):
+        tick(t, plc_tick(t, None))
+
+def bound_but_not_looped(program, executor):
+    tick = executor.tick
+    tick(0, program.plc_tick(0, None))
+"""
+    assert loop_functions(source) == {"bound_one_by_one", "bound_as_a_tuple"}
 
 
 def test_run_and_run_polled_are_the_only_simulation_loops():

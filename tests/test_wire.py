@@ -556,6 +556,29 @@ def test_feedback_decode_rejects_nonfinite_pose():
         decode_feedback_frame(bytes(data))
 
 
+# the six f32 pose components of a feedback frame
+POSE_OFFSETS = range(8, 32, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("offset", POSE_OFFSETS)
+def test_feedback_decode_names_each_nonfinite_pose_component(offset, bad):
+    data = bytearray(encode_feedback_frame(FeedbackFrame(pose=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))))
+    struct.pack_into("<f", data, offset, bad)
+    with pytest.raises(NonFiniteScalar) as exc:
+        decode_feedback_frame(bytes(data))
+    assert str(exc.value) == f"non-finite pose component {bad!r}"
+
+
+@pytest.mark.parametrize("first, second", [(8, 28), (12, 16), (20, 24)])
+def test_feedback_decode_names_the_first_of_two_nonfinite_pose_components(first, second):
+    data = bytearray(IDLE_FEEDBACK_BYTES)
+    struct.pack_into("<f", data, first, -math.inf)
+    struct.pack_into("<f", data, second, math.nan)
+    with pytest.raises(NonFiniteScalar, match=r"^non-finite pose component -inf$"):
+        decode_feedback_frame(bytes(data))
+
+
 # --- fast paths against the validated ones ----------------------------------
 
 
