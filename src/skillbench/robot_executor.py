@@ -59,7 +59,10 @@ from .wire import (
     MalformedRecord,
     MotionRecord,
     RobotState,
+    UnencodableValue,
     WireError,
+    _check_f32,
+    _pack_feedback,
     decode_command_header,
     decode_record,
     explode_plan,
@@ -101,7 +104,8 @@ class _MotionEngine:
     ``advance(t_us)`` completes it at the first tick at or after that end.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
-    engine's lifetime).
+    engine's lifetime).  A completed motion's target tuple becomes the pose
+    (or the joints) as it is, uncopied.
     """
 
     def __init__(self, pose=(0.0,) * 6, joints=(0.0,) * 6):
@@ -154,18 +158,23 @@ class _MotionEngine:
                 first, _end, speeds, blends = plan
                 stop = max((i for i in range(1, len(speeds) - 1) if speeds[i] == 0.0), default=0)
                 self._plan = (first, first + stop, speeds, blends) if stop else None
-            legs = (rec.target[:3],) if aux is None else (aux.target[:3], rec.target[:3])
-            prev, p = self._approach or (None, self.pose[:3])
-            for q in legs:
-                length += math.dist(p, q)
-                prev, p = p, q
+            # the legs run p -> q, or p -> aux point -> q for a circular pair
+            approach = self._approach
+            p = self.pose[:3] if approach is None else approach[1]
+            q = rec.target[:3]
+            if aux is None:
+                first_end, last_start = q, p
+                length = math.dist(p, q)
+            else:
+                first_end = last_start = aux.target[:3]
+                length = math.dist(p, first_end) + math.dist(first_end, q)
             am = self._motions[-1][0] if self._motions else None
             if am is not None and not am.joint_target:
                 self._corners[-1] = corner_blend(
-                    *self._approach, legs[0], am.approx_distance, self._lengths[-1], length,
+                    *approach, first_end, am.approx_distance, self._lengths[-1], length,
                     am.velocity, rec.velocity, am.acceleration, rec.acceleration,
                 )
-            self._approach = (prev, p)
+            self._approach = (last_start, q)
         self._motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
         self._lengths.append(length)
         self._corners.append(None)
@@ -175,10 +184,6 @@ class _MotionEngine:
         self._plan = None
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.completed_records >= self.total_records
 
     def _complete(self):
         _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
@@ -192,12 +197,6 @@ class _MotionEngine:
         if self.captured is not None:
             self.captured.append((first, n, rec.target, dur_us))
 
-    def _set_active(self, t_us, seconds, motion, end_pose, end_joints, exit_speed, exit_trunc):
-        dur_us = math.ceil(seconds * 1e6 - 1e-12)
-        if dur_us < 0:
-            dur_us = 0
-        self._active = (t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc)
-
     def _activate(self, t_us: int):
         k = self._next
         motions = self._motions
@@ -207,42 +206,46 @@ class _MotionEngine:
             # corners never blend into or out of a joint motion, so the
             # committed entry speed here is always zero; the TCP pose is held
             deltas = [t - c for t, c in zip(rec.target, self.joints)]
-            dur = ptp_time(deltas, rec.velocity, rec.acceleration)
-            self._set_active(t_us, dur, motion, self.pose, tuple(rec.target), 0.0, 0.0)
-            return
-
-        if k + 1 == len(motions) and idx + n <= self.total_records:
-            # successor exists but has not arrived: commit an exact stop
-            self.fallback_stops += 1
-        if self._plan is None or not self._plan[0] <= k < self._plan[1]:
-            # plan the visible Cartesian window from here on
-            end = k + 1
-            while end < len(motions) and not motions[end][0].joint_target:
-                end += 1
-            window = [m[0] for m in motions[k:end]]
-            speeds, blends = solve_corners(
-                self._lengths[k:end],
-                [r.velocity for r in window],
-                [r.acceleration for r in window],
-                [None, *self._corners[k : end - 1], None],
-                self._entry_speed,
-                self._entry_trunc,
+            seconds = ptp_time(deltas, rec.velocity, rec.acceleration)
+            end_pose, end_joints = self.pose, rec.target
+            exit_speed = exit_trunc = 0.0
+        else:
+            if k + 1 == len(motions) and idx + n <= self.total_records:
+                # successor exists but has not arrived: commit an exact stop
+                self.fallback_stops += 1
+            if self._plan is None or not self._plan[0] <= k < self._plan[1]:
+                # plan the visible Cartesian window from here on
+                end = k + 1
+                while end < len(motions) and not motions[end][0].joint_target:
+                    end += 1
+                window = [m[0] for m in motions[k:end]]
+                speeds, blends = solve_corners(
+                    self._lengths[k:end],
+                    [r.velocity for r in window],
+                    [r.acceleration for r in window],
+                    [None, *self._corners[k : end - 1], None],
+                    self._entry_speed,
+                    self._entry_trunc,
+                )
+                # a later solve must not revive a blend dropped here:
+                # dropping only newer corners then restores this plan
+                self._corners[k : end - 1] = blends[1:-1]
+                self._plan = (k, end, speeds, blends)
+            first, _end, speeds, blends = self._plan
+            exit_speed = speeds[k - first + 1]
+            b = blends[k - first + 1]
+            straight, arc = motion_time(
+                self._lengths[k], rec.velocity, rec.acceleration,
+                self._entry_speed, exit_speed, self._entry_trunc, b,
             )
-            # a later solve must not revive a blend dropped here: dropping
-            # only newer corners then restores this plan
-            self._corners[k : end - 1] = blends[1:-1]
-            self._plan = (k, end, speeds, blends)
-        first, _end, speeds, blends = self._plan
-        exit_speed = speeds[k - first + 1]
-        b = blends[k - first + 1]
-        straight, arc = motion_time(
-            self._lengths[k], rec.velocity, rec.acceleration,
-            self._entry_speed, exit_speed, self._entry_trunc, b,
-        )
-        exit_trunc = b.truncation if b is not None else 0.0
-        end_pose = tuple(rec.target)
-        self._set_active(
-            t_us, straight + arc, motion, end_pose, self.joints, exit_speed, exit_trunc
+            seconds = straight + arc
+            exit_trunc = b.truncation if b is not None else 0.0
+            end_pose, end_joints = rec.target, self.joints
+        dur_us = math.ceil(seconds * 1e6 - 1e-12)
+        if dur_us < 0:
+            dur_us = 0
+        self._active = (
+            t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc
         )
 
     def advance(self, t_us: int) -> bool:
@@ -260,7 +263,11 @@ class _MotionEngine:
                 progressed = True
             else:
                 break
-        return self._active is not None or progressed or self.done
+        return (
+            self._active is not None
+            or progressed
+            or self.completed_records >= self.total_records
+        )
 
     @property
     def end_us(self) -> int | None:
@@ -305,6 +312,15 @@ class _CyclicExecutor:
         self._cmd_obj: bytes | None = None
         self._fb_fields = _IDLE_FEEDBACK_FIELDS
         self._fb_bytes = IDLE_FEEDBACK_BYTES
+        # every later pose is a record target decoded off the wire, so a
+        # pose checked once here needs no check per image; an initial pose
+        # out of f32 range keeps the checking packer, which raises as
+        # ``encode_feedback_frame`` does
+        try:
+            _check_f32(self._engine.pose, "pose component")
+            self._pack = _pack_feedback
+        except UnencodableValue:
+            self._pack = pack_feedback_frame
 
     @property
     def state(self) -> RobotState:
@@ -362,7 +378,7 @@ class _CyclicExecutor:
         engine = self._engine
         if self._state is _RUNNING:
             progressed = engine.advance(t_us)
-            if engine.done:
+            if engine.completed_records >= engine.total_records:
                 self._state = _DONE
                 self._hungry = 0
             elif progressed:
@@ -382,8 +398,10 @@ class _CyclicExecutor:
             cur = 0
         fields = (st, self._error, cur, self._acked, engine.pose)
         if fields != self._fb_fields:
+            # a pack that raises leaves the last published image and its
+            # fields, so the next tick packs, and raises, again
+            self._fb_bytes = self._pack(*fields)
             self._fb_fields = fields
-            self._fb_bytes = pack_feedback_frame(*fields)
         return self._fb_bytes
 
     def next_wakeup(self) -> int | None:

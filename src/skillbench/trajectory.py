@@ -45,11 +45,18 @@ def segment_time(length: float, v_max: float, accel: float, v_in: float, v_out: 
     cap was reached, then decelerates to v_out.  Raises InfeasibleBoundary
     when |v_out^2 - v_in^2| > 2 * accel * length.
     """
+    # ``d if d >= 0.0 else -d`` is ``abs(d)`` without the builtin's call
+    # cost.  It can differ only in the sign of -0.0 or of a NaN: both
+    # compare the same either way, and a speed difference is -0.0 only
+    # when v_out is -0.0
     if length == 0.0:
-        if abs(v_out - v_in) > _FEAS_SLACK:
+        d = v_out - v_in
+        if (d if d >= 0.0 else -d) > _FEAS_SLACK:
             raise InfeasibleBoundary("zero-length segment with unequal boundary speeds")
         return 0.0
-    diff = abs(v_out * v_out - v_in * v_in)
+    diff = v_out * v_out - v_in * v_in
+    if diff < 0.0:
+        diff = -diff
     budget = 2.0 * accel * length
     if diff > budget * (1.0 + 1e-12) + _FEAS_SLACK:
         raise InfeasibleBoundary(
@@ -57,7 +64,8 @@ def segment_time(length: float, v_max: float, accel: float, v_in: float, v_out: 
         )
     if diff >= budget:
         # boundary case: pure acceleration or deceleration over the full length
-        return abs(v_out - v_in) / accel
+        d = v_out - v_in
+        return (d if d >= 0.0 else -d) / accel
     v_peak_sq = 0.5 * (budget + v_in * v_in + v_out * v_out)
     v_peak = math.sqrt(v_peak_sq)
     if v_peak <= v_max:
@@ -113,23 +121,26 @@ def blend_geometry(
         raise ValueError("approx_distance must be >= 0")
     if v1 <= 0.0 or v2 <= 0.0 or accel <= 0.0:
         raise ValueError("speeds and accel must be positive")
+    return _arc(angle, approx_distance, v1, v2, accel)
+
+
+def _arc(angle, approx_distance, v1, v2, accel) -> BlendGeometry:
+    """``blend_geometry`` for arguments it would accept, unchecked.  The
+    minima are comparisons that keep the builtin ``min``'s choice, the
+    first of equal values."""
+    slower = v2 if v2 < v1 else v1
     if angle <= COLLINEAR_EPS:
         # straight continuation: no arc, no truncation, carry the slower speed
-        return _blend(
-            angle=0.0,
-            radius=math.inf,
-            arc_length=0.0,
-            v_blend=min(v1, v2),
-            truncation=0.0,
-        )
+        return _blend(angle=0.0, radius=math.inf, arc_length=0.0, v_blend=slower, truncation=0.0)
     if approx_distance == 0.0:
         return _blend(angle=angle, radius=0.0, arc_length=0.0, v_blend=0.0, truncation=0.0)
     radius = approx_distance / math.tan(0.5 * angle)
+    cap = math.sqrt(accel * radius)
     return _blend(
         angle=angle,
         radius=radius,
         arc_length=radius * angle,
-        v_blend=min(v1, v2, math.sqrt(accel * radius)),
+        v_blend=cap if cap < slower else slower,
         truncation=approx_distance,
     )
 
@@ -149,7 +160,11 @@ def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out,
     on the legs ``prev_pt`` -> ``corner`` -> ``next_pt``; None for an exact
     stop.  Collinear corners pass through.  Other corners blend when they
     have an approx distance, turn short of a reversal, and both motions are
-    at least twice the truncation long; a zero-length leg stops."""
+    at least twice the truncation long; a zero-length leg stops.  The
+    limits must be positive and ``approx`` non-negative, as the robot checks
+    each record's dynamics before it proposes a corner; the rule then
+    admits only the arguments ``blend_geometry`` accepts, so the blend is
+    built without its checks."""
     if math.dist(prev_pt, corner) == 0.0 or math.dist(corner, next_pt) == 0.0:
         return None
     angle = turn_angle(prev_pt, corner, next_pt)
@@ -160,7 +175,7 @@ def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out,
         and (len_out if len_out < len_in else len_in) >= 2.0 * approx
     ):
         return None
-    return blend_geometry(angle, approx, v_in, v_out, a_out if a_out < a_in else a_in)
+    return _arc(angle, approx, v_in, v_out, a_out if a_out < a_in else a_in)
 
 
 def motion_time(length, v_max, accel, v_in, v_out, trunc_in, blend_out):

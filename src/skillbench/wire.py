@@ -43,7 +43,10 @@ constructors check.
 On the sending side there is one packer per image.  ``pack_command_frame``
 packs command fields and ``pack_feedback_frame`` feedback fields; both take
 fields that already lie in their ranges, as the dataclasses hold them, and
-only the feedback pose is checked again.  ``encode_command_frame`` and
+only the feedback pose is checked again.  The robot executors check their
+initial pose once and then pack through ``pack_feedback_frame``'s unchecked
+core, ``_pack_feedback``: every later pose is a record target decoded off
+the wire, so it is an f32 already.  ``encode_command_frame`` and
 ``encode_feedback_frame`` check their fields through ``CommandFrame`` and
 ``FeedbackFrame``, then call those packers.  ``refill_command_frame``
 streams records into a copy of an existing command image.
@@ -156,6 +159,7 @@ _MOTION_TYPES = {m.value: m for m in MotionType}
 _COMMAND_WORDS = {w.value: w for w in CommandWord}
 _ROBOT_STATES = {s.value: s for s in RobotState}
 _PTP_JOINT = MotionType.PTP_JOINT
+_CIRCULAR = MotionType.CIRCULAR
 
 
 # the decoders build frozen dataclasses without ``__init__``
@@ -172,13 +176,17 @@ def _check_finite(values, what: str):
 
 
 _F32_MAX = 3.4028235e38
+_F32_LOWEST = -_F32_MAX
 
 
 def _check_f32(values, what: str):
     """Raise UnencodableValue for the first value that is non-finite or
-    beyond the f32 range: packing would fail on it or silently give inf."""
+    beyond the f32 range: packing would fail on it or silently give inf.
+    NaN fails every comparison and the infinities lie beyond the range, so
+    one chained comparison tests both; it compares an int of any size
+    exactly, where converting it to a float could overflow."""
     for v in values:
-        if not math.isfinite(v) or abs(v) > _F32_MAX:
+        if not _F32_LOWEST <= v <= _F32_MAX:
             raise UnencodableValue(f"{what} {v!r} not representable as f32")
 
 
@@ -219,9 +227,10 @@ def _pack_record(code, flags, seq, scalars, tool, base, force) -> bytes:
         raise UnencodableValue(f"record_seq {seq} does not fit u16")
     if not 0 <= force <= 0xFFFF:
         raise UnencodableValue(f"force_setpoint {force} does not fit u16")
-    for name, v in (("tool_frame", tool), ("base_frame", base)):
-        if not 0 <= v <= 0xFF:
-            raise UnencodableValue(f"{name} {v} does not fit u8")
+    if not 0 <= tool <= 0xFF:
+        raise UnencodableValue(f"tool_frame {tool} does not fit u8")
+    if not 0 <= base <= 0xFF:
+        raise UnencodableValue(f"base_frame {base} does not fit u8")
     _check_f32(scalars, "scalar")
     return _RECORD_FMT.pack(code, flags, seq, *scalars, tool, base, force)
 
@@ -294,7 +303,7 @@ def encode_plan(motions) -> list[bytes]:
     for m in motions:
         mtype = m.motion_type
         dynamics = (m.velocity, m.acceleration, m.approx_distance)
-        if mtype is MotionType.CIRCULAR:
+        if mtype is _CIRCULAR:
             images.append(
                 _pack_record(
                     mtype,
@@ -309,7 +318,7 @@ def encode_plan(motions) -> list[bytes]:
         images.append(
             _pack_record(
                 mtype,
-                _FLAG_JOINT if mtype is MotionType.PTP_JOINT else 0,
+                _FLAG_JOINT if mtype is _PTP_JOINT else 0,
                 (len(images) + 1) & 0xFFFF,
                 (*m.target.components(), *dynamics),
                 m.tool_frame,
@@ -498,6 +507,12 @@ def pack_feedback_frame(
     """Encode feedback fields that already lie in their ranges, as a
     ``FeedbackFrame`` holds them; only the pose is checked here."""
     _check_f32(pose, "pose component")
+    return _pack_feedback(state, error_code, cur_exec, acked_seq, pose)
+
+
+def _pack_feedback(state, error_code, cur_exec, acked_seq, pose) -> bytes:
+    """``pack_feedback_frame`` without the pose check, for a pose known to
+    lie in the f32 range."""
     return _FEEDBACK_FMT.pack(state, error_code, cur_exec, acked_seq, *pose)
 
 

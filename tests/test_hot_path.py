@@ -1,8 +1,9 @@
 """The functions that run once per task activation, feedback image or
-record keep two rules that CPython 3.11 rewards: enum members are read
-from module-level names bound once, not as attributes of their class, and
+record keep three rules that CPython 3.11 rewards: enum members are read
+from module-level names bound once, not as attributes of their class,
 two- or three-value minima and maxima are comparisons, not calls of the
-builtin ``min`` or ``max``."""
+builtin ``min`` or ``max``, and an absolute value is a conditional
+negation, not a call of the builtin ``abs``."""
 
 import ast
 from pathlib import Path
@@ -18,10 +19,10 @@ HOT_PATH = {
         "_CyclicExecutor.next_wakeup",
         "_CyclicExecutor._apply_frame",
         "RobotExecutor._load",
+        "_MotionEngine.ingest",
         "_MotionEngine.advance",
         "_MotionEngine._activate",
         "_MotionEngine._complete",
-        "_MotionEngine._set_active",
     ),
     "plc_trigger.py": (
         "PlcSkillInstance.cycle",
@@ -30,11 +31,21 @@ HOT_PATH = {
     ),
     "wire.py": (
         "pack_feedback_frame",
+        "_pack_feedback",
         "decode_feedback_frame",
         "decode_command_header",
         "decode_record",
+        "encode_plan",
+        "_pack_record",
+        "_check_f32",
     ),
-    "trajectory.py": ("corner_blend",),
+    "trajectory.py": (
+        "corner_blend",
+        "blend_geometry",
+        "_arc",
+        "segment_time",
+        "motion_time",
+    ),
 }
 
 ENUMS = {"RobotState", "CommandWord", "PlcSkillState", "MotionType"}
@@ -54,9 +65,9 @@ def functions(tree):
 
 
 def breaches(func):
-    """``(line, text)`` of each enum attribute load and each call of the
-    builtin ``min`` or ``max`` with two or more positional arguments, in
-    order."""
+    """``(line, text)`` of each enum attribute load, each call of the
+    builtin ``min`` or ``max`` with two or more positional arguments and
+    each call of the builtin ``abs``, in order."""
     found = []
     for node in ast.walk(func):
         if (
@@ -69,8 +80,10 @@ def breaches(func):
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id in ("min", "max")
-            and len(node.args) >= 2
+            and (
+                (node.func.id in ("min", "max") and len(node.args) >= 2)
+                or (node.func.id == "abs" and len(node.args) == 1)
+            )
         ):
             found.append((node.lineno, ast.unparse(node)))
     return sorted(found)
@@ -96,3 +109,8 @@ def test_breaches_finds_enum_attributes_and_min_max_calls():
         (3, "max(a, b, 0)"),
         (3, "min(a, b)"),
     ]
+
+
+def test_breaches_finds_abs_calls():
+    source = "def f(a, b):\n    return abs(a - b) + math.fabs(a) + abs(a, b)\n"
+    assert breaches(functions(ast.parse(source))["f"]) == [(2, "abs(a - b)")]

@@ -29,6 +29,7 @@ from skillbench.plc_trigger import (
     BusySkill,
     ContinuousMotionProgram,
     FeedbackRegression,
+    NativeTriggerProgram,
     PlcSkillInstance,
     PlcSkillState,
     RobotError,
@@ -601,10 +602,25 @@ class TestRobotExecutor:
         assert plc.state is PlcSkillState.DONE
 
     def test_feedback_equals_encoded_frame_of_its_fields(self):
-        # the executors pack their feedback fields without a FeedbackFrame
+        # the executors pack their feedback fields without a FeedbackFrame,
+        # and without a pose check once the initial pose passed one; x = 0.1
+        # is no f32, so each image must round that pose as the frame does
+        pose = (0.1,) + (0.0,) * 5
         plans = [ContinuousSkillPlan(tuple(random_motions(random.Random(5), 30)))]
-        for ex in (RobotExecutor(), NativeExecutor(plans)):
-            program = ContinuousMotionProgram(plans)
+        stored = [
+            ContinuousSkillPlan(
+                tuple(
+                    lin(1.1 + i, 1.0 if i % 2 else 0.0, v=4000.0, a=4.0e6, approx=0.2)
+                    for i in range(199)
+                )
+                + (lin(200.1, v=4000.0, a=4.0e6),)
+            )
+        ]
+        for program, ex in (
+            (ContinuousMotionProgram(plans), RobotExecutor(initial_pose=pose)),
+            (ContinuousMotionProgram(plans), NativeExecutor(plans)),
+            (NativeTriggerProgram(), NativeExecutor(stored, initial_pose=pose)),
+        ):
             published = []
             tick = ex.tick
 
@@ -621,13 +637,17 @@ class TestRobotExecutor:
                 assert out == encode_feedback_frame(frame)
 
     def test_unencodable_pose_raises_as_before(self):
-        ex = RobotExecutor(initial_pose=(math.inf,) + (0.0,) * 5)
-        plc = PlcSkillInstance()
-        with pytest.raises(UnencodableValue) as exc:
-            ex.tick(0, plc.image)
-        with pytest.raises(UnencodableValue) as before:
-            encode_feedback_frame(FeedbackFrame(pose=(math.inf,) + (0.0,) * 5))
-        assert str(exc.value) == str(before.value)
+        # a failed pack publishes nothing, so the next tick raises again
+        plans = [ContinuousSkillPlan((lin(10.0),))]
+        for bad in (math.nan, math.inf, -math.inf, 3.5e38):
+            pose = (0.0, bad) + (0.0,) * 4
+            with pytest.raises(UnencodableValue) as before:
+                encode_feedback_frame(FeedbackFrame(pose=pose))
+            for ex in (RobotExecutor(initial_pose=pose), NativeExecutor(plans, initial_pose=pose)):
+                for t_us in (0, 4000):
+                    with pytest.raises(UnencodableValue) as exc:
+                        ex.tick(t_us, IDLE_COMMAND_BYTES)
+                    assert str(exc.value) == str(before.value)
 
     @pytest.mark.parametrize(
         "offset, value",

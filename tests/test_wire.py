@@ -678,6 +678,17 @@ def test_feedback_encode_rejects_pose_outside_f32(bad):
         pack_feedback_frame(RobotState.RUNNING, 0, 1, 1, pose)
 
 
+@pytest.mark.parametrize("big", [10**39, 10**400, -(10**400)], ids=["1e39", "1e400", "-1e400"])
+def test_pack_rejects_ints_beyond_f32(big):
+    # 10**400 is beyond the double range too: the check compares it
+    # exactly instead of converting it to a float
+    pose = (big,) + (0.0,) * 5
+    with pytest.raises(UnencodableValue, match="pose component"):
+        pack_feedback_frame(RobotState.RUNNING, 0, 1, 1, pose)
+    with pytest.raises(UnencodableValue, match="scalar"):
+        encode_record(MotionRecord(MotionType.LIN_CARTESIAN, 1, pose, 1.0, 1.0, 0.0))
+
+
 finite_or_not = st.floats(width=32) | st.sampled_from((3.5e38, -1e300))
 
 
