@@ -29,11 +29,14 @@ activation tick.  Exit speeds are committed at activation time from the
 records visible at that moment and are never revised afterwards: when the
 successor record has not arrived yet, the motion plans a full stop (a
 starvation fallback), even if the record shows up before the motion ends.
-Timing comes from ``trajectory`` (``corner_blend`` at ingest,
-``solve_corners`` over the visible Cartesian window, ``motion_time`` per
-motion), and a plan's blend decisions are final.  Later activations reuse
-the plan until a record arrives that extends the window past its last
-exact stop, so a stored program is planned once per Cartesian run.
+Timing comes from ``trajectory``: ``corner_blend`` at ingest, and
+``solve_corners`` over the visible Cartesian window, which also hands
+over the straight seconds of each segment it timed.  A motion's duration
+is those seconds plus its exit arc's, or ``motion_time`` where the solver
+did not time its segment.  A plan's blend decisions are final.  Later
+activations reuse the plan until a record arrives that extends the
+window past its last exact stop, so a stored program is planned once per
+Cartesian run.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -96,11 +99,13 @@ class _MotionEngine:
     the one carrying the target and the dynamics.  The entry speed and entry
     truncation of the next motion are whatever the previous motion
     committed as its exit; both start at zero for a fresh skill.  Each
-    ingested motion adds its path length and the ``corner_blend`` of the
-    corner it closes; an activation outside the stored plan solves the
-    visible Cartesian window with ``solve_corners``, and a blend dropped
-    there stays dropped.  Each activation times its motion with
-    ``motion_time``, rounds it up to whole µs and stores when it ends;
+    ingested motion adds its path length, velocity and acceleration and
+    the ``corner_blend`` of the corner it closes; an activation outside the
+    stored plan solves the visible Cartesian window with ``solve_corners``,
+    and a blend dropped there stays dropped.  Each activation takes its
+    motion's straight seconds from the plan, adds the exit arc's seconds
+    (or calls ``motion_time`` where the solve left the straight untimed),
+    rounds the sum up to whole µs and stores when it ends;
     ``advance(t_us)`` completes it at the first tick at or after that end.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
@@ -119,12 +124,15 @@ class _MotionEngine:
         self._motions: list[tuple] = []  # (record, first_index, n_records)
         self._pending: MotionRecord | None = None  # continuation awaiting its target
         self._lengths: list[float] = []  # path length per motion, 0 for joint moves
+        self._vmaxes: list[float] = []  # velocity per motion
+        self._accels: list[float] = []  # acceleration per motion
         self._corners: list = []  # candidate blend into the following motion
         self._approach = None  # (point before, end point) of the last Cartesian leg
         self._next = 0
         # (end_us, dur_us, motion, end pose, end joints, exit speed, exit trunc)
         self._active = None
-        self._plan = None  # (first, end, speeds, blends) over _motions[first:end]
+        # (first, end, speeds, blends, straight) over _motions[first:end]
+        self._plan = None
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
         self.total_records = total_records
@@ -155,9 +163,9 @@ class _MotionEngine:
             if plan is not None and plan[1] == len(self._motions):
                 # the window grows; corners up to the last stop before its
                 # end are decoupled from the new ones and keep their plan
-                first, _end, speeds, blends = plan
+                first, _end, speeds, blends, straight = plan
                 stop = max((i for i in range(1, len(speeds) - 1) if speeds[i] == 0.0), default=0)
-                self._plan = (first, first + stop, speeds, blends) if stop else None
+                self._plan = (first, first + stop, speeds, blends, straight) if stop else None
             # the legs run p -> q, or p -> aux point -> q for a circular pair
             approach = self._approach
             p = self.pose[:3] if approach is None else approach[1]
@@ -177,6 +185,8 @@ class _MotionEngine:
             self._approach = (last_start, q)
         self._motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
         self._lengths.append(length)
+        self._vmaxes.append(rec.velocity)
+        self._accels.append(rec.acceleration)
         self._corners.append(None)
 
     def discard_motion(self):
@@ -218,11 +228,10 @@ class _MotionEngine:
                 end = k + 1
                 while end < len(motions) and not motions[end][0].joint_target:
                     end += 1
-                window = [m[0] for m in motions[k:end]]
-                speeds, blends = solve_corners(
+                speeds, blends, straight = solve_corners(
                     self._lengths[k:end],
-                    [r.velocity for r in window],
-                    [r.acceleration for r in window],
+                    self._vmaxes[k:end],
+                    self._accels[k:end],
                     [None, *self._corners[k : end - 1], None],
                     self._entry_speed,
                     self._entry_trunc,
@@ -230,15 +239,21 @@ class _MotionEngine:
                 # a later solve must not revive a blend dropped here:
                 # dropping only newer corners then restores this plan
                 self._corners[k : end - 1] = blends[1:-1]
-                self._plan = (k, end, speeds, blends)
-            first, _end, speeds, blends = self._plan
-            exit_speed = speeds[k - first + 1]
-            b = blends[k - first + 1]
-            straight, arc = motion_time(
-                self._lengths[k], rec.velocity, rec.acceleration,
-                self._entry_speed, exit_speed, self._entry_trunc, b,
-            )
-            seconds = straight + arc
+                self._plan = (k, end, speeds, blends, straight)
+            first, _end, speeds, blends, straight = self._plan
+            j = k - first
+            exit_speed = speeds[j + 1]
+            b = blends[j + 1]
+            seconds = straight[j]
+            if seconds is None:
+                # no round of the solve timed this segment at these speeds
+                s, arc = motion_time(
+                    self._lengths[k], rec.velocity, rec.acceleration,
+                    self._entry_speed, exit_speed, self._entry_trunc, b,
+                )
+                seconds = s + arc
+            elif b is not None and b.arc_length > 0.0:
+                seconds += b.arc_length / exit_speed
             exit_trunc = b.truncation if b is not None else 0.0
             end_pose, end_joints = rec.target, self.joints
         dur_us = math.ceil(seconds * 1e6 - 1e-12)

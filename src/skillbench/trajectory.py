@@ -12,7 +12,10 @@ blend of one corner (or an exact stop), ``solve_corners`` fixes the corner
 speeds of a chain and which blends survive, and ``motion_time`` gives one
 motion's straight and arc seconds, each from the closed form
 ``segment_time``.  The robot executor's motion engine makes these calls,
-so the timing the benchmark reports is this model's.
+so the timing the benchmark reports is this model's.  ``solve_corners``
+also returns the straight seconds of the segments its rounds timed at
+the final speeds; the engine uses them as they are and calls
+``motion_time`` only for the other motions, so each motion is timed once.
 """
 
 from __future__ import annotations
@@ -81,7 +84,19 @@ def ptp_time(joint_deltas, v_max: float, accel: float) -> float:
     """Stop-to-stop PTP duration from the dominant (largest |delta|) axis."""
     if v_max <= 0.0 or accel <= 0.0:
         raise ValueError("joint dynamics must be positive")
-    dominant = max(abs(float(d)) for d in joint_deltas)
+    # the loop is ``max(abs(float(d)) for d in joint_deltas)`` without the
+    # generator and the calls of ``max`` and ``abs``: the first of equal
+    # magnitudes wins, and a negation keeps the sign of -0.0, which times
+    # the same
+    dominant = None
+    for d in joint_deltas:
+        d = float(d)
+        if d < 0.0:
+            d = -d
+        if dominant is None or d > dominant:
+            dominant = d
+    if dominant is None:
+        raise ValueError("ptp_time needs at least one joint delta")
     return segment_time(dominant, v_max, accel, 0.0, 0.0)
 
 
@@ -165,7 +180,11 @@ def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out,
     each record's dynamics before it proposes a corner; the rule then
     admits only the arguments ``blend_geometry`` accepts, so the blend is
     built without its checks."""
-    if math.dist(prev_pt, corner) == 0.0 or math.dist(corner, next_pt) == 0.0:
+    # a leg has zero length exactly when its ends agree in x, y and z:
+    # ``math.dist`` of finite points is 0 only then
+    if (prev_pt[0] == corner[0] and prev_pt[1] == corner[1] and prev_pt[2] == corner[2]) or (
+        corner[0] == next_pt[0] and corner[1] == next_pt[1] and corner[2] == next_pt[2]
+    ):
         return None
     angle = turn_angle(prev_pt, corner, next_pt)
     # ``b if b < a else a`` is ``min(a, b)`` without the builtin's call cost
@@ -216,10 +235,17 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
     its current boundary speeds, and re-tests an arc only when an input of
     its test changed since the arc last passed it: the effective lengths of
     its two segments, or the speeds at its corner and at both neighbours.
-    The run fallback sweeps the arcs once across the zero-speed corners.
+    A segment's timing carries into the next round unless its effective
+    length or a speed at either end changed.  The run fallback sweeps the
+    arcs once across the zero-speed corners.
 
-    Returns ``(speeds, blends)``: n + 1 corner speeds, zero at every stop,
-    and the kept blends, None wherever the corner stops.
+    Returns ``(speeds, blends, straight)``: n + 1 corner speeds, zero at
+    every stop, the kept blends, None wherever the corner stops, and the n
+    straight seconds of each segment between its truncations at those
+    speeds, None for a segment no round timed at them.  The motion engine
+    takes a motion's straight seconds from ``straight``.  No segment is
+    timed here for the engine alone: that timing could raise
+    ``InfeasibleBoundary`` on a chain the rounds solve without raising.
     """
     n = len(lengths)
     blends = list(blends)
@@ -228,9 +254,14 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
     # inputs of each arc's last passed single-corner test; a failed test
     # drops the arc, so it is never asked again
     passed = [None] * n
+    # seconds of segment i from speeds[i] to speeds[i + 1], timed on first
+    # use and kept while eff[i] and both its speeds stay what they were
+    seg = [None] * n
+    eff = speeds = None
     while True:
         trunc = [0.0 if b is None else b.truncation for b in blends]
         trunc[0] = entry_trunc
+        last_eff, last_speeds = eff, speeds
         eff = [lengths[i] - trunc[i] - trunc[i + 1] for i in range(n)]
         speeds = [0.0 if b is None else b.v_blend for b in blends]
         speeds[0] = entry_speed
@@ -249,9 +280,14 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
         entry_stuck = entry_speed > 0.0 and n > 1 and (
             entry_speed**2 - speeds[1] ** 2 > 2.0 * accels[0] * eff[0] * (1.0 + 1e-12) + _FEAS_SLACK
         )
+        if last_eff is not None:
+            seg = [
+                t if t is not None and e == le and v0 == l0 and v1 == l1 else None
+                for t, e, le, v0, l0, v1, l1 in zip(
+                    seg, eff, last_eff, speeds, last_speeds, speeds[1:], last_speeds[1:]
+                )
+            ]
         arcs = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
-        # seconds of segment i from speeds[i] to speeds[i + 1], timed on first use
-        seg = [None] * n
         drop = []
         for i in arcs:
             b, v = blends[i], speeds[i]
@@ -268,8 +304,9 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                 t_in = seg[i - 1] = segment_time(
                     eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v
                 )
-            # arcs come in order, so no earlier arc has timed segment i
-            t_out = seg[i] = segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+            t_out = seg[i]
+            if t_out is None:
+                t_out = seg[i] = segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
             with_arc = t_in + b.arc_length / v + t_out
             try:
                 with_stop = segment_time(
@@ -313,6 +350,6 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
                         drop += run_arcs
                 start = end
         if not drop:
-            return speeds, blends
+            return speeds, blends, seg
         for i in drop:
             blends[i] = None

@@ -58,6 +58,17 @@ LAST_RC_SM_DIGESTS = {
     ("b", ExecutionType.RC): "a6fc0b483a39791313ad1bef4866110f997ec6b54dac282c8260478d277d9521",
     ("b", ExecutionType.SM): "d1857c03865bd93cbde67ad5d64317e8e6c53c950d63c5cd25381a25117e13a4",
 }
+# a SHA-256 prefix of the repr of the executed motions' durations in µs,
+# one list per repetition 0-4 of seed 0.  AETs and traces see a motion
+# only at the 4 ms grid of the robot cycle; the durations see every µs
+DURATIONS_SHA = {
+    ("a", ExecutionType.RC): "0c6abbd4f9a0bc1f",
+    ("a", ExecutionType.SM): "0e7dd93f54fda9be",
+    ("a", ExecutionType.CM): "0c6abbd4f9a0bc1f",
+    ("b", ExecutionType.RC): "9d81f5e77c63d5a4",
+    ("b", ExecutionType.SM): "4825116ade00d3b4",
+    ("b", ExecutionType.CM): "9d81f5e77c63d5a4",
+}
 
 
 # --- statistics -----------------------------------------------------------------
@@ -262,6 +273,19 @@ class TestBenchmark:
         # apart from CM's skills; their bytes are pinned as CM's are
         report = run_benchmark(cfg, etypes=(etype,), reps=25, seed=0)
         assert report.last_trace.digest() == LAST_RC_SM_DIGESTS[cfg.name, etype]
+
+    @pytest.mark.parametrize("cfg", [SETUP_A, SETUP_B], ids=["a", "b"])
+    @pytest.mark.parametrize("etype", list(ExecutionType), ids=lambda e: e.value)
+    def test_the_executed_durations_are_pinned(self, cfg, etype):
+        compiled = compile_setup(cfg)
+        pose = cfg.start.components()
+        durations = []
+        for rep in range(5):
+            program, executor = compiled_run(compiled, pose, etype)
+            run(program, executor, SimConfig(seed=0, rep=rep))
+            durations.append([dur_us for *_, dur_us in executor.executed])
+        digest = hashlib.sha256(repr(durations).encode()).hexdigest()[:16]
+        assert digest == DURATIONS_SHA[cfg.name, etype]
 
     def test_a_repetition_builds_no_command_frame(self, monkeypatch):
         # the PLC packs its START and IDLE images from fields it keeps in

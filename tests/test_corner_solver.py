@@ -4,9 +4,11 @@
 did linear work.  On windows captured from native, streamed and benchmark
 runs, and on seeded chains built to reach every degrade path, the linear
 solver must return bit-identical speeds and the very same blend objects,
-or raise the same exception.  Two more tests pin what the rewrite bought:
-the number of segment timings of one native window, and linear scaling of
-the run fallback.
+or raise the same exception, and every straight time it hands back must
+be the closed form at the final speeds.  The motion engine takes those
+times: every executed duration must equal ``motion_time`` of its plan.
+Two more tests pin what the rewrites bought: the number of segment
+timings of one native program, and linear scaling of the run fallback.
 """
 
 import linecache
@@ -18,7 +20,7 @@ from collections import Counter
 
 import pytest
 
-from skillbench import trajectory
+from skillbench import robot_executor, trajectory
 from skillbench.bench import SETUP_A, SETUP_B, run_benchmark
 from skillbench.core import ContinuousSkillPlan, ExecutionType, MotionCommand, MotionType, Pose
 from skillbench.fieldbus_sim import run
@@ -34,7 +36,8 @@ from test_trajectory import two_losing_runs
 def assert_matches_reference(args):
     """``solve_corners(*args)`` returns what the reference returns, to the
     bit and to the object, or raises the same exception; returns the
-    reference's exception, if any."""
+    reference's exception, if any.  Each straight time it hands back is
+    the closed form at the final speeds and truncations, to the bit."""
     try:
         want_speeds, want_blends = reference_solver.solve_corners(*args)
     except Exception as exc:
@@ -42,11 +45,27 @@ def assert_matches_reference(args):
             solve_corners(*args)
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return exc
-    speeds, blends = solve_corners(*args)
+    speeds, blends, straight = solve_corners(*args)
     assert repr(speeds) == repr(want_speeds)  # repr round-trips every float
     assert len(blends) == len(want_blends)
     assert all(got is want for got, want in zip(blends, want_blends))
+    assert_straight_times(args, speeds, blends, straight)
     return None
+
+
+def assert_straight_times(args, speeds, blends, straight):
+    """Every timed ``straight[i]`` is ``segment_time`` of segment i between
+    the final truncations at the final speeds, recomputed here."""
+    lengths, vmaxes, accels, _blends, *entry = args
+    entry_trunc = entry[1] if len(entry) > 1 else 0.0
+    trunc = [0.0 if b is None else b.truncation for b in blends]
+    trunc[0] = entry_trunc
+    assert len(straight) == len(lengths)
+    for i, got in enumerate(straight):
+        if got is not None:
+            eff = lengths[i] - trunc[i] - trunc[i + 1]
+            want = trajectory.segment_time(eff, vmaxes[i], accels[i], speeds[i], speeds[i + 1])
+            assert repr(got) == repr(want), (i, got, want)
 
 
 def reference_lines(args) -> Counter:
@@ -194,6 +213,20 @@ def test_an_arc_is_tested_again_when_only_its_next_speed_changed():
         assert_matches_reference(random_chain(random.Random(seed)))
 
 
+def test_a_segment_is_timed_again_when_only_its_length_changed():
+    """The last arc's truncation eats its whole segment, so the backward
+    pass pins its corner speed to exactly zero and the first round drops
+    it.  The second round gives the segment before it back that
+    truncation at unchanged end speeds: a timing carried over on its
+    speeds alone would hand the engine the shorter segment's seconds."""
+    arc = blend_geometry(1.0, 1.0, 1000.0, 1000.0, 1000.0)
+    args = ([10.0, 10.0, 1.0], [1000.0] * 3, [1000.0] * 3, [None, arc, arc, None])
+    assert assert_matches_reference(args) is None
+    speeds, blends, straight = solve_corners(*args)
+    assert blends[1] is arc and blends[2] is None and speeds[2] == 0.0
+    assert straight[1] is not None
+
+
 def test_overrun_chains_fail_as_the_reference_does():
     """Chains whose truncations may overrun a segment, which no caller
     builds: the first timing that cannot connect its speeds raises the same
@@ -214,15 +247,64 @@ def test_overrun_chains_fail_as_the_reference_does():
     assert isinstance(exc, InfeasibleBoundary) and " to 52.0166" in str(exc), exc
 
 
+# --- the timing handed to the motion engine ---------------------------------------
+
+
+def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
+    """Native 200-motion programs, streamed skills whose windows open at a
+    committed speed, and both setups under RC, SM and CM: each executed
+    Cartesian motion lasts what ``motion_time`` gives at its plan's speeds
+    and blends, rounded up to whole µs, both where the engine took the
+    solver's straight seconds and where it timed the motion itself."""
+    seen = Counter()  # (label, kind) of each checked activation
+    label = None
+    activate = robot_executor._MotionEngine._activate
+
+    def checked(engine, t_us):
+        k = engine._next
+        v_in, trunc_in = engine._entry_speed, engine._entry_trunc
+        activate(engine, t_us)
+        rec = engine._motions[k][0]
+        if rec.joint_target:
+            return
+        first, _end, speeds, blends, straight = engine._plan
+        j = k - first
+        assert speeds[j] == v_in
+        seconds = sum(
+            trajectory.motion_time(
+                engine._lengths[k], rec.velocity, rec.acceleration,
+                v_in, speeds[j + 1], trunc_in, blends[j + 1],
+            )
+        )
+        assert engine._active[1] == max(0, math.ceil(seconds * 1e6 - 1e-12))
+        seen[label, "timed" if straight[j] is None else "reused"] += 1
+        seen[label, "entered_moving"] += j == 0 and v_in > 0.0
+
+    monkeypatch.setattr(robot_executor._MotionEngine, "_activate", checked)
+    label = "native"
+    for seed in range(3):
+        native_baseline([lin_program(random.Random(seed), 200)])
+    label = "streamed"
+    for seed in range(3):
+        plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed), 120)))
+        run(ContinuousMotionProgram([plan]), RobotExecutor())
+    label = "benchmark"
+    for cfg in (SETUP_A, SETUP_B):
+        run_benchmark(cfg, reps=2, seed=0)
+    assert seen["native", "reused"] == 600
+    assert seen["streamed", "entered_moving"] > 0
+    for kind in ("reused", "timed"):
+        assert seen["streamed", kind] > 0 and seen["benchmark", kind] > 0, seen
+
+
 # --- cost ------------------------------------------------------------------------
 
 
 def test_one_native_window_times_each_segment_once_per_round(solve_calls, monkeypatch):
-    """The first plan of a seeded 200-motion blended LIN program: the
-    reference times its segments 1,984 times, the linear solver 1,006."""
-    native_baseline([lin_program(random.Random(0xC0), 200)])
-    args = solve_calls[0]
-    assert len(args[0]) == 200
+    """The only plan of a seeded 200-motion blended LIN program: the
+    reference times its segments 1,984 times, the linear solver 810, and
+    the program's 200 activations time none, as the solver hands over the
+    straight seconds of every motion."""
     counts = Counter()
 
     def counting(module, name):
@@ -235,10 +317,17 @@ def test_one_native_window_times_each_segment_once_per_round(solve_calls, monkey
         monkeypatch.setattr(module, name, counted)
 
     counting(trajectory, "segment_time")
+    native_baseline([lin_program(random.Random(0xC0), 200)])
+    assert len(solve_calls) == 1
+    args = solve_calls[0]
+    assert len(args[0]) == 200
+    program_counts = counts.copy()
+    counts.clear()
     counting(reference_solver, "_segment_time")
     solve_corners(*args)
     reference_solver.solve_corners(*args)
-    assert counts == {"skillbench.trajectory": 1006, "reference_solver": 1984}
+    assert counts == {"skillbench.trajectory": 810, "reference_solver": 1984}
+    assert program_counts == {"skillbench.trajectory": 810}
 
 
 def alternating_stop_chain(corners: int):

@@ -1,5 +1,5 @@
-"""The functions that run once per task activation, feedback image or
-record keep three rules that CPython 3.11 rewards: enum members are read
+"""The functions that run once per task activation, plan, feedback image
+or record keep three rules that CPython 3.11 rewards: enum members are read
 from module-level names bound once, not as attributes of their class,
 two- or three-value minima and maxima are comparisons, not calls of the
 builtin ``min`` or ``max``, and an absolute value is a conditional
@@ -45,6 +45,8 @@ HOT_PATH = {
         "_arc",
         "segment_time",
         "motion_time",
+        "solve_corners",
+        "ptp_time",
     ),
 }
 

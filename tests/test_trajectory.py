@@ -301,7 +301,7 @@ def group_profile(plan, waypoints, blending=True):
             pts[i - 1], pts[i], pts[i + 1], motions[i - 1].approx_distance,
             lengths[i - 1], lengths[i], vmaxes[i - 1], vmaxes[i], accels[i - 1], accels[i],
         )
-    speeds, blends = solve_corners(lengths, vmaxes, accels, blends)
+    speeds, blends, _straight = solve_corners(lengths, vmaxes, accels, blends)
     trunc = [0.0 if b is None else b.truncation for b in blends]
     times = [
         motion_time(
@@ -493,7 +493,7 @@ def test_two_losing_runs_in_one_window_both_drop():
     (l1, v1, a1, b1), (l2, v2, a2, b2) = two_losing_runs()
     for run in ((l1, v1, a1, b1), (l2, v2, a2, b2)):
         assert solve_corners(*run)[1] == [None] * 4
-    speeds, blends = solve_corners(l1 + l2, v1 + v2, a1 + a2, b1[:-1] + b2)
+    speeds, blends, _straight = solve_corners(l1 + l2, v1 + v2, a1 + a2, b1[:-1] + b2)
     assert blends == [None] * 7
     assert speeds == [0.0] * 7
 
