@@ -56,8 +56,6 @@ class ScenarioConfig:
     lin_acceleration: float = 2000.0
     ptp_velocity: float = 250.0
     ptp_acceleration: float = 2000.0
-    joint_velocity: float = 180.0
-    joint_acceleration: float = 720.0
     approx_distance: float = 10.0
     pre_post_length: float = 50.0
 
@@ -85,11 +83,8 @@ class ScenarioConfig:
             lin_acceleration=self.lin_acceleration,
             ptp_velocity=self.ptp_velocity,
             ptp_acceleration=self.ptp_acceleration,
-            joint_velocity=self.joint_velocity,
-            joint_acceleration=self.joint_acceleration,
             default_approx=self.approx_distance,
-            pre_move_length=self.pre_post_length,
-            post_move_length=self.pre_post_length,
+            pre_post_length=self.pre_post_length,
         )
 
 
@@ -100,8 +95,6 @@ SETUP_B = ScenarioConfig(
     lin_acceleration=1200.0,
     ptp_velocity=200.0,
     ptp_acceleration=1200.0,
-    joint_velocity=150.0,
-    joint_acceleration=600.0,
 )
 
 
@@ -148,20 +141,9 @@ def build_plans(cfg: ScenarioConfig):
 
 # --- scenario file format ----------------------------------------------------
 
-_POSE_FIELDS = ("start", "pick", "place")
-_FLOAT_FIELDS = (
-    "carrier_height",
-    "obstacle_height",
-    "clearance_margin",
-    "lin_velocity",
-    "lin_acceleration",
-    "ptp_velocity",
-    "ptp_acceleration",
-    "joint_velocity",
-    "joint_acceleration",
-    "approx_distance",
-    "pre_post_length",
-)
+# a scenario file holds the config's fields, in declared order
+_POSE_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "Pose")
+_FLOAT_FIELDS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> str:

@@ -43,7 +43,8 @@ line for trace line.  When each task is due:
   strictly after a robot publish; it has nothing else to do.
 
 ``_at_or_after`` defines "the first grid point at or after"; ``run``
-computes the same point inline.
+computes the same point inline, and ``_timeout_at`` stamps a timeout
+with it.
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ def _at_or_after(t: int, phase: int, cycle: int) -> int:
     return phase - (phase - t) // cycle * cycle
 
 
+def _timeout_at(timeout_us: int, grids) -> int:
+    """First grid point of any task after ``timeout_us``, over the
+    ``(phase, cycle)`` of each task's grid."""
+    return min(_at_or_after(timeout_us + 1, phase, cycle) for phase, cycle in grids)
+
+
 def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     """Run the co-simulation until the program finishes.
 
@@ -217,14 +224,6 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     phase_plc = rng.randrange(plc_cycle)
     phase_bus = rng.randrange(bus_cycle)
     phase_robot = rng.randrange(robot_cycle)
-    timeout_at = min(
-        _at_or_after(timeout_us + 1, phase, cycle)
-        for phase, cycle in (
-            (phase_plc, plc_cycle),
-            (phase_bus, bus_cycle),
-            (phase_robot, robot_cycle),
-        )
-    )
     next_wakeup = executor.next_wakeup
 
     trace = SimTrace()
@@ -254,7 +253,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
         if robot_due < t:
             t = robot_due
         if t > timeout_us:
-            trace.add(timeout_at, "sim", "timeout", f"after {timeout_us} us")
+            grids = ((phase_plc, plc_cycle), (phase_bus, bus_cycle), (phase_robot, robot_cycle))
+            trace.add(_timeout_at(timeout_us, grids), "sim", "timeout", f"after {timeout_us} us")
             raise SimTimeout(f"no completion within {timeout_us} us")
         # tie order: PLC before bus before robot
         if plc_due == t:

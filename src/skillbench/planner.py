@@ -84,19 +84,20 @@ class ProcessStep:
 
 @dataclass(frozen=True)
 class PlanningConfig:
-    """Dynamics and insertion parameters used by the planner."""
+    """Dynamics and insertion parameters used by the planner.
+
+    The planner emits LIN motions (primary paths, pre and post moves) and
+    PTP_CARTESIAN transits, all in tool and base frame 0 and none in joint
+    space.  ``default_approx`` is the approx distance of blending motions;
+    ``pre_post_length`` is the length of every pre and post move.
+    """
 
     lin_velocity: float = 250.0
     lin_acceleration: float = 2000.0
     ptp_velocity: float = 250.0
     ptp_acceleration: float = 2000.0
-    joint_velocity: float = 180.0
-    joint_acceleration: float = 720.0
     default_approx: float = 10.0
-    pre_move_length: float = 50.0
-    post_move_length: float = 50.0
-    tool_frame: int = 0
-    base_frame: int = 0
+    pre_post_length: float = 50.0
 
     def __post_init__(self):
         for name in (
@@ -104,10 +105,7 @@ class PlanningConfig:
             "lin_acceleration",
             "ptp_velocity",
             "ptp_acceleration",
-            "joint_velocity",
-            "joint_acceleration",
-            "pre_move_length",
-            "post_move_length",
+            "pre_post_length",
         ):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
@@ -174,8 +172,6 @@ def plan_primary_motions(steps, cfg: PlanningConfig) -> list:
                 velocity=cfg.lin_velocity,
                 acceleration=cfg.lin_acceleration,
                 approx_distance=_approx_for(s.label, cfg),
-                tool_frame=cfg.tool_frame,
-                base_frame=cfg.base_frame,
             )
             items.append(PlannedMotion(cmd, s.entry, "primary", s.label))
         elif s.kind is StepKind.STANDSTILL_ACTION:
@@ -199,7 +195,8 @@ def add_pre_post_movements(items, cfg: PlanningConfig) -> list:
 
     A primary motion that ends in a standstill gets a pre movement (approach
     along its own direction); one that leaves a standstill gets a post
-    movement (continuation of its direction).  The junction with the primary
+    movement (continuation of its direction).  Both are
+    ``cfg.pre_post_length`` long.  The junction with the primary
     is an exact waypoint but collinear, so the robot passes through at speed;
     the outer end blends with the default approx distance.
     """
@@ -213,29 +210,25 @@ def add_pre_post_movements(items, cfg: PlanningConfig) -> list:
         next_standstill = idx + 1 < len(items) and isinstance(
             items[idx + 1], StandstillItem
         )
-        if next_standstill:  # approach: start pre_move_length before the entry
-            pre_start = _offset(entry, entry, target, cfg.pre_move_length, forward=False)
+        if next_standstill:  # approach: start pre_post_length before the entry
+            pre_start = _offset(entry, entry, target, cfg.pre_post_length, forward=False)
             pre_cmd = MotionCommand(
                 motion_type=MotionType.LIN_CARTESIAN,
                 target=entry,
                 velocity=cfg.lin_velocity,
                 acceleration=cfg.lin_acceleration,
                 approx_distance=0.0,
-                tool_frame=cfg.tool_frame,
-                base_frame=cfg.base_frame,
             )
             out.append(PlannedMotion(pre_cmd, pre_start, "pre", PathLabel.ACCURATE_PATH))
         out.append(item)
-        if prev_standstill:  # retreat: continue post_move_length past the exit
-            post_end = _offset(target, entry, target, cfg.post_move_length, forward=True)
+        if prev_standstill:  # retreat: continue pre_post_length past the exit
+            post_end = _offset(target, entry, target, cfg.pre_post_length, forward=True)
             post_cmd = MotionCommand(
                 motion_type=MotionType.LIN_CARTESIAN,
                 target=post_end,
                 velocity=cfg.lin_velocity,
                 acceleration=cfg.lin_acceleration,
                 approx_distance=cfg.default_approx,
-                tool_frame=cfg.tool_frame,
-                base_frame=cfg.base_frame,
             )
             out.append(PlannedMotion(post_cmd, target, "post", PathLabel.BLENDING))
     return out
@@ -300,8 +293,6 @@ def plan_secondary_motions(items, cfg: PlanningConfig) -> list:
                     velocity=cfg.ptp_velocity,
                     acceleration=cfg.ptp_acceleration,
                     approx_distance=approx,
-                    tool_frame=cfg.tool_frame,
-                    base_frame=cfg.base_frame,
                 )
                 out.append(
                     PlannedMotion(cmd, leg_start, "transit", item.label or PathLabel.BLENDING)

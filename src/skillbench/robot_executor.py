@@ -110,12 +110,12 @@ class _MotionEngine:
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
     engine's lifetime).  A completed motion's target tuple becomes the pose
-    (or the joints) as it is, uncopied.
+    (or the joints) as it is, uncopied.  The joints start at zero.
     """
 
-    def __init__(self, pose=(0.0,) * 6, joints=(0.0,) * 6):
+    def __init__(self, pose):
         self.pose = tuple(float(v) for v in pose)
-        self.joints = tuple(float(v) for v in joints)
+        self.joints = (0.0,) * 6
         self.fallback_stops = 0
         self.captured: list | None = None  # (first_record, n_records, target, dur_us)
         self.begin_skill(0)
@@ -164,7 +164,9 @@ class _MotionEngine:
                 # the window grows; corners up to the last stop before its
                 # end are decoupled from the new ones and keep their plan
                 first, _end, speeds, blends, straight = plan
-                stop = max((i for i in range(1, len(speeds) - 1) if speeds[i] == 0.0), default=0)
+                stop = len(speeds) - 2
+                while stop > 0 and speeds[stop] != 0.0:
+                    stop -= 1
                 self._plan = (first, first + stop, speeds, blends, straight) if stop else None
             # the legs run p -> q, or p -> aux point -> q for a circular pair
             approach = self._approach
@@ -314,8 +316,8 @@ class _CyclicExecutor:
 
     _starvation_limit: int | None = None
 
-    def __init__(self, initial_pose, initial_joints, capture: bool):
-        self._engine = _MotionEngine(initial_pose, initial_joints)
+    def __init__(self, initial_pose, capture: bool):
+        self._engine = _MotionEngine(initial_pose)
         if capture:
             self._engine.captured = []
         self._last_tick_us = 0
@@ -445,11 +447,10 @@ class RobotExecutor(_CyclicExecutor):
     def __init__(
         self,
         initial_pose=(0.0,) * 6,
-        initial_joints=(0.0,) * 6,
         starvation_limit: int = 250,
         capture: bool = False,
     ):
-        super().__init__(initial_pose, initial_joints, capture)
+        super().__init__(initial_pose, capture)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
 
@@ -497,30 +498,18 @@ class NativeExecutor(_CyclicExecutor):
     START ingests the whole stored program.
     """
 
-    def __init__(
-        self,
-        plans,
-        initial_pose=(0.0,) * 6,
-        initial_joints=(0.0,) * 6,
-        capture: bool = False,
-    ):
-        self._hold(stored_records(plans), initial_pose, initial_joints, capture)
+    def __init__(self, plans, initial_pose=(0.0,) * 6, capture: bool = False):
+        self._hold(stored_records(plans), initial_pose, capture)
 
     @classmethod
-    def from_records(
-        cls,
-        records,
-        initial_pose=(0.0,) * 6,
-        initial_joints=(0.0,) * 6,
-        capture: bool = False,
-    ):
+    def from_records(cls, records, initial_pose=(0.0,) * 6, capture: bool = False):
         """An executor storing ``records``, the result of ``stored_records``."""
         executor = cls.__new__(cls)
-        executor._hold(records, initial_pose, initial_joints, capture)
+        executor._hold(records, initial_pose, capture)
         return executor
 
-    def _hold(self, records, initial_pose, initial_joints, capture):
-        super().__init__(initial_pose, initial_joints, capture)
+    def _hold(self, records, initial_pose, capture):
+        super().__init__(initial_pose, capture)
         self._records = tuple(records)
         self._total = len(self._records)
 

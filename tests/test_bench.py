@@ -35,7 +35,7 @@ from skillbench.bench import (
 from skillbench.cli import main
 from skillbench.core import ContinuousSkillPlan, ExecutionType, Pose
 from skillbench.fieldbus_sim import SimConfig, run
-from skillbench.planner import StepKind, plan_waypoints
+from skillbench.planner import PlanningConfig, StepKind, plan, plan_waypoints
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
@@ -187,12 +187,60 @@ class TestScenario:
             parse_scenario("name=a\nwhatever\n")
         with pytest.raises(ValueError):
             parse_scenario("unknown_field=3\n")
+        with pytest.raises(ValueError, match="joint_velocity"):  # a retired key
+            parse_scenario("joint_velocity=180.0\n")
         with pytest.raises(ValueError):
             parse_scenario("pick=1,2,3\n")
         for name in ("obstacle_height", "clearance_margin"):
             for value in ("nan", "inf", "-inf"):
                 with pytest.raises(ValueError, match=name):
                     parse_scenario(f"{name}={value}\n")
+
+
+# one alternative value per setting, on a base whose obstacle pokes above
+# the fly height, so that clearance_margin acts
+SETTING_BASE = dataclasses.replace(SETUP_A, name="settings", obstacle_height=100.0)
+SCENARIO_ALTERNATIVES = {
+    "start": Pose(-120.0, 10.0, 80.0),
+    "pick": Pose(0.0, 20.0, 0.0),
+    "place": Pose(280.0, 0.0, 0.0),
+    "carrier_height": 35.0,
+    "obstacle_height": 110.0,
+    "clearance_margin": 25.0,
+    "lin_velocity": 220.0,
+    "lin_acceleration": 1500.0,
+    "ptp_velocity": 220.0,
+    "ptp_acceleration": 1500.0,
+    "approx_distance": 5.0,
+    "pre_post_length": 45.0,
+}
+PLANNING_ALTERNATIVES = {
+    "lin_velocity": 220.0,
+    "lin_acceleration": 1500.0,
+    "ptp_velocity": 220.0,
+    "ptp_acceleration": 1500.0,
+    "default_approx": 5.0,
+    "pre_post_length": 45.0,
+}
+
+
+class TestEverySettingActs:
+    def test_the_tables_name_every_setting(self):
+        scenario = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"name"}
+        assert set(SCENARIO_ALTERNATIVES) == scenario
+        assert set(PLANNING_ALTERNATIVES) == {f.name for f in dataclasses.fields(PlanningConfig)}
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_ALTERNATIVES))
+    def test_each_scenario_field_changes_the_compiled_setup(self, name):
+        changed = dataclasses.replace(SETTING_BASE, **{name: SCENARIO_ALTERNATIVES[name]})
+        assert compile_plans(build_plans(changed)) != compile_plans(build_plans(SETTING_BASE))
+
+    @pytest.mark.parametrize("name", sorted(PLANNING_ALTERNATIVES))
+    def test_each_planning_field_changes_the_plans(self, name):
+        steps = build_scenario(SETTING_BASE)
+        cfg = SETTING_BASE.planning_config()
+        changed = dataclasses.replace(cfg, **{name: PLANNING_ALTERNATIVES[name]})
+        assert plan(steps, changed) != plan(steps, cfg)
 
 
 # --- measurement -------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The functions that run once per task activation, plan, feedback image
 or record keep three rules that CPython 3.11 rewards: enum members are read
 from module-level names bound once, not as attributes of their class,
-two- or three-value minima and maxima are comparisons, not calls of the
-builtin ``min`` or ``max``, and an absolute value is a conditional
+minima and maxima are comparisons or loops, not calls of the builtin
+``min`` or ``max``, and an absolute value is a conditional
 negation, not a call of the builtin ``abs``."""
 
 import ast
@@ -68,8 +68,8 @@ def functions(tree):
 
 def breaches(func):
     """``(line, text)`` of each enum attribute load, each call of the
-    builtin ``min`` or ``max`` with two or more positional arguments and
-    each call of the builtin ``abs``, in order."""
+    builtin ``min`` or ``max`` and each call of the builtin ``abs``, in
+    order."""
     found = []
     for node in ast.walk(func):
         if (
@@ -83,7 +83,7 @@ def breaches(func):
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and (
-                (node.func.id in ("min", "max") and len(node.args) >= 2)
+                node.func.id in ("min", "max")
                 or (node.func.id == "abs" and len(node.args) == 1)
             )
         ):
@@ -109,6 +109,7 @@ def test_breaches_finds_enum_attributes_and_min_max_calls():
     assert breaches(functions(ast.parse(source))["f"]) == [
         (2, "RobotState.RUNNING"),
         (3, "max(a, b, 0)"),
+        (3, "max(xs)"),
         (3, "min(a, b)"),
     ]
 

@@ -159,8 +159,8 @@ class TestPrePostMovements:
         pres = [i for i in out if isinstance(i, PlannedMotion) and i.origin == "pre"]
         assert len(pres) == 2  # descent into grip, descent into release
         pre = pres[0]
-        # approach starts pre_move_length before the entry, collinear with the path
-        assert pre.start == Pose(100.0, 0.0, 80.0 + CFG.pre_move_length)
+        # approach starts pre_post_length before the entry, collinear with the path
+        assert pre.start == Pose(100.0, 0.0, 80.0 + CFG.pre_post_length)
         assert pre.command.target == PICK_TOP
         assert pre.command.approx_distance == 0.0
         assert collinear(pre.start, PICK_TOP, PICK)
@@ -171,7 +171,7 @@ class TestPrePostMovements:
         assert len(posts) == 1  # ascend out of grip
         post = posts[0]
         assert post.start == PICK_TOP
-        assert post.command.target == Pose(100.0, 0.0, 80.0 + CFG.post_move_length)
+        assert post.command.target == Pose(100.0, 0.0, 80.0 + CFG.pre_post_length)
         assert post.command.approx_distance == CFG.default_approx
         assert post.label is PathLabel.BLENDING
         assert collinear(PICK, PICK_TOP, post.command.target)
@@ -199,7 +199,7 @@ class TestSecondaryMotions:
         first = transits[0]
         assert first.command.motion_type is MotionType.PTP_CARTESIAN
         assert first.start == P0
-        assert first.command.target == Pose(100.0, 0.0, 80.0 + CFG.pre_move_length)
+        assert first.command.target == Pose(100.0, 0.0, 80.0 + CFG.pre_post_length)
         assert first.command.approx_distance == CFG.default_approx
 
     def test_clearance_inserts_midpoint_waypoint(self):
@@ -375,7 +375,7 @@ class TestFullPipeline:
         with pytest.raises(ValueError):
             PlanningConfig(default_approx=-1.0)
         with pytest.raises(ValueError):
-            PlanningConfig(pre_move_length=math.inf)
+            PlanningConfig(pre_post_length=math.inf)
 
 
 # --- randomized pipeline properties --------------------------------------------
