@@ -7,7 +7,7 @@ Two executors share one motion engine and one cyclic task:
   reports progress through the feedback image.
 * ``NativeExecutor`` holds whole motion plans locally (the classic "program
   stored on the robot controller" setup), as the records
-  ``stored_records`` decodes from them, and only uses the bus for a
+  ``stored_records`` builds from them, and only uses the bus for a
   START/DONE handshake.
 
 Both decode only the header of a new command image, and both fault with
@@ -478,8 +478,10 @@ class RobotExecutor(_CyclicExecutor):
 
 def stored_records(plans) -> tuple[MotionRecord, ...]:
     """The program a ``NativeExecutor`` stores for ``plans``: each plan's
-    records as the wire delivers them (``explode_plan``), back to back.
-    Raises ``UnencodableValue`` for a plan the wire cannot carry."""
+    records as the wire delivers them, back to back.  ``explode_plan``
+    builds them through ``encode_plan``'s checks and f32 rounding without
+    packing an image.  Raises ``UnencodableValue`` for a plan the wire
+    cannot carry."""
     return tuple(rec for p in plans for rec in explode_plan(p.motions))
 
 
@@ -490,7 +492,8 @@ class NativeExecutor(_CyclicExecutor):
     runs them back to back; the exact stop between groups comes from the
     final motion of each group carrying approx 0.  Construction from plans
     explodes them (``stored_records``), so both executors work from the
-    records the wire would deliver, and a plan the wire cannot carry raises
+    records the wire would deliver, equal to the decoded images though no
+    image is packed, and a plan the wire cannot carry raises
     ``UnencodableValue`` there.  ``from_records`` builds the executor from
     a tuple that ``stored_records`` made earlier, so a program run many
     times is exploded once.  Only the command word and frame_seq of the

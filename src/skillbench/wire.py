@@ -4,8 +4,13 @@ Everything on the wire is little-endian and fixed size: a motion record is
 exactly 44 bytes, and both process images (command and feedback) are exactly
 256 bytes.  Floats are IEEE-754 single precision: ``encode_plan``, the one
 place where motions become record images, rounds each float to the nearest
-f32 as it packs, and rejects values beyond the f32 range.  Decoded records
-(``explode_plan``) therefore carry exactly the numbers the wire delivers.
+f32 as it packs, and rejects values beyond the f32 range.  A stored
+program needs the records, not the images: ``explode_plan`` builds them
+from the motions' fields through the same checks and the same f32
+rounding, without packing 44-byte images, so they carry exactly the
+numbers the wire delivers.  A tier-1 property in ``tests/test_wire.py``
+holds them equal, field for field and type for type, to the decoded
+images of ``encode_plan``.
 
 Motion record layout (44 bytes):
 
@@ -329,10 +334,88 @@ def encode_plan(motions) -> list[bytes]:
     return images
 
 
+# the fields of a circular motion's continuation record that its type fixes
+_AUX_HEAD = (_CIRCULAR, False, True)
+_NO_ORIENTATION = (0.0, 0.0, 0.0)
+# the images of the largest finite f32 and of its negative.  ``struct``
+# packs as these every double of the same sign up to half an f32 step
+# beyond: those up to ``_F32_MAX``, which ``_check_f32`` accepts, and those
+# above it, which it rejects
+_F32_TOP = b"\xff\xff\x7f\x7f"
+_F32_BOTTOM = b"\xff\xff\x7f\xff"
+
+
 def explode_plan(motions) -> list[MotionRecord]:
-    """The records of a motion sequence as the wire delivers them: the
-    decoded images of ``encode_plan``."""
-    return [decode_record(b) for b in encode_plan(motions)]
+    """The records of a sequence of ``MotionCommand``s as the wire delivers
+    them: field for field and type for type the decoded images of
+    ``encode_plan``, built without packing an image.  One ``struct`` pack
+    of a format sized to the plan rounds every scalar to f32 as
+    ``encode_plan`` does, and packs each frame id as u8 and each force
+    setpoint as u16; ``MotionCommand`` has checked every other field, and
+    every scalar finite.  When that pack refuses a value, or its bytes
+    hold the image of the largest f32 anywhere (where ``_check_f32`` draws
+    its line), the plan goes through ``encode_plan`` and ``decode_record``
+    instead: their checks raise for the first culprit, or return the same
+    records."""
+    heads = []  # (motion type, joint flag, continuation flag) per record
+    scalars = []  # the six target components and three dynamics per record
+    frames = []  # tool and base frame per record
+    forces = []
+    for m in motions:
+        mtype = m.motion_type
+        dynamics = (m.velocity, m.acceleration, m.approx_distance)
+        frame_ids = (m.tool_frame, m.base_frame)
+        if mtype is _CIRCULAR:
+            heads.append(_AUX_HEAD)
+            scalars += m.aux_point
+            scalars += _NO_ORIENTATION
+            scalars += dynamics
+            frames += frame_ids
+            forces.append(0)
+        heads.append((mtype, mtype is _PTP_JOINT, False))
+        scalars += m.target.components()
+        scalars += dynamics
+        frames += frame_ids
+        forces.append(m.force_setpoint)
+    n = len(heads)
+    fmt = f"<{9 * n}f{2 * n}B{n}H"
+    try:
+        packed = struct.pack(fmt, *scalars, *frames, *forces)
+    except (struct.error, OverflowError):
+        packed = None
+    if packed is None or _F32_TOP in packed or _F32_BOTTOM in packed:
+        return [decode_record(b) for b in encode_plan(motions)]
+    return _records(heads, struct.unpack(fmt, packed))
+
+
+def _records(heads, values) -> list[MotionRecord]:
+    """``explode_plan``'s records from the heads of n records and the
+    unpacked values: 9n scalars, 2n frame ids, n force setpoints.  Built
+    without ``__init__``, as ``decode_record`` builds them."""
+    records = []
+    i = 0
+    f = 9 * len(heads)
+    s = f + 2 * len(heads)
+    for seq, (mtype, joint, cont) in enumerate(heads, 1):
+        rec = _new(MotionRecord)
+        rec.__dict__.update(
+            motion_type=mtype,
+            record_seq=seq & 0xFFFF,
+            target=values[i : i + 6],
+            velocity=values[i + 6],
+            acceleration=values[i + 7],
+            approx_distance=values[i + 8],
+            tool_frame=values[f],
+            base_frame=values[f + 1],
+            force_setpoint=values[s],
+            joint_target=joint,
+            continuation=cont,
+        )
+        records.append(rec)
+        i += 9
+        f += 2
+        s += 1
+    return records
 
 
 _ZERO_SLOT = bytes(RECORD_SIZE)

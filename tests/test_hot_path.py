@@ -36,6 +36,8 @@ HOT_PATH = {
         "decode_command_header",
         "decode_record",
         "encode_plan",
+        "explode_plan",
+        "_records",
         "_pack_record",
         "_check_f32",
     ),

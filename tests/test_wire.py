@@ -359,17 +359,50 @@ def test_unencodable_plans_fail_before_start(record, motion, message):
             build([plan])
 
 
+# scalars at the edges of the f32 rounding: signed zeros, f32 subnormals,
+# doubles below the smallest f32 subnormal (they round to a signed zero),
+# ints and a bool
+ODD_SCALARS = (-0.0, 0.0, 1e-45, -1e-45, 1e-40, -3e-39, 5e-324, -1e-300, 7, -3, True)
+ODD_POSITIVE = (1e-45, 1e-40, 5e-324, 7, True)
+
+
+def odd_target(rng, target):
+    """``target`` with a few of its components replaced by ``ODD_SCALARS``."""
+    components = list(target.components())
+    for i in rng.sample(range(6), rng.randint(1, 3)):
+        components[i] = rng.choice(ODD_SCALARS)
+    return type(target)(*components)
+
+
+def wire_motions(rng):
+    """Random motions (``random_motions``: LIN, PTP_JOINT and circular
+    pairs) with random frame ids, about half the LINs turned LIN_FORCE with
+    a random setpoint, and some fields drawn from the odd values above or
+    given as bools."""
+    motions = []
+    for m in random_motions(rng, rng.randint(1, 30)):
+        fields = dict(tool_frame=rng.randrange(256), base_frame=rng.randrange(256))
+        if rng.random() < 0.2:
+            fields.update(tool_frame=rng.random() < 0.5, base_frame=rng.random() < 0.5)
+        if m.motion_type is MotionType.LIN_CARTESIAN and rng.random() < 0.5:
+            force = rng.choice((rng.randrange(0x10000), 0xFFFF, True, False))
+            fields.update(motion_type=MotionType.LIN_FORCE, force_setpoint=force)
+        if rng.random() < 0.3:
+            fields.update(
+                target=odd_target(rng, m.target),
+                velocity=rng.choice(ODD_POSITIVE),
+                acceleration=rng.choice((*ODD_POSITIVE, m.acceleration)),
+                approx_distance=rng.choice((-0.0, 0.0, 1e-40, 5e-324, 2)),
+            )
+        motions.append(dataclasses.replace(m, **fields))
+    return motions
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_plan_images_carry_the_motion_fields(seed):
     """Every image of ``encode_plan`` round-trips through the record codec
     and holds the fields of its motion, rounded to f32."""
-    rng = random.Random(seed)
-    motions = []
-    for m in random_motions(rng, rng.randint(1, 30)):
-        frames = dict(tool_frame=rng.randrange(256), base_frame=rng.randrange(256))
-        if m.motion_type is MotionType.LIN_CARTESIAN and rng.random() < 0.5:
-            frames.update(motion_type=MotionType.LIN_FORCE, force_setpoint=rng.randrange(0x10000))
-        motions.append(dataclasses.replace(m, **frames))
+    motions = wire_motions(random.Random(seed))
     expected = []
     for m in motions:
         dynamics = (f32(m.velocity), f32(m.acceleration), f32(m.approx_distance))
@@ -401,6 +434,144 @@ def test_plan_images_carry_the_motion_fields(seed):
             )
         )
     assert decoded == expected
+
+
+def exact(rec):
+    """The type and repr of each field and target component: equal only
+    for equal values of equal types, down to the sign of a zero."""
+    values = [getattr(rec, f.name) for f in dataclasses.fields(rec)] + list(rec.target)
+    return [(type(v), repr(v)) for v in values]
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_explode_plan_is_the_decoded_images(seed):
+    """``explode_plan`` packs no image, yet gives exactly the records that
+    decoding ``encode_plan``'s images gives."""
+    motions = wire_motions(random.Random(seed))
+    expected = [decode_record(b) for b in encode_plan(motions)]
+    got = explode_plan(motions)
+    assert got == expected
+    assert list(map(exact, got)) == list(map(exact, expected))
+
+
+def test_explode_plan_gives_the_wire_types():
+    """A bool frame id or force setpoint comes out as an int and an int
+    scalar as a float, as decoding the image gives them."""
+    force = MotionCommand(
+        MotionType.LIN_FORCE,
+        Pose(1, -2, 0),
+        250,
+        2000,
+        tool_frame=True,
+        base_frame=False,
+        force_setpoint=True,
+    )
+    joint = MotionCommand(MotionType.PTP_JOINT, JointTarget(3, -0.0, 1e-40), 180, 720)
+    recs = explode_plan([force, joint])
+    decoded = map(decode_record, encode_plan([force, joint]))
+    assert list(map(exact, recs)) == list(map(exact, decoded))
+    rec, jrec = recs
+    assert [(type(v), v) for v in (rec.tool_frame, rec.base_frame, rec.force_setpoint)] == [
+        (int, 1),
+        (int, 0),
+        (int, 1),
+    ]
+    scalars = (*rec.target, rec.velocity, rec.acceleration, rec.approx_distance)
+    assert {type(v) for v in scalars} == {float}
+    assert repr(jrec.target) == repr((3.0, -0.0, f32(1e-40), 0.0, 0.0, 0.0))
+
+
+def test_explode_plan_numbers_past_65535_as_the_images_do():
+    circ = MotionCommand(
+        motion_type=MotionType.CIRCULAR,
+        target=Pose(4.0, 0.0, 0.0),
+        velocity=100.0,
+        acceleration=1000.0,
+        aux_point=(2.0, 2.0, 0.0),
+    )
+    # the circular pair straddles the wrap: its target is record 65536
+    motions = [lin(0.0, 0.0, 1.0)] * 0xFFFE + [circ] + [lin(5.0, 0.0, 0.0)] * 2
+    recs = explode_plan(motions)
+    assert [(r.record_seq, r.continuation) for r in recs[0xFFFD:]] == [
+        (0xFFFE, False),
+        (0xFFFF, True),
+        (0, False),
+        (1, False),
+        (2, False),
+    ]
+    assert recs == [decode_record(b) for b in encode_plan(motions)]
+
+
+def force_lin(x, setpoint):
+    return MotionCommand(
+        MotionType.LIN_FORCE, Pose(x, 0.0, 0.0), 250.0, 2000.0, force_setpoint=setpoint
+    )
+
+
+def too_fast(x):
+    return MotionCommand(MotionType.LIN_CARTESIAN, Pose(x, 0.0, 0.0), 1e39, 2000.0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({3: force_lin(3.0, 70000), 5: too_fast(5.0)}, "force_setpoint 70000 does not fit u16"),
+        ({3: too_fast(3.0), 5: force_lin(5.0, 70000)}, "scalar 1e+39 not representable as f32"),
+        (
+            # the continuation record comes first, and is checked first
+            {
+                3: MotionCommand(
+                    MotionType.CIRCULAR,
+                    Pose(-4e38, 0.0, 0.0),
+                    100.0,
+                    1000.0,
+                    aux_point=(5e38, 0.0, 0.0),
+                ),
+                5: force_lin(5.0, 70000),
+            },
+            "scalar 5e+38 not representable as f32",
+        ),
+    ],
+    ids=["force-then-velocity", "velocity-then-force", "aux-then-target"],
+)
+def test_every_path_names_the_first_of_two_bad_records(bad, message):
+    motions = [bad.get(k, lin(float(k), 0.0, 0.0)) for k in range(1, 9)]
+    builds = (encode_plan, explode_plan, lambda ms: NativeExecutor([ContinuousSkillPlan(ms)]))
+    for build in builds:
+        with pytest.raises(UnencodableValue) as raised:
+            build(motions)
+        assert str(raised.value) == message
+
+
+F32_LARGEST = struct.unpack("<f", b"\xff\xff\x7f\x7f")[0]
+BEYOND_F32 = math.nextafter(3.4028235e38, math.inf)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["max", "lowest"])
+def test_the_f32_limit_is_exactly_3_4028235e38(sign):
+    """The range check's limit, not ``struct``'s rounding, decides: both
+    values below pack without error as the largest f32, but only the first
+    is accepted, by every path that packs a scalar."""
+    at, beyond = sign * 3.4028235e38, sign * BEYOND_F32
+    assert struct.unpack("<2f", struct.pack("<2f", at, beyond)) == (sign * F32_LARGEST,) * 2
+
+    def plan(x):
+        return [lin(1.0, 0.0, 0.0), lin(x, 0.0, 0.0), lin(2.0, 0.0, 0.0)]
+
+    recs = explode_plan(plan(at))
+    assert recs == [decode_record(b) for b in encode_plan(plan(at))]
+    assert recs[1].target[0] == sign * F32_LARGEST
+    pose = (0.0, at, 0.0, 0.0, 0.0, 0.0)
+    frame = decode_feedback_frame(pack_feedback_frame(RobotState.RUNNING, 0, 1, 1, pose))
+    assert frame.pose[1] == sign * F32_LARGEST
+
+    for build in (encode_plan, explode_plan):
+        with pytest.raises(UnencodableValue) as raised:
+            build(plan(beyond))
+        assert str(raised.value) == f"scalar {beyond!r} not representable as f32"
+    with pytest.raises(UnencodableValue) as raised:
+        pack_feedback_frame(RobotState.RUNNING, 0, 1, 1, (0.0, beyond, 0.0, 0.0, 0.0, 0.0))
+    assert str(raised.value) == f"pose component {beyond!r} not representable as f32"
 
 
 def test_explode_plan_numbers_consecutively():
