@@ -9,7 +9,7 @@ every standstill.
 """
 
 from skillbench.bench import SETUP_A, build_scenario
-from skillbench.planner import StepKind, plan, plan_waypoints
+from skillbench.planner import StepKind, plan
 
 
 def xyz(p):
@@ -49,7 +49,9 @@ print()
 
 # resolved waypoint chains show the actual geometry; note how the pre
 # move at (0, 0, 80) continues straight into the descend to the pick
-chains = plan_waypoints(plans, SETUP_A.start)
-for i, chain in enumerate(chains):
-    pts = " -> ".join(xyz(p) for p in chain)
+# each group starts where the one before it ended
+start = SETUP_A.start
+for i, p in enumerate(plans):
+    pts = " -> ".join(xyz(q) for q in (start, *(m.target for m in p.motions)))
     print(f"group {i}: {pts}")
+    start = p.motions[-1].target

@@ -42,9 +42,10 @@ line for trace line.  When each task is due:
 * the bus runs at the first bus grid point at or after a PLC publish and
   strictly after a robot publish; it has nothing else to do.
 
-``_at_or_after`` defines "the first grid point at or after"; ``run``
-computes the same point inline, and ``_timeout_at`` stamps a timeout
-with it.
+The first grid point at or after u >= 0 of a grid with cycle c and phase
+0 <= p < c is ``u + (p - u) % c``.  That expression is the one definition
+of the rule: ``run`` computes each wake with it inline, and
+``_timeout_at`` the grid point that stamps a timeout.
 """
 
 from __future__ import annotations
@@ -183,17 +184,11 @@ def _fb_summary(f: FeedbackFrame, digest: str) -> str:
     return f"state={f.state.name} cur={f.cur_exec} err={f.error_code} {digest}"
 
 
-def _at_or_after(t: int, phase: int, cycle: int) -> int:
-    """First grid point ``phase + k * cycle`` (k >= 0) at or after ``t``."""
-    if t <= phase:
-        return phase
-    return phase - (phase - t) // cycle * cycle
-
-
 def _timeout_at(timeout_us: int, grids) -> int:
     """First grid point of any task after ``timeout_us``, over the
     ``(phase, cycle)`` of each task's grid."""
-    return min(_at_or_after(timeout_us + 1, phase, cycle) for phase, cycle in grids)
+    u = timeout_us + 1
+    return min(u + (phase - u) % cycle for phase, cycle in grids)
 
 
 def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
@@ -241,8 +236,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     # the next grid point at which each task is due, ``never`` when it
     # waits for an input: past the timeout, so a run with every task
     # waiting times out; every task runs at its first grid point.  Each
-    # ``u + (phase - u) % cycle`` below is ``_at_or_after(u, phase, cycle)``
-    # for u >= 0 and a phase within its cycle
+    # ``u + (phase - u) % cycle`` below is the first grid point at or after
+    # u (module docstring)
     never = timeout_us + 1
     plc_due = phase_plc
     bus_due = never

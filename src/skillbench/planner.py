@@ -376,15 +376,3 @@ def plan(process, cfg: PlanningConfig) -> list[ContinuousSkillPlan]:
     items = plan_secondary_motions(items, cfg)
     return coalesce_continuous(items)
 
-
-def plan_waypoints(plans, start: Pose) -> list[list[Pose]]:
-    """Resolved waypoint chains per group: start pose plus every target."""
-    out = []
-    current = start
-    for p in plans:
-        chain = [current]
-        for m in p.motions:
-            chain.append(m.target)
-            current = m.target
-        out.append(chain)
-    return out

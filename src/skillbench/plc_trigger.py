@@ -1,9 +1,10 @@
 """PLC side of the skill protocol: trigger instances and cycle programs.
 
 A ``PlcSkillInstance`` owns the outgoing command image.  A skill is the
-list of its 44-byte record images, encoded once (``wire.encode_plan``) and
-then only copied, as a PLC copies records from a data block.  Starting a
-skill loads the first images into the five slots and raises the START word;
+list of its 44-byte record images, cut once from its plan image
+(``wire.encode_plan``) and then only copied, as a PLC copies records from
+a data block.  Starting a skill (``start_images``) loads the first images
+into the five slots and raises the START word;
 the cyclic ``cycle()`` call consumes robot feedback, streams further images
 into freed slots (FIFO), and walks the handshake back to IDLE when the
 robot reports DONE.  A robot ERROR, in any state, raises ``RobotError``
@@ -138,9 +139,6 @@ class PlcSkillInstance:
             CommandWord.START, loaded, self._total, loaded, self._next_seq(), images[:loaded]
         )
         self._state = PlcSkillState.RUNNING
-
-    def start_skill(self, plan):
-        self.start_images(encode_plan(plan.motions))
 
     def _refill(self, cur: int):
         # record m may overwrite its slot once record m-5 is complete, i.e.

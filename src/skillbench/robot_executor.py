@@ -479,9 +479,9 @@ class RobotExecutor(_CyclicExecutor):
 def stored_records(plans) -> tuple[MotionRecord, ...]:
     """The program a ``NativeExecutor`` stores for ``plans``: each plan's
     records as the wire delivers them, back to back.  ``explode_plan``
-    builds them through ``encode_plan``'s checks and f32 rounding without
-    packing an image.  Raises ``UnencodableValue`` for a plan the wire
-    cannot carry."""
+    unpacks them from the plan image that ``encode_plan`` cuts into record
+    images.  Raises ``UnencodableValue`` for a plan the wire cannot
+    carry."""
     return tuple(rec for p in plans for rec in explode_plan(p.motions))
 
 
@@ -492,8 +492,8 @@ class NativeExecutor(_CyclicExecutor):
     runs them back to back; the exact stop between groups comes from the
     final motion of each group carrying approx 0.  Construction from plans
     explodes them (``stored_records``), so both executors work from the
-    records the wire would deliver, equal to the decoded images though no
-    image is packed, and a plan the wire cannot carry raises
+    records the wire would deliver, unpacked from the same plan image the
+    PLC's skills are cut from, and a plan the wire cannot carry raises
     ``UnencodableValue`` there.  ``from_records`` builds the executor from
     a tuple that ``stored_records`` made earlier, so a program run many
     times is exploded once.  Only the command word and frame_seq of the

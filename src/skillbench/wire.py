@@ -2,15 +2,17 @@
 
 Everything on the wire is little-endian and fixed size: a motion record is
 exactly 44 bytes, and both process images (command and feedback) are exactly
-256 bytes.  Floats are IEEE-754 single precision: ``encode_plan``, the one
-place where motions become record images, rounds each float to the nearest
-f32 as it packs, and rejects values beyond the f32 range.  A stored
-program needs the records, not the images: ``explode_plan`` builds them
-from the motions' fields through the same checks and the same f32
-rounding, without packing 44-byte images, so they carry exactly the
-numbers the wire delivers.  A tier-1 property in ``tests/test_wire.py``
-holds them equal, field for field and type for type, to the decoded
-images of ``encode_plan``.
+256 bytes.  Floats are IEEE-754 single precision.
+
+Motions become record bytes in one place, ``_plan_image``: it numbers a
+plan's records, rounds each float to the nearest f32 as it packs them all
+at once, and rejects values beyond the f32 range.  The skills a PLC copies
+and the program a robot stores are two views of that one image:
+``encode_plan`` cuts it into 44-byte record images, and ``explode_plan``
+unpacks it into ``MotionRecord``s, so they carry exactly the numbers the
+wire delivers.  A tier-1 property in ``tests/test_wire.py`` holds them
+equal, field for field and type for type, to the decoded images of
+``encode_plan``.
 
 Motion record layout (44 bytes):
 
@@ -80,7 +82,6 @@ _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 # the whole feedback frame: 32 bytes of fields, then 224 zero bytes (the
 # reserved bytes 32..35 and the padding)
 _FEEDBACK_FMT = struct.Struct("<BBIH6f224x")
-_F32 = struct.Struct("<f")
 
 _FLAG_JOINT = 0x01
 _FLAG_CONTINUATION = 0x02
@@ -195,11 +196,6 @@ def _check_f32(values, what: str):
             raise UnencodableValue(f"{what} {v!r} not representable as f32")
 
 
-def f32(x: float) -> float:
-    """Round a float through IEEE-754 single precision."""
-    return _F32.unpack(_F32.pack(x))[0]
-
-
 def slot_for_record(m: int) -> int:
     """Slot index for 1-based record index m."""
     if m < 1:
@@ -224,10 +220,12 @@ class MotionRecord:
     continuation: bool = False
 
 
-def _pack_record(code, flags, seq, scalars, tool, base, force) -> bytes:
-    """The one record packer: checks every field against its wire range,
-    then packs.  ``scalars`` are the six target components, velocity,
-    acceleration and approx_distance."""
+def _pack_record(fields) -> bytes:
+    """The checking record packer: checks each of a record's fields
+    ``(code, flags, record_seq, nine scalars, tool, base, force)`` against
+    its wire range, then packs them.  The nine scalars are the six target
+    components, velocity, acceleration and approx_distance."""
+    code, flags, seq, *scalars, tool, base, force = fields
     if not 0 <= seq <= 0xFFFF:
         raise UnencodableValue(f"record_seq {seq} does not fit u16")
     if not 0 <= force <= 0xFFFF:
@@ -237,7 +235,7 @@ def _pack_record(code, flags, seq, scalars, tool, base, force) -> bytes:
     if not 0 <= base <= 0xFF:
         raise UnencodableValue(f"base_frame {base} does not fit u8")
     _check_f32(scalars, "scalar")
-    return _RECORD_FMT.pack(code, flags, seq, *scalars, tool, base, force)
+    return _RECORD_FMT.pack(*fields)
 
 
 def encode_record(rec: MotionRecord) -> bytes:
@@ -246,13 +244,18 @@ def encode_record(rec: MotionRecord) -> bytes:
         _FLAG_CONTINUATION if rec.continuation else 0
     )
     return _pack_record(
-        rec.motion_type,
-        flags,
-        rec.record_seq,
-        (*rec.target, rec.velocity, rec.acceleration, rec.approx_distance),
-        rec.tool_frame,
-        rec.base_frame,
-        rec.force_setpoint,
+        (
+            rec.motion_type,
+            flags,
+            rec.record_seq,
+            *rec.target,
+            rec.velocity,
+            rec.acceleration,
+            rec.approx_distance,
+            rec.tool_frame,
+            rec.base_frame,
+            rec.force_setpoint,
+        )
     )
 
 
@@ -298,45 +301,6 @@ def decode_record(data: bytes) -> MotionRecord:
     return rec
 
 
-def encode_plan(motions) -> list[bytes]:
-    """The 44-byte record images of a motion sequence, numbered 1, 2, ...
-    (record_seq modulo 65536); the only place where motions become record
-    bytes.  CIRCULAR yields two images: the auxiliary continuation first
-    (position only), then the target.  Raises ``UnencodableValue`` when a
-    field does not fit the wire."""
-    images: list[bytes] = []
-    for m in motions:
-        mtype = m.motion_type
-        dynamics = (m.velocity, m.acceleration, m.approx_distance)
-        if mtype is _CIRCULAR:
-            images.append(
-                _pack_record(
-                    mtype,
-                    _FLAG_CONTINUATION,
-                    (len(images) + 1) & 0xFFFF,
-                    (*m.aux_point, 0.0, 0.0, 0.0, *dynamics),
-                    m.tool_frame,
-                    m.base_frame,
-                    0,
-                )
-            )
-        images.append(
-            _pack_record(
-                mtype,
-                _FLAG_JOINT if mtype is _PTP_JOINT else 0,
-                (len(images) + 1) & 0xFFFF,
-                (*m.target.components(), *dynamics),
-                m.tool_frame,
-                m.base_frame,
-                m.force_setpoint,
-            )
-        )
-    return images
-
-
-# the fields of a circular motion's continuation record that its type fixes
-_AUX_HEAD = (_CIRCULAR, False, True)
-_NO_ORIENTATION = (0.0, 0.0, 0.0)
 # the images of the largest finite f32 and of its negative.  ``struct``
 # packs as these every double of the same sign up to half an f32 step
 # beyond: those up to ``_F32_MAX``, which ``_check_f32`` accepts, and those
@@ -345,76 +309,76 @@ _F32_TOP = b"\xff\xff\x7f\x7f"
 _F32_BOTTOM = b"\xff\xff\x7f\xff"
 
 
-def explode_plan(motions) -> list[MotionRecord]:
-    """The records of a sequence of ``MotionCommand``s as the wire delivers
-    them: field for field and type for type the decoded images of
-    ``encode_plan``, built without packing an image.  One ``struct`` pack
-    of a format sized to the plan rounds every scalar to f32 as
-    ``encode_plan`` does, and packs each frame id as u8 and each force
-    setpoint as u16; ``MotionCommand`` has checked every other field, and
-    every scalar finite.  When that pack refuses a value, or its bytes
-    hold the image of the largest f32 anywhere (where ``_check_f32`` draws
-    its line), the plan goes through ``encode_plan`` and ``decode_record``
-    instead: their checks raise for the first culprit, or return the same
-    records."""
-    heads = []  # (motion type, joint flag, continuation flag) per record
-    scalars = []  # the six target components and three dynamics per record
-    frames = []  # tool and base frame per record
-    forces = []
+def _plan_image(motions) -> bytes:
+    """The 44-byte record images of a sequence of ``MotionCommand``s, back
+    to back: the one place where motions become record fields.  Records
+    are numbered 1, 2, ... (record_seq modulo 65536); CIRCULAR gives two,
+    its auxiliary continuation first (position only), then its target.
+
+    One ``struct`` pack of a format sized to the plan rounds every scalar
+    to f32, packs each frame id as u8 and each force setpoint as u16;
+    ``MotionCommand`` has checked every other field, and every scalar
+    finite.  When that pack refuses a value, or its bytes hold the image
+    of the largest f32 anywhere (where ``_check_f32`` draws its line), the
+    same fields go through ``_pack_record`` one record at a time: its
+    checks raise ``UnencodableValue`` for the first culprit, or it returns
+    the same bytes."""
+    values = []  # the 15 fields of each record, back to back
+    seq = 0
     for m in motions:
         mtype = m.motion_type
-        dynamics = (m.velocity, m.acceleration, m.approx_distance)
-        frame_ids = (m.tool_frame, m.base_frame)
+        tail = (m.velocity, m.acceleration, m.approx_distance, m.tool_frame, m.base_frame)
         if mtype is _CIRCULAR:
-            heads.append(_AUX_HEAD)
-            scalars += m.aux_point
-            scalars += _NO_ORIENTATION
-            scalars += dynamics
-            frames += frame_ids
-            forces.append(0)
-        heads.append((mtype, mtype is _PTP_JOINT, False))
-        scalars += m.target.components()
-        scalars += dynamics
-        frames += frame_ids
-        forces.append(m.force_setpoint)
-    n = len(heads)
-    fmt = f"<{9 * n}f{2 * n}B{n}H"
+            seq += 1
+            values += (mtype, _FLAG_CONTINUATION, seq & 0xFFFF, *m.aux_point, 0.0, 0.0, 0.0)
+            values += (*tail, 0)
+        seq += 1
+        flags = _FLAG_JOINT if mtype is _PTP_JOINT else 0
+        values += (mtype, flags, seq & 0xFFFF, *m.target.components(), *tail, m.force_setpoint)
     try:
-        packed = struct.pack(fmt, *scalars, *frames, *forces)
+        image = struct.pack("<" + "BBH9fBBH" * (len(values) // 15), *values)
     except (struct.error, OverflowError):
-        packed = None
-    if packed is None or _F32_TOP in packed or _F32_BOTTOM in packed:
-        return [decode_record(b) for b in encode_plan(motions)]
-    return _records(heads, struct.unpack(fmt, packed))
+        image = None
+    if image is None or _F32_TOP in image or _F32_BOTTOM in image:
+        image = b"".join(_pack_record(values[i : i + 15]) for i in range(0, len(values), 15))
+    return image
 
 
-def _records(heads, values) -> list[MotionRecord]:
-    """``explode_plan``'s records from the heads of n records and the
-    unpacked values: 9n scalars, 2n frame ids, n force setpoints.  Built
-    without ``__init__``, as ``decode_record`` builds them."""
+def encode_plan(motions) -> list[bytes]:
+    """The 44-byte record images of a motion sequence: ``_plan_image`` cut
+    into records.  Raises ``UnencodableValue`` when a field does not fit
+    the wire."""
+    image = _plan_image(motions)
+    return [image[i : i + RECORD_SIZE] for i in range(0, len(image), RECORD_SIZE)]
+
+
+def explode_plan(motions) -> list[MotionRecord]:
+    """The records of a sequence of ``MotionCommand``s as the wire delivers
+    them: ``_plan_image`` unpacked record by record, so field for field
+    and type for type the decoded images of ``encode_plan``.  They are
+    built as ``decode_record`` builds them, without its checks: the image
+    holds only known motion types, finite scalars and, as flags, one of
+    0, the joint flag of a PTP_JOINT target or the continuation flag of
+    an auxiliary record."""
     records = []
-    i = 0
-    f = 9 * len(heads)
-    s = f + 2 * len(heads)
-    for seq, (mtype, joint, cont) in enumerate(heads, 1):
+    for code, flags, seq, x, y, z, a, b, c, vel, acc, approx, tool, base, force in (
+        _RECORD_FMT.iter_unpack(_plan_image(motions))
+    ):
         rec = _new(MotionRecord)
         rec.__dict__.update(
-            motion_type=mtype,
-            record_seq=seq & 0xFFFF,
-            target=values[i : i + 6],
-            velocity=values[i + 6],
-            acceleration=values[i + 7],
-            approx_distance=values[i + 8],
-            tool_frame=values[f],
-            base_frame=values[f + 1],
-            force_setpoint=values[s],
-            joint_target=joint,
-            continuation=cont,
+            motion_type=_MOTION_TYPES[code],
+            record_seq=seq,
+            target=(x, y, z, a, b, c),
+            velocity=vel,
+            acceleration=acc,
+            approx_distance=approx,
+            tool_frame=tool,
+            base_frame=base,
+            force_setpoint=force,
+            joint_target=flags == _FLAG_JOINT,
+            continuation=flags == _FLAG_CONTINUATION,
         )
         records.append(rec)
-        i += 9
-        f += 2
-        s += 1
     return records
 
 

@@ -2,12 +2,14 @@
 ``fieldbus_sim.run``.
 
 ``check_window`` replays a finished run's trace through ``SlotMonitor``,
-``native_baseline`` is the direct-handoff oracle, and ``random_motions``
-draws short-leg skills of an exact record count.
+``native_baseline`` is the direct-handoff oracle, ``random_motions``
+draws short-leg skills of an exact record count, and ``f32`` rounds a
+number as the wire's float fields do.
 """
 
 import math
 import random
+import struct
 
 from skillbench.core import JointTarget, MotionCommand, MotionType, Pose
 from skillbench.fieldbus_sim import SimTrace, run
@@ -111,6 +113,11 @@ def check_window(trace: SimTrace) -> SlotMonitor:
 def consumed(executor):
     """Captured record flow minus timing: (first_record, n_records, target)."""
     return [(first, n, target) for first, n, target, _dur in executor.executed]
+
+
+def f32(x: float) -> float:
+    """``x`` rounded through IEEE-754 single precision."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
 
 
 def images(records):

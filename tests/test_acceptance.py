@@ -30,7 +30,6 @@ from skillbench.core import (
     turn_angle,
 )
 from skillbench.fieldbus_sim import SimConfig, run
-from skillbench.planner import plan_waypoints
 from skillbench.plc_trigger import ContinuousMotionProgram, PlcSkillInstance
 from skillbench.robot_executor import RobotExecutor
 from skillbench.trajectory import blend_geometry, segment_time
@@ -49,12 +48,12 @@ from skillbench.wire import (
     decode_record,
     encode_command_frame,
     encode_feedback_frame,
+    encode_plan,
     encode_record,
     explode_plan,
-    f32,
 )
 
-from stream_harness import check_window, consumed, native_baseline, random_motions
+from stream_harness import check_window, consumed, f32, native_baseline, random_motions
 from test_protocol import exact_stops_us, motion_us, rebase_records
 from test_trajectory import (
     _points_segment_distance,
@@ -177,7 +176,7 @@ def test_criterion_3_codec_round_trips_and_golden_bytes():
     recs = [r for p in plans for r in explode_plan(p.motions)]
     assert [encode_record(r).hex() for r in recs] == _fixture_lines("golden_records.hex")
     plc = PlcSkillInstance()
-    plc.start_skill(plans[1])
+    plc.start_images(encode_plan(plans[1].motions))
     cmd_line, fb_line = _fixture_lines("golden_frames.hex")
     assert plc.image.hex() == cmd_line
     fixture_fb = decode_feedback_frame(bytes.fromhex(fb_line))
@@ -244,16 +243,16 @@ def test_criterion_5_scenario_plan_shape():
     11 records total, group boundaries fall on grip/release, and every
     pre/post move continues its primary path collinearly (<= 1e-9 rad)."""
     plans = build_plans(SETUP_A)
-    chains = plan_waypoints(plans, SETUP_A.start)
     assert len(plans) == 3
     assert [p.record_count for p in plans] == [3, 5, 3]
     assert sum(p.record_count for p in plans) == 11
     assert plans[0].terminal_action == "grip"
     assert plans[1].terminal_action == "release"
     assert plans[2].terminal_action is None
-    assert chains[0][-1] == SETUP_A.pick
-    assert chains[1][-1] == SETUP_A.place
-    assert chains[2][-1] == SETUP_A.start
+    # each group's path starts where the one before it ended
+    starts = [SETUP_A.start] + [p.motions[-1].target for p in plans]
+    assert starts[1:] == [SETUP_A.pick, SETUP_A.place, SETUP_A.start]
+    chains = [[s, *(m.target for m in p.motions)] for s, p in zip(starts, plans)]
 
     # pre/post junctions sit at carrier height above the pick/place points
     junctions = 0

@@ -35,7 +35,7 @@ from skillbench.bench import (
 from skillbench.cli import main
 from skillbench.core import ContinuousSkillPlan, ExecutionType, Pose
 from skillbench.fieldbus_sim import SimConfig, run
-from skillbench.planner import PlanningConfig, StepKind, plan, plan_waypoints
+from skillbench.planner import PlanningConfig, StepKind, plan
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
@@ -136,16 +136,13 @@ class TestScenario:
 
     def test_default_plans_three_groups_eleven_records(self):
         plans = build_plans(SETUP_A)
-        chains = plan_waypoints(plans, SETUP_A.start)
         assert [p.record_count for p in plans] == [3, 5, 3]
         assert sum(p.record_count for p in plans) == 11
         assert plans[0].terminal_action == "grip"
         assert plans[1].terminal_action == "release"
         assert plans[2].terminal_action is None
-        assert chains[0][0] == SETUP_A.start
-        assert chains[0][-1] == SETUP_A.pick
-        assert chains[1][-1] == SETUP_A.place
-        assert chains[2][-1] == SETUP_A.start
+        ends = [p.motions[-1].target for p in plans]
+        assert ends == [SETUP_A.pick, SETUP_A.place, SETUP_A.start]
 
     def test_tall_obstacle_adds_clearance_waypoints(self):
         tall = dataclasses.replace(SETUP_A, obstacle_height=120.0)
@@ -153,10 +150,9 @@ class TestScenario:
         carry, back = [s for s in steps if s.kind is StepKind.TRANSIT][1:]
         assert carry.clearance == back.clearance == 140.0
         plans = build_plans(tall)
-        chains = plan_waypoints(plans, tall.start)
         assert [p.record_count for p in plans] == [3, 6, 4]
-        assert Pose(150.0, 0.0, 140.0) in chains[1]
-        assert Pose(100.0, 0.0, 140.0) in chains[2]
+        assert Pose(150.0, 0.0, 140.0) in [m.target for m in plans[1].motions]
+        assert Pose(100.0, 0.0, 140.0) in [m.target for m in plans[2].motions]
 
     def test_fly_height_tracks_carrier_and_posts(self):
         assert SETUP_A.fly_height == 80.0
@@ -393,12 +389,10 @@ class TestPlanOnce:
     def test_an_equal_config_gets_equal_frozen_plans(self):
         build_plans.cache_clear()
         plans = build_plans(SETUP_A)
-        chains = plan_waypoints(plans, SETUP_A.start)
         build_plans.cache_clear()
         copy = parse_scenario(serialize_scenario(SETUP_A))
         assert copy is not SETUP_A
         assert build_plans(copy) == plans
-        assert plan_waypoints(build_plans(copy), copy.start) == chains
         assert build_plans(SETUP_A) is build_plans(copy)
         # the result is shared, so nothing in it can grow
         assert type(plans) is tuple

@@ -37,7 +37,7 @@ HOT_PATH = {
         "decode_record",
         "encode_plan",
         "explode_plan",
-        "_records",
+        "_plan_image",
         "_pack_record",
         "_check_f32",
     ),

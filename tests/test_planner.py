@@ -29,7 +29,6 @@ from skillbench.planner import (
     plan,
     plan_primary_motions,
     plan_secondary_motions,
-    plan_waypoints,
 )
 
 CFG = PlanningConfig()
@@ -349,20 +348,11 @@ class TestFullPipeline:
 
     def test_grip_junctions_are_collinear_pass_throughs(self):
         plans = plan(pick_place_steps(), CFG)
-        wps = plan_waypoints(plans, P0)
+        grip, carry = ([m.target for m in p.motions] for p in plans[:2])
         # descend: pre start -> entry -> pick must be one straight line
-        assert collinear(wps[0][1], wps[0][2], wps[0][3])
+        assert collinear(grip[0], grip[1], grip[2])
         # ascend out of the grip: pick -> entry -> post end straight as well
-        assert collinear(wps[1][0], wps[1][1], wps[1][2])
-
-    def test_waypoint_chains_connect(self):
-        plans = plan(pick_place_steps(), CFG)
-        wps = plan_waypoints(plans, P0)
-        assert wps[0][0] == P0
-        assert wps[1][0] == wps[0][-1]
-        for p, chain in zip(plans, wps):
-            assert len(chain) == len(p.motions) + 1
-            assert [m.target for m in p.motions] == chain[1:]
+        assert collinear(grip[-1], carry[0], carry[1])
 
     def test_planned_output_is_not_replannable(self):
         plans = plan(pick_place_steps(), CFG)
@@ -419,8 +409,5 @@ def test_pipeline_structure_holds_for_random_processes(seed):
     assert all(any(t == e for t in it) for e in primary_exits)
     for p in plans:
         assert p.motions[-1].approx_distance == 0.0
-    wps = plan_waypoints(plans, Pose(0.0, 0.0, 100.0))
-    for p, chain in zip(plans, wps):
-        assert len(chain) == len(p.motions) + 1
     # the pipeline is deterministic
     assert repr(plan(steps, CFG)) == repr(plans)

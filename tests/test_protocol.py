@@ -58,7 +58,6 @@ from skillbench.wire import (
     encode_plan,
     encode_record,
     explode_plan,
-    f32,
     slot_for_record,
 )
 
@@ -67,6 +66,7 @@ from stream_harness import (
     WindowViolation,
     check_window,
     consumed,
+    f32,
     images,
     native_baseline,
     random_motions,
@@ -171,12 +171,14 @@ class TestPlcSkillInstance:
         assert frame.loaded_through == 9
         assert frame.total_no == 9
 
-    def test_feedback_regression_rejected(self):
+    @pytest.mark.parametrize("cur", [2, 3])
+    def test_feedback_regression_rejected(self, cur):
+        # a regression by a single record is as wrong as one by two
         plc = PlcSkillInstance()
         plc.start_images(images(records(9)))
         plc.cycle(fb(RobotState.RUNNING, cur=4))
         with pytest.raises(FeedbackRegression):
-            plc.cycle(fb(RobotState.RUNNING, cur=2))
+            plc.cycle(fb(RobotState.RUNNING, cur=cur))
 
     def test_done_idle_handshake(self):
         plc = PlcSkillInstance()
@@ -447,7 +449,7 @@ class TestRobotExecutor:
         idle = encode_command_frame(CommandFrame(frame_seq=3))
         for ex in (RobotExecutor(), NativeExecutor([plan])):
             plc = PlcSkillInstance()
-            plc.start_skill(plan)
+            plc.start_images(encode_plan(plan.motions))
             f = decode_feedback_frame(ex.tick(0, plc.image))
             assert f.state is RobotState.RUNNING
             f = decode_feedback_frame(ex.tick(4000, abort))
@@ -460,7 +462,7 @@ class TestRobotExecutor:
         plan = ContinuousSkillPlan((lin(100.0, v=10.0),))
         for ex in (RobotExecutor(), NativeExecutor([plan])):
             plc = PlcSkillInstance()
-            plc.start_skill(plan)
+            plc.start_images(encode_plan(plan.motions))
             ex.tick(0, plc.image)
             idle_img = encode_command_frame(CommandFrame(frame_seq=99))
             f = decode_feedback_frame(ex.tick(4000, idle_img))
@@ -658,7 +660,7 @@ class TestRobotExecutor:
     def test_undecodable_frame_faults_both_executors(self, offset, value, phase):
         plans = [ContinuousSkillPlan((lin(10.0), lin(20.0)))]
         plc = PlcSkillInstance()
-        plc.start_skill(plans[0])
+        plc.start_images(encode_plan(plans[0].motions))
         bad = bytearray(plc.image)
         bad[offset] = value
         for ex in (RobotExecutor(), NativeExecutor(plans)):

@@ -31,7 +31,6 @@ from skillbench.fieldbus_sim import (
     SimConfig,
     SimTimeout,
     SimTrace,
-    _at_or_after,
     rep_seed,
     run,
 )
@@ -519,7 +518,12 @@ class TestEventDriven:
         if plc_cycle_us == 1000:
             assert calls == 1 + len(delivered)
         else:
-            wakes = {_at_or_after(t + 1, phase_plc, plc_cycle_us) for t in delivered}
+            # the first PLC grid point phase_plc + k * plc_cycle_us (k >= 0)
+            # strictly after each delivery
+            wakes = {
+                phase_plc + max(0, -((phase_plc - t - 1) // plc_cycle_us)) * plc_cycle_us
+                for t in delivered
+            }
             assert calls == len(wakes | {phase_plc})
 
     def test_the_polled_loop_checks_the_fixed_point_contract(self, traces):

@@ -31,7 +31,9 @@ from skillbench.trajectory import (
     segment_time,
     solve_corners,
 )
-from skillbench.wire import CommandFrame, CommandWord, RobotState, encode_command_frame, f32
+from skillbench.wire import CommandFrame, CommandWord, RobotState, encode_command_frame
+
+from stream_harness import f32
 
 
 def integrated_time(length, v_max, accel, v_in, v_out):
@@ -427,6 +429,9 @@ def test_group_profile_degrades_reversal():
     wps = [Pose(0.0, 0.0, 0.0), Pose(100.0, 0.0, 0.0), Pose(0.0, 0.0, 0.0)]
     legs = [p.position for p in wps]
     assert corner_blend(*legs, 10.0, 100.0, 100.0, 250.0, 250.0, 2000.0, 2000.0) is None
+    # a turn within 1e-9 rad of a reversal stops as well (pi - 1e-10 here)
+    near = [(0.0, 0.0, 0.0), (100.0, 0.0, 0.0), (0.0, 1e-8, 0.0)]
+    assert corner_blend(*near, 10.0, 100.0, 100.0, 250.0, 250.0, 2000.0, 2000.0) is None
     speeds, blends, times = group_profile(plan, wps)
     assert degraded_corners(plan, blends) == (1,)
     assert speeds[1] == 0.0
@@ -457,6 +462,21 @@ def test_group_profile_degrades_stuck_blend_speed():
     speeds, blends, _times = group_profile(plan, wps)
     assert degraded_corners(plan, blends) == (1,)
     assert speeds[1] == 0.0
+
+
+def test_a_blend_that_ties_stopping_is_kept(monkeypatch):
+    """Arcs slower than stopping degrade; an arc exactly as fast stays.
+    Segments timed at their constant top speed make the tie exact: two
+    12 mm legs at 1 mm/s take 24 s stopping at the corner, and as long
+    when a 2 mm arc at 1 mm/s replaces the 1 mm truncated from each."""
+    monkeypatch.setattr(
+        trajectory, "segment_time", lambda length, v_max, accel, v_in, v_out: length / v_max
+    )
+    blend = BlendGeometry(
+        angle=math.pi / 2, radius=2.0 / (math.pi / 2), arc_length=2.0, v_blend=1.0, truncation=1.0
+    )
+    speeds, blends, _ = solve_corners([12.0, 12.0], [1.0, 1.0], [1e3, 1e3], [None, blend, None])
+    assert blends[1] is blend and speeds[1] == 1.0
 
 
 def _losing_run(lengths, v, a, corners):

@@ -47,13 +47,12 @@ from skillbench.wire import (
     encode_plan,
     encode_record,
     explode_plan,
-    f32,
     pack_command_frame,
     pack_feedback_frame,
     slot_for_record,
     slot_image,
 )
-from stream_harness import random_motions
+from stream_harness import f32, random_motions
 
 DATA = Path(__file__).parent / "data"
 
@@ -935,7 +934,7 @@ def test_golden_frames_unchanged():
 
     plans = build_plans(SETUP_A)
     plc = PlcSkillInstance()
-    plc.start_skill(plans[1])
+    plc.start_images(encode_plan(plans[1].motions))
     cmd_line, fb_line = _fixture_lines("golden_frames.hex")
     assert plc.image.hex() == cmd_line
     fb = FeedbackFrame(

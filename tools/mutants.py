@@ -1,0 +1,305 @@
+#!/usr/bin/env python3
+"""A mutation ledger: which deliberate faults of the program tier-1 catches.
+
+Each mutant in ``MUTANTS`` names a file under ``src/skillbench``, a text
+that occurs in it exactly once, the text that replaces it and the rule the
+replacement breaks.  For each mutant the script copies the repository to a
+temporary directory, applies the mutant there and runs the tier-1 suite
+with ``-x`` and a timeout, two mutants at a time.  The suite failing kills
+the mutant, passing lets it survive, and outlasting the timeout times it
+out.  A mutant whose text does not occur exactly once is recorded as
+absent and not run.  The working tree is only read.
+
+    python3 tools/mutants.py --out LEDGER.json [--repo PATH] [--only NAME ...]
+
+``--repo`` defaults to the repository holding this script, so the same
+list can be run against another checkout, such as the parent commit;
+``--only`` re-runs the named mutants, say after a test meant to kill one.
+The ledger lists each mutant with its outcome, the first failing test
+and the seconds the suite took, then the kill ratio over the mutants run.
+Standard library only; not part of tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+JOBS = 2  # the suite is single-threaded; more would oversubscribe two cores
+TIMEOUT_S = 600  # tier-1 takes about 25 s unmutated
+TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+SKIP = {".git", "__pycache__", ".hypothesis", ".pytest_cache"}
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/skillbench
+    text: str
+    replacement: str
+    rule: str
+
+
+MUTANTS = (
+    Mutant(
+        "plan-image-f32-fallback",
+        "wire.py",
+        "if image is None or _F32_TOP in image or _F32_BOTTOM in image:",
+        "if image is None:",
+        "a scalar that struct rounds onto the largest f32 still meets the f32 range check",
+    ),
+    Mutant(
+        "f32-bound",
+        "wire.py",
+        "if not _F32_LOWEST <= v <= _F32_MAX:",
+        "if not _F32_LOWEST <= v <= 3.5e38:",
+        "the f32 limit is exactly 3.4028235e38",
+    ),
+    Mutant(
+        "record-seq-wrap",
+        "wire.py",
+        "flags, seq & 0xFFFF,",
+        "flags, seq,",
+        "record_seq is the record index modulo 65536",
+    ),
+    Mutant(
+        "joint-flag",
+        "wire.py",
+        "_FLAG_JOINT if mtype is _PTP_JOINT else 0",
+        "0",
+        "a PTP_JOINT record carries the joint flag",
+    ),
+    Mutant(
+        "continuation-flag",
+        "wire.py",
+        "(mtype, _FLAG_CONTINUATION, seq",
+        "(mtype, 0, seq",
+        "a circular motion's auxiliary record carries the continuation flag",
+    ),
+    Mutant(
+        "aux-before-target",
+        "wire.py",
+        """        if mtype is _CIRCULAR:
+            seq += 1
+            values += (mtype, _FLAG_CONTINUATION, seq & 0xFFFF, *m.aux_point, 0.0, 0.0, 0.0)
+            values += (*tail, 0)
+        seq += 1
+        flags = _FLAG_JOINT if mtype is _PTP_JOINT else 0
+        values += (mtype, flags, seq & 0xFFFF, *m.target.components(), *tail, m.force_setpoint)
+""",
+        """        seq += 1
+        flags = _FLAG_JOINT if mtype is _PTP_JOINT else 0
+        values += (mtype, flags, seq & 0xFFFF, *m.target.components(), *tail, m.force_setpoint)
+        if mtype is _CIRCULAR:
+            seq += 1
+            values += (mtype, _FLAG_CONTINUATION, seq & 0xFFFF, *m.aux_point, 0.0, 0.0, 0.0)
+            values += (*tail, 0)
+""",
+        "a circular motion's auxiliary record comes before its target",
+    ),
+    Mutant(
+        "first-culprit",
+        "wire.py",
+        "        image = b\"\".join(_pack_record(",
+        "        for i in range(0, len(values), 15):\n"
+        "            _check_f32(values[i + 3 : i + 12], \"scalar\")\n"
+        "        image = b\"\".join(_pack_record(",
+        "an unencodable plan names its first bad field, record by record",
+    ),
+    Mutant(
+        "explode-continuation",
+        "wire.py",
+        "continuation=flags == _FLAG_CONTINUATION,",
+        "continuation=False,",
+        "explode_plan gives the records the wire delivers, continuation flag included",
+    ),
+    Mutant(
+        "feedback-regression",
+        "plc_trigger.py",
+        "if cur < self._last_cur:",
+        "if cur < self._last_cur - 1:",
+        "curExec never goes back, not even by one record",
+    ),
+    Mutant(
+        "refill-window",
+        "plc_trigger.py",
+        "target = cur + SLOT_COUNT - 1",
+        "target = cur + SLOT_COUNT - 2",
+        "the PLC keeps loadedThrough = curExec + 4",
+    ),
+    Mutant(
+        "frame-seq-wrap",
+        "plc_trigger.py",
+        "self._frame_seq = (self._frame_seq + 1) & 0xFFFF",
+        "self._frame_seq = self._frame_seq + 1",
+        "frame_seq counts modulo 65536",
+    ),
+    Mutant(
+        "last-exact-stop",
+        "robot_executor.py",
+        "while stop > 0 and speeds[stop] != 0.0:",
+        "while stop > 1 and speeds[stop] != 0.0:",
+        "a growing window keeps the plan only up to its last exact stop",
+    ),
+    Mutant(
+        "starvation-limit",
+        "robot_executor.py",
+        "if self._hungry >= self._starvation_limit:",
+        "if self._hungry > self._starvation_limit:",
+        "the robot faults at the starvation limit, not one cycle after it",
+    ),
+    Mutant(
+        "us-rounding",
+        "robot_executor.py",
+        "math.ceil(seconds * 1e6 - 1e-12)",
+        "math.ceil(seconds * 1e6)",
+        "a duration rounds up to whole µs, forgiving float noise",
+    ),
+    Mutant(
+        "bus-at-or-after-plc-publish",
+        "fieldbus_sim.py",
+        "due = t + (phase_bus - t) % bus_cycle",
+        "due = t + 1 + (phase_bus - t - 1) % bus_cycle",
+        "the bus runs at the first bus grid point at or after a PLC publish",
+    ),
+    Mutant(
+        "bus-strictly-after-robot-publish",
+        "fieldbus_sim.py",
+        "due = t + 1 + (phase_bus - t - 1) % bus_cycle",
+        "due = t + (phase_bus - t) % bus_cycle",
+        "the bus runs at the first bus grid point strictly after a robot publish",
+    ),
+    Mutant(
+        "plc-strictly-after-feedback",
+        "fieldbus_sim.py",
+        "due = t + 1 + (phase_plc - t - 1) % plc_cycle",
+        "due = t + (phase_plc - t) % plc_cycle",
+        "the PLC runs at the first PLC grid point strictly after a feedback delivery",
+    ),
+    Mutant(
+        "robot-at-or-after-command",
+        "fieldbus_sim.py",
+        "due = t + (phase_robot - t) % robot_cycle",
+        "due = t + 1 + (phase_robot - t - 1) % robot_cycle",
+        "the robot runs at the first robot grid point at or after a command delivery",
+    ),
+    Mutant(
+        "corner-leg-rule",
+        "trajectory.py",
+        ">= 2.0 * approx",
+        ">= 1.9 * approx",
+        "a corner blends only when both legs are at least twice the approx distance",
+    ),
+    Mutant(
+        "reversal-threshold",
+        "trajectory.py",
+        "and angle < math.pi - _REVERSAL_EPS",
+        "and angle < math.pi",
+        "a corner within 1e-9 rad of a reversal stops",
+    ),
+    Mutant(
+        "degrade-keep",
+        "trajectory.py",
+        "if with_arc > with_stop:",
+        "if with_arc >= with_stop:",
+        "a blend that ties an exact stop is kept",
+    ),
+)
+
+
+def _ignore(directory, names):
+    """Caches, VCS data and benchmark output stay out of the copy."""
+    skip = [n for n in names if n in SKIP]
+    if Path(directory).name == "perfbench" and "out" in names:
+        skip.append("out")
+    return skip
+
+
+def first_failure(output: str) -> str | None:
+    """The first ``FAILED`` or ``ERROR`` line of pytest's short summary."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ", 1)[0]
+    return None
+
+
+def run_mutant(repo: Path, mutant: Mutant) -> dict:
+    entry = {"name": mutant.name, "path": mutant.path, "rule": mutant.rule}
+    source = (repo / "src" / "skillbench" / mutant.path).read_text()
+    if source.count(mutant.text) != 1:
+        return {**entry, "status": "absent"}
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(repo, copy, ignore=_ignore)
+        target = copy / "src" / "skillbench" / mutant.path
+        target.write_text(source.replace(mutant.text, mutant.replacement))
+        env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
+        t0 = time.perf_counter()
+        # a session of its own, so a timeout ends the suite's children too
+        proc = subprocess.Popen(
+            (sys.executable, *TIER1),
+            cwd=copy,
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            output, _ = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return {**entry, "status": "timeout", "seconds": round(time.perf_counter() - t0, 1)}
+    seconds = round(time.perf_counter() - t0, 1)
+    if proc.returncode == 0:
+        return {**entry, "status": "survived", "seconds": seconds}
+    return {
+        **entry,
+        "status": "killed",
+        "first_failure": first_failure(output),
+        "seconds": seconds,
+    }
+
+
+def main(argv=None) -> int:
+    here = Path(__file__).resolve().parents[1]
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--repo", type=Path, default=here, help="repository to mutate (read only)")
+    p.add_argument("--out", type=Path, required=True, help="ledger to write")
+    p.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutants")
+    args = p.parse_args(argv)
+    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
+    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
+    if unknown:
+        p.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    repo = args.repo.resolve()
+    with ThreadPoolExecutor(max_workers=JOBS) as pool:
+        entries = list(pool.map(lambda m: run_mutant(repo, m), mutants))
+    ran = [e for e in entries if e["status"] != "absent"]
+    killed = sum(e["status"] == "killed" for e in ran)
+    ledger = {
+        "mutants": entries,
+        "run": len(ran),
+        "killed": killed,
+        "kill_ratio": round(killed / len(ran), 3) if ran else None,
+    }
+    args.out.write_text(json.dumps(ledger, indent=1) + "\n")
+    for e in entries:
+        where = e.get("first_failure") or ""
+        print(f"{e['status']:<9} {e.get('seconds', ''):>6} {e['name']:<34} {where}")
+    print(f"killed {killed} of {len(ran)} mutants run")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
