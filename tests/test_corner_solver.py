@@ -11,6 +11,7 @@ Two more tests pin what the rewrites bought: the number of segment
 timings of one native program, and linear scaling of the run fallback.
 """
 
+import hashlib
 import linecache
 import math
 import random
@@ -295,6 +296,33 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
     assert seen["streamed", "entered_moving"] > 0
     for kind in ("reused", "timed"):
         assert seen["streamed", kind] > 0 and seen["benchmark", kind] > 0, seen
+
+
+# SHA-256 prefixes of the executed ``dur_us`` lists: the ``perfbench``
+# fingerprints of ``native_long`` and ``stream`` do not see the timing model
+DURATIONS_SHA = {
+    ("native", 0): "0bdab6b442c1b395",
+    ("native", 1): "a0dbeba81252f002",
+    ("native", 2): "03c8964c12258bc0",
+    ("streamed", 0): "42d64ee66a3c615e",
+    ("streamed", 1): "82312ab177a385d6",
+    ("streamed", 2): "518b346a6d01117a",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(DURATIONS_SHA))
+def test_the_executed_durations_are_pinned(kind, seed):
+    """Stored 200-motion LIN programs and streamed 120-record skills
+    execute the pinned durations: a change to how the solver or the engine
+    works that keeps the timing model keeps them."""
+    if kind == "native":
+        executor = native_baseline([lin_program(random.Random(seed), 200)])
+    else:
+        plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed), 120)))
+        executor = RobotExecutor(capture=True)
+        run(ContinuousMotionProgram([plan]), executor)
+    durations = [dur_us for *_, dur_us in executor.executed]
+    assert hashlib.sha256(repr(durations).encode()).hexdigest()[:16] == DURATIONS_SHA[kind, seed]
 
 
 # --- cost ------------------------------------------------------------------------
