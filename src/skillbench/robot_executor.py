@@ -15,8 +15,8 @@ ERROR code 1 on an image that does not decode.  They share one command
 handler and one cycle: START, ABORT and IDLE mean the same on both, and
 each executor supplies only how a START word loads its records (the newly
 loaded slots of the image, or the stored program).  Either way the records
-reach the engine through one ``_MotionEngine.ingest``, which joins each
-continuation record with the target record that completes it into one
+reach the engine in one ``_MotionEngine.ingest`` call per load, which joins
+each continuation record with the target record that completes it into one
 physical motion.
 
 The engine keeps time by the ``t_us`` its ticks carry, which is the
@@ -94,7 +94,7 @@ _IDLE_FEEDBACK_FIELDS = (_IDLE, 0, 0, 0, (0.0,) * 6)
 class _MotionEngine:
     """Execution on the robot's clock over a growing list of physical motions.
 
-    Wire records arrive one by one through ``ingest``; each physical motion
+    Wire records arrive in runs through ``ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
     the one carrying the target and the dynamics.  The entry speed and entry
     truncation of the next motion are whatever the previous motion
@@ -138,58 +138,63 @@ class _MotionEngine:
         self.total_records = total_records
         self.completed_records = 0
 
-    def ingest(self, rec: MotionRecord, idx: int):
-        """Add wire record ``idx`` (1-based) of the skill.  A continuation
-        record waits for the target record that completes it, and the pair
-        is one physical motion.  Raises MalformedContinuation when the next
-        record does not complete a continuation, or the skill ends on one,
-        and MalformedRecord when its velocity or acceleration is not
-        positive or its approx distance is negative."""
-        if not (rec.velocity > 0.0 and rec.acceleration > 0.0 and rec.approx_distance >= 0.0):
-            raise MalformedRecord(f"record {idx}: dynamics out of range")
-        aux = self._pending
-        if aux is not None:
-            if rec.continuation or rec.motion_type is not aux.motion_type:
-                raise MalformedContinuation("continuation without matching target")
-            self._pending = None
-        elif rec.continuation:
-            if idx == self.total_records:
-                raise MalformedContinuation("skill ends on a continuation record")
-            self._pending = rec
-            return
-        length = 0.0
-        if not rec.joint_target:
-            plan = self._plan
-            if plan is not None and plan[1] == len(self._motions):
-                # the window grows; corners up to the last stop before its
-                # end are decoupled from the new ones and keep their plan
-                first, _end, speeds, blends, straight = plan
-                stop = len(speeds) - 2
-                while stop > 0 and speeds[stop] != 0.0:
-                    stop -= 1
-                self._plan = (first, first + stop, speeds, blends, straight) if stop else None
-            # the legs run p -> q, or p -> aux point -> q for a circular pair
-            approach = self._approach
-            p = self.pose[:3] if approach is None else approach[1]
-            q = rec.target[:3]
-            if aux is None:
-                first_end, last_start = q, p
-                length = math.dist(p, q)
-            else:
-                first_end = last_start = aux.target[:3]
-                length = math.dist(p, first_end) + math.dist(first_end, q)
-            am = self._motions[-1][0] if self._motions else None
-            if am is not None and not am.joint_target:
-                self._corners[-1] = corner_blend(
-                    *approach, first_end, am.approx_distance, self._lengths[-1], length,
-                    am.velocity, rec.velocity, am.acceleration, rec.acceleration,
-                )
-            self._approach = (last_start, q)
-        self._motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
-        self._lengths.append(length)
-        self._vmaxes.append(rec.velocity)
-        self._accels.append(rec.acceleration)
-        self._corners.append(None)
+    def ingest(self, records, first_idx: int):
+        """Add ``records``, wire records ``first_idx`` (1-based) on of the
+        skill.  A continuation record waits for the target record that
+        completes it, and the pair is one physical motion.  Raises
+        MalformedContinuation when the next record does not complete a
+        continuation, or the skill ends on one, and MalformedRecord when a
+        record's velocity or acceleration is not positive or its approx
+        distance is negative."""
+        motions, lengths, corners = self._motions, self._lengths, self._corners
+        vmaxes, accels = self._vmaxes, self._accels
+        aux, approach, plan = self._pending, self._approach, self._plan
+        am = motions[-1][0] if motions else None  # the last motion's record
+        for idx, rec in enumerate(records, first_idx):
+            v, a = rec.velocity, rec.acceleration
+            if not (v > 0.0 and a > 0.0 and rec.approx_distance >= 0.0):
+                raise MalformedRecord(f"record {idx}: dynamics out of range")
+            if aux is not None:
+                if rec.continuation or rec.motion_type is not aux.motion_type:
+                    raise MalformedContinuation("continuation without matching target")
+            elif rec.continuation:
+                if idx == self.total_records:
+                    raise MalformedContinuation("skill ends on a continuation record")
+                aux = rec
+                continue
+            length = 0.0
+            if not rec.joint_target:
+                if plan is not None and plan[1] == len(motions):
+                    # the window grows; corners up to the last stop before its end
+                    # are decoupled from the new ones and keep their plan
+                    first, _end, speeds, blends, straight = plan
+                    stop = len(speeds) - 2
+                    while stop > 0 and speeds[stop] != 0.0:
+                        stop -= 1
+                    self._plan = (first, first + stop, speeds, blends, straight) if stop else None
+                # the legs run p -> q, or p -> aux point -> q for a circular pair
+                p = self.pose[:3] if approach is None else approach[1]
+                q = rec.target[:3]
+                if aux is None:
+                    first_end, last_start = q, p
+                    length = math.dist(p, q)
+                else:
+                    first_end = last_start = aux.target[:3]
+                    length = math.dist(p, first_end) + math.dist(first_end, q)
+                if am is not None and not am.joint_target:
+                    corners[-1] = corner_blend(
+                        approach[0], p, first_end, am.approx_distance, lengths[-1], length,
+                        am.velocity, v, am.acceleration, a,
+                    )
+                approach = (last_start, q)
+            motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
+            lengths.append(length)
+            vmaxes.append(v)
+            accels.append(a)
+            corners.append(None)
+            am = rec
+            aux = None
+        self._pending, self._approach = aux, approach
 
     def discard_motion(self):
         self._active = None
@@ -466,13 +471,15 @@ class RobotExecutor(_CyclicExecutor):
             raise DecodeError(f"totalNo changed mid-skill: {self._total} -> {header.total_no}")
         elif loaded < self._known:
             raise DecodeError(f"loadedThrough regressed: {self._known} -> {loaded}")
+        records = []
         for idx in range(self._known + 1, loaded + 1):
             rec = decode_record(slot_image(data, idx))
             if rec.record_seq != idx % 0x10000:
                 raise DecodeError(
                     f"record {idx}: sequence {rec.record_seq}, expected {idx % 0x10000}"
                 )
-            self._engine.ingest(rec, idx)
+            records.append(rec)
+        self._engine.ingest(records, self._known + 1)
         self._known = loaded
 
 
@@ -520,5 +527,4 @@ class NativeExecutor(_CyclicExecutor):
         if fresh:
             self._engine.begin_skill(self._total)
             # one consecutive numbering across the plans
-            for idx, rec in enumerate(self._records, 1):
-                self._engine.ingest(rec, idx)
+            self._engine.ingest(self._records, 1)

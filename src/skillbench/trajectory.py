@@ -9,13 +9,14 @@ corner, traversed at constant speed.
 
 One timing model, one function per decision: ``corner_blend`` proposes the
 blend of one corner (or an exact stop), ``solve_corners`` fixes the corner
-speeds of a chain and which blends survive, and ``motion_time`` gives one
-motion's straight and arc seconds, each from the closed form
-``segment_time``.  The robot executor's motion engine makes these calls,
-so the timing the benchmark reports is this model's.  ``solve_corners``
-also returns the straight seconds of the segments its rounds timed at
-the final speeds; the engine uses them as they are and calls
-``motion_time`` only for the other motions, so each motion is timed once.
+speeds of a chain and which blends survive, re-solving after each degrade
+round only what its drops changed, and ``motion_time`` gives one motion's
+straight and arc seconds, each from the closed form ``segment_time``.  The
+robot executor's motion engine makes these calls, so the timing the
+benchmark reports is this model's.  ``solve_corners`` also returns the
+straight seconds of the segments its rounds timed at the final speeds; the
+engine uses them as they are and calls ``motion_time`` only for the other
+motions, so each motion is timed once.
 """
 
 from __future__ import annotations
@@ -231,11 +232,18 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
       single-corner test yet lose together); a run entered at a nonzero
       committed speed is exempt.
 
-    Each round does linear work.  It times each segment at most once, at
-    its current boundary speeds, and re-tests an arc only when an input of
-    its test changed since the arc last passed it: the effective lengths of
-    its two segments, or the speeds at its corner and at both neighbours.
-    A segment's timing carries into the next round unless its effective
+    Round 1 does linear work.  A later round redoes only what the blends
+    dropped before it changed: the effective lengths next to each dropped
+    corner, the forward pass from the first of them for as long as it
+    changes a speed past the last, the backward pass from the top of that
+    change for as long as it changes a speed below the first, and the
+    tests of the arcs within one corner of a changed speed or length (of
+    every arc after a round that found the entry speed stuck, which tests
+    none).  A round times each segment at most once, at its current
+    boundary speeds, and re-tests an arc only when an input of its test
+    changed since the arc last passed it: the effective lengths of its two
+    segments, or the speeds at its corner and at both neighbours.  A
+    segment's timing carries into the next round unless its effective
     length or a speed at either end changed.  The run fallback sweeps the
     arcs once across the zero-speed corners.
 
@@ -250,68 +258,83 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
     n = len(lengths)
     blends = list(blends)
     blends[0] = blends[n] = None
-    fallback_pending = True
-    # inputs of each arc's last passed single-corner test; a failed test
-    # drops the arc, so it is never asked again
-    passed = [None] * n
+    trunc = [0.0 if b is None else b.truncation for b in blends]
+    trunc[0] = entry_trunc
+    eff = [lengths[i] - trunc[i] - trunc[i + 1] for i in range(n)]
+    # the speeds each round leaves for the next, after the forward pass and
+    # after both; round 1's passes rewrite every interior corner
+    fwd = [entry_speed] + [0.0] * n
+    speeds = fwd[:]
     # seconds of segment i from speeds[i] to speeds[i + 1], timed on first
     # use and kept while eff[i] and both its speeds stay what they were
     seg = [None] * n
-    eff = speeds = None
+    # inputs of each arc's last passed single-corner test; a failed test
+    # drops the arc, so it is never asked again
+    passed = [None] * n
+    arcs = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
+    fallback_pending = True
+    test_all = True  # in round 1, and after a round whose entry was stuck
+    lo, hi = 1, n - 1  # the corners whose blends changed
     while True:
-        trunc = [0.0 if b is None else b.truncation for b in blends]
-        trunc[0] = entry_trunc
-        last_eff, last_speeds = eff, speeds
-        eff = [lengths[i] - trunc[i] - trunc[i + 1] for i in range(n)]
-        speeds = [0.0 if b is None else b.v_blend for b in blends]
-        speeds[0] = entry_speed
-        for i in range(1, n):  # forward reachability
-            if speeds[i] > 0.0:
-                cap = math.sqrt(speeds[i - 1] ** 2 + 2.0 * accels[i - 1] * eff[i - 1])
-                if cap < speeds[i]:
-                    speeds[i] = cap
-        for i in range(n - 1, 0, -1):  # backward deceleration
-            if speeds[i] > 0.0:
+        top = n - 1  # the last corner the forward pass changes, or later
+        for i in range(lo, n):  # forward reachability
+            b = blends[i]
+            v = 0.0 if b is None else b.v_blend
+            if v > 0.0:
+                cap = math.sqrt(fwd[i - 1] ** 2 + 2.0 * accels[i - 1] * eff[i - 1])
+                if cap < v:
+                    v = cap
+            if i > hi and v == fwd[i]:
+                top = i - 1
+                break
+            fwd[i] = v
+        for i in range(top, 0, -1):  # backward deceleration
+            v = fwd[i]
+            if v > 0.0:
                 cap = math.sqrt(speeds[i + 1] ** 2 + 2.0 * accels[i] * eff[i])
-                if cap < speeds[i]:
-                    speeds[i] = cap
+                if cap < v:
+                    v = cap
+            if v != speeds[i]:
+                speeds[i] = v
+                seg[i - 1] = seg[i] = None
+            elif i < lo:
+                break
+        else:
+            i = 0
 
         # the committed entry speed cannot be revised
         entry_stuck = entry_speed > 0.0 and n > 1 and (
             entry_speed**2 - speeds[1] ** 2 > 2.0 * accels[0] * eff[0] * (1.0 + 1e-12) + _FEAS_SLACK
         )
-        if last_eff is not None:
-            seg = [
-                t if t is not None and e == le and v0 == l0 and v1 == l1 else None
-                for t, e, le, v0, l0, v1, l1 in zip(
-                    seg, eff, last_eff, speeds, last_speeds, speeds[1:], last_speeds[1:]
-                )
-            ]
-        arcs = [i for i in range(1, n) if blends[i] is not None and blends[i].arc_length > 0.0]
+        # speeds changed only at corners i + 1 to top, and effective lengths
+        # only between corners i and top + 1, so no other arc has new inputs
         drop = []
-        for i in arcs:
-            b, v = blends[i], speeds[i]
+        for i in arcs if test_all else range(i, top + 2):
+            b = blends[i]
+            if b is None or not b.arc_length > 0.0:
+                continue
+            v = speeds[i]
             if v < _MIN_BLEND_SPEED:
                 drop.append(i)
                 continue
             if entry_stuck:
                 continue
-            inputs = (eff[i - 1], eff[i], speeds[i - 1], v, speeds[i + 1])
+            e_in, e_out, v_in, v_out = eff[i - 1], eff[i], speeds[i - 1], speeds[i + 1]
+            inputs = (e_in, e_out, v_in, v, v_out)
             if passed[i] == inputs:
                 continue
+            vmax_in, a_in, vmax_out, a_out = vmaxes[i - 1], accels[i - 1], vmaxes[i], accels[i]
             t_in = seg[i - 1]
             if t_in is None:
-                t_in = seg[i - 1] = segment_time(
-                    eff[i - 1], vmaxes[i - 1], accels[i - 1], speeds[i - 1], v
-                )
+                t_in = seg[i - 1] = segment_time(e_in, vmax_in, a_in, v_in, v)
             t_out = seg[i]
             if t_out is None:
-                t_out = seg[i] = segment_time(eff[i], vmaxes[i], accels[i], v, speeds[i + 1])
+                t_out = seg[i] = segment_time(e_out, vmax_out, a_out, v, v_out)
             with_arc = t_in + b.arc_length / v + t_out
             try:
                 with_stop = segment_time(
-                    eff[i - 1] + b.truncation, vmaxes[i - 1], accels[i - 1], speeds[i - 1], 0.0
-                ) + segment_time(eff[i] + b.truncation, vmaxes[i], accels[i], 0.0, speeds[i + 1])
+                    e_in + b.truncation, vmax_in, a_in, v_in, 0.0
+                ) + segment_time(e_out + b.truncation, vmax_out, a_out, 0.0, v_out)
             except InfeasibleBoundary:
                 # a neighbouring blend depends on carrying speed through
                 # this corner; stopping here is not a local option
@@ -324,6 +347,7 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
             drop = [i for i in range(n - 1, 0, -1) if blends[i] is not None][:1]
         elif arcs and not drop and fallback_pending:
             fallback_pending = False
+            arcs = [i for i in arcs if blends[i] is not None]
             start = 0 if entry_speed == 0.0 else -1
             j = 0  # arcs[:j] lie before the current run's end
             for end in range(1, n + 1):
@@ -353,3 +377,11 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
             return speeds, blends, seg
         for i in drop:
             blends[i] = None
+            trunc[i] = 0.0
+            for j in (i - 1, i):
+                e = lengths[j] - trunc[j] - trunc[j + 1]
+                if e != eff[j]:
+                    eff[j] = e
+                    seg[j] = None
+        lo, hi = drop[0], drop[-1]
+        test_all = entry_stuck

@@ -1,14 +1,17 @@
 """The corner-speed solver against its unedited quadratic predecessor.
 
 ``reference_solver.solve_corners`` is the solver before each degrade round
-did linear work.  On windows captured from native, streamed and benchmark
-runs, and on seeded chains built to reach every degrade path, the linear
-solver must return bit-identical speeds and the very same blend objects,
-or raise the same exception, and every straight time it hands back must
-be the closed form at the final speeds.  The motion engine takes those
-times: every executed duration must equal ``motion_time`` of its plan.
-Two more tests pin what the rewrites bought: the number of segment
-timings of one native program, and linear scaling of the run fallback.
+did linear work, and before a later round re-solved only what the round
+before it dropped.  On windows captured from native, streamed and
+benchmark runs, and on seeded chains built to reach every degrade path,
+the solver must return bit-identical speeds and the very same blend
+objects, or raise the same exception, and every straight time it hands
+back must be the closed form at the final speeds.  The motion engine
+takes those times: every executed duration must equal ``motion_time`` of
+its plan, and the durations of stored and streamed runs are pinned.
+Three more tests pin what the rewrites bought: the number of segment
+timings of one native program, linear scaling of the run fallback, and a
+later round whose square roots do not grow with the window.
 """
 
 import hashlib
@@ -199,10 +202,44 @@ def test_random_chains_match_the_reference_on_every_path():
 
 
 def test_losing_runs_match_the_reference():
-    """The seeded two-run window whose blends only the run fallback drops."""
+    """The seeded two-run window whose blends only the run fallback drops,
+    and each run entered at a committed speed, which exempts it from the
+    fallback: its blends stay."""
     (l1, v1, a1, b1), (l2, v2, a2, b2) = two_losing_runs()
     assert_matches_reference((l1, v1, a1, b1))
     assert_matches_reference((l1 + l2, v1 + v2, a1 + a2, b1[:-1] + b2))
+    for lengths, vmaxes, accels, blends in two_losing_runs():
+        for entry_speed in (1e-6, 0.1):
+            args = (lengths, vmaxes, accels, blends, entry_speed, 0.0)
+            assert_matches_reference(args)
+            assert solve_corners(*args)[1][1:-1] == blends[1:-1]
+
+
+def eaten_chain(rng: random.Random):
+    """``random_chain`` with one arc whose truncation eats a whole segment
+    beside an exact stop, so that the passes pin its corner to zero speed
+    and round 1 drops it: the next round must follow the drop on both
+    sides for as long as it changes a speed."""
+    lengths, vmaxes, accels, blends, *entry = random_chain(rng)
+    n = len(lengths)
+    d = rng.randint(1, n - 1)
+    eaten = rng.choice((d - 1, d))
+    far = eaten if eaten < d else d + 1  # the corner beyond the eaten segment
+    if 0 < far < n:
+        blends[far] = None
+    angle, accel = rng.uniform(0.1, 2.5), min(accels[d - 1], accels[d])
+    blends[d] = blend_geometry(angle, lengths[eaten], vmaxes[d - 1], vmaxes[d], accel)
+    return lengths, vmaxes, accels, blends, *entry
+
+
+def test_chains_with_an_eaten_segment_match_the_reference():
+    """3,000 seeded chains whose later rounds re-solve around a corner that
+    was already at zero speed: the forward pass must run one corner past
+    it, the backward pass one corner below it, and the round after a stuck
+    entry must test every arc."""
+    rng = random.Random(0xEA7)
+    for _ in range(3000):
+        assert_matches_reference(eaten_chain(rng))
 
 
 def test_an_arc_is_tested_again_when_only_its_next_speed_changed():
@@ -383,3 +420,47 @@ def test_run_fallback_scales_linearly():
     small, large = alternating_stop_chain(400), alternating_stop_chain(3200)
     assert solve_corners(*large)[1] == large[3]  # every arc survives one round
     assert best_of_3(large) / best_of_3(small) < 16
+
+
+def eaten_segment_chain(arcs: int, losing: bool):
+    """``arcs`` arcs that pass every test, and in the middle one more whose
+    truncation eats its next segment, before an exact stop: the backward
+    pass pins that corner to zero speed, so round 1 drops it.  Without
+    ``losing`` that corner is an exact stop from the start."""
+    n = arcs + 3
+    m = n // 2
+    blend = blend_geometry(0.6, 0.2, 4000.0, 4000.0, 4.0e6)
+    blends = [None] + [blend] * (n - 1) + [None]
+    blends[m + 1] = None
+    if not losing:
+        blends[m] = None
+    lengths = [2.0] * n
+    lengths[m] = blend.truncation
+    return lengths, [4000.0] * n, [4.0e6] * n, blends
+
+
+def test_a_later_round_costs_what_its_drop_changed(monkeypatch):
+    """The square roots a solve takes with the losing blend, less those it
+    takes with that blend already dropped, are as many on 3,200 arcs as on
+    400: the second round re-solves only the corners next to the drop.  A
+    solver that re-ran both passes over the window took two more roots per
+    corner."""
+    roots = Counter()
+    sqrt = math.sqrt
+
+    def counted(x):
+        roots["sqrt"] += 1
+        return sqrt(x)
+
+    monkeypatch.setattr(math, "sqrt", counted)
+    extra = []
+    for arcs in (400, 3200):
+        counts = []
+        kept = eaten_segment_chain(arcs, losing=False)[3]
+        for losing in (True, False):
+            roots.clear()
+            blends = solve_corners(*eaten_segment_chain(arcs, losing))[1]
+            counts.append(roots["sqrt"])
+            assert blends == kept and sum(b is not None for b in kept) == arcs
+        extra.append(counts[0] - counts[1])
+    assert extra[0] == extra[1], extra

@@ -483,6 +483,26 @@ class TestEventDriven:
         make, cfg = build_case(case)
         assert outcome(run, make, cfg, traces) == outcome(run_polled, make, cfg, traces)
 
+    def test_the_plc_runs_before_the_bus_at_a_tie(self):
+        # on 1 us grids the robot publishes a new feedback image at every
+        # point, the bus delivers it at the next and the PLC wakes one point
+        # later, when the bus is due with the next image: the PLC runs first
+        # and reads the image delivered before the tie
+        seen = []
+
+        class Program(_FixedImage):
+            def plc_tick(self, t_us, fb):
+                seen.append((t_us, fb.cur_exec))
+                return self.image
+
+        class Executor(_FixedImage):
+            def tick(self, t_us, cmd_bytes):
+                return wire.pack_feedback_frame(RobotState.RUNNING, 0, t_us + 1, 0, (0.0,) * 6)
+
+        with pytest.raises(SimTimeout):
+            run(Program(IDLE_COMMAND_BYTES), Executor(None), SimConfig(1, 1, 1, timeout_us=5))
+        assert seen == [(0, 0), (2, 1), (3, 2), (4, 3), (5, 4)]
+
     def test_cases_reach_timeouts_and_starvation_faults(self, traces):
         ends = [outcome(run, *build_case(case), traces)[:2] for case in range(N_CASES)]
         assert any(text.splitlines()[-1].split()[1:3] == ["sim", "timeout"] for text, _ in ends)

@@ -182,6 +182,17 @@ def test_blend_collinear_passthrough():
     assert g.v_blend == 80.0
 
 
+def test_a_corner_flatter_than_the_collinear_threshold_passes_through():
+    # a turn of 1e-10 rad needs no approx distance: corner_blend passes it
+    # through at the slower speed, as a straight corner; one of 2e-9 rad
+    # without an approx distance stops
+    legs = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (2.0, 1e-10, 0.0)]
+    g = corner_blend(*legs, 0.0, 1.0, 1.0, 100.0, 80.0, 2000.0, 2000.0)
+    assert (g.truncation, g.arc_length, g.v_blend) == (0.0, 0.0, 80.0)
+    legs[2] = (2.0, 2e-9, 0.0)
+    assert corner_blend(*legs, 0.0, 1.0, 1.0, 100.0, 80.0, 2000.0, 2000.0) is None
+
+
 def test_blend_zero_approx_is_exact_stop():
     g = blend_geometry(math.pi / 2, 0.0, 100.0, 100.0, 2000.0)
     assert g.v_blend == 0.0

@@ -213,6 +213,55 @@ MUTANTS = (
         "if with_arc >= with_stop:",
         "a blend that ties an exact stop is kept",
     ),
+    Mutant(
+        "collinear-threshold",
+        "trajectory.py",
+        "if angle > COLLINEAR_EPS and not (",
+        "if angle > 0.0 and not (",
+        "a corner flatter than COLLINEAR_EPS passes through without an approx distance",
+    ),
+    Mutant(
+        "fallback-moving-entry",
+        "trajectory.py",
+        "start = 0 if entry_speed == 0.0 else -1",
+        "start = 0",
+        "the run fallback exempts a run entered at a nonzero committed speed",
+    ),
+    Mutant(
+        "forward-span",
+        "trajectory.py",
+        "if i > hi and v == fwd[i]:",
+        "if i >= hi and v == fwd[i]:",
+        "a later round's forward pass runs one corner past the last dropped corner",
+    ),
+    Mutant(
+        "backward-span",
+        "trajectory.py",
+        "elif i < lo:",
+        "elif i <= lo:",
+        "a later round's backward pass runs one corner below the first dropped corner",
+    ),
+    Mutant(
+        "retest-span",
+        "trajectory.py",
+        "range(i, top + 2)",
+        "range(i, top + 1)",
+        "a later round re-tests the arcs within one corner of a changed speed",
+    ),
+    Mutant(
+        "retest-after-stuck",
+        "trajectory.py",
+        "test_all = entry_stuck",
+        "test_all = False",
+        "the round after one that found the entry speed stuck re-tests every arc",
+    ),
+    Mutant(
+        "plc-before-bus",
+        "fieldbus_sim.py",
+        "        if plc_due == t:\n",
+        "        if plc_due == t and bus_due != t:\n",
+        "at a tie the PLC runs before the bus",
+    ),
 )
 
 
