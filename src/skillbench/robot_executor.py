@@ -30,13 +30,16 @@ records visible at that moment and are never revised afterwards: when the
 successor record has not arrived yet, the motion plans a full stop (a
 starvation fallback), even if the record shows up before the motion ends.
 Timing comes from ``trajectory``: ``corner_blend`` at ingest, and
-``solve_corners`` over the visible Cartesian window, which also hands
-over the straight seconds of each segment it timed.  A motion's duration
-is those seconds plus its exit arc's, or ``motion_time`` where the solver
-did not time its segment.  A plan's blend decisions are final.  Later
-activations reuse the plan until a record arrives that extends the
-window past its last exact stop, so a stored program is planned once per
-Cartesian run.
+``solve_corners`` over the visible Cartesian window up to its first exact
+stop, which also hands over the straight seconds of each segment it
+timed.  Nothing after an exact stop can change a speed or a blend before
+it, so a motion that ends at one and starts a window needs no solve.  A
+motion's duration is those seconds plus its exit arc's, or
+``motion_time`` where the solver did not time its segment.  A plan's
+blend decisions are final.  Later activations reuse the plan until a
+record arrives whose corner blends onto the plan's end; the plan then
+keeps only the corners up to its last exact stop.  So a stored program is
+planned once per run of blended corners.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -100,13 +103,17 @@ class _MotionEngine:
     truncation of the next motion are whatever the previous motion
     committed as its exit; both start at zero for a fresh skill.  Each
     ingested motion adds its path length, velocity and acceleration and
-    the ``corner_blend`` of the corner it closes; an activation outside the
-    stored plan solves the visible Cartesian window with ``solve_corners``,
-    and a blend dropped there stays dropped.  Each activation takes its
-    motion's straight seconds from the plan, adds the exit arc's seconds
-    (or calls ``motion_time`` where the solve left the straight untimed),
-    rounds the sum up to whole µs and stores when it ends;
-    ``advance(t_us)`` completes it at the first tick at or after that end.
+    the ``corner_blend`` of the corner it closes.  An activation outside
+    the stored plan solves the visible Cartesian window up to its first
+    exact stop with ``solve_corners``, and a blend dropped there stays
+    dropped; one whose motion ends at an exact stop solves nothing.  A
+    record whose corner blends onto the plan's end cuts the plan back to
+    its last exact stop; one whose corner stops leaves the plan whole.
+    Each activation takes its motion's straight seconds from the plan, adds
+    the exit arc's seconds (or calls ``motion_time`` where the solve left
+    the straight untimed, or no plan covers the motion), rounds the sum up
+    to whole µs and stores when it ends; ``advance(t_us)`` completes it at
+    the first tick at or after that end.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
     engine's lifetime).  A completed motion's target tuple becomes the pose
@@ -164,14 +171,6 @@ class _MotionEngine:
                 continue
             length = 0.0
             if not rec.joint_target:
-                if plan is not None and plan[1] == len(motions):
-                    # the window grows; corners up to the last stop before its end
-                    # are decoupled from the new ones and keep their plan
-                    first, _end, speeds, blends, straight = plan
-                    stop = len(speeds) - 2
-                    while stop > 0 and speeds[stop] != 0.0:
-                        stop -= 1
-                    self._plan = (first, first + stop, speeds, blends, straight) if stop else None
                 # the legs run p -> q, or p -> aux point -> q for a circular pair
                 p = self.pose[:3] if approach is None else approach[1]
                 q = rec.target[:3]
@@ -186,6 +185,15 @@ class _MotionEngine:
                         approach[0], p, first_end, am.approx_distance, lengths[-1], length,
                         am.velocity, v, am.acceleration, a,
                     )
+                    if corners[-1] is not None and plan is not None and plan[1] == len(motions):
+                        # the window grows past the plan's end; corners up to
+                        # its last stop are decoupled from the new ones and
+                        # keep their plan
+                        speeds = plan[2]
+                        stop = len(speeds) - 2
+                        while stop > 0 and speeds[stop] != 0.0:
+                            stop -= 1
+                        self._plan = (plan[0], plan[0] + stop, *plan[2:]) if stop else None
                 approach = (last_start, q)
             motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
             lengths.append(length)
@@ -230,28 +238,39 @@ class _MotionEngine:
             if k + 1 == len(motions) and idx + n <= self.total_records:
                 # successor exists but has not arrived: commit an exact stop
                 self.fallback_stops += 1
-            if self._plan is None or not self._plan[0] <= k < self._plan[1]:
-                # plan the visible Cartesian window from here on
+            plan = self._plan
+            if plan is not None and plan[0] <= k < plan[1]:
+                first, _end, speeds, blends, straight = plan
+                j = k - first
+                exit_speed = speeds[j + 1]
+                b = blends[j + 1]
+                seconds = straight[j]
+            elif self._corners[k] is None:
+                # an exact stop ends the window at this motion: nothing to solve
+                exit_speed = 0.0
+                b = seconds = None
+            else:
+                # plan the visible Cartesian window up to its first exact
+                # stop, which decouples it from the corners after it
+                corners = self._corners
                 end = k + 1
-                while end < len(motions) and not motions[end][0].joint_target:
+                while end < len(motions) and corners[end - 1] is not None:
                     end += 1
                 speeds, blends, straight = solve_corners(
                     self._lengths[k:end],
                     self._vmaxes[k:end],
                     self._accels[k:end],
-                    [None, *self._corners[k : end - 1], None],
+                    [None, *corners[k : end - 1], None],
                     self._entry_speed,
                     self._entry_trunc,
                 )
                 # a later solve must not revive a blend dropped here:
                 # dropping only newer corners then restores this plan
-                self._corners[k : end - 1] = blends[1:-1]
+                corners[k : end - 1] = blends[1:-1]
                 self._plan = (k, end, speeds, blends, straight)
-            first, _end, speeds, blends, straight = self._plan
-            j = k - first
-            exit_speed = speeds[j + 1]
-            b = blends[j + 1]
-            seconds = straight[j]
+                exit_speed = speeds[1]
+                b = blends[1]
+                seconds = straight[0]
             if seconds is None:
                 # no round of the solve timed this segment at these speeds
                 s, arc = motion_time(

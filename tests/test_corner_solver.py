@@ -8,10 +8,13 @@ the solver must return bit-identical speeds and the very same blend
 objects, or raise the same exception, and every straight time it hands
 back must be the closed form at the final speeds.  The motion engine
 takes those times: every executed duration must equal ``motion_time`` of
-its plan, and the durations of stored and streamed runs are pinned.
-Three more tests pin what the rewrites bought: the number of segment
-timings of one native program, linear scaling of the run fallback, and a
-later round whose square roots do not grow with the window.
+its plan, or of an exact stop where no plan covers the motion, and the
+durations of stored and streamed runs are pinned, with the two streamed
+runs whose blend past an exact stop an earlier window dropped.  Four more
+tests pin what the rewrites bought: windows that end at their first exact
+stop, the number of segment timings of one native program, linear scaling
+of the run fallback, and a later round whose square roots do not grow
+with the window.
 """
 
 import hashlib
@@ -27,7 +30,7 @@ import pytest
 from skillbench import robot_executor, trajectory
 from skillbench.bench import SETUP_A, SETUP_B, run_benchmark
 from skillbench.core import ContinuousSkillPlan, ExecutionType, MotionCommand, MotionType, Pose
-from skillbench.fieldbus_sim import run
+from skillbench.fieldbus_sim import SimConfig, run
 from skillbench.plc_trigger import ContinuousMotionProgram
 from skillbench.robot_executor import RobotExecutor
 from skillbench.trajectory import InfeasibleBoundary, blend_geometry, solve_corners
@@ -122,8 +125,10 @@ def test_native_windows_match_the_reference(solve_calls):
 
 def test_streamed_windows_match_the_reference(solve_calls):
     """Windows of skills streamed through the five-slot window, entered at
-    the speeds and truncations the previous plan committed."""
-    for seed in range(4):
+    the speeds and truncations the previous plan committed.  A window ends
+    at its first exact stop, so few are entered moving: twelve skills give
+    25 such windows."""
+    for seed in range(12):
         plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed), 120)))
         run(ContinuousMotionProgram([plan]), RobotExecutor())
     assert sum(args[4] > 0.0 for args in solve_calls) > 20
@@ -133,7 +138,8 @@ def test_streamed_windows_match_the_reference(solve_calls):
 
 @pytest.mark.parametrize("cfg", [SETUP_A, SETUP_B], ids=["A", "B"])
 def test_benchmark_rc_windows_match_the_reference(solve_calls, cfg):
-    """The paper's stored RC programs, whose windows span several groups."""
+    """The paper's stored RC programs, one window per group: the exact
+    stop that ends a group ends its window."""
     run_benchmark(cfg, etypes=(ExecutionType.RC,), reps=1)
     assert solve_calls
     for args in solve_calls:
@@ -289,11 +295,14 @@ def test_overrun_chains_fail_as_the_reference_does():
 
 
 def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
-    """Native 200-motion programs, streamed skills whose windows open at a
-    committed speed, and both setups under RC, SM and CM: each executed
-    Cartesian motion lasts what ``motion_time`` gives at its plan's speeds
-    and blends, rounded up to whole µs, both where the engine took the
-    solver's straight seconds and where it timed the motion itself."""
+    """Native 200-motion programs, each followed by one more motion,
+    streamed skills whose windows open at a committed speed, and both
+    setups under RC, SM and CM: each executed Cartesian motion lasts what
+    ``motion_time`` gives at its plan's speeds and blends, rounded up to
+    whole µs, both where the engine took the solver's straight seconds and
+    where it timed the motion itself.  A motion that no plan covers ends at
+    an exact stop, and lasts what ``motion_time`` gives at exit speed zero
+    without a blend."""
     seen = Counter()  # (label, kind) of each checked activation
     label = None
     activate = robot_executor._MotionEngine._activate
@@ -305,25 +314,34 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
         rec = engine._motions[k][0]
         if rec.joint_target:
             return
-        first, _end, speeds, blends, straight = engine._plan
-        j = k - first
-        assert speeds[j] == v_in
+        plan = engine._plan
+        if plan is not None and plan[0] <= k < plan[1]:
+            first, _end, speeds, blends, straight = plan
+            j = k - first
+            assert speeds[j] == v_in
+            v_out, b = speeds[j + 1], blends[j + 1]
+            kind = "timed" if straight[j] is None else "reused"
+        else:
+            assert engine._corners[k] is None
+            v_out, b, kind = 0.0, None, "stop"
         seconds = sum(
             trajectory.motion_time(
                 engine._lengths[k], rec.velocity, rec.acceleration,
-                v_in, speeds[j + 1], trunc_in, blends[j + 1],
+                v_in, v_out, trunc_in, b,
             )
         )
         assert engine._active[1] == max(0, math.ceil(seconds * 1e6 - 1e-12))
-        seen[label, "timed" if straight[j] is None else "reused"] += 1
-        seen[label, "entered_moving"] += j == 0 and v_in > 0.0
+        assert engine._active[5] == v_out
+        seen[label, kind] += 1
+        seen[label, "entered_moving"] += kind != "stop" and j == 0 and v_in > 0.0
 
     monkeypatch.setattr(robot_executor._MotionEngine, "_activate", checked)
     label = "native"
     for seed in range(3):
-        native_baseline([lin_program(random.Random(seed), 200)])
+        # the one-motion group stops where it starts a window
+        native_baseline([lin_program(random.Random(seed), n) for n in (200, 1)])
     label = "streamed"
-    for seed in range(3):
+    for seed in range(15):  # seed 14 is the first whose plan leaves a straight untimed
         plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed), 120)))
         run(ContinuousMotionProgram([plan]), RobotExecutor())
     label = "benchmark"
@@ -331,8 +349,9 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
         run_benchmark(cfg, reps=2, seed=0)
     assert seen["native", "reused"] == 600
     assert seen["streamed", "entered_moving"] > 0
-    for kind in ("reused", "timed"):
-        assert seen["streamed", kind] > 0 and seen["benchmark", kind] > 0, seen
+    assert seen["streamed", "timed"] > 0 and seen["benchmark", "reused"] > 0, seen
+    for label in ("native", "streamed", "benchmark"):
+        assert seen[label, "reused"] > 0 and seen[label, "stop"] > 0, seen
 
 
 # SHA-256 prefixes of the executed ``dur_us`` lists: the ``perfbench``
@@ -362,7 +381,63 @@ def test_the_executed_durations_are_pinned(kind, seed):
     assert hashlib.sha256(repr(durations).encode()).hexdigest()[:16] == DURATIONS_SHA[kind, seed]
 
 
+# streamed runs in which the engine decides a blend past an exact stop at
+# the first activation after the stop, not at the one before it: (seed of
+# the skill and of the run, PLC/bus/robot cycles in ms, motion k, durations
+# of motions k and k + 1 in µs)
+DECIDED_AFTER_THE_STOP = [
+    (65, (10, 8, 12), 98, (1811, 1088)),  # dropped while an entry was stuck: 1709, 1276
+    (1200, (5, 5, 5), 61, (1510, 1404)),  # dropped by its own test: 1441, 1473
+]
+
+
+@pytest.mark.parametrize("seed, cycles_ms, k, durations", DECIDED_AFTER_THE_STOP)
+def test_a_blend_past_an_exact_stop_survives_an_earlier_window(seed, cycles_ms, k, durations):
+    """Motion k - 1 ends at an exact stop and k blends into k + 1.  An
+    activation before the stop once solved that blend too, from the
+    records then visible, and dropped it for good: in the first run while
+    it shed a committed entry speed it could not shed (the newest blend
+    goes first, and this one cannot change a speed before the stop), in the
+    second by the blend's own test against the fallback stop after motion
+    k + 1, whose successor had not arrived.  A window now ends at its first
+    exact stop, so the blend is decided by the activation of motion k from
+    the records visible then, and it stays."""
+    plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed * 7 + 120), 120)))
+    executor = RobotExecutor(capture=True)
+    plc_ms, bus_ms, robot_ms = cycles_ms
+    cfg = SimConfig(plc_ms * 1000, bus_ms * 1000, robot_ms * 1000, seed=seed)
+    run(ContinuousMotionProgram([plan]), executor, cfg)
+    engine = executor._engine
+    assert engine._corners[k - 1] is None and engine._corners[k] is not None
+    assert tuple(dur_us for *_, dur_us in executor.executed[k : k + 2]) == durations
+
+
 # --- cost ------------------------------------------------------------------------
+
+
+def test_windows_end_at_their_first_exact_stop(solve_calls):
+    """No window the engine solves holds an interior exact stop or opens
+    on a motion that ends at one: the corners after a stop cannot change
+    a speed or a blend before it, and a motion that stops needs no solve.
+    Streamed skills 0-3 make 80 solves (176 when each window ran to the
+    next joint motion), and the stored RC program of each setup one per
+    group (one for all three groups before)."""
+
+    def counted(run_all):
+        solve_calls.clear()
+        run_all()
+        for lengths, _vmaxes, _accels, blends, *_entry in solve_calls:
+            assert len(lengths) > 1 and None not in blends[1:-1]
+        return len(solve_calls)
+
+    def streamed():
+        for seed in range(4):
+            plan = ContinuousSkillPlan(tuple(random_motions(random.Random(seed), 120)))
+            run(ContinuousMotionProgram([plan]), RobotExecutor())
+
+    assert counted(streamed) == 80
+    for cfg in (SETUP_A, SETUP_B):
+        assert counted(lambda: run_benchmark(cfg, etypes=(ExecutionType.RC,), reps=1)) == 3
 
 
 def test_one_native_window_times_each_segment_once_per_round(solve_calls, monkeypatch):

@@ -151,6 +151,27 @@ MUTANTS = (
         "a growing window keeps the plan only up to its last exact stop",
     ),
     Mutant(
+        "window-past-stop",
+        "robot_executor.py",
+        "while end < len(motions) and corners[end - 1] is not None:",
+        "while end < len(motions) and not motions[end][0].joint_target:",
+        "a solved window ends at its first exact stop",
+    ),
+    Mutant(
+        "solve-a-stop",
+        "robot_executor.py",
+        "elif self._corners[k] is None:",
+        "elif False:",
+        "a motion outside the plan that ends at an exact stop needs no solve",
+    ),
+    Mutant(
+        "cut-plan-at-stop",
+        "robot_executor.py",
+        "if corners[-1] is not None and plan is not None and plan[1] == len(motions):",
+        "if plan is not None and plan[1] == len(motions):",
+        "a record whose corner stops leaves the plan before it whole",
+    ),
+    Mutant(
         "starvation-limit",
         "robot_executor.py",
         "if self._hungry >= self._starvation_limit:",
