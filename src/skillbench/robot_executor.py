@@ -1,6 +1,7 @@
 """Robot side of the skill protocol.
 
-Two executors share one motion engine and one cyclic task:
+Two executors share one robot task, which takes in records and executes
+them:
 
 * ``RobotExecutor`` consumes the cyclic 256-byte command image, validates
   and ingests records as the PLC streams them through the five slots, and
@@ -15,11 +16,11 @@ ERROR code 1 on an image that does not decode.  They share one command
 handler and one cycle: START, ABORT and IDLE mean the same on both, and
 each executor supplies only how a START word loads its records (the newly
 loaded slots of the image, or the stored program).  Either way the records
-reach the engine in one ``_MotionEngine.ingest`` call per load, which joins
-each continuation record with the target record that completes it into one
+reach the task in one ``_ingest`` call per load, which joins each
+continuation record with the target record that completes it into one
 physical motion.
 
-The engine keeps time by the ``t_us`` its ticks carry, which is the
+The task keeps time by the ``t_us`` its ticks carry, which is the
 co-simulation's clock; the executors hold no cycle length of their own.  A
 motion of duration d activated at the tick at t ends at t + d and
 completes at the first tick at or after that time, so the robot's tick
@@ -37,9 +38,10 @@ it, so a motion that ends at one and starts a window needs no solve.  A
 motion's duration is those seconds plus its exit arc's, or
 ``motion_time`` where the solver did not time its segment.  A plan's
 blend decisions are final.  Later activations reuse the plan until a
-record arrives whose corner blends onto the plan's end; the plan then
-keeps only the corners up to its last exact stop.  So a stored program is
-planned once per run of blended corners.
+record arrives whose corner blends onto the plan's end; the plan is then
+dropped whole, and the next activation solves again from the speed the
+active motion commits.  So a stored program is planned once per run of
+blended corners.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -94,40 +96,86 @@ _START, _ABORT, _IDLE_WORD = CommandWord.START, CommandWord.ABORT, CommandWord.I
 _IDLE_FEEDBACK_FIELDS = (_IDLE, 0, 0, 0, (0.0,) * 6)
 
 
-class _MotionEngine:
-    """Execution on the robot's clock over a growing list of physical motions.
+class _CyclicExecutor:
+    """The robot task of both executors: it takes in records and executes
+    them on the robot's clock.
 
-    Wire records arrive in runs through ``ingest``; each physical motion
+    ``tick`` applies a new command image (compared by object identity, so
+    an unchanged image costs nothing), runs one cycle and returns the
+    feedback image, encoding it only when one of its fields changed.  Only
+    the header of a new image is decoded, and one command handler applies
+    it for both executors; a subclass supplies only how a START word loads
+    its records, in ``_load(header, data, fresh)``: a new skill when
+    ``fresh``, else a changed image of the running one.  An image that
+    fails to decode, or that breaks the protocol there, faults the
+    executor: state ERROR with code 1, until an IDLE command word clears
+    it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
+    where a limit is set, faults it with code 2.
+
+    Wire records arrive in runs through ``_ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
     the one carrying the target and the dynamics.  The entry speed and entry
     truncation of the next motion are whatever the previous motion
     committed as its exit; both start at zero for a fresh skill.  Each
     ingested motion adds its path length, velocity and acceleration and
     the ``corner_blend`` of the corner it closes.  An activation outside
-    the stored plan solves the visible Cartesian window up to its first
+    the current plan solves the visible Cartesian window up to its first
     exact stop with ``solve_corners``, and a blend dropped there stays
-    dropped; one whose motion ends at an exact stop solves nothing.  A
-    record whose corner blends onto the plan's end cuts the plan back to
-    its last exact stop; one whose corner stops leaves the plan whole.
-    Each activation takes its motion's straight seconds from the plan, adds
-    the exit arc's seconds (or calls ``motion_time`` where the solve left
-    the straight untimed, or no plan covers the motion), rounds the sum up
-    to whole µs and stores when it ends; ``advance(t_us)`` completes it at
-    the first tick at or after that end.
+    dropped; one whose motion ends at an exact stop solves nothing.  A plan
+    is kept whole or dropped: a record whose corner blends onto the plan's
+    end drops it, one whose corner stops leaves it.  Each activation takes
+    its motion's straight seconds from the plan, adds the exit arc's
+    seconds (or calls ``motion_time`` where the solve left the straight
+    untimed, or no plan covers the motion), rounds the sum up to whole µs
+    and stores when it ends; ``_advance(t_us)`` completes it at the first
+    tick at or after that end, the tick ``next_wakeup`` asks for.
     ``fallback_stops`` counts activations that had to commit an exact stop
     because the successor record was not visible yet (cumulative over the
-    engine's lifetime).  A completed motion's target tuple becomes the pose
-    (or the joints) as it is, uncopied.  The joints start at zero.
+    executor's lifetime).  A completed motion's target tuple becomes the
+    pose (or the joints) as it is, uncopied.  The joints start at zero.
     """
 
-    def __init__(self, pose):
-        self.pose = tuple(float(v) for v in pose)
-        self.joints = (0.0,) * 6
-        self.fallback_stops = 0
-        self.captured: list | None = None  # (first_record, n_records, target, dur_us)
-        self.begin_skill(0)
+    _starvation_limit: int | None = None
 
-    def begin_skill(self, total_records: int):
+    def __init__(self, initial_pose, capture: bool):
+        self.pose = tuple(float(v) for v in initial_pose)
+        self._joints = (0.0,) * 6
+        self.fallback_stops = 0
+        # (first_record, n_records, target, dur_us) per completed motion
+        self._captured: list | None = [] if capture else None
+        self._last_tick_us = 0
+        self._state = _IDLE
+        self._error = 0
+        self._total = 0
+        self._acked = 0
+        self._hungry = 0
+        self._cmd_obj: bytes | None = None
+        self._fb_fields = _IDLE_FEEDBACK_FIELDS
+        self._fb_bytes = IDLE_FEEDBACK_BYTES
+        self._begin_skill()
+        # every later pose is a record target decoded off the wire, so a
+        # pose checked once here needs no check per image; an initial pose
+        # out of f32 range keeps the checking packer, which raises as
+        # ``encode_feedback_frame`` does
+        try:
+            _check_f32(self.pose, "pose component")
+            self._pack = _pack_feedback
+        except UnencodableValue:
+            self._pack = pack_feedback_frame
+
+    @property
+    def state(self) -> RobotState:
+        return self._state
+
+    @property
+    def executed(self) -> list:
+        """Captured (first_record, n_records, target, duration_us) tuples."""
+        if self._captured is None:
+            raise RuntimeError("executor built without capture=True")
+        return self._captured
+
+    def _begin_skill(self):
+        """Empty motion lists for a skill of ``_total`` records."""
         self._motions: list[tuple] = []  # (record, first_index, n_records)
         self._pending: MotionRecord | None = None  # continuation awaiting its target
         self._lengths: list[float] = []  # path length per motion, 0 for joint moves
@@ -142,10 +190,9 @@ class _MotionEngine:
         self._plan = None
         self._entry_speed = 0.0
         self._entry_trunc = 0.0
-        self.total_records = total_records
-        self.completed_records = 0
+        self._completed = 0  # records of the completed motions
 
-    def ingest(self, records, first_idx: int):
+    def _ingest(self, records, first_idx: int):
         """Add ``records``, wire records ``first_idx`` (1-based) on of the
         skill.  A continuation record waits for the target record that
         completes it, and the pair is one physical motion.  Raises
@@ -165,7 +212,7 @@ class _MotionEngine:
                 if rec.continuation or rec.motion_type is not aux.motion_type:
                     raise MalformedContinuation("continuation without matching target")
             elif rec.continuation:
-                if idx == self.total_records:
+                if idx == self._total:
                     raise MalformedContinuation("skill ends on a continuation record")
                 aux = rec
                 continue
@@ -186,14 +233,10 @@ class _MotionEngine:
                         am.velocity, v, am.acceleration, a,
                     )
                     if corners[-1] is not None and plan is not None and plan[1] == len(motions):
-                        # the window grows past the plan's end; corners up to
-                        # its last stop are decoupled from the new ones and
-                        # keep their plan
-                        speeds = plan[2]
-                        stop = len(speeds) - 2
-                        while stop > 0 and speeds[stop] != 0.0:
-                            stop -= 1
-                        self._plan = (plan[0], plan[0] + stop, *plan[2:]) if stop else None
+                        # the plan's last motion stopped at the window's end
+                        # and now blends on: the activation after the active
+                        # motion solves again from its committed exit
+                        self._plan = None
                 approach = (last_start, q)
             motions.append((rec, idx, 1) if aux is None else (rec, idx - 1, 2))
             lengths.append(length)
@@ -204,7 +247,7 @@ class _MotionEngine:
             aux = None
         self._pending, self._approach = aux, approach
 
-    def discard_motion(self):
+    def _discard_motion(self):
         self._active = None
         self._plan = None
         self._entry_speed = 0.0
@@ -213,14 +256,14 @@ class _MotionEngine:
     def _complete(self):
         _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
         self.pose = end_pose
-        self.joints = end_joints
-        self.completed_records += n
+        self._joints = end_joints
+        self._completed += n
         self._entry_speed = exit_speed
         self._entry_trunc = exit_trunc
         self._active = None
         self._next += 1
-        if self.captured is not None:
-            self.captured.append((first, n, rec.target, dur_us))
+        if self._captured is not None:
+            self._captured.append((first, n, rec.target, dur_us))
 
     def _activate(self, t_us: int):
         k = self._next
@@ -230,16 +273,18 @@ class _MotionEngine:
         if rec.joint_target:
             # corners never blend into or out of a joint motion, so the
             # committed entry speed here is always zero; the TCP pose is held
-            deltas = [t - c for t, c in zip(rec.target, self.joints)]
+            deltas = [t - c for t, c in zip(rec.target, self._joints)]
             seconds = ptp_time(deltas, rec.velocity, rec.acceleration)
             end_pose, end_joints = self.pose, rec.target
             exit_speed = exit_trunc = 0.0
         else:
-            if k + 1 == len(motions) and idx + n <= self.total_records:
+            if k + 1 == len(motions) and idx + n <= self._total:
                 # successor exists but has not arrived: commit an exact stop
                 self.fallback_stops += 1
             plan = self._plan
-            if plan is not None and plan[0] <= k < plan[1]:
+            # a plan starts at the motion whose activation made it, so it
+            # covers k when k is short of its end
+            if plan is not None and k < plan[1]:
                 first, _end, speeds, blends, straight = plan
                 j = k - first
                 exit_speed = speeds[j + 1]
@@ -281,18 +326,18 @@ class _MotionEngine:
             elif b is not None and b.arc_length > 0.0:
                 seconds += b.arc_length / exit_speed
             exit_trunc = b.truncation if b is not None else 0.0
-            end_pose, end_joints = rec.target, self.joints
+            end_pose, end_joints = rec.target, self._joints
+        # every timing term is non-negative, and so is dur_us
         dur_us = math.ceil(seconds * 1e6 - 1e-12)
-        if dur_us < 0:
-            dur_us = 0
         self._active = (
             t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc
         )
 
-    def advance(self, t_us: int) -> bool:
+    def _advance(self, t_us: int) -> bool:
         """The robot cycle at ``t_us``: completes the active motion if it
-        ended by then and activates the next ones.  False means starved:
-        nothing ran and the next record is missing."""
+        ended by then and activates the next ones.  False means nothing
+        ran: no motion is active or completed, as the next record is
+        missing or the skill is complete."""
         progressed = False
         if self._active is not None and self._active[0] <= t_us:
             self._complete()
@@ -304,88 +349,12 @@ class _MotionEngine:
                 progressed = True
             else:
                 break
-        return (
-            self._active is not None
-            or progressed
-            or self.completed_records >= self.total_records
-        )
-
-    @property
-    def end_us(self) -> int | None:
-        """When the active motion ends; None when no motion is active."""
-        return None if self._active is None else self._active[0]
-
-
-class _CyclicExecutor:
-    """The robot task around a motion engine, shared by both executors.
-
-    ``tick`` applies a new command image (compared by object identity, so
-    an unchanged image costs nothing), runs one cycle and returns the
-    feedback image, encoding it only when one of its fields changed.  Only
-    the header of a new image is decoded, and one command handler applies
-    it for both executors; a subclass supplies only how a START word loads
-    its records, in ``_load(header, data, fresh)``: a new skill when
-    ``fresh``, else a changed image of the running one.  An image that
-    fails to decode, or that breaks the protocol there, faults the
-    executor: state ERROR with code 1, until an IDLE command word clears
-    it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
-    where a limit is set, faults it with code 2.
-
-    The executor also tells the simulator when the next tick is due
-    (``next_wakeup``).  A tick left out before it, with an unchanged
-    command image, would change nothing: the active motion ends by the
-    clock, and a starved executor that counts towards a limit asks for
-    every robot cycle.
-    """
-
-    _starvation_limit: int | None = None
-
-    def __init__(self, initial_pose, capture: bool):
-        self._engine = _MotionEngine(initial_pose)
-        if capture:
-            self._engine.captured = []
-        self._last_tick_us = 0
-        self._state = _IDLE
-        self._error = 0
-        self._total = 0
-        self._acked = 0
-        self._hungry = 0
-        self._cmd_obj: bytes | None = None
-        self._fb_fields = _IDLE_FEEDBACK_FIELDS
-        self._fb_bytes = IDLE_FEEDBACK_BYTES
-        # every later pose is a record target decoded off the wire, so a
-        # pose checked once here needs no check per image; an initial pose
-        # out of f32 range keeps the checking packer, which raises as
-        # ``encode_feedback_frame`` does
-        try:
-            _check_f32(self._engine.pose, "pose component")
-            self._pack = _pack_feedback
-        except UnencodableValue:
-            self._pack = pack_feedback_frame
-
-    @property
-    def state(self) -> RobotState:
-        return self._state
-
-    @property
-    def pose(self) -> tuple:
-        return self._engine.pose
-
-    @property
-    def fallback_stops(self) -> int:
-        return self._engine.fallback_stops
-
-    @property
-    def executed(self) -> list:
-        """Captured (first_record, n_records, target, duration_us) tuples."""
-        if self._engine.captured is None:
-            raise RuntimeError("executor built without capture=True")
-        return self._engine.captured
+        return progressed or self._active is not None
 
     def _fail(self, code: int):
         self._state = _ERROR
         self._error = code
-        self._engine.discard_motion()
+        self._discard_motion()
 
     def _apply_frame(self, header: CommandHeader, data: bytes):
         # START goes straight to RUNNING, so LOADING is never published
@@ -400,7 +369,7 @@ class _CyclicExecutor:
                 self._load(header, data, False)
         elif st is _RUNNING or (st is _DONE and command is _ABORT):
             # aborted, or START withdrawn mid-skill: stop gracefully
-            self._engine.discard_motion()
+            self._discard_motion()
             self._state = _ABORTING
         elif command is _IDLE_WORD:
             # DONE, ERROR and ABORTING return to IDLE
@@ -416,10 +385,9 @@ class _CyclicExecutor:
                 self._apply_frame(decode_command_header(cmd_bytes), cmd_bytes)
             except WireError:
                 self._fail(ERROR_RECORD)
-        engine = self._engine
         if self._state is _RUNNING:
-            progressed = engine.advance(t_us)
-            if engine.completed_records >= engine.total_records:
+            progressed = self._advance(t_us)
+            if self._completed >= self._total:
                 self._state = _DONE
                 self._hungry = 0
             elif progressed:
@@ -430,14 +398,14 @@ class _CyclicExecutor:
                     self._fail(ERROR_STARVATION)
         st = self._state
         if st is _RUNNING or st is _DONE:
-            cur = engine.completed_records + 1
+            cur = self._completed + 1
             if self._total < cur:
                 cur = self._total
         elif st is _ERROR:
             cur = self._fb_fields[2]  # curExec as last reported
         else:
             cur = 0
-        fields = (st, self._error, cur, self._acked, engine.pose)
+        fields = (st, self._error, cur, self._acked, self.pose)
         if fields != self._fb_fields:
             # a pack that raises leaves the last published image and its
             # fields, so the next tick packs, and raises, again
@@ -453,9 +421,8 @@ class _CyclicExecutor:
         ERROR, ABORTING, or a starved executor without a limit)."""
         if self._state is not _RUNNING:
             return None
-        end = self._engine.end_us
-        if end is not None:
-            return end - self._last_tick_us
+        if self._active is not None:
+            return self._active[0] - self._last_tick_us
         return None if self._starvation_limit is None else 1
 
 
@@ -485,7 +452,7 @@ class RobotExecutor(_CyclicExecutor):
                 raise DecodeError(f"initial load of {loaded} exceeds the slot window")
             self._total = header.total_no
             self._known = 0
-            self._engine.begin_skill(header.total_no)
+            self._begin_skill()
         elif header.total_no != self._total:
             raise DecodeError(f"totalNo changed mid-skill: {self._total} -> {header.total_no}")
         elif loaded < self._known:
@@ -498,7 +465,7 @@ class RobotExecutor(_CyclicExecutor):
                     f"record {idx}: sequence {rec.record_seq}, expected {idx % 0x10000}"
                 )
             records.append(rec)
-        self._engine.ingest(records, self._known + 1)
+        self._ingest(records, self._known + 1)
         self._known = loaded
 
 
@@ -544,6 +511,6 @@ class NativeExecutor(_CyclicExecutor):
 
     def _load(self, header: CommandHeader, data: bytes, fresh: bool):
         if fresh:
-            self._engine.begin_skill(self._total)
+            self._begin_skill()
             # one consecutive numbering across the plans
-            self._engine.ingest(self._records, 1)
+            self._ingest(self._records, 1)

@@ -14,7 +14,7 @@ settings.load_profile("suite")
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """Arguments of every ``solve_corners`` call the motion engine makes
+    """Arguments of every ``solve_corners`` call the executors make
     during the test, in call order.  Both executors plan through it, so it
     sees the windows of ``run_native``, ``fieldbus_sim.run`` and
     ``run_benchmark`` alike."""

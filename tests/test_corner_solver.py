@@ -6,8 +6,8 @@ before it dropped.  On windows captured from native, streamed and
 benchmark runs, and on seeded chains built to reach every degrade path,
 the solver must return bit-identical speeds and the very same blend
 objects, or raise the same exception, and every straight time it hands
-back must be the closed form at the final speeds.  The motion engine
-takes those times: every executed duration must equal ``motion_time`` of
+back must be the closed form at the final speeds.  The executors
+take those times: every executed duration must equal ``motion_time`` of
 its plan, or of an exact stop where no plan covers the motion, and the
 durations of stored and streamed runs are pinned, with the two streamed
 runs whose blend past an exact stop an earlier window dropped.  Four more
@@ -262,7 +262,7 @@ def test_a_segment_is_timed_again_when_only_its_length_changed():
     pass pins its corner speed to exactly zero and the first round drops
     it.  The second round gives the segment before it back that
     truncation at unchanged end speeds: a timing carried over on its
-    speeds alone would hand the engine the shorter segment's seconds."""
+    speeds alone would hand the executor the shorter segment's seconds."""
     arc = blend_geometry(1.0, 1.0, 1000.0, 1000.0, 1000.0)
     args = ([10.0, 10.0, 1.0], [1000.0] * 3, [1000.0] * 3, [None, arc, arc, None])
     assert assert_matches_reference(args) is None
@@ -291,7 +291,7 @@ def test_overrun_chains_fail_as_the_reference_does():
     assert isinstance(exc, InfeasibleBoundary) and " to 52.0166" in str(exc), exc
 
 
-# --- the timing handed to the motion engine ---------------------------------------
+# --- the timing handed to the executor -------------------------------------------
 
 
 def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
@@ -299,22 +299,22 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
     streamed skills whose windows open at a committed speed, and both
     setups under RC, SM and CM: each executed Cartesian motion lasts what
     ``motion_time`` gives at its plan's speeds and blends, rounded up to
-    whole µs, both where the engine took the solver's straight seconds and
+    whole µs, both where the executor took the solver's straight seconds and
     where it timed the motion itself.  A motion that no plan covers ends at
     an exact stop, and lasts what ``motion_time`` gives at exit speed zero
     without a blend."""
     seen = Counter()  # (label, kind) of each checked activation
     label = None
-    activate = robot_executor._MotionEngine._activate
+    activate = robot_executor._CyclicExecutor._activate
 
-    def checked(engine, t_us):
-        k = engine._next
-        v_in, trunc_in = engine._entry_speed, engine._entry_trunc
-        activate(engine, t_us)
-        rec = engine._motions[k][0]
+    def checked(executor, t_us):
+        k = executor._next
+        v_in, trunc_in = executor._entry_speed, executor._entry_trunc
+        activate(executor, t_us)
+        rec = executor._motions[k][0]
         if rec.joint_target:
             return
-        plan = engine._plan
+        plan = executor._plan
         if plan is not None and plan[0] <= k < plan[1]:
             first, _end, speeds, blends, straight = plan
             j = k - first
@@ -322,20 +322,20 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
             v_out, b = speeds[j + 1], blends[j + 1]
             kind = "timed" if straight[j] is None else "reused"
         else:
-            assert engine._corners[k] is None
+            assert executor._corners[k] is None
             v_out, b, kind = 0.0, None, "stop"
         seconds = sum(
             trajectory.motion_time(
-                engine._lengths[k], rec.velocity, rec.acceleration,
+                executor._lengths[k], rec.velocity, rec.acceleration,
                 v_in, v_out, trunc_in, b,
             )
         )
-        assert engine._active[1] == max(0, math.ceil(seconds * 1e6 - 1e-12))
-        assert engine._active[5] == v_out
+        assert executor._active[1] == max(0, math.ceil(seconds * 1e6 - 1e-12))
+        assert executor._active[5] == v_out
         seen[label, kind] += 1
         seen[label, "entered_moving"] += kind != "stop" and j == 0 and v_in > 0.0
 
-    monkeypatch.setattr(robot_executor._MotionEngine, "_activate", checked)
+    monkeypatch.setattr(robot_executor._CyclicExecutor, "_activate", checked)
     label = "native"
     for seed in range(3):
         # the one-motion group stops where it starts a window
@@ -369,7 +369,7 @@ DURATIONS_SHA = {
 @pytest.mark.parametrize("kind, seed", sorted(DURATIONS_SHA))
 def test_the_executed_durations_are_pinned(kind, seed):
     """Stored 200-motion LIN programs and streamed 120-record skills
-    execute the pinned durations: a change to how the solver or the engine
+    execute the pinned durations: a change to how the solver or the executor
     works that keeps the timing model keeps them."""
     if kind == "native":
         executor = native_baseline([lin_program(random.Random(seed), 200)])
@@ -381,7 +381,7 @@ def test_the_executed_durations_are_pinned(kind, seed):
     assert hashlib.sha256(repr(durations).encode()).hexdigest()[:16] == DURATIONS_SHA[kind, seed]
 
 
-# streamed runs in which the engine decides a blend past an exact stop at
+# streamed runs in which the executor decides a blend past an exact stop at
 # the first activation after the stop, not at the one before it: (seed of
 # the skill and of the run, PLC/bus/robot cycles in ms, motion k, durations
 # of motions k and k + 1 in µs)
@@ -407,8 +407,7 @@ def test_a_blend_past_an_exact_stop_survives_an_earlier_window(seed, cycles_ms, 
     plc_ms, bus_ms, robot_ms = cycles_ms
     cfg = SimConfig(plc_ms * 1000, bus_ms * 1000, robot_ms * 1000, seed=seed)
     run(ContinuousMotionProgram([plan]), executor, cfg)
-    engine = executor._engine
-    assert engine._corners[k - 1] is None and engine._corners[k] is not None
+    assert executor._corners[k - 1] is None and executor._corners[k] is not None
     assert tuple(dur_us for *_, dur_us in executor.executed[k : k + 2]) == durations
 
 
@@ -416,7 +415,7 @@ def test_a_blend_past_an_exact_stop_survives_an_earlier_window(seed, cycles_ms, 
 
 
 def test_windows_end_at_their_first_exact_stop(solve_calls):
-    """No window the engine solves holds an interior exact stop or opens
+    """No window an executor solves holds an interior exact stop or opens
     on a motion that ends at one: the corners after a stop cannot change
     a speed or a blend before it, and a motion that stops needs no solve.
     Streamed skills 0-3 make 80 solves (176 when each window ran to the

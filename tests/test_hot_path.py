@@ -19,10 +19,10 @@ HOT_PATH = {
         "_CyclicExecutor.next_wakeup",
         "_CyclicExecutor._apply_frame",
         "RobotExecutor._load",
-        "_MotionEngine.ingest",
-        "_MotionEngine.advance",
-        "_MotionEngine._activate",
-        "_MotionEngine._complete",
+        "_CyclicExecutor._ingest",
+        "_CyclicExecutor._advance",
+        "_CyclicExecutor._activate",
+        "_CyclicExecutor._complete",
     ),
     "plc_trigger.py": (
         "PlcSkillInstance.cycle",

@@ -1,8 +1,8 @@
 """Five-slot FIFO streaming protocol: PLC trigger, robot executor, equivalence.
 
 The reference behavior for the streamed path is the direct in-memory handoff
-(NativeExecutor): same motions, same engine, no slot window.  Streaming must
-consume the identical record sequence and land on the identical pose.
+(NativeExecutor): same motions, same robot task, no slot window.  Streaming
+must consume the identical record sequence and land on the identical pose.
 """
 
 import copy
@@ -593,6 +593,14 @@ class TestRobotExecutor:
         )
         f = decode_feedback_frame(ex.tick(4000, tampered))
         assert f.state is RobotState.ERROR and f.error_code == ERROR_RECORD
+
+    def test_loaded_through_regression_mid_skill_rejected(self):
+        # a refill that loads through record 4 after records 1-5 arrived
+        r9 = records(9)
+        ex = RobotExecutor()
+        ex.tick(0, start_image(r9, 5))
+        f = decode_feedback_frame(ex.tick(4000, start_image(r9, 4, seq=2)))
+        assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD)
 
     def test_zero_record_skill_handshake(self):
         plc = PlcSkillInstance()

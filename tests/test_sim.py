@@ -782,6 +782,10 @@ def _poke(offset, fmt, value):
     return corrupt
 
 
+def _crash(image):
+    raise RuntimeError("robot task crashed")
+
+
 MALFORMED = {
     # a program that publishes a bad command word
     "command-word": ("plc_tick", _poke(0, "<B", 9), BadCommandWord),
@@ -789,6 +793,8 @@ MALFORMED = {
     "state-code": ("tick", _poke(0, "<B", 9), BadStateCode),
     # an executor that publishes a non-finite pose
     "pose": ("tick", _poke(8 + 4 * 2, "<f", math.nan), NonFiniteScalar),
+    # an executor whose tick raises
+    "robot-raises": ("tick", _crash, RuntimeError),
 }
 
 

@@ -299,8 +299,8 @@ def group_profile(plan, waypoints, blending=True):
     """``(speeds, blends, times)`` of one continuous group from rest to rest
     along ``waypoints`` (its start, then every motion's target): the corner
     speeds and kept blends from ``solve_corners``, and each motion's
-    ``(straight, arc)`` seconds from ``motion_time``, as the motion engine
-    calls them.  Interior corner i proposes a blend (``corner_blend``) with
+    ``(straight, arc)`` seconds from ``motion_time``, as the executors
+    call them.  Interior corner i proposes a blend (``corner_blend``) with
     the approx distance of the motion ending there; without ``blending``
     every corner stops."""
     motions, pts = plan.motions, [p.position for p in waypoints]
@@ -431,6 +431,20 @@ def test_group_profile_collinear_passthrough():
     assert degraded_corners(plan, blends) == ()
     # each motion is rounded up on its own
     assert whole_us(whole) <= sum(executed_us(plan)) <= whole_us(whole) + 1
+
+
+def test_a_repeated_target_stops_at_both_its_corners():
+    """A LIN to the point it starts from has zero length, so neither corner
+    it makes has a direction: both stop, although the path runs straight
+    on through them with approx distances to spare."""
+    origin, p, q = (0.0, 0.0, 0.0), (100.0, 0.0, 0.0), (200.0, 0.0, 0.0)
+    plan = ContinuousSkillPlan(
+        (_lin(Pose(*p), approx=10.0), _lin(Pose(*p), approx=10.0), _lin(Pose(*q)))
+    )
+    assert corner_blend(origin, p, p, 10.0, 100.0, 0.0, 250.0, 250.0, 2000.0, 2000.0) is None
+    assert corner_blend(p, p, q, 10.0, 0.0, 100.0, 250.0, 250.0, 2000.0, 2000.0) is None
+    per_seg = (2 * 250.0) / 2000.0 + (100.0 - 31.25) / 250.0
+    assert executed_us(plan) == [whole_us(per_seg), 0, whole_us(per_seg)]
 
 
 def test_group_profile_degrades_reversal():
@@ -646,7 +660,7 @@ def chained_groups(rng: random.Random, count: int):
 def test_executed_groups_match_the_profile():
     """Back-to-back groups in one native window: every executed motion takes
     exactly its whole-group time (straight plus arc), rounded up to whole µs
-    as the engine does."""
+    as the executor does."""
     rng = random.Random(0xE1EC)
     for _ in range(400):
         plans, starts = chained_groups(rng, rng.randint(1, 3))

@@ -144,11 +144,18 @@ MUTANTS = (
         "frame_seq counts modulo 65536",
     ),
     Mutant(
-        "last-exact-stop",
+        "keep-stale-plan",
         "robot_executor.py",
-        "while stop > 0 and speeds[stop] != 0.0:",
-        "while stop > 1 and speeds[stop] != 0.0:",
-        "a growing window keeps the plan only up to its last exact stop",
+        "if corners[-1] is not None and plan is not None and plan[1] == len(motions):",
+        "if False:",
+        "a record whose corner blends onto the plan's end drops the plan",
+    ),
+    Mutant(
+        "loaded-through-regression",
+        "robot_executor.py",
+        "elif loaded < self._known:",
+        "elif loaded < self._known - 1:",
+        "loadedThrough never goes back, not even by one record",
     ),
     Mutant(
         "window-past-stop",
@@ -214,6 +221,13 @@ MUTANTS = (
         "the robot runs at the first robot grid point at or after a command delivery",
     ),
     Mutant(
+        "zero-leg-stop",
+        "trajectory.py",
+        "        return None\n    angle = turn_angle(prev_pt, corner, next_pt)",
+        "        pass\n    angle = turn_angle(prev_pt, corner, next_pt)",
+        "a corner with a zero-length leg stops",
+    ),
+    Mutant(
         "corner-leg-rule",
         "trajectory.py",
         ">= 2.0 * approx",
@@ -275,6 +289,13 @@ MUTANTS = (
         "test_all = entry_stuck",
         "test_all = False",
         "the round after one that found the entry speed stuck re-tests every arc",
+    ),
+    Mutant(
+        "robot-error-trace",
+        "fieldbus_sim.py",
+        'trace.add(t, "robot", "error", f"{type(e).__name__}: {e}")',
+        "pass",
+        "an exception raised in a robot tick is traced before it propagates",
     ),
     Mutant(
         "plc-before-bus",
