@@ -656,6 +656,81 @@ def test_feedback_frame_field_offsets():
     assert data[32:] == bytes(FRAME_SIZE - 32)
 
 
+U8, U16, U32 = 0xFF, 0xFFFF, 0xFFFFFFFF
+SLOT = bytes(RECORD_SIZE)
+
+
+def field_id(fields):
+    """Test id: each int field's value, the pose's length, each slot's size."""
+    parts = []
+    for name, value in fields.items():
+        if name == "slots":
+            value = "+".join(str(len(s)) for s in value)
+        elif name == "pose":
+            value = len(value)
+        parts.append(f"{name}={value}")
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (FeedbackFrame, dict(state=6), "6 is not a valid RobotState"),
+        (FeedbackFrame, dict(state=-1), "-1 is not a valid RobotState"),
+        (FeedbackFrame, dict(error_code=U8 + 1), "error_code does not fit u8"),
+        (FeedbackFrame, dict(error_code=-1), "error_code does not fit u8"),
+        (FeedbackFrame, dict(cur_exec=U32 + 1), "curExec does not fit u32"),
+        (FeedbackFrame, dict(cur_exec=-1), "curExec does not fit u32"),
+        (FeedbackFrame, dict(acked_seq=U16 + 1), "acked_seq does not fit u16"),
+        (FeedbackFrame, dict(acked_seq=-1), "acked_seq does not fit u16"),
+        (FeedbackFrame, dict(pose=(0.0,) * 5), "pose needs six components"),
+        (FeedbackFrame, dict(pose=(0.0,) * 7), "pose needs six components"),
+        (CommandFrame, dict(command=3), "3 is not a valid CommandWord"),
+        (CommandFrame, dict(command=-1), "-1 is not a valid CommandWord"),
+        (CommandFrame, dict(record_count=SLOT_COUNT + 1), "record_count 6 out of 0..5"),
+        (CommandFrame, dict(record_count=-1), "record_count -1 out of 0..5"),
+        (CommandFrame, dict(total_no=U32 + 1), "totalNo does not fit u32"),
+        (CommandFrame, dict(total_no=-1), "totalNo does not fit u32"),
+        (CommandFrame, dict(total_no=4, loaded_through=5), "loadedThrough must be within"),
+        (CommandFrame, dict(total_no=4, loaded_through=-1), "loadedThrough must be within"),
+        (CommandFrame, dict(frame_seq=U16 + 1), "frame_seq does not fit u16"),
+        (CommandFrame, dict(frame_seq=-1), "frame_seq does not fit u16"),
+        (CommandFrame, dict(slots=(SLOT,) * 4), "slots must be 5 images of 44 bytes"),
+        (CommandFrame, dict(slots=(SLOT,) * 6), "slots must be 5 images of 44 bytes"),
+        (CommandFrame, dict(slots=(SLOT,) * 4 + (SLOT[1:],)), "slots must be 5 images of"),
+        (CommandFrame, dict(slots=(SLOT + b"\0",) + (SLOT,) * 4), "slots must be 5 images of"),
+    ],
+    ids=lambda v: field_id(v) if isinstance(v, dict) else None,
+)
+def test_frame_constructors_reject_fields_beyond_the_wire(cls, fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        cls(**fields)
+
+
+def test_frame_constructors_accept_the_wire_limits_and_coerce():
+    """Each field at the edge of its wire range is accepted, an enum code
+    becomes its member, a pose becomes six floats and the slots five
+    ``bytes``, each in a tuple."""
+    fb = FeedbackFrame(5, U8, U32, U16, [1, 2, 3, 4, 5, True])
+    assert (fb.state, fb.error_code, fb.cur_exec, fb.acked_seq, fb.pose) == (
+        RobotState.ABORTING,
+        U8,
+        U32,
+        U16,
+        (1.0, 2.0, 3.0, 4.0, 5.0, 1.0),
+    )
+    assert type(fb.state) is RobotState and type(fb.pose) is tuple
+    assert {type(v) for v in fb.pose} == {float}
+
+    top = b"\x01" * RECORD_SIZE
+    cmd = CommandFrame(2, SLOT_COUNT, U32, U32, U16, [bytearray(SLOT)] * 4 + [top])
+    fields = (cmd.command, cmd.record_count, cmd.total_no, cmd.loaded_through, cmd.frame_seq)
+    assert fields == (CommandWord.ABORT, SLOT_COUNT, U32, U32, U16)
+    assert cmd.slots == (SLOT,) * 4 + (top,)
+    assert type(cmd.command) is CommandWord and type(cmd.slots) is tuple
+    assert {type(s) for s in cmd.slots} == {bytes}
+
+
 @given(command_frames, st.integers(0, 200))
 def test_command_frame_round_trip(frame, extra_total):
     # loaded_through must stay within total_no; rebuild with a valid pair
