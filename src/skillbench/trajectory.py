@@ -22,7 +22,7 @@ motions, so each motion is timed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import turn_angle
 
@@ -101,8 +101,7 @@ def ptp_time(joint_deltas, v_max: float, accel: float) -> float:
     return segment_time(dominant, v_max, accel, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class BlendGeometry:
+class BlendGeometry(NamedTuple):
     """Circular corner blend: tangent arc replacing an exact corner.
 
     ``truncation`` is the length cut from each adjacent segment (equal to the
@@ -140,6 +139,11 @@ def blend_geometry(
     return _arc(angle, approx_distance, v1, v2, accel)
 
 
+# ``_arc`` builds its blends with one positional ``tuple.__new__``, without
+# the Python-level frame of the named tuple's own ``__new__``
+_tuple_new = tuple.__new__
+
+
 def _arc(angle, approx_distance, v1, v2, accel) -> BlendGeometry:
     """``blend_geometry`` for arguments it would accept, unchecked.  The
     minima are comparisons that keep the builtin ``min``'s choice, the
@@ -147,27 +151,13 @@ def _arc(angle, approx_distance, v1, v2, accel) -> BlendGeometry:
     slower = v2 if v2 < v1 else v1
     if angle <= COLLINEAR_EPS:
         # straight continuation: no arc, no truncation, carry the slower speed
-        return _blend(angle=0.0, radius=math.inf, arc_length=0.0, v_blend=slower, truncation=0.0)
+        return _tuple_new(BlendGeometry, (0.0, math.inf, 0.0, slower, 0.0))
     if approx_distance == 0.0:
-        return _blend(angle=angle, radius=0.0, arc_length=0.0, v_blend=0.0, truncation=0.0)
+        return _tuple_new(BlendGeometry, (angle, 0.0, 0.0, 0.0, 0.0))
     radius = approx_distance / math.tan(0.5 * angle)
     cap = math.sqrt(accel * radius)
-    return _blend(
-        angle=angle,
-        radius=radius,
-        arc_length=radius * angle,
-        v_blend=cap if cap < slower else slower,
-        truncation=approx_distance,
-    )
-
-
-def _blend(**fields) -> BlendGeometry:
-    """A ``BlendGeometry`` built as the wire decoders build their records:
-    the frozen ``__init__`` would pay one ``object.__setattr__`` per field,
-    and the class has no ``__post_init__`` to skip."""
-    geom = object.__new__(BlendGeometry)
-    geom.__dict__.update(fields)
-    return geom
+    v_blend = cap if cap < slower else slower
+    return _tuple_new(BlendGeometry, (angle, radius, radius * angle, v_blend, approx_distance))
 
 
 def corner_blend(prev_pt, corner, next_pt, approx, len_in, len_out, v_in, v_out, a_in, a_out):

@@ -42,14 +42,18 @@ length, the command word, record_count <= 5 and loadedThrough <= totalNo.
 It returns the five header fields as a ``CommandHeader`` and leaves the
 slots alone, so a receiver decodes only the records it has not seen yet
 (``slot_image`` then ``decode_record``); ``decode_command_frame`` is that
-header plus the five raw slots.  The decoders build their frozen
-dataclasses without running the validating constructors again: the struct
-formats and the decoders' own checks already guarantee what those
-constructors check.
+header plus the five raw slots.
+
+The decoded types are immutable named tuples: ``MotionRecord`` a plain
+one, ``CommandFrame`` and ``FeedbackFrame`` subclasses whose ``__new__``
+checks and coerces each field.  The decoders build them with one
+positional ``tuple.__new__``, without running those checks again: the
+struct formats and the decoders' own checks already guarantee what the
+constructors check.  ``_replace`` and ``_make`` skip the checks too.
 
 On the sending side there is one packer per image.  ``pack_command_frame``
 packs command fields and ``pack_feedback_frame`` feedback fields; both take
-fields that already lie in their ranges, as the dataclasses hold them, and
+fields that already lie in their ranges, as the frames hold them, and
 only the feedback pose is checked again.  The robot executors check their
 initial pose once and then pack through ``pack_feedback_frame``'s unchecked
 core, ``_pack_feedback``: every later pose is a record target decoded off
@@ -63,7 +67,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -168,8 +171,8 @@ _PTP_JOINT = MotionType.PTP_JOINT
 _CIRCULAR = MotionType.CIRCULAR
 
 
-# the decoders build frozen dataclasses without ``__init__``
-_new = object.__new__
+# the decoders build their named tuples without the checking ``__new__``
+_tuple_new = tuple.__new__
 
 
 def _check_finite(values, what: str):
@@ -203,8 +206,7 @@ def slot_for_record(m: int) -> int:
     return (m - 1) % SLOT_COUNT
 
 
-@dataclass(frozen=True)
-class MotionRecord:
+class MotionRecord(NamedTuple):
     """Decoded content of one 44-byte wire record."""
 
     motion_type: MotionType
@@ -260,8 +262,7 @@ def encode_record(rec: MotionRecord) -> bytes:
 
 
 def decode_record(data: bytes) -> MotionRecord:
-    """Parse a 44-byte image; rejects malformed content.  The record is
-    built without ``__init__``: every field comes checked off the wire."""
+    """Parse a 44-byte image; rejects malformed content."""
     if len(data) < RECORD_SIZE:
         raise FrameTooShort(f"record image is {len(data)} bytes, need {RECORD_SIZE}")
     if len(data) > RECORD_SIZE:
@@ -284,21 +285,10 @@ def decode_record(data: bytes) -> MotionRecord:
         _check_finite((x, y, z, a, b, c, vel, acc, approx), "scalar")
     if cont and (a or b or c):
         raise MalformedContinuation("continuation record carries orientation data")
-    rec = _new(MotionRecord)
-    rec.__dict__.update(
-        motion_type=mtype,
-        record_seq=seq,
-        target=(x, y, z, a, b, c),
-        velocity=vel,
-        acceleration=acc,
-        approx_distance=approx,
-        tool_frame=tool,
-        base_frame=base,
-        force_setpoint=force,
-        joint_target=joint,
-        continuation=cont,
+    return _tuple_new(
+        MotionRecord,
+        (mtype, seq, (x, y, z, a, b, c), vel, acc, approx, tool, base, force, joint, cont),
     )
-    return rec
 
 
 # the images of the largest finite f32 and of its negative.  ``struct``
@@ -360,33 +350,42 @@ def explode_plan(motions) -> list[MotionRecord]:
     holds only known motion types, finite scalars and, as flags, one of
     0, the joint flag of a PTP_JOINT target or the continuation flag of
     an auxiliary record."""
-    records = []
-    for code, flags, seq, x, y, z, a, b, c, vel, acc, approx, tool, base, force in (
-        _RECORD_FMT.iter_unpack(_plan_image(motions))
-    ):
-        rec = _new(MotionRecord)
-        rec.__dict__.update(
-            motion_type=_MOTION_TYPES[code],
-            record_seq=seq,
-            target=(x, y, z, a, b, c),
-            velocity=vel,
-            acceleration=acc,
-            approx_distance=approx,
-            tool_frame=tool,
-            base_frame=base,
-            force_setpoint=force,
-            joint_target=flags == _FLAG_JOINT,
-            continuation=flags == _FLAG_CONTINUATION,
+    return [
+        _tuple_new(
+            MotionRecord,
+            (
+                _MOTION_TYPES[code],
+                seq,
+                (x, y, z, a, b, c),
+                vel,
+                acc,
+                approx,
+                tool,
+                base,
+                force,
+                flags == _FLAG_JOINT,
+                flags == _FLAG_CONTINUATION,
+            ),
         )
-        records.append(rec)
-    return records
+        for code, flags, seq, x, y, z, a, b, c, vel, acc, approx, tool, base, force in (
+            _RECORD_FMT.iter_unpack(_plan_image(motions))
+        )
+    ]
 
 
 _ZERO_SLOT = bytes(RECORD_SIZE)
 
 
-@dataclass(frozen=True)
-class CommandFrame:
+class _CommandFields(NamedTuple):
+    command: CommandWord
+    record_count: int
+    total_no: int
+    loaded_through: int
+    frame_seq: int
+    slots: tuple[bytes, ...]
+
+
+class CommandFrame(_CommandFields):
     """PLC -> robot process image (one 256-byte frame).
 
     ``slots`` always holds five raw 44-byte images; slots that were never
@@ -394,28 +393,31 @@ class CommandFrame:
     skill and ``loaded_through`` the highest record index materialized so far.
     """
 
-    command: CommandWord = CommandWord.IDLE
-    record_count: int = 0
-    total_no: int = 0
-    loaded_through: int = 0
-    frame_seq: int = 0
-    slots: tuple[bytes, ...] = (_ZERO_SLOT,) * SLOT_COUNT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.command, CommandWord):
-            object.__setattr__(self, "command", CommandWord(self.command))
-        if not 0 <= self.record_count <= SLOT_COUNT:
-            raise ValueError(f"record_count {self.record_count} out of 0..{SLOT_COUNT}")
-        if not 0 <= self.total_no <= 0xFFFFFFFF:
+    def __new__(
+        cls,
+        command=CommandWord.IDLE,
+        record_count=0,
+        total_no=0,
+        loaded_through=0,
+        frame_seq=0,
+        slots=(_ZERO_SLOT,) * SLOT_COUNT,
+    ):
+        if not isinstance(command, CommandWord):
+            command = CommandWord(command)
+        if not 0 <= record_count <= SLOT_COUNT:
+            raise ValueError(f"record_count {record_count} out of 0..{SLOT_COUNT}")
+        if not 0 <= total_no <= 0xFFFFFFFF:
             raise ValueError("totalNo does not fit u32")
-        if not 0 <= self.loaded_through <= self.total_no:
+        if not 0 <= loaded_through <= total_no:
             raise ValueError("loadedThrough must be within 0..totalNo")
-        if not 0 <= self.frame_seq <= 0xFFFF:
+        if not 0 <= frame_seq <= 0xFFFF:
             raise ValueError("frame_seq does not fit u16")
-        slots = tuple(map(bytes, self.slots))
+        slots = tuple(map(bytes, slots))
         if len(slots) != SLOT_COUNT or set(map(len, slots)) != {RECORD_SIZE}:
             raise ValueError(f"slots must be {SLOT_COUNT} images of {RECORD_SIZE} bytes")
-        object.__setattr__(self, "slots", slots)
+        return _tuple_new(cls, (command, record_count, total_no, loaded_through, frame_seq, slots))
 
 
 # the zero bytes after the header: five empty slots, then the padding
@@ -510,42 +512,39 @@ def decode_command_header(data: bytes) -> CommandHeader:
 def decode_command_frame(data: bytes) -> CommandFrame:
     """The checked header of ``decode_command_header`` plus the five raw
     slots."""
-    word, count, total, loaded, seq = decode_command_header(data)
-    frame = _new(CommandFrame)
-    frame.__dict__.update(
-        command=word,
-        record_count=count,
-        total_no=total,
-        loaded_through=loaded,
-        frame_seq=seq,
-        slots=_SLOTS_FMT.unpack_from(data, HEADER_SIZE),
+    return _tuple_new(
+        CommandFrame, (*decode_command_header(data), _SLOTS_FMT.unpack_from(data, HEADER_SIZE))
     )
-    return frame
 
 
-@dataclass(frozen=True)
-class FeedbackFrame:
+class _FeedbackFields(NamedTuple):
+    state: RobotState
+    error_code: int
+    cur_exec: int
+    acked_seq: int
+    pose: tuple[float, float, float, float, float, float]
+
+
+class FeedbackFrame(_FeedbackFields):
     """Robot -> PLC process image (one 256-byte frame, 36 bytes used)."""
 
-    state: RobotState = RobotState.IDLE
-    error_code: int = 0
-    cur_exec: int = 0
-    acked_seq: int = 0
-    pose: tuple[float, float, float, float, float, float] = (0.0,) * 6
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.state, RobotState):
-            object.__setattr__(self, "state", RobotState(self.state))
-        if not 0 <= self.error_code <= 0xFF:
+    def __new__(
+        cls, state=RobotState.IDLE, error_code=0, cur_exec=0, acked_seq=0, pose=(0.0,) * 6
+    ):
+        if not isinstance(state, RobotState):
+            state = RobotState(state)
+        if not 0 <= error_code <= 0xFF:
             raise ValueError("error_code does not fit u8")
-        if not 0 <= self.cur_exec <= 0xFFFFFFFF:
+        if not 0 <= cur_exec <= 0xFFFFFFFF:
             raise ValueError("curExec does not fit u32")
-        if not 0 <= self.acked_seq <= 0xFFFF:
+        if not 0 <= acked_seq <= 0xFFFF:
             raise ValueError("acked_seq does not fit u16")
-        pose = tuple(map(float, self.pose))
+        pose = tuple(map(float, pose))
         if len(pose) != 6:
             raise ValueError("pose needs six components")
-        object.__setattr__(self, "pose", pose)
+        return _tuple_new(cls, (state, error_code, cur_exec, acked_seq, pose))
 
 
 def pack_feedback_frame(
@@ -580,11 +579,7 @@ def decode_feedback_frame(data: bytes) -> FeedbackFrame:
         raise BadStateCode(f"state code {state}")
     if not math.isfinite(x + y + z + a + b + c):
         _check_finite((x, y, z, a, b, c), "pose component")
-    frame = _new(FeedbackFrame)
-    frame.__dict__.update(
-        state=st, error_code=err, cur_exec=cur, acked_seq=ack, pose=(x, y, z, a, b, c)
-    )
-    return frame
+    return _tuple_new(FeedbackFrame, (st, err, cur, ack, (x, y, z, a, b, c)))
 
 
 IDLE_COMMAND_BYTES = encode_command_frame(CommandFrame())

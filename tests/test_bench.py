@@ -336,13 +336,13 @@ class TestBenchmark:
         # range; a validated CommandFrame per handshake image cost more than
         # the packing itself
         built = []
-        check = CommandFrame.__post_init__
+        check = CommandFrame.__new__
 
-        def counted(frame):
-            built.append(frame)
-            check(frame)
+        def counted(cls, *args, **kwargs):
+            built.append(check(cls, *args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(CommandFrame, "__post_init__", counted)
+        monkeypatch.setattr(CommandFrame, "__new__", counted)
         for cfg in (SETUP_A, SETUP_B):
             report = run_benchmark(cfg, reps=1, seed=0)
             assert set(report.stats) == set(ExecutionType)

@@ -59,7 +59,7 @@ NOT_RUN = {
         "decode_command_frame": PERFBENCH_NAME,
         "encode_feedback_frame": PERFBENCH_NAME,
         "pack_feedback_frame": "error path: an executor's initial pose beyond f32",
-        "FeedbackFrame.__post_init__": "public API: docs/wire.md documents FeedbackFrame",
+        "FeedbackFrame.__new__": "public API: docs/wire.md documents FeedbackFrame",
     },
 }
 

@@ -1,9 +1,10 @@
 """The functions that run once per task activation, plan, feedback image
-or record keep three rules that CPython 3.11 rewards: enum members are read
+or record keep four rules that CPython 3.11 rewards: enum members are read
 from module-level names bound once, not as attributes of their class,
 minima and maxima are comparisons or loops, not calls of the builtin
-``min`` or ``max``, and an absolute value is a conditional
-negation, not a call of the builtin ``abs``."""
+``min`` or ``max``, an absolute value is a conditional negation, not a
+call of the builtin ``abs``, and a value is built as one tuple, not
+through ``object.__new__`` and an update of the instance's ``__dict__``."""
 
 import ast
 from pathlib import Path
@@ -70,8 +71,9 @@ def functions(tree):
 
 def breaches(func):
     """``(line, text)`` of each enum attribute load, each call of the
-    builtin ``min`` or ``max`` and each call of the builtin ``abs``, in
-    order."""
+    builtin ``min`` or ``max``, each call of the builtin ``abs``, each
+    read of ``object.__new__`` and each call of ``<x>.__dict__.update``,
+    in order."""
     found = []
     for node in ast.walk(func):
         if (
@@ -81,6 +83,21 @@ def breaches(func):
             and node.value.id in ENUMS
         ):
             found.append((node.lineno, ast.unparse(node)))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "__new__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "update"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "__dict__"
+        ):
+            found.append((node.lineno, ast.unparse(node.func)))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -119,3 +136,16 @@ def test_breaches_finds_enum_attributes_and_min_max_calls():
 def test_breaches_finds_abs_calls():
     source = "def f(a, b):\n    return abs(a - b) + math.fabs(a) + abs(a, b)\n"
     assert breaches(functions(ast.parse(source))["f"]) == [(2, "abs(a - b)")]
+
+
+def test_breaches_finds_object_new_and_dict_updates():
+    source = (
+        "def f(cls, a):\n"
+        "    obj = object.__new__(cls)\n"
+        "    obj.__dict__.update(a=a)\n"
+        "    return tuple.__new__(cls, (a,)), vars(obj).update(a=a), obj.__new__\n"
+    )
+    assert breaches(functions(ast.parse(source))["f"]) == [
+        (2, "object.__new__"),
+        (3, "obj.__dict__.update"),
+    ]

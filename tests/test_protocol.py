@@ -426,7 +426,7 @@ class TestRobotExecutor:
     def test_unfinished_continuation_faults_with_code_1(self, layout, faults):
         aux, target = explode_plan([arc(20.0, (10.0, 5.0, 0.0))])
         kinds = {"aux": aux, "target": target, "lin": records(1)[0]}
-        recs = [replace(kinds[k], record_seq=i) for i, k in enumerate(layout.split("-"), 1)]
+        recs = [kinds[k]._replace(record_seq=i) for i, k in enumerate(layout.split("-"), 1)]
         f = decode_feedback_frame(RobotExecutor().tick(0, start_image(recs)))
         if faults:
             assert (f.state, f.error_code) == (RobotState.ERROR, ERROR_RECORD)
@@ -589,7 +589,7 @@ class TestRobotExecutor:
         ex.tick(0, plc.image)
         frame = decode_command_frame(plc.image)
         tampered = encode_command_frame(
-            replace(frame, total_no=10, frame_seq=frame.frame_seq + 1)
+            CommandFrame(**{**frame._asdict(), "total_no": 10, "frame_seq": frame.frame_seq + 1})
         )
         f = decode_feedback_frame(ex.tick(4000, tampered))
         assert f.state is RobotState.ERROR and f.error_code == ERROR_RECORD

@@ -8,7 +8,7 @@ numerically, which is independent of the closed-form arithmetic under test.
 
 import math
 import random
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,12 +205,14 @@ def test_blend_zero_approx_is_exact_stop():
     ids=["collinear", "collinear-zero-approx", "zero-approx", "arc", "sharp-arc"],
 )
 def test_blend_equals_a_constructed_geometry(angle, approx):
-    # blend_geometry skips the frozen __init__; what it builds must equal,
-    # hash and print like the same fields passed through the constructor
+    # blend_geometry skips the named tuple's __new__; what it builds must
+    # equal, hash and print like the same fields passed through the
+    # constructor, with the same class and field types
     g = blend_geometry(angle, approx, 100.0, 80.0, 2000.0)
-    built = BlendGeometry(**{f.name: getattr(g, f.name) for f in fields(BlendGeometry)})
+    built = BlendGeometry(**g._asdict())
     assert g == built and built == g
-    assert vars(g) == vars(built)
+    assert type(g) is type(built) is BlendGeometry
+    assert [type(v) for v in g] == [type(v) for v in built] == [float] * 5
     assert hash(g) == hash(built)
     assert repr(g) == repr(built)
 

@@ -118,9 +118,72 @@ MUTANTS = (
     Mutant(
         "explode-continuation",
         "wire.py",
-        "continuation=flags == _FLAG_CONTINUATION,",
-        "continuation=False,",
+        "                flags == _FLAG_CONTINUATION,\n",
+        "                False,\n",
         "explode_plan gives the records the wire delivers, continuation flag included",
+    ),
+    Mutant(
+        "decode-tool-base",
+        "wire.py",
+        "approx, tool, base, force, joint, cont)",
+        "approx, base, tool, force, joint, cont)",
+        "decode_record builds tool_frame before base_frame, in field order",
+    ),
+    Mutant(
+        "decode-joint-cont",
+        "wire.py",
+        "force, joint, cont)",
+        "force, cont, joint)",
+        "decode_record builds joint_target before continuation, in field order",
+    ),
+    Mutant(
+        "decode-vel-acc",
+        "wire.py",
+        "vel, acc, approx, tool, base, force, joint, cont)",
+        "acc, vel, approx, tool, base, force, joint, cont)",
+        "decode_record builds velocity before acceleration, in field order",
+    ),
+    Mutant(
+        "explode-tool-base",
+        "wire.py",
+        "                tool,\n                base,\n",
+        "                base,\n                tool,\n",
+        "explode_plan builds tool_frame before base_frame, in field order",
+    ),
+    Mutant(
+        "explode-joint-cont",
+        "wire.py",
+        "                flags == _FLAG_JOINT,\n                flags == _FLAG_CONTINUATION,\n",
+        "                flags == _FLAG_CONTINUATION,\n                flags == _FLAG_JOINT,\n",
+        "explode_plan builds joint_target before continuation, in field order",
+    ),
+    Mutant(
+        "explode-vel-acc",
+        "wire.py",
+        "                vel,\n                acc,\n",
+        "                acc,\n                vel,\n",
+        "explode_plan builds velocity before acceleration, in field order",
+    ),
+    Mutant(
+        "decode-feedback-cur-ack",
+        "wire.py",
+        "(st, err, cur, ack, (x, y, z, a, b, c))",
+        "(st, err, ack, cur, (x, y, z, a, b, c))",
+        "decode_feedback_frame builds cur_exec before acked_seq, in field order",
+    ),
+    Mutant(
+        "feedback-new-cur-ack",
+        "wire.py",
+        "_tuple_new(cls, (state, error_code, cur_exec, acked_seq, pose))",
+        "_tuple_new(cls, (state, error_code, acked_seq, cur_exec, pose))",
+        "FeedbackFrame builds cur_exec before acked_seq, in field order",
+    ),
+    Mutant(
+        "command-slots-bytes",
+        "wire.py",
+        "slots = tuple(map(bytes, slots))",
+        "slots = tuple(slots)",
+        "CommandFrame holds its slots as bytes, whatever buffers it was given",
     ),
     Mutant(
         "feedback-regression",
@@ -226,6 +289,13 @@ MUTANTS = (
         "        return None\n    angle = turn_angle(prev_pt, corner, next_pt)",
         "        pass\n    angle = turn_angle(prev_pt, corner, next_pt)",
         "a corner with a zero-length leg stops",
+    ),
+    Mutant(
+        "arc-radius-length",
+        "trajectory.py",
+        "(angle, radius, radius * angle, v_blend",
+        "(angle, radius * angle, radius, v_blend",
+        "a blend holds its radius before its arc length, in field order",
     ),
     Mutant(
         "corner-leg-rule",
