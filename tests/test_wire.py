@@ -134,7 +134,8 @@ def test_record_flag_bits():
 def test_record_round_trip(rec):
     data = encode_record(rec)
     assert len(data) == RECORD_SIZE
-    assert decode_record(data) == rec
+    decoded = decode_record(data)
+    assert decoded == rec and same_types(decoded, rec)
 
 
 def test_record_seq_must_fit_u16():
@@ -744,14 +745,16 @@ def test_command_frame_round_trip(frame, extra_total):
     )
     data = encode_command_frame(frame)
     assert len(data) == FRAME_SIZE
-    assert decode_command_frame(data) == frame
+    decoded = decode_command_frame(data)
+    assert decoded == frame and same_types(decoded, frame)
 
 
 @given(feedback_frames)
 def test_feedback_frame_round_trip(frame):
     data = encode_feedback_frame(frame)
     assert len(data) == FRAME_SIZE
-    assert decode_feedback_frame(data) == frame
+    decoded = decode_feedback_frame(data)
+    assert decoded == frame and same_types(decoded, frame)
 
 
 def test_frame_length_policing():
