@@ -13,16 +13,18 @@ over the task's cycle, quantized to microseconds) from a seed derived from
 (seed, rep); everything else is exact, so a run is reproducible bit for bit.
 
 Frames travel as immutable ``bytes`` objects (``run`` raises TypeError at
-publish for anything else).  The loop decodes each feedback image once, at
-publish, so a malformed one raises at the tick that published it, and
-delivers that ``FeedbackFrame`` to the PLC, as a fieldbus driver maps its
-input image onto a PLC's typed inputs.  The robot gets the command bytes
-and decodes only what changed: it compares them by object identity and
+publish for anything else).  The loop decodes each image once, at publish,
+so a malformed one raises at the tick that published it.  A command header
+is decoded only to check it; a ``FeedbackFrame`` is delivered to the PLC,
+as a fieldbus driver maps its input image onto a PLC's typed inputs, and
+kept only until the next one.  The robot gets the command bytes and
+decodes only what changed: it compares them by object identity and
 decodes the header and the newly loaded slots.  The trace names each frame
 by the first 12 hex digits of its SHA-256, but the run does neither hash
-nor format: its trace holds each published frame by reference, with the
-fields decoded at publish, and a delivery holds that very object.
-Lines are made when the trace is read, hashing each distinct frame once.
+nor format, and keeps no decoding: its trace holds each published frame by
+reference, and a delivery holds that very object.  Lines are made when the
+trace is read, decoding each published frame again and hashing each
+distinct frame once.
 The loop is event driven: a task runs only at the grid points where one of
 its inputs changed or a wakeup it asked for is due, and the run is the one
 that ticking every task at every point of its grid would produce, trace
@@ -112,11 +114,12 @@ class SimTrace:
 
     ``log`` holds one ``(t_us, source, kind, detail, frame)`` tuple per event.
     ``frame`` is None for a text event, whose ``detail`` is its text.  A frame
-    event holds the published ``bytes`` object itself; its ``detail`` is the
-    decoded header (``cmd``), the decoded frame (``fb``) or None (a delivery,
-    named by the hash alone).  Detail texts are made when the trace is read,
-    each once, hashing each distinct frame once; the log keeps every frame
-    alive, so frames are told apart by ``id``.
+    event holds the published ``bytes`` object itself and a ``detail`` of
+    None.  Detail texts are made when the trace is read, each once: a ``cmd``
+    shows its decoded header, an ``fb`` its decoded frame and a delivery the
+    hash alone.  Each distinct frame is hashed once.  A logged frame passed
+    its decode at publish, so decoding it again cannot raise.  The log keeps
+    every frame alive, so frames are told apart by ``id``.
     """
 
     log: list = field(default_factory=list)
@@ -133,12 +136,12 @@ class SimTrace:
                 digest = hashes.get(id(frame))
                 if digest is None:
                     digest = hashes[id(frame)] = _hash12(frame)
-                if detail is None:
-                    detail = digest
-                elif kind == "cmd":
-                    detail = _cmd_summary(detail, digest)
+                if kind == "cmd":
+                    detail = _cmd_summary(decode_command_header(frame), digest)
+                elif kind == "fb":
+                    detail = _fb_summary(decode_feedback_frame(frame), digest)
                 else:
-                    detail = _fb_summary(detail, digest)
+                    detail = digest
             details.append(detail)
         return details
 
@@ -199,8 +202,9 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     ``executor`` supplies ``tick(t_us, cmd_bytes) -> bytes`` and
     ``next_wakeup()`` (module docstring).  Both are called through the
     instance at each grid point where their task is due.  The loop decodes
-    each feedback image once, when the robot publishes it, and the PLC gets
-    that frame (the decoded IDLE image until the first delivery).  The
+    each image once, when it is published: a command image only to check
+    it, a feedback image for the PLC, which gets that frame (the decoded
+    IDLE image until the first delivery).  The
     executor's ticks land on the robot grid of ``config``, so a motion of
     d µs that starts at a tick ends at the first robot grid point at or
     after d µs later.  Both ticks must return ``bytes``; anything else
@@ -226,7 +230,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     log = trace.log.append
 
     # published and delivered images, all by reference, and beside each
-    # feedback image the frame decoded at its publish
+    # feedback image the frame decoded at its publish, kept until the next
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
     cmd_at_robot = IDLE_COMMAND_BYTES
@@ -263,7 +267,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                     raise TypeError(
                         f"program.plc_tick returned {type(out).__name__}, not bytes"
                     )
-                log((t, "plc", "cmd", decode_command_header(out), out))
+                decode_command_header(out)  # a malformed image raises here
+                log((t, "plc", "cmd", None, out))
                 plc_out = out
                 due = t + (phase_bus - t) % bus_cycle
                 if due < bus_due:
@@ -303,7 +308,7 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                         f"executor.tick returned {type(out).__name__}, not bytes"
                     )
                 robot_fb = decode_feedback_frame(out)
-                log((t, "robot", "fb", robot_fb, out))
+                log((t, "robot", "fb", None, out))
                 robot_out = out
                 due = t + 1 + (phase_bus - t - 1) % bus_cycle
                 if due < bus_due:

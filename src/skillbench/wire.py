@@ -494,10 +494,11 @@ class CommandHeader(NamedTuple):
 def decode_command_header(data: bytes) -> CommandHeader:
     """Check a 256-byte command image and return its header; the one place
     where command frames are checked."""
-    if len(data) < FRAME_SIZE:
-        raise FrameTooShort(f"command frame is {len(data)} bytes, need {FRAME_SIZE}")
-    if len(data) > FRAME_SIZE:
-        raise FrameTooLong(f"command frame is {len(data)} bytes, need {FRAME_SIZE}")
+    n = len(data)
+    if n < FRAME_SIZE:
+        raise FrameTooShort(f"command frame is {n} bytes, need {FRAME_SIZE}")
+    if n > FRAME_SIZE:
+        raise FrameTooLong(f"command frame is {n} bytes, need {FRAME_SIZE}")
     cmd, count, total, loaded, seq = _CMD_HEADER_FMT.unpack_from(data, 0)
     word = _COMMAND_WORDS.get(cmd)
     if word is None:
@@ -506,7 +507,7 @@ def decode_command_header(data: bytes) -> CommandHeader:
         raise RecordCountOutOfRange(f"record_count {count}")
     if loaded > total:
         raise DecodeError(f"loadedThrough {loaded} exceeds totalNo {total}")
-    return CommandHeader(word, count, total, loaded, seq)
+    return _tuple_new(CommandHeader, (word, count, total, loaded, seq))
 
 
 def decode_command_frame(data: bytes) -> CommandFrame:

@@ -17,9 +17,9 @@ from skillbench.plc_trigger import NativeTriggerProgram
 from skillbench.robot_executor import NativeExecutor
 from skillbench.wire import (
     SLOT_COUNT,
-    CommandHeader,
     CommandWord,
     IDLE_FEEDBACK_BYTES,
+    decode_command_header,
     decode_feedback_frame,
     decode_record,
     encode_record,
@@ -55,10 +55,10 @@ class SlotMonitor:
         self.total: int | None = None
         self.frames_seen = 0
 
-    def on_command(self, header: CommandHeader, cmd_bytes: bytes, cur_exec: int):
-        """Check command image ``cmd_bytes``, whose decoded header is
-        ``header``, published while the PLC held feedback at ``cur_exec``."""
-        word, _count, total, loaded, seq = header
+    def on_command(self, cmd_bytes: bytes, cur_exec: int):
+        """Check command image ``cmd_bytes``, published while the PLC held
+        feedback at ``cur_exec``."""
+        word, _count, total, loaded, seq = decode_command_header(cmd_bytes)
         self.frames_seen += 1
         if self.last_seq is not None and seq != (self.last_seq + 1) % 0x10000:
             raise WindowViolation(f"frame_seq jumped {self.last_seq} -> {seq}")
@@ -97,16 +97,16 @@ class SlotMonitor:
 
 def check_window(trace: SimTrace) -> SlotMonitor:
     """Check every command image a run published against the feedback the
-    PLC held when it published it; raises WindowViolation.  The headers
-    come decoded in the trace; each delivered feedback image is decoded
-    once."""
+    PLC held when it published it; raises WindowViolation.  The trace holds
+    each image by reference; each command header and each delivered
+    feedback image is decoded once."""
     monitor = SlotMonitor()
     cur_exec = decode_feedback_frame(IDLE_FEEDBACK_BYTES).cur_exec
-    for _t, _source, kind, detail, frame in trace.log:
+    for _t, _source, kind, _, frame in trace.log:
         if kind == "fb_deliver":
             cur_exec = decode_feedback_frame(frame).cur_exec
         elif kind == "cmd":
-            monitor.on_command(detail, frame, cur_exec)
+            monitor.on_command(frame, cur_exec)
     return monitor
 
 

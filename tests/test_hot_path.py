@@ -1,10 +1,12 @@
 """The functions that run once per task activation, plan, feedback image
-or record keep four rules that CPython 3.11 rewards: enum members are read
+or record keep five rules that CPython 3.11 rewards: enum members are read
 from module-level names bound once, not as attributes of their class,
 minima and maxima are comparisons or loops, not calls of the builtin
 ``min`` or ``max``, an absolute value is a conditional negation, not a
-call of the builtin ``abs``, and a value is built as one tuple, not
-through ``object.__new__`` and an update of the instance's ``__dict__``."""
+call of the builtin ``abs``, a value is built as one tuple, not through
+``object.__new__`` and an update of the instance's ``__dict__``, and a
+named tuple of ``wire`` or ``trajectory`` is built by ``tuple.__new__``,
+not by calling its class, whose ``__new__`` runs in Python."""
 
 import ast
 from pathlib import Path
@@ -54,6 +56,7 @@ HOT_PATH = {
 }
 
 ENUMS = {"RobotState", "CommandWord", "PlcSkillState", "MotionType"}
+NAMED_TUPLES = {"CommandHeader", "MotionRecord", "FeedbackFrame", "CommandFrame", "BlendGeometry"}
 
 
 def functions(tree):
@@ -72,8 +75,8 @@ def functions(tree):
 def breaches(func):
     """``(line, text)`` of each enum attribute load, each call of the
     builtin ``min`` or ``max``, each call of the builtin ``abs``, each
-    read of ``object.__new__`` and each call of ``<x>.__dict__.update``,
-    in order."""
+    read of ``object.__new__``, each call of ``<x>.__dict__.update`` and
+    each call of a ``NAMED_TUPLES`` class, in order."""
     found = []
     for node in ast.walk(func):
         if (
@@ -96,6 +99,11 @@ def breaches(func):
             and node.func.attr == "update"
             and isinstance(node.func.value, ast.Attribute)
             and node.func.value.attr == "__dict__"
+        ):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id in NAMED_TUPLES)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr in NAMED_TUPLES)
         ):
             found.append((node.lineno, ast.unparse(node.func)))
         elif (
@@ -148,4 +156,17 @@ def test_breaches_finds_object_new_and_dict_updates():
     assert breaches(functions(ast.parse(source))["f"]) == [
         (2, "object.__new__"),
         (3, "obj.__dict__.update"),
+    ]
+
+
+def test_breaches_finds_named_tuple_class_calls():
+    source = (
+        "def f(a, b):\n"
+        "    h = CommandHeader(a, b, 0, 0, 0)\n"
+        "    g = trajectory.BlendGeometry(a, b, 0.0, 0.0, 0.0)\n"
+        "    return tuple.__new__(FeedbackFrame, (a, b)), MotionRecord, h, g\n"
+    )
+    assert breaches(functions(ast.parse(source))["f"]) == [
+        (2, "CommandHeader"),
+        (3, "trajectory.BlendGeometry"),
     ]

@@ -331,7 +331,7 @@ def window_trace(*events):
         if isinstance(event, FeedbackFrame):
             trace.log.append((t, "bus", "fb_deliver", None, encode_feedback_frame(event)))
         else:
-            trace.log.append((t, "plc", "cmd", decode_command_header(event), event))
+            trace.log.append((t, "plc", "cmd", None, event))
     return trace
 
 

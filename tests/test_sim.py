@@ -53,6 +53,7 @@ from skillbench.wire import (
     FeedbackFrame,
     NonFiniteScalar,
     RobotState,
+    decode_feedback_frame,
     encode_command_frame,
     encode_feedback_frame,
     encode_record,
@@ -75,9 +76,10 @@ def one_motion_plan(length=40.0, v=250.0):
 
 
 def phases_of(result):
-    first = result.trace.events[0]
-    assert (first.source, first.kind) == ("sim", "phases")
-    m = re.fullmatch(r"plc=(\d+) bus=(\d+) robot=(\d+)", first.detail)
+    # the first event is text, so reading it decodes no logged frame
+    _, source, kind, detail, _ = result.trace.log[0]
+    assert (source, kind) == ("sim", "phases")
+    m = re.fullmatch(r"plc=(\d+) bus=(\d+) robot=(\d+)", detail)
     return tuple(int(g) for g in m.groups())
 
 
@@ -229,6 +231,38 @@ class TestLazyTrace:
         details = [line.split(None, 3)[3] for line in text.splitlines()]
         assert [e.detail for e in events] == details
 
+    @pytest.mark.parametrize("kind", ["stream", "rc"])
+    def test_a_finished_run_keeps_frames_not_their_decodings(self, kind):
+        # the log holds each published image by reference and no header or
+        # feedback frame decoded from it: the trace decodes when it is read
+        if kind == "stream":
+            plans, pose = kind_plans("stream", random.Random("retained"), 250)
+
+            def make():
+                return ContinuousMotionProgram(plans), RobotExecutor(initial_pose=pose)
+
+        else:
+            plans, pose = kind_plans("a", None, None)
+
+            def make():
+                return NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose)
+
+        cfg = SimConfig(seed=7)
+        trace = run(*make(), cfg).trace
+        frames = 0
+        for t_us, source, event_kind, detail, frame in trace.log:
+            assert (type(t_us), type(source), type(event_kind)) == (int, str, str)
+            if frame is None:
+                assert type(detail) is str
+            else:
+                # neither a CommandHeader nor a FeedbackFrame
+                assert detail is None and type(frame) is bytes
+                frames += 1
+        assert frames > (800 if kind == "stream" else 20)
+        polled = run_polled(*make(), cfg).trace
+        assert trace.events == polled.events
+        assert trace.export_text() == polled.export_text()
+
 
 class _FixedImage:
     """A program or an executor that returns one image object at every tick
@@ -370,7 +404,11 @@ class TestEndToEnd:
             run(program, RobotExecutor(), SimConfig(robot_cycle_us=robot_us))
         assert exc.value.code == program.plc.last_error == 2
         log = traces[-1].log
-        published = [(t, f) for t, src, kind, f, _ in log if (src, kind) == ("robot", "fb")]
+        published = [
+            (t, decode_feedback_frame(frame))
+            for t, src, kind, _, frame in log
+            if (src, kind) == ("robot", "fb")
+        ]
         t_done = next(t for t, f in published if f.cur_exec == 2)
         t_error, error = published[-1]
         assert (error.state, error.error_code) == (RobotState.ERROR, 2)

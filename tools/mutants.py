@@ -179,6 +179,20 @@ MUTANTS = (
         "FeedbackFrame builds cur_exec before acked_seq, in field order",
     ),
     Mutant(
+        "header-through-class",
+        "wire.py",
+        "_tuple_new(CommandHeader, (word, count, total, loaded, seq))",
+        "CommandHeader(word, count, total, loaded, seq)",
+        "decode_command_header builds its header with tuple.__new__, not through the class",
+    ),
+    Mutant(
+        "header-total-loaded",
+        "wire.py",
+        "(CommandHeader, (word, count, total, loaded, seq))",
+        "(CommandHeader, (word, count, loaded, total, seq))",
+        "decode_command_header builds total_no before loaded_through, in field order",
+    ),
+    Mutant(
         "command-slots-bytes",
         "wire.py",
         "slots = tuple(map(bytes, slots))",
@@ -282,6 +296,21 @@ MUTANTS = (
         "due = t + (phase_robot - t) % robot_cycle",
         "due = t + 1 + (phase_robot - t - 1) % robot_cycle",
         "the robot runs at the first robot grid point at or after a command delivery",
+    ),
+    Mutant(
+        "log-decoded-header",
+        "fieldbus_sim.py",
+        '                decode_command_header(out)  # a malformed image raises here\n'
+        '                log((t, "plc", "cmd", None, out))\n',
+        '                log((t, "plc", "cmd", decode_command_header(out), out))\n',
+        "a run logs a published command image without its decoded header",
+    ),
+    Mutant(
+        "log-decoded-feedback",
+        "fieldbus_sim.py",
+        'log((t, "robot", "fb", None, out))',
+        'log((t, "robot", "fb", robot_fb, out))',
+        "a run logs a published feedback image without its decoded frame",
     ),
     Mutant(
         "zero-leg-stop",
