@@ -10,11 +10,12 @@ into freed slots (FIFO), and walks the handshake back to IDLE when the
 robot reports DONE.  A robot ERROR, in any state, raises ``RobotError``
 with the robot's code: the PLC has no recovering path.
 
-The PLC packs its START and IDLE images with ``wire.pack_command_frame``
-and builds no ``CommandFrame``: it keeps every field in range itself.
-record_count and loadedThrough are min(5, totalNo), ``PlanTooLarge`` keeps
-totalNo within u32, frame_seq is counted modulo 2**16, and
-``start_images`` checks that every record image is 44 bytes.
+The PLC packs each image from its window with ``wire.pack_command_frame``,
+a refill's too, and builds no ``CommandFrame``: it keeps every field in
+range itself.  record_count is min(5, totalNo), loadedThrough at most
+totalNo, ``PlanTooLarge`` keeps totalNo within u32, frame_seq is counted
+modulo 2**16, and ``start_images`` checks that every record image is 44
+bytes.
 
 One program class, ``SkillProgram``, sequences a whole measurement run out
 of compiled skills and timestamps its window (first START emission to
@@ -39,7 +40,7 @@ from .wire import (
     RobotState,
     encode_plan,
     pack_command_frame,
-    refill_command_frame,
+    slot_for_record,
 )
 
 
@@ -81,7 +82,7 @@ _SKILL_IDLE, _SKILL_RUNNING, _SKILL_DONE = (
     PlcSkillState.DONE,
 )
 _ROBOT_IDLE, _ROBOT_DONE, _ROBOT_ERROR = RobotState.IDLE, RobotState.DONE, RobotState.ERROR
-_IDLE_WORD = CommandWord.IDLE
+_IDLE_WORD, _START_WORD = CommandWord.IDLE, CommandWord.START
 
 
 class PlcSkillInstance:
@@ -89,8 +90,8 @@ class PlcSkillInstance:
 
     Runs one skill at a time.  ``image`` is the 256-byte frame to put on the
     bus this cycle; it only changes when the content changes, so callers can
-    compare by object identity.  A refill copies the last image and writes
-    only its header progress and the newly loaded slots.
+    compare by object identity.  A refill packs a new START image of the
+    five records that end at the new loadedThrough.
     """
 
     def __init__(self):
@@ -120,7 +121,7 @@ class PlcSkillInstance:
 
     def start_images(self, images):
         """Load a skill's 44-byte record images, record 1 first, and raise
-        START.  Refills copy these images into the command image as they
+        START.  Refills pack these images into the command image as they
         are."""
         if self._state is not PlcSkillState.IDLE:
             raise BusySkill(f"skill still {self._state.value}")
@@ -151,12 +152,18 @@ class PlcSkillInstance:
             target = self._total
         if target <= self._loaded:
             return
-        first, self._loaded = self._loaded + 1, target
-        self._image = refill_command_frame(
-            self._image,
-            first,
-            self._images[first - 1 : target],
+        self._loaded = target
+        # a refill needs totalNo > 5, so the window holds five records,
+        # target - 4 first; rotated so that record m sits in its slot
+        window = self._images[target - SLOT_COUNT : target]
+        k = slot_for_record(target + 1)  # the slot of record target - 4
+        self._image = pack_command_frame(
+            _START_WORD,
+            SLOT_COUNT,
+            self._total,
+            target,
             self._next_seq(),
+            window[-k:] + window[:-k],
         )
 
     def cycle(self, fb: FeedbackFrame):
@@ -209,7 +216,6 @@ class SkillProgram:
         self._skills = tuple(skills)
         self.plc = PlcSkillInstance()
         self._next = 0
-        self._current_last = False
         self.t_start_us: int | None = None
         self.t_end_us: int | None = None
         self.finished = False
@@ -223,13 +229,13 @@ class SkillProgram:
             # nothing to stamp and no skill to start
             return plc._image
         if st is _SKILL_DONE:
-            if self._current_last:
+            if self._next == len(self._skills):
+                # the skill that just finished is the last one
                 self.t_end_us = t_us
         elif st is _SKILL_IDLE and not self.finished:
             if self._next < len(self._skills):
                 if fb.state is _ROBOT_IDLE:
                     plc.start_images(self._skills[self._next])
-                    self._current_last = self._next == len(self._skills) - 1
                     self._next += 1
                     if self.t_start_us is None:
                         self.t_start_us = t_us

@@ -110,7 +110,10 @@ class _CyclicExecutor:
     fails to decode, or that breaks the protocol there, faults the
     executor: state ERROR with code 1, until an IDLE command word clears
     it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
-    where a limit is set, faults it with code 2.
+    where a limit is set, faults it with code 2.  A fault or an abort
+    leaves the skill's motions as they are: only RUNNING advances them,
+    and the next skill begins with a fresh START, whose ``_load`` clears
+    them (``_begin_skill``).
 
     Wire records arrive in runs through ``_ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
@@ -247,12 +250,6 @@ class _CyclicExecutor:
             aux = None
         self._pending, self._approach = aux, approach
 
-    def _discard_motion(self):
-        self._active = None
-        self._plan = None
-        self._entry_speed = 0.0
-        self._entry_trunc = 0.0
-
     def _complete(self):
         _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
         self.pose = end_pose
@@ -354,7 +351,6 @@ class _CyclicExecutor:
     def _fail(self, code: int):
         self._state = _ERROR
         self._error = code
-        self._discard_motion()
 
     def _apply_frame(self, header: CommandHeader, data: bytes):
         # START goes straight to RUNNING, so LOADING is never published
@@ -369,7 +365,6 @@ class _CyclicExecutor:
                 self._load(header, data, False)
         elif st is _RUNNING or (st is _DONE and command is _ABORT):
             # aborted, or START withdrawn mid-skill: stop gracefully
-            self._discard_motion()
             self._state = _ABORTING
         elif command is _IDLE_WORD:
             # DONE, ERROR and ABORTING return to IDLE

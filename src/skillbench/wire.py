@@ -59,8 +59,9 @@ initial pose once and then pack through ``pack_feedback_frame``'s unchecked
 core, ``_pack_feedback``: every later pose is a record target decoded off
 the wire, so it is an f32 already.  ``encode_command_frame`` and
 ``encode_feedback_frame`` check their fields through ``CommandFrame`` and
-``FeedbackFrame``, then call those packers.  ``refill_command_frame``
-streams records into a copy of an existing command image.
+``FeedbackFrame``, then call those packers.  A PLC packs every command
+image it publishes, each refill included, from its fields and its
+five-record window.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ HEADER_SIZE = 12
 
 _RECORD_FMT = struct.Struct("<BBH9fBBH")
 _CMD_HEADER_FMT = struct.Struct("<BBIIH")
-_CMD_PROGRESS_FMT = struct.Struct("<IH")  # loadedThrough, frame_seq
-_CMD_PROGRESS_OFFSET = 6
 _SLOTS_FMT = struct.Struct(f"{RECORD_SIZE}s" * SLOT_COUNT)
 # the whole feedback frame: 32 bytes of fields, then 224 zero bytes (the
 # reserved bytes 32..35 and the padding)
@@ -91,7 +90,6 @@ _FLAG_CONTINUATION = 0x02
 
 assert _RECORD_FMT.size == RECORD_SIZE
 assert _CMD_HEADER_FMT.size == HEADER_SIZE
-assert _CMD_PROGRESS_OFFSET + _CMD_PROGRESS_FMT.size == HEADER_SIZE
 assert _FEEDBACK_FMT.size == FRAME_SIZE
 
 
@@ -454,31 +452,10 @@ def encode_command_frame(frame: CommandFrame) -> bytes:
     )
 
 
-def _slot_offset(m: int) -> int:
-    """Byte offset in a command image of the slot that holds record ``m``."""
-    return HEADER_SIZE + slot_for_record(m) * RECORD_SIZE
-
-
 def slot_image(data: bytes, m: int) -> bytes:
     """The 44-byte slot of command image ``data`` that holds record ``m``."""
-    off = _slot_offset(m)
+    off = HEADER_SIZE + slot_for_record(m) * RECORD_SIZE
     return data[off : off + RECORD_SIZE]
-
-
-def refill_command_frame(image: bytes, first: int, records, frame_seq: int) -> bytes:
-    """``image`` after streaming ``records``, the 44-byte images of records
-    ``first``, ``first + 1``, ...: each goes to its slot, loadedThrough
-    becomes the last one's index and frame_seq is replaced.  The command
-    word, record_count, totalNo and the other slots stay as they are.  The
-    caller keeps loadedThrough within totalNo, as ``CommandFrame`` would
-    check."""
-    buf = bytearray(image)
-    m = first - 1
-    for m, rec in enumerate(records, first):
-        off = _slot_offset(m)
-        buf[off : off + RECORD_SIZE] = rec
-    _CMD_PROGRESS_FMT.pack_into(buf, _CMD_PROGRESS_OFFSET, m, frame_seq)
-    return bytes(buf)
 
 
 class CommandHeader(NamedTuple):
@@ -583,5 +560,5 @@ def decode_feedback_frame(data: bytes) -> FeedbackFrame:
     return _tuple_new(FeedbackFrame, (st, err, cur, ack, (x, y, z, a, b, c)))
 
 
-IDLE_COMMAND_BYTES = encode_command_frame(CommandFrame())
-IDLE_FEEDBACK_BYTES = encode_feedback_frame(FeedbackFrame())
+IDLE_COMMAND_BYTES = pack_command_frame(CommandWord.IDLE, 0, 0, 0, 0, ())
+IDLE_FEEDBACK_BYTES = _pack_feedback(RobotState.IDLE, 0, 0, 0, (0.0,) * 6)

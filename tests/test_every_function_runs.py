@@ -47,7 +47,6 @@ NOT_RUN = {
     },
     "robot_executor.py": {
         "_CyclicExecutor._fail": "error path: a record fault or starvation",
-        "_CyclicExecutor._discard_motion": "error path: ABORT or a withdrawn START",
     },
     "trajectory.py": {
         "blend_geometry": PERFBENCH_NAME,

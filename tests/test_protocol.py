@@ -233,7 +233,7 @@ class TestPlcSkillInstance:
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 7), max_size=40))
     @settings(max_examples=60)
     def test_refilled_image_equals_encoded_frame(self, seed, steps):
-        # the patched image against a CommandFrame built from scratch
+        # the packed image against a CommandFrame built from scratch
         rng = random.Random(seed)
         recs = explode_plan(random_motions(rng, rng.randint(1, 30)))
         total = len(recs)
@@ -470,6 +470,62 @@ class TestRobotExecutor:
             f = decode_feedback_frame(ex.tick(8000, idle_img))
             assert f.state is RobotState.ABORTING  # held until the IDLE word changes
             assert ex.pose == (0.0,) * 6
+
+    @pytest.mark.parametrize("how", ["abort", "withdrawn", "fault"])
+    @pytest.mark.parametrize("make", [RobotExecutor, NativeExecutor], ids=["streamed", "native"])
+    def test_a_skill_after_an_interruption_runs_as_on_a_fresh_executor(self, make, how):
+        # the interrupted skill leaves an active motion, a solved plan of
+        # blended corners and a committed exit speed behind; the next START
+        # must see none of them
+        plan = ContinuousSkillPlan(
+            tuple(lin(10.0 * i, 5.0 * (i % 2), approx=2.0) for i in range(1, 13)) + (lin(130.0),)
+        )
+        skill = encode_plan(plan.motions)
+
+        def lockstep(ex, t_us, ticks):
+            """A new PLC starts ``skill`` and cycles on the feedback of each
+            of ``ticks`` ticks of ``ex`` on a 1 ms grid from ``t_us``."""
+            plc = PlcSkillInstance()
+            plc.start_images(skill)
+            out = []
+            for i in range(ticks):
+                out.append(ex.tick(t_us + 1000 * i, plc.image))
+                plc.cycle(decode_feedback_frame(out[-1]))
+            return plc, out
+
+        ex = make(capture=True) if make is RobotExecutor else make([plan], capture=True)
+        plc, out = lockstep(ex, 0, 400)
+        f = decode_feedback_frame(out[-1])
+        assert f.state is RobotState.RUNNING and 1 < f.cur_exec < len(skill)
+        if how == "abort":
+            image = encode_command_frame(CommandFrame(command=CommandWord.ABORT, frame_seq=50))
+        elif how == "withdrawn":
+            image = encode_command_frame(CommandFrame(frame_seq=50))
+        elif make is RobotExecutor:
+            # loadedThrough one past the records sent: the next slot still
+            # holds record loadedThrough - 4
+            image = bytearray(plc.image)
+            loaded = decode_command_header(image).loaded_through
+            assert loaded < len(skill)
+            struct.pack_into("<I", image, 6, loaded + 1)
+            image = bytes(image)
+        else:
+            image = b"\x07" + plc.image[1:]  # no such command word
+        f = decode_feedback_frame(ex.tick(400_000, image))
+        stopped = (RobotState.ERROR, ERROR_RECORD) if how == "fault" else (RobotState.ABORTING, 0)
+        assert (f.state, f.error_code) == stopped
+        f = decode_feedback_frame(ex.tick(401_000, encode_command_frame(CommandFrame(frame_seq=51))))
+        assert f.state is RobotState.IDLE
+        done = len(ex.executed)
+        pose = ex.pose
+        fresh = (
+            make(pose, capture=True) if make is RobotExecutor else make([plan], pose, capture=True)
+        )
+        plc, after = lockstep(ex, 402_000, 2000)
+        fresh_plc, expected = lockstep(fresh, 402_000, 2000)
+        assert plc.skills_completed == fresh_plc.skills_completed == 1
+        assert after == expected
+        assert ex.executed[done:] == fresh.executed
 
     def test_record_seq_corruption_faults_with_code_1(self):
         plc = PlcSkillInstance()

@@ -46,6 +46,7 @@ from skillbench.robot_executor import NativeExecutor, RobotExecutor
 from skillbench.wire import (
     IDLE_COMMAND_BYTES,
     IDLE_FEEDBACK_BYTES,
+    SLOT_COUNT,
     BadCommandWord,
     BadStateCode,
     CommandFrame,
@@ -605,9 +606,8 @@ class _OneRecordPerRefill(PlcSkillInstance):
     feedback can load more."""
 
     def _refill(self, cur):
-        total, self._total = self._total, min(self._total, self._loaded + 1)
-        super()._refill(cur)
-        self._total = total
+        # a curExec of loadedThrough - 3 loads through loadedThrough + 1
+        super()._refill(min(cur, self._loaded - SLOT_COUNT + 2))
 
 
 def count_plc_ticks(program, executor, config):

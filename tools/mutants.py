@@ -221,6 +221,27 @@ MUTANTS = (
         "frame_seq counts modulo 65536",
     ),
     Mutant(
+        "refill-rotation-slot",
+        "plc_trigger.py",
+        "slot_for_record(target + 1)",
+        "slot_for_record(target)",
+        "a refilled window rotates from the slot of record loadedThrough - 4",
+    ),
+    Mutant(
+        "refill-rotation-direction",
+        "plc_trigger.py",
+        "window[-k:] + window[:-k]",
+        "window[k:] + window[:k]",
+        "a refill puts each record of its window in slot (m - 1) % 5",
+    ),
+    Mutant(
+        "refill-window-start",
+        "plc_trigger.py",
+        "target - SLOT_COUNT : target]",
+        "target - SLOT_COUNT + 1 : target]",
+        "a refill packs the five records that end at loadedThrough",
+    ),
+    Mutant(
         "keep-stale-plan",
         "robot_executor.py",
         "if corners[-1] is not None and plan is not None and plan[1] == len(motions):",
