@@ -41,7 +41,10 @@ blend decisions are final.  Later activations reuse the plan until a
 record arrives whose corner blends onto the plan's end; the plan is then
 dropped whole, and the next activation solves again from the speed the
 active motion commits.  So a stored program is planned once per run of
-blended corners.
+blended corners.  An executor may be given a table of solved windows,
+which ``bench`` shares between the executors of one compiled setup: a
+window whose solver inputs it holds is not solved again, and each solve
+is stored there.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -132,18 +135,23 @@ class _CyclicExecutor:
     untimed, or no plan covers the motion), rounds the sum up to whole µs
     and stores when it ends; ``_advance(t_us)`` completes it at the first
     tick at or after that end, the tick ``next_wakeup`` asks for.
-    ``fallback_stops`` counts activations that had to commit an exact stop
-    because the successor record was not visible yet (cumulative over the
-    executor's lifetime).  A completed motion's target tuple becomes the
+    With a ``solved`` table, the window is looked up by the full argument
+    tuple of its solve first, and a solved window is stored there as three
+    tuples.  ``fallback_stops`` counts activations that had to commit an
+    exact stop because the successor record was not visible yet
+    (cumulative over the executor's lifetime).  A completed motion's target tuple becomes the
     pose (or the joints) as it is, uncopied.  The joints start at zero.
     """
 
     _starvation_limit: int | None = None
 
-    def __init__(self, initial_pose, capture: bool):
+    def __init__(self, initial_pose, capture: bool, solved: dict | None):
         self.pose = tuple(float(v) for v in initial_pose)
         self._joints = (0.0,) * 6
         self.fallback_stops = 0
+        # window inputs -> solved window, shared by the executors of one
+        # compiled setup; None solves every window afresh
+        self._solved = solved
         # (first_record, n_records, target, dur_us) per completed motion
         self._captured: list | None = [] if capture else None
         self._last_tick_us = 0
@@ -180,12 +188,13 @@ class _CyclicExecutor:
     def _begin_skill(self):
         """Empty motion lists for a skill of ``_total`` records."""
         self._motions: list[tuple] = []  # (record, first_index, n_records)
-        self._pending: MotionRecord | None = None  # continuation awaiting its target
+        # (continuation awaiting its target, (point before, end point) of the
+        # last Cartesian leg), read and written once per ``_ingest``
+        self._carry: tuple = (None, None)
         self._lengths: list[float] = []  # path length per motion, 0 for joint moves
         self._vmaxes: list[float] = []  # velocity per motion
         self._accels: list[float] = []  # acceleration per motion
         self._corners: list = []  # candidate blend into the following motion
-        self._approach = None  # (point before, end point) of the last Cartesian leg
         self._next = 0
         # (end_us, dur_us, motion, end pose, end joints, exit speed, exit trunc)
         self._active = None
@@ -205,7 +214,7 @@ class _CyclicExecutor:
         distance is negative."""
         motions, lengths, corners = self._motions, self._lengths, self._corners
         vmaxes, accels = self._vmaxes, self._accels
-        aux, approach, plan = self._pending, self._approach, self._plan
+        (aux, approach), plan = self._carry, self._plan
         am = motions[-1][0] if motions else None  # the last motion's record
         for idx, rec in enumerate(records, first_idx):
             v, a = rec.velocity, rec.acceleration
@@ -248,7 +257,7 @@ class _CyclicExecutor:
             corners.append(None)
             am = rec
             aux = None
-        self._pending, self._approach = aux, approach
+        self._carry = (aux, approach)
 
     def _complete(self):
         _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
@@ -298,14 +307,39 @@ class _CyclicExecutor:
                 end = k + 1
                 while end < len(motions) and corners[end - 1] is not None:
                     end += 1
-                speeds, blends, straight = solve_corners(
-                    self._lengths[k:end],
-                    self._vmaxes[k:end],
-                    self._accels[k:end],
-                    [None, *corners[k : end - 1], None],
-                    self._entry_speed,
-                    self._entry_trunc,
-                )
+                solved = self._solved
+                if solved is None:
+                    speeds, blends, straight = solve_corners(
+                        self._lengths[k:end],
+                        self._vmaxes[k:end],
+                        self._accels[k:end],
+                        [None, *corners[k : end - 1], None],
+                        self._entry_speed,
+                        self._entry_trunc,
+                    )
+                else:
+                    # the key is the whole argument tuple.  It compares
+                    # -0.0 equal to 0.0, but no input is -0.0: lengths are
+                    # sums of ``math.dist``, dynamics pass the check at
+                    # ingest, a blend holds positive values or literal
+                    # zeros, and the entry is a literal zero, a solved
+                    # speed (a blend speed or a square root) or a blend's
+                    # truncation
+                    key = (
+                        tuple(self._lengths[k:end]),
+                        tuple(self._vmaxes[k:end]),
+                        tuple(self._accels[k:end]),
+                        (None, *corners[k : end - 1], None),
+                        self._entry_speed,
+                        self._entry_trunc,
+                    )
+                    window = solved.get(key)
+                    if window is None:
+                        # tuples, so that no executor can change another's
+                        # plan; a solve that raises stores nothing
+                        speeds, blends, straight = solve_corners(*key)
+                        window = solved[key] = (tuple(speeds), tuple(blends), tuple(straight))
+                    speeds, blends, straight = window
                 # a later solve must not revive a blend dropped here:
                 # dropping only newer corners then restores this plan
                 corners[k : end - 1] = blends[1:-1]
@@ -435,8 +469,9 @@ class RobotExecutor(_CyclicExecutor):
         initial_pose=(0.0,) * 6,
         starvation_limit: int = 250,
         capture: bool = False,
+        solved: dict | None = None,
     ):
-        super().__init__(initial_pose, capture)
+        super().__init__(initial_pose, capture, solved)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
 
@@ -490,17 +525,20 @@ class NativeExecutor(_CyclicExecutor):
     """
 
     def __init__(self, plans, initial_pose=(0.0,) * 6, capture: bool = False):
-        self._hold(stored_records(plans), initial_pose, capture)
+        self._hold(stored_records(plans), initial_pose, capture, None)
 
     @classmethod
-    def from_records(cls, records, initial_pose=(0.0,) * 6, capture: bool = False):
-        """An executor storing ``records``, the result of ``stored_records``."""
+    def from_records(
+        cls, records, initial_pose=(0.0,) * 6, capture: bool = False, solved: dict | None = None
+    ):
+        """An executor storing ``records``, the result of ``stored_records``,
+        that looks its windows up in ``solved`` when given one."""
         executor = cls.__new__(cls)
-        executor._hold(records, initial_pose, capture)
+        executor._hold(records, initial_pose, capture, solved)
         return executor
 
-    def _hold(self, records, initial_pose, capture):
-        super().__init__(initial_pose, capture)
+    def _hold(self, records, initial_pose, capture, solved):
+        super().__init__(initial_pose, capture, solved)
         self._records = tuple(records)
         self._total = len(self._records)
 

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import skillbench
+from skillbench import robot_executor
 from skillbench.bench import (
     SETUP_A,
     SETUP_B,
@@ -33,13 +36,14 @@ from skillbench.bench import (
     summary_csv,
 )
 from skillbench.cli import main
-from skillbench.core import ContinuousSkillPlan, ExecutionType, Pose
+from skillbench.core import ContinuousSkillPlan, ExecutionType, MotionCommand, MotionType, Pose
 from skillbench.fieldbus_sim import SimConfig, run
 from skillbench.planner import PlanningConfig, StepKind, plan
 from skillbench.plc_trigger import (
     ContinuousMotionProgram,
     NativeTriggerProgram,
     SkillProgram,
+    continuous_skills,
     single_motion_skills,
 )
 from skillbench.robot_executor import NativeExecutor, RobotExecutor
@@ -412,12 +416,15 @@ def plan_run(plans, pose, etype):
 
 def compiled_run(compiled, pose, etype):
     """``_build_run``'s repetition from a compiled setup, the executor
-    capturing."""
+    capturing and sharing the setup's table of solved windows."""
     if etype is ExecutionType.RC:
-        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose, capture=True)
+        executor = NativeExecutor.from_records(
+            compiled.records, initial_pose=pose, capture=True, solved=compiled.solved
+        )
         return NativeTriggerProgram(), executor
     skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
-    return SkillProgram(skills), RobotExecutor(initial_pose=pose, capture=True)
+    executor = RobotExecutor(initial_pose=pose, capture=True, solved=compiled.solved)
+    return SkillProgram(skills), executor
 
 
 class TestCompileOnce:
@@ -486,6 +493,33 @@ class TestCompileOnce:
                 assert runs[0][0] == report.stats[etype].samples[rep]
             assert runs[0][2] == report.last_trace.digest()
 
+    def test_warm_repetitions_solve_no_window(self, solve_calls):
+        # RC and CM solve the same three windows per setup, SM none; the
+        # fixture drops the compiled setups, so the first call is cold
+        for cfg in (SETUP_A, SETUP_B):
+            solve_calls.clear()
+            run_benchmark(cfg, reps=2, seed=0)
+            assert len(solve_calls) == 3
+            assert len(compile_setup(cfg).solved) == 3
+            solve_calls.clear()
+            run_benchmark(cfg, reps=3, seed=4, sim=SimConfig(plc_cycle_us=4000))
+            assert solve_calls == []
+
+    def test_a_solve_that_raises_stores_nothing(self, monkeypatch):
+        compiled = compile_plans(build_plans(SETUP_A))
+        pose = SETUP_A.start.components()
+
+        def failing(*args):
+            raise ValueError("no solve")
+
+        monkeypatch.setattr(robot_executor, "solve_corners", failing)
+        with pytest.raises(ValueError, match="no solve"):
+            run(*_build_run(compiled, pose, ExecutionType.CM), SimConfig())
+        assert compiled.solved == {}
+        monkeypatch.undo()
+        run(*_build_run(compiled, pose, ExecutionType.CM), SimConfig())
+        assert len(compiled.solved) == 3
+
     @pytest.mark.parametrize("outer", list(ExecutionType), ids=lambda e: e.value)
     def test_runs_interleaved_on_one_compile_replay_separate_compiles(self, outer):
         # before each PLC tick of one run, a whole other run, of each type
@@ -516,6 +550,92 @@ class TestCompileOnce:
         assert len(inner) >= 5
         assert digest == separate(outer, 0)
         assert [d for _, _, d in inner] == [separate(etype, rep) for etype, rep, _ in inner]
+
+
+LIN = MotionType.LIN_CARTESIAN
+KEY_FIELDS = ("lengths", "vmaxes", "accels", "blends", "entry_speed", "entry_trunc")
+
+
+def bent_path(first_leg=100.0, velocity=(), accel=(), approx=()):
+    """Eight LIN motions, more than one START image holds: a 90 degree
+    corner with a 2 mm approx after the first, whose blend speed sits below
+    every velocity, then 100 mm legs turning by 0.05 rad, gentle enough
+    that each blend runs at the slower velocity.  ``velocity``, ``accel``
+    and ``approx`` are ``(motion, value)`` changes of the defaults."""
+    vs, accs, aps = [250.0] * 8, [2000.0] * 8, [2.0] * 7 + [0.0]
+    accs[1] = 1500.0  # the first corner's blend is timed with it
+    for values, changes in ((vs, velocity), (accs, accel), (aps, approx)):
+        for i, value in changes:
+            values[i] = value
+    x, y, heading = first_leg, 0.0, math.pi / 2
+    motions = []
+    for i in range(8):
+        motions.append(MotionCommand(LIN, Pose(x, y, 0.0), vs[i], accs[i], aps[i]))
+        x, y = x + 100.0 * math.cos(heading), y + 100.0 * math.sin(heading)
+        heading += 0.05 if i % 2 else -0.05
+    return ContinuousSkillPlan(tuple(motions))
+
+
+def wiggle(motions=12):
+    """Short legs with slight bends: where the PLC's refills land decides
+    which windows are solved and at which speeds they are entered."""
+    return ContinuousSkillPlan(
+        tuple(
+            MotionCommand(LIN, Pose(i + 1.0, 0.1 * (i % 2), 0.0), 2000.0, 1e5, approx)
+            for i, approx in enumerate([0.2] * (motions - 1) + [0.0])
+        )
+    )
+
+
+class TestSolvedWindows:
+    def test_a_shared_table_runs_as_a_fresh_one(self):
+        """One table shared by CM runs of streamed skills equals a fresh
+        table per run.  Each variant of ``bent_path`` changes one solver
+        input of a window that the base path also solves: the length,
+        velocity or acceleration of its first motion, the approx of an
+        inner corner, or the velocity or approx of the corner that enters
+        a window solved on the move.  So the table meets windows that
+        differ in only one key field, for every field: a key that left
+        one out would hand a run another window's plan."""
+        plans = (
+            bent_path(),
+            bent_path(first_leg=120.0),
+            bent_path(velocity=[(0, 200.0)]),
+            bent_path(accel=[(0, 3000.0)]),
+            bent_path(approx=[(2, 3.0)]),
+            bent_path(velocity=[(1, 220.0)]),
+            bent_path(approx=[(1, 3.0)]),
+            wiggle(),
+        )
+        triples = ((1000, 1000, 4000), (4000, 2000, 4000), (2000, 1000, 2000))
+        shared = {}
+        for p in plans:
+            skills = continuous_skills([p])
+            for seed, cycles in itertools.product((0, 1), triples):
+                sim = SimConfig(*cycles, seed=seed)
+                runs = []
+                for table in (shared, {}):
+                    program = SkillProgram(skills)
+                    executor = RobotExecutor(capture=True, solved=table)
+                    digest = run(program, executor, sim).trace.digest()
+                    runs.append((program.elapsed_ms, executor.executed, digest))
+                assert runs[0] == runs[1]
+        differing = set()
+        for one, other in itertools.combinations(shared, 2):
+            fields = [name for name, a, b in zip(KEY_FIELDS, one, other) if a != b]
+            if len(fields) == 1:
+                differing.add(fields[0])
+        assert differing == set(KEY_FIELDS)
+
+    def test_a_solved_window_is_stored_as_tuples(self):
+        compiled = compile_plans(build_plans(SETUP_A))
+        pose = SETUP_A.start.components()
+        for etype in (ExecutionType.RC, ExecutionType.CM):
+            run(*_build_run(compiled, pose, etype), SimConfig())
+        assert len(compiled.solved) == 3
+        for key, window in compiled.solved.items():
+            assert [type(part) for part in key[:4]] == [tuple] * 4
+            assert [type(part) for part in window] == [tuple] * 3
 
 
 # --- rendering -----------------------------------------------------------------------

@@ -424,6 +424,38 @@ MUTANTS = (
         "        if plc_due == t and bus_due != t:\n",
         "at a tie the PLC runs before the bus",
     ),
+    Mutant(
+        "solved-window-lists",
+        "robot_executor.py",
+        "solved[key] = (tuple(speeds), tuple(blends), tuple(straight))",
+        "solved[key] = (speeds, blends, straight)",
+        "a solved window is stored as tuples, so no executor can change another's plan",
+    ),
+)
+
+# the lookup and the store of a solved window; each key mutant looks the
+# window up, and stores it, under the key without one of its fields
+_SOLVED_WINDOW = """\
+                    window = solved.get(key)
+                    if window is None:
+                        # tuples, so that no executor can change another's
+                        # plan; a solve that raises stores nothing
+                        speeds, blends, straight = solve_corners(*key)
+                        window = solved[key] = """
+_KEY_FIELDS = ("lengths", "vmaxes", "accels", "blends", "entry-speed", "entry-trunc")
+
+MUTANTS += tuple(
+    Mutant(
+        f"solved-key-without-{field}",
+        "robot_executor.py",
+        _SOLVED_WINDOW,
+        f"                    lookup = key[:{i}] + key[{i + 1}:]\n"
+        + _SOLVED_WINDOW.replace("solved.get(key)", "solved.get(lookup)").replace(
+            "solved[key]", "solved[lookup]"
+        ),
+        f"a solved window is keyed on its {field.replace('-', ' ')} too",
+    )
+    for i, field in enumerate(_KEY_FIELDS)
 )
 
 
