@@ -16,8 +16,9 @@ task phase offsets are paired across types.  A setup is planned once per
 process (``build_plans``) and compiled once (``compile_setup``): RC's
 stored records and SM's and CM's skills are built from the plans one time,
 and every repetition only runs them, as the paper's PLC triggers records
-written once into a data block.  The compiled setup also keeps the corner
-windows its runs solved, so RC and CM solve each window once per process.
+written once into a data block.  The executors solve their corner windows
+through the robot task's cache of recently solved windows, so RC and CM
+solve each window of setups A and B once per process.
 """
 
 from __future__ import annotations
@@ -236,37 +237,31 @@ class CompiledSetup(NamedTuple):
     records: tuple  # RC: the stored program, ``stored_records``
     single_motion: tuple  # SM: ``single_motion_skills``
     continuous: tuple  # CM: ``continuous_skills``
-    # the executors' table of solved corner windows: solver inputs -> result
-    solved: dict
 
 
 def compile_plans(plans) -> CompiledSetup:
-    """Encode (and, for RC, decode) ``plans`` for all three execution types,
-    with an empty table of solved windows.  Raises ``UnencodableValue`` for
-    a plan the wire cannot carry."""
+    """Encode (and, for RC, decode) ``plans`` for all three execution types.
+    Raises ``UnencodableValue`` for a plan the wire cannot carry."""
     return CompiledSetup(
-        stored_records(plans), single_motion_skills(plans), continuous_skills(plans), {}
+        stored_records(plans), single_motion_skills(plans), continuous_skills(plans)
     )
 
 
 @lru_cache(maxsize=8)
 def compile_setup(cfg: ScenarioConfig) -> CompiledSetup:
     """``compile_plans`` of the plans of ``build_plans(cfg)``, compiled once
-    per process for each of the eight most recently used setups.  Programs
-    and executors only read the records and skills, so all repetitions
-    share them; the executors add each window they solve to the table,
-    which lives as long as the cache keeps the setup."""
+    per process for each of the eight most recently used setups.  Every
+    program and executor only reads what it is given, so all repetitions
+    share the result."""
     return compile_plans(build_plans(cfg))
 
 
 def _build_run(compiled: CompiledSetup, pose, etype: ExecutionType):
     if etype is ExecutionType.RC:
-        executor = NativeExecutor.from_records(
-            compiled.records, initial_pose=pose, solved=compiled.solved
-        )
+        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose)
         return NativeTriggerProgram(), executor
     skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
-    return SkillProgram(skills), RobotExecutor(initial_pose=pose, solved=compiled.solved)
+    return SkillProgram(skills), RobotExecutor(initial_pose=pose)
 
 
 def run_benchmark(

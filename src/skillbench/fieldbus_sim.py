@@ -85,11 +85,14 @@ class SimConfig:
     timeout_us: int = 120_000_000
 
     def __post_init__(self):
-        for name in ("plc_cycle_us", "bus_cycle_us", "robot_cycle_us"):
-            if getattr(self, name) <= 0:
+        # a float would print in the trace and a bool run a 1 µs cycle, so
+        # each time is a plain int
+        for name in ("plc_cycle_us", "bus_cycle_us", "robot_cycle_us", "timeout_us"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.timeout_us <= 0:
-            raise ValueError("timeout_us must be positive")
 
 
 def rep_seed(seed: int, rep: int) -> int:

@@ -41,10 +41,10 @@ blend decisions are final.  Later activations reuse the plan until a
 record arrives whose corner blends onto the plan's end; the plan is then
 dropped whole, and the next activation solves again from the speed the
 active motion commits.  So a stored program is planned once per run of
-blended corners.  An executor may be given a table of solved windows,
-which ``bench`` shares between the executors of one compiled setup: a
-window whose solver inputs it holds is not solved again, and each solve
-is stored there.
+blended corners.  Every executor solves through one process-wide cache
+of the eight most recently solved windows (``_solve_window``), so a
+window met again soon, as by the next repetition of a benchmark setup,
+is not solved again.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -58,6 +58,7 @@ executor nothing: a motion ends by the clock, not by ticks counted.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .trajectory import corner_blend, motion_time, ptp_time, solve_corners
 from .wire import (
@@ -99,6 +100,25 @@ _START, _ABORT, _IDLE_WORD = CommandWord.START, CommandWord.ABORT, CommandWord.I
 _IDLE_FEEDBACK_FIELDS = (_IDLE, 0, 0, 0, (0.0,) * 6)
 
 
+@lru_cache(maxsize=8)
+def _solve_window(lengths, vmaxes, accels, blends, entry_speed, entry_trunc):
+    """``solve_corners`` of one window, its speeds, blends and straight
+    seconds each as a tuple, so that no executor can change another's plan.
+
+    The eight most recently solved windows of the process are kept, and a
+    solve that raises keeps nothing.  The key is the whole argument tuple,
+    the slices of the window as tuples.  It compares -0.0 equal to 0.0,
+    but no executor hands in -0.0: lengths are sums of ``math.dist``,
+    dynamics pass the check at ingest, a blend holds positive values or
+    literal zeros, and the entry is a literal zero, a solved speed (a
+    blend speed or a square root) or a blend's truncation.
+    """
+    speeds, blends, straight = solve_corners(
+        lengths, vmaxes, accels, blends, entry_speed, entry_trunc
+    )
+    return tuple(speeds), tuple(blends), tuple(straight)
+
+
 class _CyclicExecutor:
     """The robot task of both executors: it takes in records and executes
     them on the robot's clock.
@@ -126,7 +146,7 @@ class _CyclicExecutor:
     ingested motion adds its path length, velocity and acceleration and
     the ``corner_blend`` of the corner it closes.  An activation outside
     the current plan solves the visible Cartesian window up to its first
-    exact stop with ``solve_corners``, and a blend dropped there stays
+    exact stop through ``_solve_window``, and a blend dropped there stays
     dropped; one whose motion ends at an exact stop solves nothing.  A plan
     is kept whole or dropped: a record whose corner blends onto the plan's
     end drops it, one whose corner stops leaves it.  Each activation takes
@@ -135,23 +155,18 @@ class _CyclicExecutor:
     untimed, or no plan covers the motion), rounds the sum up to whole µs
     and stores when it ends; ``_advance(t_us)`` completes it at the first
     tick at or after that end, the tick ``next_wakeup`` asks for.
-    With a ``solved`` table, the window is looked up by the full argument
-    tuple of its solve first, and a solved window is stored there as three
-    tuples.  ``fallback_stops`` counts activations that had to commit an
-    exact stop because the successor record was not visible yet
-    (cumulative over the executor's lifetime).  A completed motion's target tuple becomes the
+    ``fallback_stops`` counts activations that had to commit an exact stop
+    because the successor record was not visible yet (cumulative over the
+    executor's lifetime).  A completed motion's target tuple becomes the
     pose (or the joints) as it is, uncopied.  The joints start at zero.
     """
 
     _starvation_limit: int | None = None
 
-    def __init__(self, initial_pose, capture: bool, solved: dict | None):
+    def __init__(self, initial_pose, capture: bool):
         self.pose = tuple(float(v) for v in initial_pose)
         self._joints = (0.0,) * 6
         self.fallback_stops = 0
-        # window inputs -> solved window, shared by the executors of one
-        # compiled setup; None solves every window afresh
-        self._solved = solved
         # (first_record, n_records, target, dur_us) per completed motion
         self._captured: list | None = [] if capture else None
         self._last_tick_us = 0
@@ -307,39 +322,14 @@ class _CyclicExecutor:
                 end = k + 1
                 while end < len(motions) and corners[end - 1] is not None:
                     end += 1
-                solved = self._solved
-                if solved is None:
-                    speeds, blends, straight = solve_corners(
-                        self._lengths[k:end],
-                        self._vmaxes[k:end],
-                        self._accels[k:end],
-                        [None, *corners[k : end - 1], None],
-                        self._entry_speed,
-                        self._entry_trunc,
-                    )
-                else:
-                    # the key is the whole argument tuple.  It compares
-                    # -0.0 equal to 0.0, but no input is -0.0: lengths are
-                    # sums of ``math.dist``, dynamics pass the check at
-                    # ingest, a blend holds positive values or literal
-                    # zeros, and the entry is a literal zero, a solved
-                    # speed (a blend speed or a square root) or a blend's
-                    # truncation
-                    key = (
-                        tuple(self._lengths[k:end]),
-                        tuple(self._vmaxes[k:end]),
-                        tuple(self._accels[k:end]),
-                        (None, *corners[k : end - 1], None),
-                        self._entry_speed,
-                        self._entry_trunc,
-                    )
-                    window = solved.get(key)
-                    if window is None:
-                        # tuples, so that no executor can change another's
-                        # plan; a solve that raises stores nothing
-                        speeds, blends, straight = solve_corners(*key)
-                        window = solved[key] = (tuple(speeds), tuple(blends), tuple(straight))
-                    speeds, blends, straight = window
+                speeds, blends, straight = _solve_window(
+                    tuple(self._lengths[k:end]),
+                    tuple(self._vmaxes[k:end]),
+                    tuple(self._accels[k:end]),
+                    (None, *corners[k : end - 1], None),
+                    self._entry_speed,
+                    self._entry_trunc,
+                )
                 # a later solve must not revive a blend dropped here:
                 # dropping only newer corners then restores this plan
                 corners[k : end - 1] = blends[1:-1]
@@ -469,9 +459,8 @@ class RobotExecutor(_CyclicExecutor):
         initial_pose=(0.0,) * 6,
         starvation_limit: int = 250,
         capture: bool = False,
-        solved: dict | None = None,
     ):
-        super().__init__(initial_pose, capture, solved)
+        super().__init__(initial_pose, capture)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
 
@@ -525,20 +514,17 @@ class NativeExecutor(_CyclicExecutor):
     """
 
     def __init__(self, plans, initial_pose=(0.0,) * 6, capture: bool = False):
-        self._hold(stored_records(plans), initial_pose, capture, None)
+        self._hold(stored_records(plans), initial_pose, capture)
 
     @classmethod
-    def from_records(
-        cls, records, initial_pose=(0.0,) * 6, capture: bool = False, solved: dict | None = None
-    ):
-        """An executor storing ``records``, the result of ``stored_records``,
-        that looks its windows up in ``solved`` when given one."""
+    def from_records(cls, records, initial_pose=(0.0,) * 6, capture: bool = False):
+        """An executor storing ``records``, the result of ``stored_records``."""
         executor = cls.__new__(cls)
-        executor._hold(records, initial_pose, capture, solved)
+        executor._hold(records, initial_pose, capture)
         return executor
 
-    def _hold(self, records, initial_pose, capture, solved):
-        super().__init__(initial_pose, capture, solved)
+    def _hold(self, records, initial_pose, capture):
+        super().__init__(initial_pose, capture)
         self._records = tuple(records)
         self._total = len(self._records)
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from skillbench import bench, robot_executor
+from skillbench import robot_executor
 
 # simulation-backed properties legitimately take tens of ms per example
 settings.register_profile(
@@ -17,10 +17,10 @@ def solve_calls(monkeypatch):
     """Arguments of every ``solve_corners`` call the executors make
     during the test, in call order.  Both executors plan through it, so it
     sees the windows of ``run_native``, ``fieldbus_sim.run`` and
-    ``run_benchmark`` alike.  The compiled setups are dropped first, as
-    a setup compiled by an earlier test keeps the windows its runs solved
-    and ``run_benchmark`` would solve none of them again."""
-    bench.compile_setup.cache_clear()
+    ``run_benchmark`` alike.  The executors' cache of solved windows is
+    cleared first: a window that an earlier test solved would be a hit,
+    and the test would not see it solved again."""
+    robot_executor._solve_window.cache_clear()
     calls = []
     solve = robot_executor.solve_corners
 

@@ -416,14 +416,12 @@ def plan_run(plans, pose, etype):
 
 def compiled_run(compiled, pose, etype):
     """``_build_run``'s repetition from a compiled setup, the executor
-    capturing and sharing the setup's table of solved windows."""
+    capturing."""
     if etype is ExecutionType.RC:
-        executor = NativeExecutor.from_records(
-            compiled.records, initial_pose=pose, capture=True, solved=compiled.solved
-        )
+        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose, capture=True)
         return NativeTriggerProgram(), executor
     skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
-    executor = RobotExecutor(initial_pose=pose, capture=True, solved=compiled.solved)
+    executor = RobotExecutor(initial_pose=pose, capture=True)
     return SkillProgram(skills), executor
 
 
@@ -495,19 +493,34 @@ class TestCompileOnce:
 
     def test_warm_repetitions_solve_no_window(self, solve_calls):
         # RC and CM solve the same three windows per setup, SM none; the
-        # fixture drops the compiled setups, so the first call is cold
-        for cfg in (SETUP_A, SETUP_B):
+        # fixture clears the cache of solved windows, so the first call is cold
+        cache = robot_executor._solve_window
+        for size, cfg in ((3, SETUP_A), (6, SETUP_B)):
             solve_calls.clear()
             run_benchmark(cfg, reps=2, seed=0)
             assert len(solve_calls) == 3
-            assert len(compile_setup(cfg).solved) == 3
+            assert cache.cache_info().currsize == size
             solve_calls.clear()
             run_benchmark(cfg, reps=3, seed=4, sim=SimConfig(plc_cycle_us=4000))
             assert solve_calls == []
 
-    def test_a_solve_that_raises_stores_nothing(self, monkeypatch):
-        compiled = compile_plans(build_plans(SETUP_A))
+    def test_a_round_of_both_setups_keeps_every_window(self, solve_calls):
+        # perfbench's pickplace order: setup A under RC, SM and CM, then B,
+        # then A again; its second round finds all six windows cached
+        for cfg in (SETUP_A, SETUP_B):
+            run_benchmark(cfg, reps=1, seed=0)
+        assert len(set(solve_calls)) == len(solve_calls) == 6
+        solve_calls.clear()
+        run_benchmark(SETUP_A, reps=1, seed=1)
+        assert solve_calls == []
+
+    def test_a_solve_that_raises_caches_nothing(self, solve_calls, monkeypatch):
+        cache = robot_executor._solve_window
+        run_benchmark(SETUP_B, etypes=(ExecutionType.CM,), reps=1)
+        size = cache.cache_info().currsize
+        compiled = compile_setup(SETUP_A)
         pose = SETUP_A.start.components()
+        recording = robot_executor.solve_corners
 
         def failing(*args):
             raise ValueError("no solve")
@@ -515,10 +528,11 @@ class TestCompileOnce:
         monkeypatch.setattr(robot_executor, "solve_corners", failing)
         with pytest.raises(ValueError, match="no solve"):
             run(*_build_run(compiled, pose, ExecutionType.CM), SimConfig())
-        assert compiled.solved == {}
-        monkeypatch.undo()
+        assert cache.cache_info().currsize == size == 3
+        monkeypatch.setattr(robot_executor, "solve_corners", recording)
+        solve_calls.clear()
         run(*_build_run(compiled, pose, ExecutionType.CM), SimConfig())
-        assert len(compiled.solved) == 3
+        assert len(solve_calls) == 3
 
     @pytest.mark.parametrize("outer", list(ExecutionType), ids=lambda e: e.value)
     def test_runs_interleaved_on_one_compile_replay_separate_compiles(self, outer):
@@ -588,15 +602,15 @@ def wiggle(motions=12):
 
 
 class TestSolvedWindows:
-    def test_a_shared_table_runs_as_a_fresh_one(self):
-        """One table shared by CM runs of streamed skills equals a fresh
-        table per run.  Each variant of ``bent_path`` changes one solver
-        input of a window that the base path also solves: the length,
-        velocity or acceleration of its first motion, the approx of an
-        inner corner, or the velocity or approx of the corner that enters
-        a window solved on the move.  So the table meets windows that
-        differ in only one key field, for every field: a key that left
-        one out would hand a run another window's plan."""
+    def test_a_warm_cache_runs_as_a_cleared_one(self, solve_calls):
+        """A CM run of a streamed skill on the warm cache of solved windows
+        equals the same run after ``cache_clear()``.  Each variant of
+        ``bent_path`` changes one solver input of a window that the base
+        path also solves: the length, velocity or acceleration of its
+        first motion, the approx of an inner corner, or the velocity or
+        approx of the corner that enters a window solved on the move.  So
+        the runs solve windows that differ in only one key field, for
+        every field, and the warm runs look windows up among them."""
         plans = (
             bent_path(),
             bent_path(first_leg=120.0),
@@ -608,33 +622,44 @@ class TestSolvedWindows:
             wiggle(),
         )
         triples = ((1000, 1000, 4000), (4000, 2000, 4000), (2000, 1000, 2000))
-        shared = {}
+        cache = robot_executor._solve_window
+        warm_hits = 0
+
+        def one_run(skills, sim):
+            program = SkillProgram(skills)
+            executor = RobotExecutor(capture=True)
+            digest = run(program, executor, sim).trace.digest()
+            return program.elapsed_ms, executor.executed, digest
+
         for p in plans:
             skills = continuous_skills([p])
             for seed, cycles in itertools.product((0, 1), triples):
                 sim = SimConfig(*cycles, seed=seed)
-                runs = []
-                for table in (shared, {}):
-                    program = SkillProgram(skills)
-                    executor = RobotExecutor(capture=True, solved=table)
-                    digest = run(program, executor, sim).trace.digest()
-                    runs.append((program.elapsed_ms, executor.executed, digest))
-                assert runs[0] == runs[1]
+                hits = cache.cache_info().hits
+                warm = one_run(skills, sim)
+                warm_hits += cache.cache_info().hits - hits
+                cache.cache_clear()
+                assert warm == one_run(skills, sim)
+        assert warm_hits > 0
         differing = set()
-        for one, other in itertools.combinations(shared, 2):
+        for one, other in itertools.combinations(dict.fromkeys(solve_calls), 2):
             fields = [name for name, a, b in zip(KEY_FIELDS, one, other) if a != b]
             if len(fields) == 1:
                 differing.add(fields[0])
         assert differing == set(KEY_FIELDS)
 
-    def test_a_solved_window_is_stored_as_tuples(self):
+    def test_a_solved_window_is_cached_as_tuples(self, solve_calls):
         compiled = compile_plans(build_plans(SETUP_A))
         pose = SETUP_A.start.components()
         for etype in (ExecutionType.RC, ExecutionType.CM):
             run(*_build_run(compiled, pose, etype), SimConfig())
-        assert len(compiled.solved) == 3
-        for key, window in compiled.solved.items():
-            assert [type(part) for part in key[:4]] == [tuple] * 4
+        assert len(solve_calls) == 3
+        cache = robot_executor._solve_window
+        for args in solve_calls:
+            assert [type(part) for part in args[:4]] == [tuple] * 4
+            hits = cache.cache_info().hits
+            window = cache(*args)
+            assert cache.cache_info().hits == hits + 1
             assert [type(part) for part in window] == [tuple] * 3
 
 

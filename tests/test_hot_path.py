@@ -34,6 +34,7 @@ HOT_PATH = {
         "_CyclicExecutor._advance",
         "_CyclicExecutor._activate",
         "_CyclicExecutor._complete",
+        "_solve_window",
     ),
     "plc_trigger.py": (
         "PlcSkillInstance.cycle",

@@ -92,10 +92,16 @@ class TestSimConfig:
             {"bus_cycle_us": -1},
             {"robot_cycle_us": 0},
             {"timeout_us": 0},
+            {"robot_cycle_us": 4000.0},
+            {"bus_cycle_us": 1000.5},
+            {"timeout_us": 1e6},
+            {"plc_cycle_us": True},
+            {"timeout_us": True},
+            {"robot_cycle_us": "4000"},
         ],
     )
-    def test_rejects_nonpositive(self, kw):
-        with pytest.raises(ValueError):
+    def test_rejects_a_time_that_is_not_a_positive_int(self, kw):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be"):
             SimConfig(**kw)
 
     def test_rep_seed_pairs_runs(self):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from scipy.integrate import quad
 
-from skillbench import robot_executor, trajectory
+from skillbench import trajectory
 from skillbench.core import ContinuousSkillPlan, JointTarget, MotionCommand, MotionType, Pose
 from skillbench.robot_executor import NativeExecutor
 from skillbench.trajectory import (
@@ -689,25 +689,19 @@ def test_executor_blending_never_slower_than_stopping():
             assert b <= s + len(plan.motions), (b, s)
 
 
-def test_native_program_solves_each_cartesian_run_once(monkeypatch):
+def test_native_program_solves_each_cartesian_run_once(solve_calls, monkeypatch):
     """A 200-motion blended program split by two joint moves into three
     Cartesian runs is solved three times, and each corner's blend is built
     once."""
-    calls = {"solve": 0, "blend": 0}
+    blends = 0
+    blend_geometry = trajectory.blend_geometry
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        nonlocal blends
+        blends += 1
+        return blend_geometry(*args, **kwargs)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        robot_executor, "solve_corners", counted("solve", robot_executor.solve_corners)
-    )
-    monkeypatch.setattr(
-        trajectory, "blend_geometry", counted("blend", trajectory.blend_geometry)
-    )
+    monkeypatch.setattr(trajectory, "blend_geometry", counted)
     rng = random.Random(0x200)
     motions, pos = [], np.zeros(3)
     for i in range(200):
@@ -721,5 +715,5 @@ def test_native_program_solves_each_cartesian_run_once(monkeypatch):
         motions.append(_lin(Pose(*pos), v=4000.0, a=4.0e6, approx=approx))
     ex = run_native([ContinuousSkillPlan(tuple(motions))])
     assert len(ex.executed) == 200
-    assert calls["solve"] == 3
-    assert calls["blend"] <= 200
+    assert len(solve_calls) == 3
+    assert blends <= 200
