@@ -16,9 +16,11 @@ task phase offsets are paired across types.  A setup is planned once per
 process (``build_plans``) and compiled once (``compile_setup``): RC's
 stored records and SM's and CM's skills are built from the plans one time,
 and every repetition only runs them, as the paper's PLC triggers records
-written once into a data block.  The executors solve their corner windows
-through the robot task's cache of recently solved windows, so RC and CM
-solve each window of setups A and B once per process.
+written once into a data block.  The executors of those repetitions
+solve their corner windows through the robot task's cache of recently
+solved windows, so RC and CM solve each window of setups A and B once per
+process; an executor built anywhere else solves without the cache, as its
+windows do not come back.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ from .plc_trigger import (
     continuous_skills,
     single_motion_skills,
 )
-from .robot_executor import NativeExecutor, RobotExecutor, stored_records
+from .robot_executor import (
+    NativeExecutor,
+    RobotExecutor,
+    _solve_window,
+    stored_records,
+)
 
 
 @dataclass(frozen=True)
@@ -257,11 +264,18 @@ def compile_setup(cfg: ScenarioConfig) -> CompiledSetup:
 
 
 def _build_run(compiled: CompiledSetup, pose, etype: ExecutionType):
+    """A repetition of ``compiled`` under ``etype``: its program and
+    executor.  The repetitions of a setup meet the same windows again, so
+    their executors solve through the robot task's cache of solved
+    windows; no other executor does."""
     if etype is ExecutionType.RC:
+        program = NativeTriggerProgram()
         executor = NativeExecutor.from_records(compiled.records, initial_pose=pose)
-        return NativeTriggerProgram(), executor
-    skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
-    return SkillProgram(skills), RobotExecutor(initial_pose=pose)
+    else:
+        skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
+        program, executor = SkillProgram(skills), RobotExecutor(initial_pose=pose)
+    executor._solve = _solve_window
+    return program, executor
 
 
 def run_benchmark(

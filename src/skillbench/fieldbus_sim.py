@@ -86,12 +86,16 @@ class SimConfig:
 
     def __post_init__(self):
         # a float would print in the trace and a bool run a 1 µs cycle, so
-        # each time is a plain int
-        for name in ("plc_cycle_us", "bus_cycle_us", "robot_cycle_us", "timeout_us"):
+        # each time (a ``_us`` field) is a positive plain int.  ``rep_seed``
+        # masks the seed and the rep, so any int will do there, but a float
+        # fails the mask
+        for name in (
+            "plc_cycle_us", "bus_cycle_us", "robot_cycle_us", "timeout_us", "seed", "rep"
+        ):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            if value <= 0:
+            if value <= 0 and name.endswith("_us"):
                 raise ValueError(f"{name} must be positive")
 
 

@@ -41,10 +41,11 @@ blend decisions are final.  Later activations reuse the plan until a
 record arrives whose corner blends onto the plan's end; the plan is then
 dropped whole, and the next activation solves again from the speed the
 active motion commits.  So a stored program is planned once per run of
-blended corners.  Every executor solves through one process-wide cache
-of the eight most recently solved windows (``_solve_window``), so a
-window met again soon, as by the next repetition of a benchmark setup,
-is not solved again.
+blended corners.  An executor solves without a cache unless its builder
+hands it ``_solve_window``, the process-wide cache of the eight most
+recently solved windows: ``bench`` does so for the repetitions of a
+compiled setup, which meet the same windows again, and nothing else
+meets a window twice.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
@@ -98,6 +99,8 @@ _START, _ABORT, _IDLE_WORD = CommandWord.START, CommandWord.ABORT, CommandWord.I
 
 # (state, error, curExec, acked frame_seq, pose) of IDLE_FEEDBACK_BYTES
 _IDLE_FEEDBACK_FIELDS = (_IDLE, 0, 0, 0, (0.0,) * 6)
+# (speed, truncation) of a motion entered or left at an exact stop
+_AT_REST = (0.0, 0.0)
 
 
 @lru_cache(maxsize=8)
@@ -106,12 +109,15 @@ def _solve_window(lengths, vmaxes, accels, blends, entry_speed, entry_trunc):
     seconds each as a tuple, so that no executor can change another's plan.
 
     The eight most recently solved windows of the process are kept, and a
-    solve that raises keeps nothing.  The key is the whole argument tuple,
-    the slices of the window as tuples.  It compares -0.0 equal to 0.0,
-    but no executor hands in -0.0: lengths are sums of ``math.dist``,
-    dynamics pass the check at ingest, a blend holds positive values or
-    literal zeros, and the entry is a literal zero, a solved speed (a
-    blend speed or a square root) or a blend's truncation.
+    solve that raises keeps nothing.  ``__wrapped__`` is the same solve
+    without the cache, the one executors use by default: only the
+    repetitions that ``bench`` builds from a compiled setup meet a window
+    again.  The key is the whole argument tuple, the slices of the window
+    as tuples.  It compares -0.0 equal to 0.0, but no executor hands in
+    -0.0: lengths are sums of ``math.dist``, dynamics pass the check at
+    ingest, a blend holds positive values or literal zeros, and the entry
+    is a literal zero, a solved speed (a blend speed or a square root) or
+    a blend's truncation.
     """
     speeds, blends, straight = solve_corners(
         lengths, vmaxes, accels, blends, entry_speed, entry_trunc
@@ -141,13 +147,15 @@ class _CyclicExecutor:
     Wire records arrive in runs through ``_ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
     the one carrying the target and the dynamics.  The entry speed and entry
-    truncation of the next motion are whatever the previous motion
-    committed as its exit; both start at zero for a fresh skill.  Each
+    truncation of the next motion (``_entry``) are whatever the previous
+    motion committed as its exit; both start at zero for a fresh skill.  Each
     ingested motion adds its path length, velocity and acceleration and
     the ``corner_blend`` of the corner it closes.  An activation outside
     the current plan solves the visible Cartesian window up to its first
-    exact stop through ``_solve_window``, and a blend dropped there stays
-    dropped; one whose motion ends at an exact stop solves nothing.  A plan
+    exact stop through ``_solve``, and a blend dropped there stays
+    dropped; one whose motion ends at an exact stop solves nothing.
+    ``_solve`` is ``_solve_window`` without its cache unless the builder
+    set the cached one on the executor, as ``bench._build_run`` does.  A plan
     is kept whole or dropped: a record whose corner blends onto the plan's
     end drops it, one whose corner stops leaves it.  Each activation takes
     its motion's straight seconds from the plan, adds the exit arc's
@@ -162,6 +170,7 @@ class _CyclicExecutor:
     """
 
     _starvation_limit: int | None = None
+    _solve = staticmethod(_solve_window.__wrapped__)
 
     def __init__(self, initial_pose, capture: bool):
         self.pose = tuple(float(v) for v in initial_pose)
@@ -211,12 +220,11 @@ class _CyclicExecutor:
         self._accels: list[float] = []  # acceleration per motion
         self._corners: list = []  # candidate blend into the following motion
         self._next = 0
-        # (end_us, dur_us, motion, end pose, end joints, exit speed, exit trunc)
+        # (end_us, dur_us, motion, end pose, end joints, (exit speed, exit trunc))
         self._active = None
         # (first, end, speeds, blends, straight) over _motions[first:end]
         self._plan = None
-        self._entry_speed = 0.0
-        self._entry_trunc = 0.0
+        self._entry = _AT_REST  # (speed, truncation) the next motion enters at
         self._completed = 0  # records of the completed motions
 
     def _ingest(self, records, first_idx: int):
@@ -275,12 +283,11 @@ class _CyclicExecutor:
         self._carry = (aux, approach)
 
     def _complete(self):
-        _end, dur_us, (rec, first, n), end_pose, end_joints, exit_speed, exit_trunc = self._active
+        _end, dur_us, (rec, first, n), end_pose, end_joints, committed = self._active
         self.pose = end_pose
         self._joints = end_joints
         self._completed += n
-        self._entry_speed = exit_speed
-        self._entry_trunc = exit_trunc
+        self._entry = committed
         self._active = None
         self._next += 1
         if self._captured is not None:
@@ -297,7 +304,7 @@ class _CyclicExecutor:
             deltas = [t - c for t, c in zip(rec.target, self._joints)]
             seconds = ptp_time(deltas, rec.velocity, rec.acceleration)
             end_pose, end_joints = self.pose, rec.target
-            exit_speed = exit_trunc = 0.0
+            committed = _AT_REST
         else:
             if k + 1 == len(motions) and idx + n <= self._total:
                 # successor exists but has not arrived: commit an exact stop
@@ -322,13 +329,12 @@ class _CyclicExecutor:
                 end = k + 1
                 while end < len(motions) and corners[end - 1] is not None:
                     end += 1
-                speeds, blends, straight = _solve_window(
+                speeds, blends, straight = self._solve(
                     tuple(self._lengths[k:end]),
                     tuple(self._vmaxes[k:end]),
                     tuple(self._accels[k:end]),
                     (None, *corners[k : end - 1], None),
-                    self._entry_speed,
-                    self._entry_trunc,
+                    *self._entry,
                 )
                 # a later solve must not revive a blend dropped here:
                 # dropping only newer corners then restores this plan
@@ -339,20 +345,19 @@ class _CyclicExecutor:
                 seconds = straight[0]
             if seconds is None:
                 # no round of the solve timed this segment at these speeds
+                entry_speed, entry_trunc = self._entry
                 s, arc = motion_time(
                     self._lengths[k], rec.velocity, rec.acceleration,
-                    self._entry_speed, exit_speed, self._entry_trunc, b,
+                    entry_speed, exit_speed, entry_trunc, b,
                 )
                 seconds = s + arc
             elif b is not None and b.arc_length > 0.0:
                 seconds += b.arc_length / exit_speed
-            exit_trunc = b.truncation if b is not None else 0.0
+            committed = (exit_speed, b.truncation if b is not None else 0.0)
             end_pose, end_joints = rec.target, self._joints
         # every timing term is non-negative, and so is dur_us
         dur_us = math.ceil(seconds * 1e6 - 1e-12)
-        self._active = (
-            t_us + dur_us, dur_us, motion, end_pose, end_joints, exit_speed, exit_trunc
-        )
+        self._active = (t_us + dur_us, dur_us, motion, end_pose, end_joints, committed)
 
     def _advance(self, t_us: int) -> bool:
         """The robot cycle at ``t_us``: completes the active motion if it

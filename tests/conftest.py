@@ -17,9 +17,10 @@ def solve_calls(monkeypatch):
     """Arguments of every ``solve_corners`` call the executors make
     during the test, in call order.  Both executors plan through it, so it
     sees the windows of ``run_native``, ``fieldbus_sim.run`` and
-    ``run_benchmark`` alike.  The executors' cache of solved windows is
-    cleared first: a window that an earlier test solved would be a hit,
-    and the test would not see it solved again."""
+    ``run_benchmark`` alike.  The cache of solved windows, which the
+    executors of ``bench._build_run`` solve through, is cleared first: a
+    window that an earlier test solved would be a hit, and the test would
+    not see it solved again."""
     robot_executor._solve_window.cache_clear()
     calls = []
     solve = robot_executor.solve_corners

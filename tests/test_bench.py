@@ -18,6 +18,7 @@ from skillbench import robot_executor
 from skillbench.bench import (
     SETUP_A,
     SETUP_B,
+    CompiledSetup,
     EtypeStats,
     MeasurementReport,
     ScenarioConfig,
@@ -417,12 +418,9 @@ def plan_run(plans, pose, etype):
 def compiled_run(compiled, pose, etype):
     """``_build_run``'s repetition from a compiled setup, the executor
     capturing."""
-    if etype is ExecutionType.RC:
-        executor = NativeExecutor.from_records(compiled.records, initial_pose=pose, capture=True)
-        return NativeTriggerProgram(), executor
-    skills = compiled.single_motion if etype is ExecutionType.SM else compiled.continuous
-    executor = RobotExecutor(initial_pose=pose, capture=True)
-    return SkillProgram(skills), executor
+    program, executor = _build_run(compiled, pose, etype)
+    executor._captured = []
+    return program, executor
 
 
 class TestCompileOnce:
@@ -603,14 +601,15 @@ def wiggle(motions=12):
 
 class TestSolvedWindows:
     def test_a_warm_cache_runs_as_a_cleared_one(self, solve_calls):
-        """A CM run of a streamed skill on the warm cache of solved windows
-        equals the same run after ``cache_clear()``.  Each variant of
-        ``bent_path`` changes one solver input of a window that the base
-        path also solves: the length, velocity or acceleration of its
-        first motion, the approx of an inner corner, or the velocity or
-        approx of the corner that enters a window solved on the move.  So
-        the runs solve windows that differ in only one key field, for
-        every field, and the warm runs look windows up among them."""
+        """A CM run of a streamed skill, built as ``_build_run`` builds a
+        repetition, on the warm cache of solved windows equals the same run
+        after ``cache_clear()``.  Each variant of ``bent_path`` changes one
+        solver input of a window that the base path also solves: the
+        length, velocity or acceleration of its first motion, the approx of
+        an inner corner, or the velocity or approx of the corner that
+        enters a window solved on the move.  So the runs solve windows that
+        differ in only one key field, for every field, and the warm runs
+        look windows up among them."""
         plans = (
             bent_path(),
             bent_path(first_leg=120.0),
@@ -625,21 +624,20 @@ class TestSolvedWindows:
         cache = robot_executor._solve_window
         warm_hits = 0
 
-        def one_run(skills, sim):
-            program = SkillProgram(skills)
-            executor = RobotExecutor(capture=True)
+        def one_run(compiled, sim):
+            program, executor = compiled_run(compiled, (0.0,) * 6, ExecutionType.CM)
             digest = run(program, executor, sim).trace.digest()
             return program.elapsed_ms, executor.executed, digest
 
         for p in plans:
-            skills = continuous_skills([p])
+            compiled = CompiledSetup((), (), continuous_skills([p]))
             for seed, cycles in itertools.product((0, 1), triples):
                 sim = SimConfig(*cycles, seed=seed)
                 hits = cache.cache_info().hits
-                warm = one_run(skills, sim)
+                warm = one_run(compiled, sim)
                 warm_hits += cache.cache_info().hits - hits
                 cache.cache_clear()
-                assert warm == one_run(skills, sim)
+                assert warm == one_run(compiled, sim)
         assert warm_hits > 0
         differing = set()
         for one, other in itertools.combinations(dict.fromkeys(solve_calls), 2):
@@ -647,6 +645,23 @@ class TestSolvedWindows:
             if len(fields) == 1:
                 differing.add(fields[0])
         assert differing == set(KEY_FIELDS)
+
+    def test_runs_built_outside_the_benchmark_leave_the_cache_alone(self, solve_calls):
+        """Only ``_build_run``'s repetitions meet their windows again, so
+        only they solve through the cache: a CM skill on a ``RobotExecutor``
+        and a program on a ``NativeExecutor(plans)`` solve every window
+        without looking it up, even one the cache holds."""
+        plans = build_plans(SETUP_A)
+        pose = SETUP_A.start.components()
+        run_benchmark(SETUP_A, reps=1, seed=0)
+        cache = robot_executor._solve_window
+        before = cache.cache_info()
+        assert before.currsize == 3
+        solve_calls.clear()
+        run(ContinuousMotionProgram(plans), RobotExecutor(initial_pose=pose), SimConfig())
+        run(NativeTriggerProgram(), NativeExecutor(plans, initial_pose=pose), SimConfig())
+        assert len(solve_calls) == 6
+        assert cache.cache_info() == before
 
     def test_a_solved_window_is_cached_as_tuples(self, solve_calls):
         compiled = compile_plans(build_plans(SETUP_A))

@@ -309,7 +309,7 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
 
     def checked(executor, t_us):
         k = executor._next
-        v_in, trunc_in = executor._entry_speed, executor._entry_trunc
+        v_in, trunc_in = executor._entry
         activate(executor, t_us)
         rec = executor._motions[k][0]
         if rec.joint_target:
@@ -331,7 +331,7 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
             )
         )
         assert executor._active[1] == max(0, math.ceil(seconds * 1e6 - 1e-12))
-        assert executor._active[5] == v_out
+        assert executor._active[5] == (v_out, 0.0 if b is None else b.truncation)
         seen[label, kind] += 1
         seen[label, "entered_moving"] += kind != "stop" and j == 0 and v_in > 0.0
 

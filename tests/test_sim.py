@@ -104,6 +104,27 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be"):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"seed": 1.5},
+            {"rep": 2.0},
+            {"seed": True},
+            {"rep": False},
+            {"seed": "7"},
+            {"rep": None},
+        ],
+    )
+    def test_rejects_a_seed_or_rep_that_is_not_an_int(self, kw):
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be an int"):
+            SimConfig(**kw)
+
+    def test_takes_any_int_seed_and_rep(self):
+        # rep_seed masks both, so neither has a range
+        for seed, rep in ((-1, 0), (0, -5), (2**40, 2**33)):
+            cfg = SimConfig(seed=seed, rep=rep)
+            assert 0 <= rep_seed(cfg.seed, cfg.rep) <= 0xFFFFFFFF
+
     def test_rep_seed_pairs_runs(self):
         assert rep_seed(7, 0) == rep_seed(7, 0)
         assert rep_seed(7, 0) != rep_seed(7, 1)

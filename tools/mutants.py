@@ -438,6 +438,20 @@ MUTANTS = (
         "@lru_cache(maxsize=4)\ndef _solve_window(",
         "the cache keeps the six windows of setups A and B over a round of both",
     ),
+    Mutant(
+        "default-solve-cached",
+        "robot_executor.py",
+        "_solve = staticmethod(_solve_window.__wrapped__)",
+        "_solve = staticmethod(_solve_window)",
+        "an executor that bench._build_run did not build solves without the cache",
+    ),
+    Mutant(
+        "repetition-solve-uncached",
+        "bench.py",
+        "executor._solve = _solve_window",
+        "pass",
+        "the repetitions of a compiled setup solve through the cache",
+    ),
 )
 
 
