@@ -85,9 +85,6 @@ def _run(args) -> int:
     if args.raw:
         Path(args.raw).write_text(raw_csv(reports))
     if args.trace:
-        if report.last_trace is None:
-            print("skillbench: no trace captured", file=sys.stderr)
-            return 2
         Path(args.trace).write_text(report.last_trace.export_text())
     return 0
 

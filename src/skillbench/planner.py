@@ -144,7 +144,10 @@ def label_process(steps) -> tuple[ProcessStep, ...]:
         raise EmptyProcess("a process needs at least one step")
     for s in steps:
         if not isinstance(s, ProcessStep):
-            raise TypeError(f"expected ProcessStep, got {type(s).__name__}")
+            raise TypeError(
+                f"expected ProcessStep, got {type(s).__name__}"
+                " (already-planned output is not re-plannable)"
+            )
     return tuple(
         s if s.label is not None else replace(s, label=_DEFAULT_LABELS[s.kind])
         for s in steps
@@ -363,13 +366,6 @@ def coalesce_continuous(items) -> list[ContinuousSkillPlan]:
 
 def plan(process, cfg: PlanningConfig) -> list[ContinuousSkillPlan]:
     """Run the full pipeline on a process description."""
-    process = tuple(process)
-    for s in process:
-        if not isinstance(s, ProcessStep):
-            raise TypeError(
-                "plan() takes raw process steps; got "
-                f"{type(s).__name__} (already-planned output is not re-plannable)"
-            )
     labeled = label_process(process)
     items = plan_primary_motions(labeled, cfg)
     items = add_pre_post_movements(items, cfg)

@@ -51,7 +51,7 @@ An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
 feedback image, and ``next_wakeup()`` gives the µs from the last tick to
 the earliest time at which a tick with the same command image can change
 anything.  That is the end of the active motion, or 1 µs (the next robot
-cycle) while a starved executor counts hungry cycles towards its fault.
+cycle) while a hungry executor counts cycles towards its starvation fault.
 The co-simulation leaves out the robot ticks before it, and they owe the
 executor nothing: a motion ends by the clock, not by ticks counted.
 """
@@ -72,14 +72,12 @@ from .wire import (
     MalformedRecord,
     MotionRecord,
     RobotState,
-    UnencodableValue,
     WireError,
     _check_f32,
     _pack_feedback,
     decode_command_header,
     decode_record,
     explode_plan,
-    pack_feedback_frame,
     slot_image,
 )
 
@@ -138,8 +136,9 @@ class _CyclicExecutor:
     ``fresh``, else a changed image of the running one.  An image that
     fails to decode, or that breaks the protocol there, faults the
     executor: state ERROR with code 1, until an IDLE command word clears
-    it.  Starvation beyond ``_starvation_limit`` consecutive hungry cycles,
-    where a limit is set, faults it with code 2.  A fault or an abort
+    it.  ``_starvation_limit`` consecutive hungry cycles fault it with code
+    2 (a ``NativeExecutor``, whose START ingests its whole program, never
+    hungers).  A fault or an abort
     leaves the skill's motions as they are: only RUNNING advances them,
     and the next skill begins with a fresh START, whose ``_load`` clears
     them (``_begin_skill``).
@@ -167,13 +166,17 @@ class _CyclicExecutor:
     because the successor record was not visible yet (cumulative over the
     executor's lifetime).  A completed motion's target tuple becomes the
     pose (or the joints) as it is, uncopied.  The joints start at zero.
+    The initial pose is checked once, when the executor is built, and one
+    beyond the f32 range raises ``UnencodableValue``; every later pose is
+    a record target decoded off the wire, so each tick packs unchecked.
     """
 
-    _starvation_limit: int | None = None
+    _starvation_limit = 250
     _solve = staticmethod(_solve_window.__wrapped__)
 
     def __init__(self, initial_pose, capture: bool):
         self.pose = tuple(float(v) for v in initial_pose)
+        _check_f32(self.pose, "pose component")
         self._joints = (0.0,) * 6
         self.fallback_stops = 0
         # (first_record, n_records, target, dur_us) per completed motion
@@ -188,15 +191,6 @@ class _CyclicExecutor:
         self._fb_fields = _IDLE_FEEDBACK_FIELDS
         self._fb_bytes = IDLE_FEEDBACK_BYTES
         self._begin_skill()
-        # every later pose is a record target decoded off the wire, so a
-        # pose checked once here needs no check per image; an initial pose
-        # out of f32 range keeps the checking packer, which raises as
-        # ``encode_feedback_frame`` does
-        try:
-            _check_f32(self.pose, "pose component")
-            self._pack = _pack_feedback
-        except UnencodableValue:
-            self._pack = pack_feedback_frame
 
     @property
     def state(self) -> RobotState:
@@ -416,7 +410,7 @@ class _CyclicExecutor:
                 self._hungry = 0
             elif progressed:
                 self._hungry = 0
-            elif self._starvation_limit is not None:
+            else:
                 self._hungry += 1
                 if self._hungry >= self._starvation_limit:
                     self._fail(ERROR_STARVATION)
@@ -431,23 +425,21 @@ class _CyclicExecutor:
             cur = 0
         fields = (st, self._error, cur, self._acked, self.pose)
         if fields != self._fb_fields:
-            # a pack that raises leaves the last published image and its
-            # fields, so the next tick packs, and raises, again
-            self._fb_bytes = self._pack(*fields)
+            self._fb_bytes = _pack_feedback(*fields)
             self._fb_fields = fields
         return self._fb_bytes
 
     def next_wakeup(self) -> int | None:
         """µs from the last tick to the earliest time at which a tick with
         the same command image can change anything: the end of the active
-        motion, else 1 (the next robot cycle) while a starvation limit
-        counts hungry cycles.  None when no such tick exists (IDLE, DONE,
-        ERROR, ABORTING, or a starved executor without a limit)."""
+        motion, else 1 (the next robot cycle) while a hungry executor counts
+        cycles towards its starvation limit.  None when no such tick exists
+        (IDLE, DONE, ERROR or ABORTING)."""
         if self._state is not _RUNNING:
             return None
         if self._active is not None:
             return self._active[0] - self._last_tick_us
-        return None if self._starvation_limit is None else 1
+        return 1
 
 
 class RobotExecutor(_CyclicExecutor):
@@ -455,8 +447,8 @@ class RobotExecutor(_CyclicExecutor):
 
     Each new command image streams in the records it loaded beyond the
     last one ingested, decoding only their slots.  Record errors surface
-    as feedback state ERROR with code 1, starvation beyond
-    ``starvation_limit`` consecutive hungry cycles as code 2.
+    as feedback state ERROR with code 1, ``starvation_limit`` consecutive
+    hungry cycles as code 2.
     """
 
     def __init__(
@@ -465,6 +457,9 @@ class RobotExecutor(_CyclicExecutor):
         starvation_limit: int = 250,
         capture: bool = False,
     ):
+        # a count of cycles: None, a bool or a float is refused
+        if type(starvation_limit) is not int or starvation_limit < 1:
+            raise ValueError(f"starvation_limit must be a positive int, got {starvation_limit!r}")
         super().__init__(initial_pose, capture)
         self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested

@@ -51,17 +51,15 @@ positional ``tuple.__new__``, without running those checks again: the
 struct formats and the decoders' own checks already guarantee what the
 constructors check.  ``_replace`` and ``_make`` skip the checks too.
 
-On the sending side there is one packer per image.  ``pack_command_frame``
-packs command fields and ``pack_feedback_frame`` feedback fields; both take
-fields that already lie in their ranges, as the frames hold them, and
-only the feedback pose is checked again.  The robot executors check their
-initial pose once and then pack through ``pack_feedback_frame``'s unchecked
-core, ``_pack_feedback``: every later pose is a record target decoded off
-the wire, so it is an f32 already.  ``encode_command_frame`` and
+On the sending side there is one unchecked packer per image,
+``pack_command_frame`` and ``_pack_feedback``, for fields that already lie
+in their ranges, as the frames hold them.  ``encode_command_frame`` and
 ``encode_feedback_frame`` check their fields through ``CommandFrame`` and
-``FeedbackFrame``, then call those packers.  A PLC packs every command
-image it publishes, each refill included, from its fields and its
-five-record window.
+``FeedbackFrame``, and the pose against the f32 range, then call them.  A
+robot executor checks its initial pose once, when it is built, and then
+packs through ``_pack_feedback``: every later pose is a record target
+decoded off the wire.  A PLC packs every command image it publishes, each
+refill included, from its fields and its five-record window.
 """
 
 from __future__ import annotations
@@ -525,25 +523,16 @@ class FeedbackFrame(_FeedbackFields):
         return _tuple_new(cls, (state, error_code, cur_exec, acked_seq, pose))
 
 
-def pack_feedback_frame(
-    state: RobotState, error_code: int, cur_exec: int, acked_seq: int, pose
-) -> bytes:
-    """Encode feedback fields that already lie in their ranges, as a
-    ``FeedbackFrame`` holds them; only the pose is checked here."""
-    _check_f32(pose, "pose component")
-    return _pack_feedback(state, error_code, cur_exec, acked_seq, pose)
-
-
 def _pack_feedback(state, error_code, cur_exec, acked_seq, pose) -> bytes:
-    """``pack_feedback_frame`` without the pose check, for a pose known to
-    lie in the f32 range."""
+    """Encode feedback fields as a ``FeedbackFrame`` holds them, with a pose
+    known to lie in the f32 range; nothing is checked here."""
     return _FEEDBACK_FMT.pack(state, error_code, cur_exec, acked_seq, *pose)
 
 
 def encode_feedback_frame(frame: FeedbackFrame) -> bytes:
-    return pack_feedback_frame(
-        frame.state, frame.error_code, frame.cur_exec, frame.acked_seq, frame.pose
-    )
+    """Pack a frame; a pose component beyond f32 raises UnencodableValue."""
+    _check_f32(frame.pose, "pose component")
+    return _pack_feedback(*frame)
 
 
 def decode_feedback_frame(data: bytes) -> FeedbackFrame:

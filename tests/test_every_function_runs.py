@@ -57,7 +57,6 @@ NOT_RUN = {
         "encode_record": PERFBENCH_NAME,
         "decode_command_frame": PERFBENCH_NAME,
         "encode_feedback_frame": PERFBENCH_NAME,
-        "pack_feedback_frame": "error path: an executor's initial pose beyond f32",
         "FeedbackFrame.__new__": "public API: docs/wire.md documents FeedbackFrame",
     },
 }

@@ -42,7 +42,6 @@ HOT_PATH = {
         "SkillProgram.plc_tick",
     ),
     "wire.py": (
-        "pack_feedback_frame",
         "_pack_feedback",
         "decode_feedback_frame",
         "decode_command_header",

@@ -41,6 +41,7 @@ from skillbench.robot_executor import (
     ERROR_STARVATION,
     NativeExecutor,
     RobotExecutor,
+    stored_records,
 )
 from skillbench.wire import (
     SLOT_COUNT,
@@ -623,6 +624,11 @@ class TestRobotExecutor:
         assert state is not None and state.error_code == ERROR_STARVATION
         assert ex.fallback_stops >= 1
 
+    @pytest.mark.parametrize("limit", [None, 0, -1, True, 2.5])
+    def test_starvation_limit_is_a_positive_int(self, limit):
+        with pytest.raises(ValueError, match="starvation_limit must be a positive int"):
+            RobotExecutor(starvation_limit=limit)
+
     def test_oversized_initial_load_rejected(self):
         img = encode_command_frame(
             CommandFrame(
@@ -703,17 +709,23 @@ class TestRobotExecutor:
                 assert out == encode_feedback_frame(frame)
 
     def test_unencodable_pose_raises_as_before(self):
-        # a failed pack publishes nothing, so the next tick raises again
+        # the initial pose is checked once, before any tick, as
+        # ``encode_feedback_frame`` checks a frame's pose
         plans = [ContinuousSkillPlan((lin(10.0),))]
+        records = stored_records(plans)
+        builds = (
+            lambda pose: RobotExecutor(initial_pose=pose),
+            lambda pose: NativeExecutor(plans, initial_pose=pose),
+            lambda pose: NativeExecutor.from_records(records, initial_pose=pose),
+        )
         for bad in (math.nan, math.inf, -math.inf, 3.5e38):
             pose = (0.0, bad) + (0.0,) * 4
             with pytest.raises(UnencodableValue) as before:
                 encode_feedback_frame(FeedbackFrame(pose=pose))
-            for ex in (RobotExecutor(initial_pose=pose), NativeExecutor(plans, initial_pose=pose)):
-                for t_us in (0, 4000):
-                    with pytest.raises(UnencodableValue) as exc:
-                        ex.tick(t_us, IDLE_COMMAND_BYTES)
-                    assert str(exc.value) == str(before.value)
+            for build in builds:
+                with pytest.raises(UnencodableValue) as exc:
+                    build(pose)
+                assert str(exc.value) == str(before.value)
 
     @pytest.mark.parametrize(
         "offset, value",

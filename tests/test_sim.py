@@ -563,7 +563,7 @@ class TestEventDriven:
 
         class Executor(_FixedImage):
             def tick(self, t_us, cmd_bytes):
-                return wire.pack_feedback_frame(RobotState.RUNNING, 0, t_us + 1, 0, (0.0,) * 6)
+                return encode_feedback_frame(FeedbackFrame(RobotState.RUNNING, 0, t_us + 1))
 
         with pytest.raises(SimTimeout):
             run(Program(IDLE_COMMAND_BYTES), Executor(None), SimConfig(1, 1, 1, timeout_us=5))
@@ -574,6 +574,39 @@ class TestEventDriven:
         assert any(text.splitlines()[-1].split()[1:3] == ["sim", "timeout"] for text, _ in ends)
         assert (RobotError, "robot error code 2") in [end for _, end in ends]
         assert sum(isinstance(end, int) for _, end in ends) > N_CASES // 2
+
+    def test_a_native_executor_never_hungers(self):
+        # START ingests the whole stored program, which cannot end on a
+        # continuation, so a running NativeExecutor has an active motion
+        # until it is done: it never counts a hungry cycle, and never asks
+        # for the next robot cycle to count one
+        runs = 0
+        for case in range(N_CASES):
+            make, cfg = build_case(case)
+            program, executor = make()
+            if not isinstance(executor, NativeExecutor):
+                continue
+            hungry, wakeups = [], []
+            tick, next_wakeup = executor.tick, executor.next_wakeup
+
+            def watched(t_us, cmd_bytes, executor=executor, tick=tick, hungry=hungry):
+                out = tick(t_us, cmd_bytes)
+                hungry.append(executor._hungry)
+                return out
+
+            def wakeup(next_wakeup=next_wakeup, wakeups=wakeups):
+                wakeups.append(next_wakeup())
+                return wakeups[-1]
+
+            executor.tick, executor.next_wakeup = watched, wakeup
+            try:
+                run(program, executor, cfg)
+            except SimTimeout:
+                pass
+            assert set(hungry) == {0} and 1 not in wakeups
+            assert any(w is not None for w in wakeups)  # it ran a motion
+            runs += 1
+        assert runs == 2 * len(CYCLE_SETS) * 4
 
     def test_one_setup_a_cm_repetition_ticks_the_plc_rarely(self):
         # the polled loop makes about 5,100 plc_tick calls here

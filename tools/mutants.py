@@ -284,6 +284,13 @@ MUTANTS = (
         "the robot faults at the starvation limit, not one cycle after it",
     ),
     Mutant(
+        "initial-pose-unchecked",
+        "robot_executor.py",
+        '        _check_f32(self.pose, "pose component")\n',
+        "",
+        "an executor rejects an initial pose beyond f32 when it is built",
+    ),
+    Mutant(
         "us-rounding",
         "robot_executor.py",
         "math.ceil(seconds * 1e6 - 1e-12)",
