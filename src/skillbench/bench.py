@@ -12,10 +12,10 @@ is the long one); the benchmark runs the same groups as
 and reports the average execution time (AET), the mean absolute deviation
 (MAD), and the relative improvement AET_i = (AET_SM - AET_CM) / AET_SM.
 Repetition k of every execution type uses the same derived seed, so the
-task phase offsets are paired across types.  A setup is planned once per
-process (``build_plans``) and compiled once (``compile_setup``): RC's
-stored records and SM's and CM's skills are built from the plans one time,
-and every repetition only runs them, as the paper's PLC triggers records
+task phase offsets are paired across types.  A setup is planned and
+compiled once per process (``compile_setup``): RC's stored records and
+SM's and CM's skills are built from the plans one time, and every
+repetition only runs them, as the paper's PLC triggers records
 written once into a data block.  The executors of those repetitions
 solve their corner windows through the robot task's cache of recently
 solved windows, so RC and CM solve each window of setups A and B once per
@@ -69,9 +69,13 @@ class ScenarioConfig:
     pre_post_length: float = 50.0
 
     def __post_init__(self):
-        # build_plans shares one result per equal config, so equal configs
-        # must plan to the same bytes: lengths and dynamics become floats
-        # without the sign of a zero, as Pose coordinates do
+        # compile_setup shares one result per equal config, so equal configs
+        # must compile to the same bytes: lengths and dynamics become floats
+        # without the sign of a zero, as Pose coordinates do.  A scenario
+        # file holds the name on one line, and parsing strips it
+        name = self.name
+        if not isinstance(name, str) or name != name.strip() or len(name.splitlines()) > 1:
+            raise ValueError(f"name must be one line without surrounding whitespace, got {name!r}")
         for f in fields(self):
             if f.type == "float":
                 object.__setattr__(self, f.name, getattr(self, f.name) + 0.0)
@@ -136,15 +140,9 @@ def build_scenario(cfg: ScenarioConfig) -> tuple[ProcessStep, ...]:
     )
 
 
-@lru_cache(maxsize=8)
 def build_plans(cfg: ScenarioConfig):
     """The continuous skill plans of one setup, as a tuple of frozen plans.
-
-    Planning is deterministic, a config is frozen and equal configs hold
-    the same values (no int, no -0.0), so each setup is planned once per
-    process (the eight most recently used setups are kept): every caller
-    with an equal config shares the same tuple.
-    """
+    Planning is deterministic, so equal configs plan equal tuples."""
     return tuple(plan(build_scenario(cfg), cfg.planning_config()))
 
 
@@ -256,10 +254,11 @@ def compile_plans(plans) -> CompiledSetup:
 
 @lru_cache(maxsize=8)
 def compile_setup(cfg: ScenarioConfig) -> CompiledSetup:
-    """``compile_plans`` of the plans of ``build_plans(cfg)``, compiled once
-    per process for each of the eight most recently used setups.  Every
-    program and executor only reads what it is given, so all repetitions
-    share the result."""
+    """``compile_plans`` of the plans of ``build_plans(cfg)``, planned and
+    compiled once per process for each of the eight most recently used
+    setups.  A config is frozen and equal configs hold the same values (no
+    int, no -0.0), so every caller with an equal config shares the result,
+    and every program and executor only reads what it is given."""
     return compile_plans(build_plans(cfg))
 
 
@@ -293,6 +292,9 @@ def run_benchmark(
     one setup (other seeds, other cycle times) plan and compile it only
     once, and each repetition builds its program and executor from them.
     """
+    # a count: a bool would run and render as one, a float fail mid-run
+    if isinstance(reps, bool) or not isinstance(reps, int):
+        raise ValueError(f"reps must be an int, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     report = MeasurementReport(setup=cfg.name, reps=reps, seed=seed)

@@ -35,12 +35,13 @@ line for trace line.  When each task is due:
   contract is that a ``plc_tick`` reaches the fixed point of its feedback,
   its time argument feeding only timestamps;
 * the robot at its first grid point, at the first robot grid point at or
-  after each command delivery, and at the first robot grid point at or
-  after ``t + executor.next_wakeup()``: the µs from its tick at ``t`` to
-  the earliest time a tick with the same command image can change
-  anything, or None for never.  The executor keeps time by the ``t_us`` of
-  its ticks, so this grid alone rounds each motion up to whole robot
-  cycles, and ``SimConfig.robot_cycle_us`` is the one robot cycle;
+  after each command delivery, and, after its tick at ``t``, at the first
+  robot grid point after ``t`` that is at or after
+  ``executor.next_wakeup()``: the earliest time (µs) at which a tick with
+  the same command image can change anything, or None for never.  The
+  executor keeps time by the ``t_us`` of its ticks, so this grid alone
+  rounds each motion up to whole robot cycles, and
+  ``SimConfig.robot_cycle_us`` is the one robot cycle;
 * the bus runs at the first bus grid point at or after a PLC publish and
   strictly after a robot publish; it has nothing else to do.
 
@@ -320,9 +321,10 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 due = t + 1 + (phase_bus - t - 1) % bus_cycle
                 if due < bus_due:
                     bus_due = due
-            wake = next_wakeup()
-            if wake is None:
+            due = next_wakeup()
+            if due is None:
                 robot_due = never
             else:
-                due = t + wake
+                if due <= t:
+                    due = t + 1
                 robot_due = due + (phase_robot - due) % robot_cycle

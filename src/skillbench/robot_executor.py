@@ -48,12 +48,13 @@ compiled setup, which meet the same windows again, and nothing else
 meets a window twice.
 
 An executor is two methods: ``tick(t_us, cmd_bytes)`` returns the
-feedback image, and ``next_wakeup()`` gives the µs from the last tick to
-the earliest time at which a tick with the same command image can change
-anything.  That is the end of the active motion, or 1 µs (the next robot
-cycle) while a hungry executor counts cycles towards its starvation fault.
-The co-simulation leaves out the robot ticks before it, and they owe the
-executor nothing: a motion ends by the clock, not by ticks counted.
+feedback image, and ``next_wakeup()`` gives the earliest time, in µs on
+the ticks' clock, at which a tick with the same command image can change
+anything.  That is the end of the active motion, or 0, no later than
+the last tick (so the next robot cycle), while a hungry executor counts
+cycles towards its starvation fault.  The co-simulation leaves out the
+robot ticks before it, and they owe the executor nothing: a motion ends
+by the clock, not by ticks counted.
 """
 
 from __future__ import annotations
@@ -136,12 +137,12 @@ class _CyclicExecutor:
     ``fresh``, else a changed image of the running one.  An image that
     fails to decode, or that breaks the protocol there, faults the
     executor: state ERROR with code 1, until an IDLE command word clears
-    it.  ``_starvation_limit`` consecutive hungry cycles fault it with code
-    2 (a ``NativeExecutor``, whose START ingests its whole program, never
-    hungers).  A fault or an abort
-    leaves the skill's motions as they are: only RUNNING advances them,
-    and the next skill begins with a fresh START, whose ``_load`` clears
-    them (``_begin_skill``).
+    it.  ``_starvation_limit`` (250) consecutive hungry cycles fault it
+    with code 2 (a ``NativeExecutor``, whose START ingests its whole
+    program, never hungers); a test that needs a shorter limit sets it on
+    the instance.  A fault or an abort leaves the skill's motions as they
+    are: only RUNNING advances them, and the next skill begins with a
+    fresh START, whose ``_load`` clears them (``_begin_skill``).
 
     Wire records arrive in runs through ``_ingest``; each physical motion
     is kept as a ``(record, first_index, n_records)`` tuple, whose record is
@@ -166,9 +167,10 @@ class _CyclicExecutor:
     because the successor record was not visible yet (cumulative over the
     executor's lifetime).  A completed motion's target tuple becomes the
     pose (or the joints) as it is, uncopied.  The joints start at zero.
-    The initial pose is checked once, when the executor is built, and one
-    beyond the f32 range raises ``UnencodableValue``; every later pose is
-    a record target decoded off the wire, so each tick packs unchecked.
+    The initial pose is checked once, when the executor is built: one
+    without six components raises ``ValueError``, and one beyond the f32
+    range ``UnencodableValue``.  Every later pose is a record target
+    decoded off the wire, so each tick packs unchecked.
     """
 
     _starvation_limit = 250
@@ -176,12 +178,13 @@ class _CyclicExecutor:
 
     def __init__(self, initial_pose, capture: bool):
         self.pose = tuple(float(v) for v in initial_pose)
+        if len(self.pose) != 6:
+            raise ValueError("pose needs six components")
         _check_f32(self.pose, "pose component")
         self._joints = (0.0,) * 6
         self.fallback_stops = 0
         # (first_record, n_records, target, dur_us) per completed motion
         self._captured: list | None = [] if capture else None
-        self._last_tick_us = 0
         self._state = _IDLE
         self._error = 0
         self._total = 0
@@ -396,7 +399,6 @@ class _CyclicExecutor:
         self._acked = header.frame_seq
 
     def tick(self, t_us: int, cmd_bytes: bytes) -> bytes:
-        self._last_tick_us = t_us
         if cmd_bytes is not self._cmd_obj:
             self._cmd_obj = cmd_bytes
             try:
@@ -430,16 +432,16 @@ class _CyclicExecutor:
         return self._fb_bytes
 
     def next_wakeup(self) -> int | None:
-        """µs from the last tick to the earliest time at which a tick with
-        the same command image can change anything: the end of the active
-        motion, else 1 (the next robot cycle) while a hungry executor counts
-        cycles towards its starvation limit.  None when no such tick exists
+        """The earliest time (µs) at which a tick with the same command
+        image can change anything: the end of the active motion, else 0,
+        no later than the last tick, while a hungry executor counts cycles
+        towards its starvation limit.  None when no such tick exists
         (IDLE, DONE, ERROR or ABORTING)."""
         if self._state is not _RUNNING:
             return None
         if self._active is not None:
-            return self._active[0] - self._last_tick_us
-        return 1
+            return self._active[0]
+        return 0
 
 
 class RobotExecutor(_CyclicExecutor):
@@ -447,21 +449,12 @@ class RobotExecutor(_CyclicExecutor):
 
     Each new command image streams in the records it loaded beyond the
     last one ingested, decoding only their slots.  Record errors surface
-    as feedback state ERROR with code 1, ``starvation_limit`` consecutive
+    as feedback state ERROR with code 1, ``_starvation_limit`` consecutive
     hungry cycles as code 2.
     """
 
-    def __init__(
-        self,
-        initial_pose=(0.0,) * 6,
-        starvation_limit: int = 250,
-        capture: bool = False,
-    ):
-        # a count of cycles: None, a bool or a float is refused
-        if type(starvation_limit) is not int or starvation_limit < 1:
-            raise ValueError(f"starvation_limit must be a positive int, got {starvation_limit!r}")
+    def __init__(self, initial_pose=(0.0,) * 6, capture: bool = False):
         super().__init__(initial_pose, capture)
-        self._starvation_limit = starvation_limit
         self._known = 0  # highest record index ingested
 
     def _load(self, header: CommandHeader, data: bytes, fresh: bool):

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import skillbench
 from skillbench import robot_executor
@@ -183,6 +184,22 @@ class TestScenario:
         )
         assert parse_scenario(serialize_scenario(custom)) == custom
 
+    @pytest.mark.parametrize(
+        "name", ["a ", " a", "\ta", "a\nb", "a\r\nb", "a\x1cb", "a\u2028b", "\n", 7, None]
+    )
+    def test_a_name_a_scenario_file_cannot_hold_is_refused(self, name):
+        with pytest.raises(ValueError, match="name must be one line"):
+            ScenarioConfig(name=name)
+
+    @given(st.text())
+    def test_every_name_is_refused_or_round_trips(self, name):
+        try:
+            cfg = ScenarioConfig(name=name)
+        except ValueError:
+            assert name != name.strip() or len(name.splitlines()) > 1
+            return
+        assert parse_scenario(serialize_scenario(cfg)) == cfg
+
     def test_scenario_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_scenario("name=a\nwhatever\n")
@@ -289,6 +306,16 @@ class TestBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(SETUP_A, reps=0)
 
+    @pytest.mark.parametrize("reps", [True, False, 2.0, "2", None])
+    def test_reps_must_be_an_int_before_the_setup_compiles(self, reps, monkeypatch):
+        # unchecked, a bool would run and render as ``reps=True``, and a
+        # float compile the setup and then fail in ``range``
+        compiled = []
+        monkeypatch.setattr(skillbench.bench, "compile_setup", compiled.append)
+        with pytest.raises(ValueError, match="reps must be an int"):
+            run_benchmark(SETUP_A, reps=reps)
+        assert compiled == []
+
     def test_custom_cycle_times_flow_through(self):
         # the robot cycle of ``sim`` is the executors' only clock: a motion
         # rounds up to whole 12 ms cycles, not to the 4 ms default
@@ -366,12 +393,12 @@ class TestPlanOnce:
             return real_plan(*args, **kwargs)
 
         monkeypatch.setattr(skillbench.bench, "plan", counting_plan)
-        build_plans.cache_clear()
+        compile_setup.cache_clear()
         cfg = dataclasses.replace(SETUP_A, name="memo")
         run_benchmark(cfg, reps=1, seed=0)
         run_benchmark(cfg, reps=1, seed=1)
         assert len(calls) == 1
-        assert build_plans(cfg) is build_plans(cfg)
+        assert compile_setup(cfg) is compile_setup(cfg)
 
     def test_twins_that_compare_equal_plan_to_the_same_bytes(self):
         # -0.0 == 0.0 and 30 == 30.0, so these configs share one cache
@@ -385,21 +412,23 @@ class TestPlanOnce:
         assert len({serialize_scenario(cfg) for cfg in twins}) == 1
         digests = set()
         for first in twins:
-            build_plans.cache_clear()
+            compile_setup.cache_clear()
             for cfg in (first, *twins):
                 report = run_benchmark(cfg, etypes=(ExecutionType.CM,), reps=1)
                 digests.add(report.last_trace.digest())
         assert len(digests) == 1
 
     def test_an_equal_config_gets_equal_frozen_plans(self):
-        build_plans.cache_clear()
-        plans = build_plans(SETUP_A)
-        build_plans.cache_clear()
+        compile_setup.cache_clear()
+        compiled = compile_setup(SETUP_A)
+        compile_setup.cache_clear()
         copy = parse_scenario(serialize_scenario(SETUP_A))
         assert copy is not SETUP_A
-        assert build_plans(copy) == plans
-        assert build_plans(SETUP_A) is build_plans(copy)
-        # the result is shared, so nothing in it can grow
+        assert compile_setup(copy) == compiled
+        assert compile_setup(SETUP_A) is compile_setup(copy)
+        # the plans are frozen, so nothing compiled from them can grow
+        plans = build_plans(SETUP_A)
+        assert plans == build_plans(copy)
         assert type(plans) is tuple
         assert all(type(p) is ContinuousSkillPlan for p in plans)
 

@@ -86,9 +86,8 @@ def defined_functions():
 
 def runs(tmp_path):
     """The runs whose calls count: the CLI, then one sample per workload.
-    The package's plan caches are cleared first, so that a run plans
+    The package's setup cache is cleared first, so that a run plans
     whatever earlier tests planned too."""
-    bench.build_plans.cache_clear()
     bench.compile_setup.cache_clear()
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(serialize_scenario(SETUP_B))

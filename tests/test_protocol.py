@@ -612,22 +612,45 @@ class TestRobotExecutor:
                 slots=tuple(slots),
             )
         )
-        ex = RobotExecutor(starvation_limit=10)
+        ex = RobotExecutor()
+        ex._starvation_limit = 10  # the class's 250, shortened for the test
         t = 0
         state = None
+        hungry = 0
         for _ in range(40):
             f = decode_feedback_frame(ex.tick(t, img))
             t += 4000
             if f.state is RobotState.ERROR:
                 state = f
                 break
+            if f.cur_exec == 2:
+                # record 1 is complete: a hungry executor asks for a time no
+                # later than its last tick, so for the next robot cycle
+                assert ex.next_wakeup() == 0
+                hungry += 1
         assert state is not None and state.error_code == ERROR_STARVATION
+        assert hungry == 10  # the tick completing record 1, then 9 hungry ones
         assert ex.fallback_stops >= 1
 
-    @pytest.mark.parametrize("limit", [None, 0, -1, True, 2.5])
-    def test_starvation_limit_is_a_positive_int(self, limit):
-        with pytest.raises(ValueError, match="starvation_limit must be a positive int"):
-            RobotExecutor(starvation_limit=limit)
+    def test_the_wakeup_is_the_active_motion_end_on_the_ticks_clock(self):
+        # after a tick at t that activates a motion of dur_us, the executor
+        # asks for t + dur_us, a time on the clock its ticks carry
+        plans = [ContinuousSkillPlan((lin(10.0), lin(20.0, approx=5.0), lin(20.0, 30.0)))]
+        plc = PlcSkillInstance()
+        plc.start_images(encode_plan(plans[0].motions))
+        for ex in (RobotExecutor(capture=True), NativeExecutor(plans, capture=True)):
+            ticks, wakes = [], []
+            t = 1234
+            while ex.state is not RobotState.DONE:
+                before = ex._active
+                ex.tick(t, plc.image)
+                if ex._active is not None and ex._active is not before:
+                    ticks.append(t)
+                    wakes.append(ex.next_wakeup())
+                t += 4000
+            durations = [dur_us for *_, dur_us in ex.executed]
+            assert len(ticks) == 3 and all(durations)
+            assert wakes == [at + dur_us for at, dur_us in zip(ticks, durations)]
 
     def test_oversized_initial_load_rejected(self):
         img = encode_command_frame(
@@ -708,24 +731,40 @@ class TestRobotExecutor:
             for out, frame in published:
                 assert out == encode_feedback_frame(frame)
 
-    def test_unencodable_pose_raises_as_before(self):
-        # the initial pose is checked once, before any tick, as
-        # ``encode_feedback_frame`` checks a frame's pose
+    @staticmethod
+    def builds():
+        """The three constructors of an executor, each taking its pose."""
         plans = [ContinuousSkillPlan((lin(10.0),))]
         records = stored_records(plans)
-        builds = (
+        return (
             lambda pose: RobotExecutor(initial_pose=pose),
             lambda pose: NativeExecutor(plans, initial_pose=pose),
             lambda pose: NativeExecutor.from_records(records, initial_pose=pose),
         )
+
+    def test_unencodable_pose_raises_as_before(self):
+        # the initial pose is checked once, before any tick, as
+        # ``encode_feedback_frame`` checks a frame's pose
         for bad in (math.nan, math.inf, -math.inf, 3.5e38):
             pose = (0.0, bad) + (0.0,) * 4
             with pytest.raises(UnencodableValue) as before:
                 encode_feedback_frame(FeedbackFrame(pose=pose))
-            for build in builds:
+            for build in self.builds():
                 with pytest.raises(UnencodableValue) as exc:
                     build(pose)
                 assert str(exc.value) == str(before.value)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_a_pose_without_six_components_is_refused_when_built(self, n):
+        # checked when built: unchecked, it would fail in ``struct`` at its
+        # first tick, packing the feedback image
+        pose = (0.0,) * n
+        with pytest.raises(ValueError) as before:
+            FeedbackFrame(pose=pose)
+        for build in self.builds():
+            with pytest.raises(ValueError) as exc:
+                build(pose)
+            assert str(exc.value) == str(before.value) == "pose needs six components"
 
     @pytest.mark.parametrize(
         "offset, value",

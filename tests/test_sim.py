@@ -489,7 +489,6 @@ def build_case(case: int):
         setup, etype = "stream", "cm"
         plc_us, bus_us, robot_us = TIE_CYCLE_SETS[case % len(TIE_CYCLE_SETS)]
         records = rng.randint(1, 8)
-    limit = 3 if draw == 1 else 250
     timeout = 300_000 if draw == 2 else 120_000_000
     cfg = SimConfig(plc_us, bus_us, robot_us, rng.randrange(2**31), rng.randrange(25), timeout)
     plans, pose = kind_plans(setup, rng, records)
@@ -503,7 +502,9 @@ def build_case(case: int):
                 program = SkillProgram(single_motion_skills(plans))
             else:
                 program = ContinuousMotionProgram(plans)
-            executor = RobotExecutor(initial_pose=pose, starvation_limit=limit, capture=True)
+            executor = RobotExecutor(initial_pose=pose, capture=True)
+            if draw == 1:
+                executor._starvation_limit = 3
         return program, executor
 
     return make, cfg
@@ -579,7 +580,7 @@ class TestEventDriven:
         # START ingests the whole stored program, which cannot end on a
         # continuation, so a running NativeExecutor has an active motion
         # until it is done: it never counts a hungry cycle, and never asks
-        # for the next robot cycle to count one
+        # for the next robot cycle (a wakeup of 0) to count one
         runs = 0
         for case in range(N_CASES):
             make, cfg = build_case(case)
@@ -603,7 +604,7 @@ class TestEventDriven:
                 run(program, executor, cfg)
             except SimTimeout:
                 pass
-            assert set(hungry) == {0} and 1 not in wakeups
+            assert set(hungry) == {0} and 0 not in wakeups
             assert any(w is not None for w in wakeups)  # it ran a motion
             runs += 1
         assert runs == 2 * len(CYCLE_SETS) * 4

@@ -291,6 +291,13 @@ MUTANTS = (
         "an executor rejects an initial pose beyond f32 when it is built",
     ),
     Mutant(
+        "initial-pose-length",
+        "robot_executor.py",
+        '        if len(self.pose) != 6:\n            raise ValueError("pose needs six components")\n',
+        "",
+        "an executor rejects an initial pose without six components when it is built",
+    ),
+    Mutant(
         "us-rounding",
         "robot_executor.py",
         "math.ceil(seconds * 1e6 - 1e-12)",
@@ -324,6 +331,13 @@ MUTANTS = (
         "due = t + (phase_robot - t) % robot_cycle",
         "due = t + 1 + (phase_robot - t - 1) % robot_cycle",
         "the robot runs at the first robot grid point at or after a command delivery",
+    ),
+    Mutant(
+        "robot-wakes-after-its-tick",
+        "fieldbus_sim.py",
+        "if due <= t:\n                    due = t + 1\n",
+        "if due <= t:\n                    due = t + 1 + robot_cycle\n",
+        "a robot whose wakeup is not after its tick runs at the next robot grid point",
     ),
     Mutant(
         "log-decoded-header",
@@ -451,6 +465,20 @@ MUTANTS = (
         "_solve = staticmethod(_solve_window.__wrapped__)",
         "_solve = staticmethod(_solve_window)",
         "an executor that bench._build_run did not build solves without the cache",
+    ),
+    Mutant(
+        "scenario-name-one-line",
+        "bench.py",
+        "or name != name.strip() or len(name.splitlines()) > 1:",
+        ":",
+        "a scenario name is one line without surrounding whitespace",
+    ),
+    Mutant(
+        "reps-an-int",
+        "bench.py",
+        "if isinstance(reps, bool) or not isinstance(reps, int):",
+        "if False:",
+        "run_benchmark refuses a reps that is a bool or not an int",
     ),
     Mutant(
         "repetition-solve-uncached",
