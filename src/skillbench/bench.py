@@ -172,6 +172,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed scenario line {line!r}")
+        if key in kwargs:
+            raise ValueError(f"scenario field {key!r} set twice")
         if key == "name":
             kwargs[key] = value
         elif key in _POSE_FIELDS:
@@ -291,12 +293,19 @@ def run_benchmark(
     The compiled plans come from ``compile_setup``, so repeated calls on
     one setup (other seeds, other cycle times) plan and compile it only
     once, and each repetition builds its program and executor from them.
+    Raises ``ValueError`` for a ``reps`` that is not a positive int and for
+    an etype that is not an ``ExecutionType``, before anything is compiled.
     """
     # a count: a bool would run and render as one, a float fail mid-run
     if isinstance(reps, bool) or not isinstance(reps, int):
         raise ValueError(f"reps must be an int, got {reps!r}")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    # ``_build_run`` would run any other value as CM, and no table shows it
+    etypes = tuple(etypes)
+    for etype in etypes:
+        if not isinstance(etype, ExecutionType):
+            raise ValueError(f"etype must be an ExecutionType, got {etype!r}")
     report = MeasurementReport(setup=cfg.name, reps=reps, seed=seed)
     compiled = compile_setup(cfg)  # every run and every call shares it
     pose = cfg.start.components()

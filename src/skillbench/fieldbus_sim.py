@@ -237,12 +237,13 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
     trace.add(0, "sim", "phases", f"plc={phase_plc} bus={phase_bus} robot={phase_robot}")
     log = trace.log.append
 
-    # published and delivered images, all by reference, and beside each
-    # feedback image the frame decoded at its publish, kept until the next
+    # published and delivered images, all by reference.  A feedback image
+    # travels as the frame decoded at its publish: each publish decodes a
+    # new frame, so the frame's identity marks a new image as the bytes'
+    # does, and the PLC keeps only the frame delivered last
     plc_out = IDLE_COMMAND_BYTES
     robot_out = IDLE_FEEDBACK_BYTES
     cmd_at_robot = IDLE_COMMAND_BYTES
-    fb_at_plc = IDLE_FEEDBACK_BYTES
     robot_fb = plc_fb = _IDLE_FEEDBACK
 
     # the next grid point at which each task is due, ``never`` when it
@@ -297,8 +298,8 @@ def run(program, executor, config: SimConfig = SimConfig()) -> SimResult:
                 due = t + (phase_robot - t) % robot_cycle
                 if due < robot_due:
                     robot_due = due
-            if robot_out is not fb_at_plc:
-                fb_at_plc, plc_fb = robot_out, robot_fb
+            if robot_fb is not plc_fb:
+                plc_fb = robot_fb
                 log((t, "bus", "fb_deliver", None, robot_out))
                 due = t + 1 + (phase_plc - t - 1) % plc_cycle
                 if due < plc_due:

@@ -25,6 +25,7 @@ from enum import Enum
 from .core import ContinuousSkillPlan, MotionCommand, MotionType, PathLabel, Pose
 
 _CHAIN_TOL = 1e-9
+_LIN, _PTP = MotionType.LIN_CARTESIAN, MotionType.PTP_CARTESIAN
 
 
 class EmptyProcess(ValueError):
@@ -154,8 +155,19 @@ def label_process(steps) -> tuple[ProcessStep, ...]:
     )
 
 
-def _approx_for(label: PathLabel, cfg: PlanningConfig) -> float:
-    return cfg.default_approx if label is PathLabel.BLENDING else 0.0
+def _planned(mtype, target, start, origin, label, cfg: PlanningConfig) -> PlannedMotion:
+    """The one rule of every planned motion: a LIN motion takes the lin
+    dynamics and a PTP_CARTESIAN one the ptp dynamics, and the approx is
+    the default approx exactly when the label is BLENDING."""
+    lin = mtype is _LIN
+    cmd = MotionCommand(
+        motion_type=mtype,
+        target=target,
+        velocity=cfg.lin_velocity if lin else cfg.ptp_velocity,
+        acceleration=cfg.lin_acceleration if lin else cfg.ptp_acceleration,
+        approx_distance=cfg.default_approx if label is PathLabel.BLENDING else 0.0,
+    )
+    return PlannedMotion(cmd, start, origin, label)
 
 
 def plan_primary_motions(steps, cfg: PlanningConfig) -> list:
@@ -169,14 +181,7 @@ def plan_primary_motions(steps, cfg: PlanningConfig) -> list:
                 raise UnresolvedPose("primary path without resolved entry/exit poses")
             if math.dist(s.entry.position, s.exit.position) == 0.0:
                 raise ValueError("primary path with coinciding entry and exit")
-            cmd = MotionCommand(
-                motion_type=MotionType.LIN_CARTESIAN,
-                target=s.exit,
-                velocity=cfg.lin_velocity,
-                acceleration=cfg.lin_acceleration,
-                approx_distance=_approx_for(s.label, cfg),
-            )
-            items.append(PlannedMotion(cmd, s.entry, "primary", s.label))
+            items.append(_planned(_LIN, s.exit, s.entry, "primary", s.label, cfg))
         elif s.kind is StepKind.STANDSTILL_ACTION:
             items.append(StandstillItem(s.pose, s.action))
         else:
@@ -184,13 +189,14 @@ def plan_primary_motions(steps, cfg: PlanningConfig) -> list:
     return items
 
 
-def _offset(pose: Pose, ref_from: Pose, ref_to: Pose, dist: float, forward: bool) -> Pose:
+def _offset(pose: Pose, ref_from: Pose, ref_to: Pose, dist: float) -> Pose:
+    """``pose`` moved ``dist`` along the direction from ``ref_from`` to
+    ``ref_to``; a negative ``dist`` moves it against that direction."""
     dx = ref_to.x - ref_from.x
     dy = ref_to.y - ref_from.y
     dz = ref_to.z - ref_from.z
-    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
-    sign = dist / norm if forward else -dist / norm
-    return Pose(pose.x + dx * sign, pose.y + dy * sign, pose.z + dz * sign, pose.a, pose.b, pose.c)
+    frac = dist / math.sqrt(dx * dx + dy * dy + dz * dz)
+    return Pose(pose.x + dx * frac, pose.y + dy * frac, pose.z + dz * frac, pose.a, pose.b, pose.c)
 
 
 def add_pre_post_movements(items, cfg: PlanningConfig) -> list:
@@ -200,8 +206,9 @@ def add_pre_post_movements(items, cfg: PlanningConfig) -> list:
     along its own direction); one that leaves a standstill gets a post
     movement (continuation of its direction).  Both are
     ``cfg.pre_post_length`` long.  The junction with the primary
-    is an exact waypoint but collinear, so the robot passes through at speed;
-    the outer end blends with the default approx distance.
+    is an exact waypoint but collinear, so the robot passes through at speed:
+    a pre move is ACCURATE_PATH.  A post move is BLENDING, so its outer end
+    blends with the default approx distance.
     """
     out: list = []
     for idx, item in enumerate(items):
@@ -214,26 +221,12 @@ def add_pre_post_movements(items, cfg: PlanningConfig) -> list:
             items[idx + 1], StandstillItem
         )
         if next_standstill:  # approach: start pre_post_length before the entry
-            pre_start = _offset(entry, entry, target, cfg.pre_post_length, forward=False)
-            pre_cmd = MotionCommand(
-                motion_type=MotionType.LIN_CARTESIAN,
-                target=entry,
-                velocity=cfg.lin_velocity,
-                acceleration=cfg.lin_acceleration,
-                approx_distance=0.0,
-            )
-            out.append(PlannedMotion(pre_cmd, pre_start, "pre", PathLabel.ACCURATE_PATH))
+            pre_start = _offset(entry, entry, target, -cfg.pre_post_length)
+            out.append(_planned(_LIN, entry, pre_start, "pre", PathLabel.ACCURATE_PATH, cfg))
         out.append(item)
         if prev_standstill:  # retreat: continue pre_post_length past the exit
-            post_end = _offset(target, entry, target, cfg.pre_post_length, forward=True)
-            post_cmd = MotionCommand(
-                motion_type=MotionType.LIN_CARTESIAN,
-                target=post_end,
-                velocity=cfg.lin_velocity,
-                acceleration=cfg.lin_acceleration,
-                approx_distance=cfg.default_approx,
-            )
-            out.append(PlannedMotion(post_cmd, target, "post", PathLabel.BLENDING))
+            post_end = _offset(target, entry, target, cfg.pre_post_length)
+            out.append(_planned(_LIN, post_end, target, "post", PathLabel.BLENDING, cfg))
     return out
 
 
@@ -252,7 +245,9 @@ def plan_secondary_motions(items, cfg: PlanningConfig) -> list:
     its explicit ``to_pose``).  When a clearance height is specified, an
     intermediate waypoint at that height is inserted over the horizontal
     midpoint, yielding two PTP motions; a clearance below both endpoints is
-    rejected.  Zero-length transits vanish.
+    rejected.  Zero-length transits vanish, and an unlabeled transit is
+    BLENDING.  Every other item must start where the one before it left
+    the robot, or the process is discontinuous.
     """
     out: list = []
     current: Pose | None = None
@@ -271,7 +266,7 @@ def plan_secondary_motions(items, cfg: PlanningConfig) -> list:
                 raise UnresolvedPose("transit with no destination")
             if math.dist(current.position, dest.position) <= _CHAIN_TOL:
                 continue
-            approx = _approx_for(item.label or PathLabel.BLENDING, cfg)
+            label = item.label or PathLabel.BLENDING
             legs: list[Pose] = [dest]
             if item.clearance is not None:
                 c = item.clearance
@@ -290,35 +285,18 @@ def plan_secondary_motions(items, cfg: PlanningConfig) -> list:
                 legs = [mid, dest]
             leg_start = current
             for leg_target in legs:
-                cmd = MotionCommand(
-                    motion_type=MotionType.PTP_CARTESIAN,
-                    target=leg_target,
-                    velocity=cfg.ptp_velocity,
-                    acceleration=cfg.ptp_acceleration,
-                    approx_distance=approx,
-                )
-                out.append(
-                    PlannedMotion(cmd, leg_start, "transit", item.label or PathLabel.BLENDING)
-                )
+                out.append(_planned(_PTP, leg_target, leg_start, "transit", label, cfg))
                 leg_start = leg_target
             current = dest
             continue
-        if isinstance(item, StandstillItem):
-            if current is not None and math.dist(current.position, item.pose.position) > _CHAIN_TOL:
-                raise ValueError(
-                    f"process discontinuity: standstill at {item.pose.position}, "
-                    f"robot at {current.position}"
-                )
-            current = item.pose
-            out.append(item)
-            continue
-        # planned motion
-        if current is not None and math.dist(current.position, item.start.position) > _CHAIN_TOL:
+        # a standstill or a planned motion
+        start = _item_start(item)
+        if current is not None and math.dist(current.position, start.position) > _CHAIN_TOL:
             raise ValueError(
-                f"process discontinuity: motion starts at {item.start.position}, "
+                f"process discontinuity: next item starts at {start.position}, "
                 f"robot at {current.position}"
             )
-        current = item.command.target
+        current = item.command.target if isinstance(item, PlannedMotion) else start
         out.append(item)
     return out
 

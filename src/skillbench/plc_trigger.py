@@ -96,8 +96,7 @@ class PlcSkillInstance:
 
     def __init__(self):
         self._state = PlcSkillState.IDLE
-        self._images: tuple[bytes, ...] = ()
-        self._total = 0
+        self._images: tuple[bytes, ...] = ()  # the skill's records; totalNo is their count
         self._loaded = 0
         self._last_cur = 0
         self._frame_seq = 0
@@ -132,12 +131,11 @@ class PlcSkillInstance:
             if len(image) != RECORD_SIZE:
                 raise ValueError(f"record {m} image is {len(image)} bytes, need {RECORD_SIZE}")
         self._images = images
-        self._total = len(images)
-        self._loaded = loaded = min(SLOT_COUNT, self._total)
+        self._loaded = loaded = min(SLOT_COUNT, len(images))
         self._last_cur = 0
         # records 1..5 sit in slots 0..4
         self._image = pack_command_frame(
-            CommandWord.START, loaded, self._total, loaded, self._next_seq(), images[:loaded]
+            CommandWord.START, loaded, len(images), loaded, self._next_seq(), images[:loaded]
         )
         self._state = PlcSkillState.RUNNING
 
@@ -147,20 +145,22 @@ class PlcSkillInstance:
         if cur < self._last_cur:
             raise FeedbackRegression(f"curExec went {self._last_cur} -> {cur}")
         self._last_cur = cur
+        images = self._images
+        total = len(images)
         target = cur + SLOT_COUNT - 1
-        if self._total < target:
-            target = self._total
+        if total < target:
+            target = total
         if target <= self._loaded:
             return
         self._loaded = target
         # a refill needs totalNo > 5, so the window holds five records,
         # target - 4 first; rotated so that record m sits in its slot
-        window = self._images[target - SLOT_COUNT : target]
+        window = images[target - SLOT_COUNT : target]
         k = slot_for_record(target + 1)  # the slot of record target - 4
         self._image = pack_command_frame(
             _START_WORD,
             SLOT_COUNT,
-            self._total,
+            total,
             target,
             self._next_seq(),
             window[-k:] + window[:-k],

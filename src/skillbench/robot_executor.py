@@ -36,12 +36,14 @@ stop, which also hands over the straight seconds of each segment it
 timed.  Nothing after an exact stop can change a speed or a blend before
 it, so a motion that ends at one and starts a window needs no solve.  A
 motion's duration is those seconds plus its exit arc's, or
-``motion_time`` where the solver did not time its segment.  A plan's
-blend decisions are final.  Later activations reuse the plan until a
-record arrives whose corner blends onto the plan's end; the plan is then
-dropped whole, and the next activation solves again from the speed the
-active motion commits.  So a stored program is planned once per run of
-blended corners.  An executor solves without a cache unless its builder
+``motion_time`` where the solver did not time its segment.  A plan keeps
+the solved speeds and straight seconds, and its blend decisions are final:
+they replace the window's candidate blends, the one place every
+activation reads its exit blend from.  Later activations reuse the plan
+until a record arrives whose corner blends onto the plan's end; the plan
+is then dropped whole, and the next activation solves again from the
+speed the active motion commits.  So a stored program is planned once per
+run of blended corners.  An executor solves without a cache unless its builder
 hands it ``_solve_window``, the process-wide cache of the eight most
 recently solved windows: ``bench`` does so for the repetitions of a
 compiled setup, which meet the same windows again, and nothing else
@@ -152,8 +154,11 @@ class _CyclicExecutor:
     ingested motion adds its path length, velocity and acceleration and
     the ``corner_blend`` of the corner it closes.  An activation outside
     the current plan solves the visible Cartesian window up to its first
-    exact stop through ``_solve``, and a blend dropped there stays
-    dropped; one whose motion ends at an exact stop solves nothing.
+    exact stop through ``_solve``; one whose motion ends at an exact stop
+    solves nothing.  The plan keeps the solve's speeds and straight
+    seconds, and its blends go back into the corners, so a blend dropped
+    there stays dropped and every activation reads its exit blend from
+    the corners.
     ``_solve`` is ``_solve_window`` without its cache unless the builder
     set the cached one on the executor, as ``bench._build_run`` does.  A plan
     is kept whole or dropped: a record whose corner blends onto the plan's
@@ -219,7 +224,8 @@ class _CyclicExecutor:
         self._next = 0
         # (end_us, dur_us, motion, end pose, end joints, (exit speed, exit trunc))
         self._active = None
-        # (first, end, speeds, blends, straight) over _motions[first:end]
+        # (first, end, speeds, straight) of the solve over _motions[first:end];
+        # its kept blends are _corners[first:end - 1]
         self._plan = None
         self._entry = _AT_REST  # (speed, truncation) the next motion enters at
         self._completed = 0  # records of the completed motions
@@ -306,23 +312,21 @@ class _CyclicExecutor:
             if k + 1 == len(motions) and idx + n <= self._total:
                 # successor exists but has not arrived: commit an exact stop
                 self.fallback_stops += 1
+            corners = self._corners
             plan = self._plan
             # a plan starts at the motion whose activation made it, so it
             # covers k when k is short of its end
             if plan is not None and k < plan[1]:
-                first, _end, speeds, blends, straight = plan
-                j = k - first
-                exit_speed = speeds[j + 1]
-                b = blends[j + 1]
-                seconds = straight[j]
-            elif self._corners[k] is None:
+                first, _end, speeds, straight = plan
+                exit_speed = speeds[k - first + 1]
+                seconds = straight[k - first]
+            elif corners[k] is None:
                 # an exact stop ends the window at this motion: nothing to solve
                 exit_speed = 0.0
-                b = seconds = None
+                seconds = None
             else:
                 # plan the visible Cartesian window up to its first exact
                 # stop, which decouples it from the corners after it
-                corners = self._corners
                 end = k + 1
                 while end < len(motions) and corners[end - 1] is not None:
                     end += 1
@@ -333,13 +337,15 @@ class _CyclicExecutor:
                     (None, *corners[k : end - 1], None),
                     *self._entry,
                 )
-                # a later solve must not revive a blend dropped here:
-                # dropping only newer corners then restores this plan
+                # the kept blends live in ``corners`` alone, and a later
+                # solve must not revive a blend dropped here: dropping only
+                # newer corners then restores this plan
                 corners[k : end - 1] = blends[1:-1]
-                self._plan = (k, end, speeds, blends, straight)
+                self._plan = (k, end, speeds, straight)
                 exit_speed = speeds[1]
-                b = blends[1]
                 seconds = straight[0]
+            # the plan's kept blend, or the exact stop that ends a window
+            b = corners[k]
             if seconds is None:
                 # no round of the solve timed this segment at these speeds
                 entry_speed, entry_trunc = self._entry

@@ -12,11 +12,12 @@ blend of one corner (or an exact stop), ``solve_corners`` fixes the corner
 speeds of a chain and which blends survive, re-solving after each degrade
 round only what its drops changed, and ``motion_time`` gives one motion's
 straight and arc seconds, each from the closed form ``segment_time``.  The
-robot executor's motion engine makes these calls, so the timing the
-benchmark reports is this model's.  ``solve_corners`` also returns the
-straight seconds of the segments its rounds timed at the final speeds; the
-engine uses them as they are and calls ``motion_time`` only for the other
-motions, so each motion is timed once.
+robot task that both executors of ``robot_executor`` share makes these
+calls, so the timing the benchmark reports is this model's.
+``solve_corners`` also returns the straight seconds of the segments its
+rounds timed at the final speeds; the robot task uses them as they are and
+calls ``motion_time`` only for the other motions, so each motion is timed
+once.
 """
 
 from __future__ import annotations
@@ -240,9 +241,9 @@ def solve_corners(lengths, vmaxes, accels, blends, entry_speed=0.0, entry_trunc=
     Returns ``(speeds, blends, straight)``: n + 1 corner speeds, zero at
     every stop, the kept blends, None wherever the corner stops, and the n
     straight seconds of each segment between its truncations at those
-    speeds, None for a segment no round timed at them.  The motion engine
+    speeds, None for a segment no round timed at them.  The robot task
     takes a motion's straight seconds from ``straight``.  No segment is
-    timed here for the engine alone: that timing could raise
+    timed here for the robot task alone: that timing could raise
     ``InfeasibleBoundary`` on a chain the rounds solve without raising.
     """
     n = len(lengths)

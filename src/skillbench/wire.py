@@ -322,7 +322,7 @@ def _plan_image(motions) -> bytes:
         flags = _FLAG_JOINT if mtype is _PTP_JOINT else 0
         values += (mtype, flags, seq & 0xFFFF, *m.target.components(), *tail, m.force_setpoint)
     try:
-        image = struct.pack("<" + "BBH9fBBH" * (len(values) // 15), *values)
+        image = struct.pack("<" + _RECORD_FMT.format[1:] * (len(values) // 15), *values)
     except (struct.error, OverflowError):
         image = None
     if image is None or _F32_TOP in image or _F32_BOTTOM in image:
@@ -440,14 +440,8 @@ def pack_command_frame(
 
 
 def encode_command_frame(frame: CommandFrame) -> bytes:
-    return pack_command_frame(
-        frame.command,
-        frame.record_count,
-        frame.total_no,
-        frame.loaded_through,
-        frame.frame_seq,
-        frame.slots,
-    )
+    # the frame's fields are the packer's arguments, in order
+    return pack_command_frame(*frame)
 
 
 def slot_image(data: bytes, m: int) -> bytes:

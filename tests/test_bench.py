@@ -214,6 +214,15 @@ class TestScenario:
                 with pytest.raises(ValueError, match=name):
                     parse_scenario(f"{name}={value}\n")
 
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ScenarioConfig)])
+    def test_a_key_set_twice_is_refused(self, key):
+        # unchecked, the last line would win: a file could say two things
+        lines = serialize_scenario(SETUP_A).splitlines()
+        (line,) = [ln for ln in lines if ln.startswith(f"{key}=")]
+        for repeated in (line, line.replace(f"{key}=", f"{key}=1", 1)):
+            with pytest.raises(ValueError, match=f"'{key}' set twice"):
+                parse_scenario("\n".join(lines + [repeated]) + "\n")
+
 
 # one alternative value per setting, on a base whose obstacle pokes above
 # the fly height, so that clearance_margin acts
@@ -314,6 +323,18 @@ class TestBenchmark:
         monkeypatch.setattr(skillbench.bench, "compile_setup", compiled.append)
         with pytest.raises(ValueError, match="reps must be an int"):
             run_benchmark(SETUP_A, reps=reps)
+        assert compiled == []
+
+    @pytest.mark.parametrize("etypes", [("rc",), (ExecutionType.RC, "cm"), (None,), (1,)])
+    def test_an_etype_must_be_an_execution_type_before_the_setup_compiles(
+        self, etypes, monkeypatch
+    ):
+        # unchecked, "rc" would run as CM and report CM's AET under "rc",
+        # which no table renders
+        compiled = []
+        monkeypatch.setattr(skillbench.bench, "compile_setup", compiled.append)
+        with pytest.raises(ValueError, match="etype must be an ExecutionType"):
+            run_benchmark(SETUP_A, etypes=etypes, reps=2)
         assert compiled == []
 
     def test_custom_cycle_times_flow_through(self):
@@ -817,6 +838,13 @@ class TestCli:
             assert main(["run", "--setup", str(scen), "--reps", "1"]) == 2, new
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("skillbench: ") and reason in err[0]
+
+    def test_a_scenario_setting_a_key_twice_is_a_run_failure(self, tmp_path, capsys):
+        scen = tmp_path / "twice.scenario"
+        scen.write_text(serialize_scenario(SETUP_A) + "lin_velocity=900.0\nname=zz\n")
+        assert main(["run", "--setup", str(scen), "--reps", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["skillbench: scenario field 'lin_velocity' set twice"]
 
     def test_bad_reps_is_usage_error(self, capsys):
         assert main(["run", "--reps", "0"]) == 3

@@ -298,9 +298,9 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
     """Native 200-motion programs, each followed by one more motion,
     streamed skills whose windows open at a committed speed, and both
     setups under RC, SM and CM: each executed Cartesian motion lasts what
-    ``motion_time`` gives at its plan's speeds and blends, rounded up to
-    whole µs, both where the executor took the solver's straight seconds and
-    where it timed the motion itself.  A motion that no plan covers ends at
+    ``motion_time`` gives at its plan's speeds and its kept blend, rounded
+    up to whole µs, both where the executor took the solver's straight
+    seconds and where it timed the motion itself.  A motion that no plan covers ends at
     an exact stop, and lasts what ``motion_time`` gives at exit speed zero
     without a blend."""
     seen = Counter()  # (label, kind) of each checked activation
@@ -316,10 +316,11 @@ def test_every_duration_is_motion_time_of_its_plan(monkeypatch):
             return
         plan = executor._plan
         if plan is not None and plan[0] <= k < plan[1]:
-            first, _end, speeds, blends, straight = plan
+            first, _end, speeds, straight = plan
             j = k - first
             assert speeds[j] == v_in
-            v_out, b = speeds[j + 1], blends[j + 1]
+            # the plan's kept blends live in the executor's corners
+            v_out, b = speeds[j + 1], executor._corners[k]
             kind = "timed" if straight[j] is None else "reused"
         else:
             assert executor._corners[k] is None

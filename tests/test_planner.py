@@ -1,12 +1,15 @@
 """Planning pipeline: labels, primary/pre/post motions, transits, grouping."""
 
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from skillbench.bench import SETUP_A, SETUP_B, build_scenario
 from skillbench.core import (
     MotionCommand,
     MotionType,
@@ -251,14 +254,51 @@ class TestSecondaryMotions:
         with pytest.raises(UnresolvedPose):
             plan_secondary_motions(items, CFG)
 
-    def test_discontinuity_detected(self):
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            (  # a motion that starts away from the robot
+                ProcessStep(StepKind.STANDSTILL_ACTION, pose=P0, action="start"),
+                ProcessStep(StepKind.PRIMARY_PATH, entry=PICK_TOP, exit=PICK),
+            ),
+            (  # a standstill away from the robot
+                ProcessStep(StepKind.PRIMARY_PATH, entry=PICK_TOP, exit=PICK),
+                ProcessStep(StepKind.STANDSTILL_ACTION, pose=PLACE, action="grip"),
+            ),
+        ],
+        ids=["motion", "standstill"],
+    )
+    def test_discontinuity_detected(self, steps):
+        items = plan_primary_motions(label_process(steps), CFG)
+        with pytest.raises(ValueError, match="process discontinuity"):
+            plan_secondary_motions(items, CFG)
+
+    @pytest.mark.parametrize("gap, joins", [(1e-10, True), (1e-8, False)])
+    def test_the_chain_tolerance_is_a_nanometre(self, gap, joins):
+        # a gap within 1e-9 mm joins the chain and a transit over it
+        # vanishes; a wider gap breaks the chain, and a transit spans it
+        off = Pose(PICK.x + gap, PICK.y, PICK.z)
         steps = (
-            ProcessStep(StepKind.STANDSTILL_ACTION, pose=P0, action="start"),
             ProcessStep(StepKind.PRIMARY_PATH, entry=PICK_TOP, exit=PICK),
+            ProcessStep(StepKind.STANDSTILL_ACTION, pose=off, action="grip"),
         )
         items = plan_primary_motions(label_process(steps), CFG)
-        with pytest.raises(ValueError, match="discontinuity"):
-            plan_secondary_motions(items, CFG)
+        if joins:
+            assert plan_secondary_motions(items, CFG) == items
+        else:
+            with pytest.raises(ValueError, match="process discontinuity"):
+                plan_secondary_motions(items, CFG)
+        transit = ProcessStep(StepKind.TRANSIT)
+        items = plan_primary_motions(label_process(steps[:1] + (transit,) + steps[1:]), CFG)
+        motions = [i for i in plan_secondary_motions(items, CFG) if isinstance(i, PlannedMotion)]
+        assert [m.origin for m in motions] == (["primary"] if joins else ["primary", "transit"])
+
+    def test_unlabeled_transit_blends(self):
+        # step III b on a transit that step I never labeled
+        items = [StandstillItem(P0, "start"), ProcessStep(StepKind.TRANSIT, to_pose=PICK)]
+        (transit,) = plan_secondary_motions(items, CFG)[1:]
+        assert transit.label is PathLabel.BLENDING
+        assert transit.command.approx_distance == CFG.default_approx
 
 
 class TestCoalesce:
@@ -411,3 +451,64 @@ def test_pipeline_structure_holds_for_random_processes(seed):
         assert p.motions[-1].approx_distance == 0.0
     # the pipeline is deterministic
     assert repr(plan(steps, CFG)) == repr(plans)
+
+
+# lin and ptp dynamics apart, so that a motion taking the other type's shows
+APART = PlanningConfig(
+    lin_velocity=220.0,
+    lin_acceleration=1500.0,
+    ptp_velocity=310.0,
+    ptp_acceleration=2600.0,
+    default_approx=7.0,
+)
+_LABELS = (None, PathLabel.ACCURATE_PATH, PathLabel.BLENDING, PathLabel.ACCURATE_STOP)
+
+
+def relabeled(steps, rng: random.Random):
+    """``steps`` with each primary path and transit labeled at random, None
+    leaving step I's default."""
+    return tuple(
+        s if s.kind is StepKind.STANDSTILL_ACTION else replace(s, label=rng.choice(_LABELS))
+        for s in steps
+    )
+
+
+def assert_planned_by_the_rule(steps, cfg: PlanningConfig):
+    """Every planned motion's dynamics follow its type and its approx its
+    label; the plans hold those motions, each group's last at approx 0."""
+    items = plan_primary_motions(label_process(steps), cfg)
+    items = plan_secondary_motions(add_pre_post_movements(items, cfg), cfg)
+    motions = [i for i in items if isinstance(i, PlannedMotion)]
+    for m in motions:
+        c = m.command
+        lin = m.origin != "transit"
+        assert c.motion_type is (MotionType.LIN_CARTESIAN if lin else MotionType.PTP_CARTESIAN)
+        if lin:
+            assert (c.velocity, c.acceleration) == (cfg.lin_velocity, cfg.lin_acceleration)
+        else:
+            assert (c.velocity, c.acceleration) == (cfg.ptp_velocity, cfg.ptp_acceleration)
+        blends = m.label is PathLabel.BLENDING
+        assert c.approx_distance == (cfg.default_approx if blends else 0.0), m
+    plans = plan(steps, cfg)
+    assert all(p.motions[-1].approx_distance == 0.0 for p in plans)
+    ends = set(itertools.accumulate(len(p.motions) for p in plans))
+    flat = [m for p in plans for m in p.motions]
+    assert len(flat) == len(motions)
+    for n, (got, m) in enumerate(zip(flat, motions), 1):
+        assert got == (replace(m.command, approx_distance=0.0) if n in ends else m.command)
+
+
+@pytest.mark.parametrize("cfg", [CFG, APART], ids=["default", "apart"])
+def test_every_planned_motion_follows_one_rule(cfg):
+    for seed in range(200):
+        steps, _ = random_process(random.Random(seed))
+        assert_planned_by_the_rule(steps, cfg)
+        assert_planned_by_the_rule(relabeled(steps, random.Random(seed)), cfg)
+
+
+@pytest.mark.parametrize("setup", [SETUP_A, SETUP_B], ids=["a", "b"])
+def test_the_setups_follow_the_rule(setup):
+    steps = build_scenario(setup)
+    for cfg in (setup.planning_config(), replace(APART, pre_post_length=setup.pre_post_length)):
+        assert_planned_by_the_rule(steps, cfg)
+        assert_planned_by_the_rule(relabeled(steps, random.Random(0)), cfg)

@@ -265,7 +265,7 @@ MUTANTS = (
     Mutant(
         "solve-a-stop",
         "robot_executor.py",
-        "elif self._corners[k] is None:",
+        "elif corners[k] is None:",
         "elif False:",
         "a motion outside the plan that ends at an exact stop needs no solve",
     ),
@@ -479,6 +479,62 @@ MUTANTS = (
         "if isinstance(reps, bool) or not isinstance(reps, int):",
         "if False:",
         "run_benchmark refuses a reps that is a bool or not an int",
+    ),
+    Mutant(
+        "etype-a-member",
+        "bench.py",
+        "if not isinstance(etype, ExecutionType):",
+        "if False:",
+        "run_benchmark refuses an etype that is not an ExecutionType",
+    ),
+    Mutant(
+        "scenario-key-once",
+        "bench.py",
+        "if key in kwargs:",
+        "if False:",
+        "a scenario file sets each field at most once",
+    ),
+    Mutant(
+        "planner-lin-takes-ptp",
+        "planner.py",
+        "lin = mtype is _LIN",
+        "lin = False",
+        "a LIN motion takes the lin dynamics, not the ptp ones",
+    ),
+    Mutant(
+        "planner-accurate-path-approx",
+        "planner.py",
+        "cfg.default_approx if label is PathLabel.BLENDING else 0.0",
+        "cfg.default_approx if label is not PathLabel.ACCURATE_STOP else 0.0",
+        "only a BLENDING motion takes the default approx",
+    ),
+    Mutant(
+        "planner-chain-tolerance",
+        "planner.py",
+        "_CHAIN_TOL = 1e-9",
+        "_CHAIN_TOL = 1e-6",
+        "a process chains within 1e-9 mm and no further",
+    ),
+    Mutant(
+        "planner-unlabeled-transit",
+        "planner.py",
+        "label = item.label or PathLabel.BLENDING",
+        "label = item.label or PathLabel.ACCURATE_PATH",
+        "an unlabeled transit blends",
+    ),
+    Mutant(
+        "planner-group-ends-exact",
+        "planner.py",
+        "if last.approx_distance != 0.0:",
+        "if False:",
+        "each group's last motion ends exactly on its target",
+    ),
+    Mutant(
+        "planner-pre-direction",
+        "planner.py",
+        "_offset(entry, entry, target, -cfg.pre_post_length)",
+        "_offset(entry, entry, target, cfg.pre_post_length)",
+        "a pre move approaches the primary path along its own direction",
     ),
     Mutant(
         "repetition-solve-uncached",
